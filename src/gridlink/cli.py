@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -255,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "plan":
             p.add_argument("--budget", type=int, default=15, help="number of links to install")
             p.add_argument("--allow-nonpositive", action="store_true", help="keep installing when no link helps")
-            p.add_argument("--workers", type=int, default=1, help="parallel candidate evaluations per iteration")
+            p.add_argument("--workers", type=int, default=1, help="worker processes for the candidate sweep")
         if name == "simulate":
             p.add_argument("--dt", type=float, default=1e-3, help="integration step, seconds")
             p.add_argument("--tmax", type=float, default=20.0, help="horizon, seconds")
@@ -269,6 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(subcommand=args.subcommand, case_path=args.case, output_path=args.out)
+    if not math.isfinite(args.gain):
+        raise InputError("gain must be a finite number")
     cfg.links_path = args.links
     cfg.gain_h = args.gain
     cfg.deflate = not args.no_deflate
@@ -282,6 +285,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         cfg.allow_nonpositive = args.allow_nonpositive
         cfg.workers = args.workers
     if args.subcommand == "simulate":
+        for name in ("dt", "tmax"):
+            if not math.isfinite(getattr(args, name)):
+                raise InputError(f"{name} must be a finite number")
         if args.dt <= 0 or args.tmax < args.dt:
             raise InputError("require dt > 0 and tmax >= dt")
         cfg.dt = args.dt

@@ -5,7 +5,8 @@ damping]] over (d delta, d omega).  All blocks are exact partial derivatives
 of the implemented swing right-hand side, so finite differences of the
 dynamics must reproduce them entry for entry.  Stability is judged by
 alpha_max, the largest real part over the spectrum after deflating the
-structural zero mode that comes from uniform-angle-shift invariance.
+structural zero mode that comes from uniform-angle-shift invariance; the
+mode is removed exactly by writing angles relative to the last machine.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class SpectrumReport:
     eigenvalues: np.ndarray  # (2n,) complex, sorted by descending real part
     alpha_max: float  # max real part over the retained spectrum, 1/s
     deflated: bool  # True when the structural zero mode was removed
-    deflated_magnitude: float | None  # |lambda| of the removed eigenvalue
+    deflated_magnitude: float | None  # smallest |lambda| of the full spectrum when deflated
 
 
 def coupling_matrix(net: ReducedNetwork, delta_s: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -100,14 +101,55 @@ def jacobian_blocks(model: SystemModel, ctl: ControlConfig) -> JacobianBlocks:
     )
 
 
-def spectral_abscissa(j: np.ndarray, deflate: bool = True, zero_tol: float | None = None) -> SpectrumReport:
+def relative_angle_jacobian(swing: np.ndarray, damping: np.ndarray) -> np.ndarray:
+    """(2n-1)x(2n-1) Jacobian over angles relative to the last machine and all speeds.
+
+    ``swing`` is the lower-left block (coupling + control) and must annihilate
+    the all-ones vector; then d(delta_i - delta_n)/dt = omega_i - omega_n and
+    swing @ delta only sees the relative angles.  This is the projection
+    deviation_norms uses, and its spectrum is exactly that of the full
+    Jacobian with the structural zero mode removed.
+    """
+    n = swing.shape[0]
+    r = np.zeros((2 * n - 1, 2 * n - 1))
+    r[: n - 1, n - 1 : 2 * n - 2] = np.eye(n - 1)
+    r[: n - 1, 2 * n - 2] = -1.0
+    r[n - 1 :, : n - 1] = swing[:, : n - 1]
+    r[n - 1 :, n - 1 :] = damping
+    return r
+
+
+def _has_swing_structure(j: np.ndarray) -> bool:
+    """Top blocks exactly [0, I] and lower-left rows summing to zero.
+
+    The row-sum bound, 2n eps times each row's absolute sum, covers the
+    rounding of forming the diagonal as minus the off-diagonal sum, adding
+    the control block, and summing the row again.
+    """
+    n = j.shape[0] // 2
+    if np.any(j[:n, :n]) or not np.array_equal(j[:n, n:], np.eye(n)):
+        return False
+    swing = j[n:, :n]
+    bound = 2 * n * np.finfo(float).eps * np.abs(swing).sum(axis=1)
+    return bool(np.all(np.abs(swing.sum(axis=1)) <= bound))
+
+
+def _alpha(j: np.ndarray) -> float:
+    """Largest real part of the spectrum; eigenvalues only."""
+    if not np.all(np.isfinite(j)):
+        raise ValueError("Jacobian has non-finite entries")
+    return float(np.max(np.linalg.eigvals(j).real))
+
+
+def spectral_abscissa(j: np.ndarray, deflate: bool = True) -> SpectrumReport:
     """Eigenvalues of the assembled Jacobian and alpha_max of the retained set.
 
-    With ``deflate`` the single smallest-magnitude eigenvalue is removed from
-    the alpha computation, provided it is below ``zero_tol`` (default
-    1e-8 * ||j||_2) and its eigenvector aligns with the uniform angle shift
-    [1_n; 0_n] (cosine >= 0.99).  When no eigenvalue qualifies the report
-    carries deflated=False and alpha_max covers the whole spectrum.
+    With ``deflate``, a matrix with the swing structure (see
+    _has_swing_structure) has its structural zero mode removed exactly:
+    alpha_max comes from the relative-angle Jacobian, and the report's
+    deflated_magnitude is the smallest |lambda| of the full spectrum.  Any
+    other matrix is reported with deflated=False and alpha_max over the whole
+    spectrum.
     """
     j = np.asarray(j, dtype=float)
     if not np.all(np.isfinite(j)):
@@ -116,37 +158,32 @@ def spectral_abscissa(j: np.ndarray, deflate: bool = True, zero_tol: float | Non
     if j.shape != (two_n, two_n) or two_n % 2 != 0:
         raise ValueError(f"expected a square 2n x 2n matrix, got {j.shape}")
     n = two_n // 2
-    if zero_tol is None:
-        zero_tol = 1e-8 * np.linalg.norm(j, 2)
-    elif zero_tol <= 0:
-        raise ValueError("zero_tol must be positive")
 
-    eigvals, eigvecs = np.linalg.eig(j)
-    order = np.lexsort((-eigvals.imag, -eigvals.real))
-    eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
-
-    deflated = False
-    deflated_magnitude: float | None = None
-    keep = np.ones(two_n, dtype=bool)
-    if deflate:
-        idx = int(np.argmin(np.abs(eigvals)))
-        shift = np.zeros(two_n)
-        shift[:n] = 1.0 / np.sqrt(n)
-        vec = eigvecs[:, idx]
-        cosine = abs(np.vdot(vec, shift)) / np.linalg.norm(vec)
-        if abs(eigvals[idx]) <= zero_tol and cosine >= 0.99:
-            keep[idx] = False
-            deflated = True
-            deflated_magnitude = float(abs(eigvals[idx]))
-    alpha = float(np.max(eigvals[keep].real))
+    eigvals = np.linalg.eigvals(j)
+    eigvals = eigvals[np.lexsort((-eigvals.imag, -eigvals.real))]
+    if deflate and _has_swing_structure(j):
+        reduced = relative_angle_jacobian(j[n:, :n], j[n:, n:])
+        return SpectrumReport(
+            eigenvalues=eigvals,
+            alpha_max=_alpha(reduced),
+            deflated=True,
+            deflated_magnitude=float(np.min(np.abs(eigvals))),
+        )
     return SpectrumReport(
-        eigenvalues=eigvals, alpha_max=alpha, deflated=deflated, deflated_magnitude=deflated_magnitude
+        eigenvalues=eigvals, alpha_max=float(np.max(eigvals.real)), deflated=False, deflated_magnitude=None
     )
 
 
 def alpha_for_links(model: SystemModel, links, gain: float, deflate: bool = True) -> float:
-    """alpha_max of the system with the given link set at one common gain."""
+    """alpha_max of the system with the given link set at one common gain.
+
+    With ``deflate`` this is the spectral abscissa of the relative-angle
+    Jacobian (the blocks have the swing structure by construction, so no
+    check is needed); without it, of the full Jacobian with its zero mode.
+    Bitwise equal to spectral_abscissa(blocks.assembled, deflate).alpha_max.
+    """
     ctl = uniform_control(links, gain, model.op.delta_s)
     blocks = jacobian_blocks(model, ctl)
-    return spectral_abscissa(blocks.assembled, deflate=deflate).alpha_max
+    if deflate:
+        return _alpha(relative_angle_jacobian(blocks.coupling + blocks.control, blocks.damping))
+    return _alpha(blocks.assembled)

@@ -9,8 +9,8 @@ subsets serves as a small-instance oracle.
 from __future__ import annotations
 
 import math
+import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -73,16 +73,36 @@ def marginal_gain(link: Link, installed, model: SystemModel, gain_h: float, defl
     return before - after
 
 
-def _sweep(model: SystemModel, installed: list[Link], remaining: list[Link], gain_h: float, deflate: bool, workers: int):
+def _sweep(model: SystemModel, installed: list[Link], remaining: list[Link], gain_h: float, deflate: bool):
     """alpha_max after each candidate, in candidate order."""
+    return [alpha_for_links(model, installed + [link], gain_h, deflate=deflate) for link in remaining]
 
-    def evaluate(link: Link) -> float:
-        return alpha_for_links(model, installed + [link], gain_h, deflate=deflate)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(evaluate, remaining))
-    return [evaluate(link) for link in remaining]
+# Set once in each sweep worker process by _init_worker.
+_worker_args: tuple[SystemModel, float, bool] | None = None
+
+
+def _init_worker(model: SystemModel, gain_h: float, deflate: bool) -> None:
+    global _worker_args
+    _worker_args = (model, gain_h, deflate)
+
+
+def _sweep_chunk(installed: list[Link], chunk: list[Link]) -> list[float]:
+    model, gain_h, deflate = _worker_args
+    return _sweep(model, installed, chunk, gain_h, deflate)
+
+
+def _chunks(items: list, parts: int) -> list[list]:
+    """``parts`` contiguous runs of ``items``, lengths differing by at most one."""
+    size, extra = divmod(len(items), parts)
+    bounds = [i * size + min(i, extra) for i in range(parts + 1)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _pool_sweep(pool, pool_size: int, installed: list[Link], remaining: list[Link]) -> list[float]:
+    """_sweep over contiguous chunks in the worker processes, in candidate order."""
+    chunks = _chunks(remaining, min(pool_size, len(remaining)))
+    return [alpha for part in pool.map(_sweep_chunk, [installed] * len(chunks), chunks) for alpha in part]
 
 
 def greedy_plan(
@@ -97,10 +117,15 @@ def greedy_plan(
     """Install up to ``budget`` links, each the argmax of marginal gain.
 
     Stops early (with the reason recorded) when the best remaining gain is
-    nonpositive, unless ``allow_nonpositive`` is set.  Ties within TIE_TOL go
-    to the lexicographically smallest pair.  A budget larger than the number
-    of candidate links is clamped with a warning.  Deterministic, including
-    under a parallel candidate sweep (workers > 1).
+    nonpositive, unless ``allow_nonpositive`` is set; a gain within TIE_TOL
+    of zero ties with installing nothing and counts as nonpositive.  Ties
+    within TIE_TOL go to the lexicographically smallest pair.  A budget
+    larger than the number of candidate links is clamped with a warning.
+
+    With ``workers`` > 1 each sweep runs in one pool of worker processes,
+    min(workers, CPU count, candidates in the first sweep) of them, started
+    once per call; each gets a contiguous chunk of the candidates.  The
+    result is identical to the serial sweep.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -121,26 +146,39 @@ def greedy_plan(
     stopped_early = False
     stop_reason = None
 
-    for it in range(1, budget + 1):
-        remaining = candidate_links(model.n, installed)
-        alphas = _sweep(model, installed, remaining, gain_h, deflate, workers)
-        best_link = None
-        best_alpha = math.inf
-        best_gain = -math.inf
-        for link, alpha in zip(remaining, alphas):
-            gain = alpha_before - alpha
-            if gain > best_gain + TIE_TOL:
-                best_link, best_alpha, best_gain = link, alpha, gain
-        if best_gain <= 0 and not allow_nonpositive:
-            stopped_early = True
-            stop_reason = f"best marginal gain {best_gain:.3e} is nonpositive at iteration {it}"
-            break
-        installed.append(best_link)
-        installed.sort()
-        iterations.append(
-            PlanIteration(index=it, link=best_link, alpha_max_after=best_alpha, marginal_gain=best_gain)
-        )
-        alpha_before = best_alpha
+    pool_size = min(workers, os.cpu_count() or 1, available)
+    pool = None
+    if budget and pool_size > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(pool_size, initializer=_init_worker, initargs=(model, gain_h, deflate))
+    try:
+        for it in range(1, budget + 1):
+            remaining = candidate_links(model.n, installed)
+            if pool is None:
+                alphas = _sweep(model, installed, remaining, gain_h, deflate)
+            else:
+                alphas = _pool_sweep(pool, pool_size, installed, remaining)
+            best_link = None
+            best_alpha = math.inf
+            best_gain = -math.inf
+            for link, alpha in zip(remaining, alphas):
+                gain = alpha_before - alpha
+                if gain > best_gain + TIE_TOL:
+                    best_link, best_alpha, best_gain = link, alpha, gain
+            if best_gain <= TIE_TOL and not allow_nonpositive:
+                stopped_early = True
+                stop_reason = f"best marginal gain {best_gain:.3e} is nonpositive at iteration {it}"
+                break
+            installed.append(best_link)
+            installed.sort()
+            iterations.append(
+                PlanIteration(index=it, link=best_link, alpha_max_after=best_alpha, marginal_gain=best_gain)
+            )
+            alpha_before = best_alpha
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return PlanResult(
         baseline_alpha=baseline,
         iterations=tuple(iterations),

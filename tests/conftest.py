@@ -75,3 +75,31 @@ def equilibrium_state(model):
     from gridlink.dynamics import MachineState
 
     return MachineState(delta=model.op.delta_s.copy(), omega=np.full(model.n, model.op.omega_s))
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Run the planner's worker pool in this process; returns the pool sizes requested.
+
+    No process is started, so a test can ask for any worker count.
+    """
+    import concurrent.futures
+
+    from gridlink import planner
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(planner, "_worker_args", None)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return sizes

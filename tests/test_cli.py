@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -128,6 +129,46 @@ def test_plan_rejects_nonnegative_gain(tmp_path, capsys):
     code = run(["plan", "--case", case_path("toy4"), "--out", tmp_path / "o", "--gain", 1.0])
     assert code == 2
     assert "negative gain" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "subcommand, flag, value",
+    [("plan", "--gain", "nan"), ("simulate", "--dt", "nan"), ("simulate", "--tmax", "inf")],
+)
+def test_non_finite_number_is_input_error(tmp_path, capsys, subcommand, flag, value):
+    code = run([subcommand, "--case", case_path("toy3"), "--out", tmp_path / "o", f"{flag}={value}"])
+    assert code == 2
+    assert "must be a finite number" in capsys.readouterr().err
+
+
+def test_plan_worker_error_exit_code(tmp_path, capsys):
+    # a finite gain so large that every candidate's control block overflows
+    code = run(["plan", "--case", case_path("toy4"), "--out", tmp_path / "o", "--gain=-1e308", "--budget", 2,
+                "--workers", 2])
+    assert code == 1
+    assert "computation error: Jacobian has non-finite entries" in capsys.readouterr().err
+
+
+def test_plan_echoes_requested_workers(tmp_path, monkeypatch, inline_pool):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    out = tmp_path / "plan.json"
+    assert run(["plan", "--case", case_path("toy4"), "--out", out, "--budget", 2, "--workers", 64,
+                "--format", "structured"]) == 0
+    assert json.loads(out.read_text())["meta"]["workers"] == 64
+    assert inline_pool == [4]
+
+
+def test_plan_final_alpha_equals_analyze(tmp_path):
+    plan = tmp_path / "plan.json"
+    assert run(["plan", "--case", case_path("newengland39"), "--out", plan, "--budget", 15,
+                "--format", "structured"]) == 0
+    doc = json.loads(plan.read_text())
+    links = tmp_path / "links.json"
+    links.write_text(json.dumps({"links": [[row["gen_i"], row["gen_k"]] for row in doc["iterations"]]}))
+    spectrum = tmp_path / "spectrum.json"
+    assert run(["analyze", "--case", case_path("newengland39"), "--out", spectrum, "--links", links,
+                "--format", "structured"]) == 0
+    assert json.loads(spectrum.read_text())["alpha_max"] == doc["final_alpha"]
 
 
 def test_plan_byte_identical_and_parallel(tmp_path):

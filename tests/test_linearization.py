@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridlink.case import parse_case
 from gridlink.dynamics import MachineState, empty_control, swing_rhs, uniform_control
@@ -11,6 +13,7 @@ from gridlink.linearization import (
     control_matrix,
     coupling_matrix,
     jacobian_blocks,
+    relative_angle_jacobian,
     spectral_abscissa,
 )
 from gridlink.model import build_system
@@ -170,6 +173,14 @@ def test_spectrum_no_qualifying_zero_reported_not_fatal():
     assert report.alpha_max == pytest.approx(-0.5, abs=1e-12)
 
 
+def test_spectrum_zero_mode_without_swing_structure_kept():
+    # eigenvalues 0 and -1, but the top-right block is not I: no deflation
+    report = spectral_abscissa(np.array([[0.0, 2.0], [0.0, -1.0]]), deflate=True)
+    assert not report.deflated
+    assert report.deflated_magnitude is None
+    assert report.alpha_max == pytest.approx(0.0, abs=1e-12)
+
+
 def test_spectrum_conjugate_pairing(ne39_model, toy4_model):
     for model in (ne39_model, toy4_model):
         report = spectral_abscissa(jacobian_blocks(model, empty_control(model.n)).assembled)
@@ -189,6 +200,66 @@ def test_spectrum_rejects_bad_input():
         spectral_abscissa(np.full((2, 2), np.nan))
     with pytest.raises(ValueError):
         spectral_abscissa(np.zeros((3, 3)))
+
+
+# --- relative-angle Jacobian ---------------------------------------------------------
+
+
+def _heuristic_alpha(j):
+    """The former deflation, kept as an oracle: drop the smallest eigenvalue after
+    checking it is below 1e-8 ||j||_2 with an eigenvector along the uniform angle
+    shift (cosine >= 0.99)."""
+    n = j.shape[0] // 2
+    vals, vecs = np.linalg.eig(j)
+    idx = int(np.argmin(np.abs(vals)))
+    shift = np.zeros(2 * n)
+    shift[:n] = 1.0 / np.sqrt(n)
+    cosine = abs(np.vdot(vecs[:, idx], shift)) / np.linalg.norm(vecs[:, idx])
+    assert abs(vals[idx]) <= 1e-8 * np.linalg.norm(j, 2) and cosine >= 0.99
+    return float(np.delete(vals, idx).real.max())
+
+
+def _check_relative_angle_spectrum(model, links, gain):
+    blocks = jacobian_blocks(model, uniform_control(links, gain, model.op.delta_s))
+    reduced = relative_angle_jacobian(blocks.coupling + blocks.control, blocks.damping)
+    assert reduced.shape == (2 * model.n - 1, 2 * model.n - 1)
+    full = list(np.linalg.eigvals(blocks.assembled))
+    tol = 1e-9 * max(1.0, max(abs(z) for z in full))
+    # the reduced spectrum plus {0} is the full spectrum, matched one to one
+    for z in np.append(np.linalg.eigvals(reduced), 0.0):
+        k = int(np.argmin([abs(w - z) for w in full]))
+        assert abs(full.pop(k) - z) <= tol
+    alpha = alpha_for_links(model, links, gain)
+    assert abs(alpha - _heuristic_alpha(blocks.assembled)) <= 1e-12 * max(1.0, abs(alpha))
+    report = spectral_abscissa(blocks.assembled)
+    assert report.deflated
+    assert report.alpha_max == alpha  # analyze and the planner agree bitwise
+    assert report.deflated_magnitude == np.min(np.abs(report.eigenvalues))
+
+
+@pytest.mark.parametrize(
+    "name, links",
+    [
+        ("toy3", []),
+        ("toy3", [(0, 1)]),
+        ("toy4", []),
+        ("toy4", [(0, 2), (1, 3)]),
+        ("ne39", []),
+        ("ne39", [(0, 8), (0, 2), (0, 1), (0, 5), (0, 7)]),
+    ],
+)
+def test_relative_angle_spectrum_bundled(request, name, links):
+    _check_relative_angle_spectrum(request.getfixturevalue(f"{name}_model"), links, -1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_relative_angle_spectrum_drawn_links(ne39_model, toy4_model, data):
+    model = data.draw(st.sampled_from([ne39_model, toy4_model]))
+    pairs = [(i, k) for i in range(model.n) for k in range(i + 1, model.n)]
+    links = sorted(data.draw(st.sets(st.sampled_from(pairs), max_size=12)))
+    gain = data.draw(st.floats(min_value=-5.0, max_value=-0.05))
+    _check_relative_angle_spectrum(model, links, gain)
 
 
 # --- alpha_for_links ---------------------------------------------------------------

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gridlink import planner
 from gridlink.linearization import alpha_for_links
 from gridlink.planner import (
     PlannerGuardError,
@@ -137,6 +143,56 @@ def test_greedy_parallel_sweep_identical(ne39_model):
     for a, b in zip(serial.iterations, parallel.iterations):
         assert a.alpha_max_after == b.alpha_max_after
         assert a.marginal_gain == b.marginal_gain
+
+
+def test_pool_sweep_bitwise_equals_serial(ne39_model):
+    installed = []
+    initargs = (ne39_model, -1.0, True)
+    with ProcessPoolExecutor(2, initializer=planner._init_worker, initargs=initargs) as pool:
+        for link in [(0, 8), (0, 2), (0, 1)]:
+            remaining = candidate_links(ne39_model.n, installed)
+            serial = planner._sweep(ne39_model, installed, remaining, -1.0, True)
+            assert planner._pool_sweep(pool, 2, installed, remaining) == serial
+            installed = sorted(installed + [link])
+
+
+def test_worker_error_reaches_caller(ne39_model):
+    # the baseline has no links and is finite; every candidate's control
+    # block overflows, so the error is raised inside the worker processes
+    with pytest.raises(ValueError, match="non-finite"):
+        greedy_plan(ne39_model, budget=2, gain_h=-1e308, workers=2)
+
+
+@pytest.mark.parametrize(
+    "workers, cores, budget, preinstalled, expected",
+    [
+        (64, 3, 2, [], [3]),  # clamped to the core count
+        (64, 16, 2, [], [6]),  # clamped to the C(4,2) candidates
+        (64, 16, 1, [(0, 1), (0, 2), (0, 3)], [3]),  # candidates left after preinstalled links
+        (2, 16, 2, [], [2]),  # as asked
+        (64, 1, 2, [], []),  # one core: serial sweep, no pool
+        (1, 16, 2, [], []),
+        (64, 16, 0, [], []),  # nothing to sweep
+    ],
+)
+def test_pool_size_clamped(monkeypatch, inline_pool, toy4_model, workers, cores, budget, preinstalled, expected):
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    kwargs = dict(budget=budget, gain_h=-1.0, allow_nonpositive=True, preinstalled=preinstalled)
+    result = greedy_plan(toy4_model, workers=workers, **kwargs)
+    assert inline_pool == expected
+    assert result == greedy_plan(toy4_model, **kwargs)
+
+
+def test_import_loads_no_pool_modules():
+    # the process pool is imported only when a plan asks for workers
+    code = (
+        "import sys, gridlink; "
+        "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(planner.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_greedy_preinstalled_links_excluded(toy4_model):
