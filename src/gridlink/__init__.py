@@ -33,6 +33,7 @@ from gridlink.dynamics import (
     Trajectory,
     decay_rate,
     electrical_power,
+    link_laplacian,
     mechanical_power,
     simulate,
     swing_rhs,

@@ -20,6 +20,7 @@ import numpy as np
 import gridlink
 from gridlink.case import CaseError, parse_case
 from gridlink.dynamics import (
+    MAX_STEPS,
     DisturbanceSpec,
     MachineState,
     SimulationBlowUp,
@@ -75,22 +76,24 @@ def parse_perturb(spec: str) -> DisturbanceSpec:
         if "=" not in part:
             raise InputError(f"malformed perturbation term {part!r}; expected key=value")
         key, _, value = part.partition("=")
+        key = key.strip()
         try:
-            fields[key.strip()] = float(value)
+            fields[key] = int(value) if key == "gen" else float(value)
         except ValueError as exc:
-            raise InputError(f"perturbation term {part!r}: not a number") from exc
+            raise InputError(f"perturbation term {part!r}: not {'an integer' if key == 'gen' else 'a number'}") from exc
+        if not math.isfinite(fields[key]):
+            raise InputError(f"perturbation term {part!r}: must be a finite number")
     allowed = {"gen", "ddelta", "domega", "at"} if kind == "state-offset" else {"gen", "dpm", "at"}
     unknown = sorted(set(fields) - allowed)
     if unknown:
         raise InputError(f"perturbation fields {unknown} not valid for kind {kind}")
     if "gen" not in fields:
         raise InputError("perturbation requires gen=I")
-    gen = int(fields["gen"])
-    if gen < 1:
+    if fields["gen"] < 1:
         raise InputError("perturbation generator numbers are 1-based")
     return DisturbanceSpec(
         kind=kind,
-        target=gen - 1,
+        target=fields["gen"] - 1,
         d_delta=fields.get("ddelta", 0.0),
         d_omega=fields.get("domega", 0.0),
         d_pm=fields.get("dpm", 0.0),
@@ -110,7 +113,7 @@ def read_links_file(path: str, n: int) -> list[tuple[int, int]]:
         raise InputError(f"links file {path}: expected an object with a 'links' array")
     links = []
     for entry in doc["links"]:
-        if not (isinstance(entry, list) and len(entry) == 2 and all(isinstance(v, int) for v in entry)):
+        if not (isinstance(entry, list) and len(entry) == 2 and all(type(v) is int for v in entry)):
             raise InputError(f"links file {path}: each link must be a pair of integers, got {entry!r}")
         i, k = entry
         if not (1 <= i <= n and 1 <= k <= n) or i == k:
@@ -290,6 +293,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
                 raise InputError(f"{name} must be a finite number")
         if args.dt <= 0 or args.tmax < args.dt:
             raise InputError("require dt > 0 and tmax >= dt")
+        if args.tmax / args.dt > MAX_STEPS:
+            raise InputError(f"tmax / dt exceeds {MAX_STEPS} steps")
         cfg.dt = args.dt
         cfg.t_max = args.tmax
         if args.perturb is not None:

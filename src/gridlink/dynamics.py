@@ -18,6 +18,9 @@ from gridlink.reduction import OperatingPoint, ReducedNetwork
 
 Link = tuple[int, int]
 
+# Cap on the RK4 steps of one simulate call, which stores two (steps + 1) x n arrays.
+MAX_STEPS = 10**6
+
 
 class SimulationBlowUp(RuntimeError):
     """Trajectory left the finite range; carries the failure time."""
@@ -46,16 +49,14 @@ class ControlConfig:
 
     Gains are pu power per radian and must be negative for stabilizing
     feedback; nonnegative values are tolerated for diagnostics (``validate``
-    flags them, the planner refuses them).  The control acts on angle
-    deviations from ``reference_angles`` unless ``literal_angles`` is set, in
-    which case raw angle differences are used (this shifts the equilibrium;
-    both forms have identical Jacobians).
+    flags them, the planner refuses them).  The control adds L_h (delta -
+    reference_angles) to the mechanical power, L_h being the gain-weighted link
+    Laplacian (see link_laplacian), so it vanishes at the reference angles.
     """
 
     links: tuple[Link, ...]
     gains: dict[Link, float]
     reference_angles: np.ndarray
-    literal_angles: bool = False
 
     def validate(self, n: int | None = None) -> list[str]:
         report = []
@@ -76,16 +77,13 @@ class ControlConfig:
         return report
 
 
-def uniform_control(
-    links, gain: float, reference_angles: np.ndarray, literal_angles: bool = False
-) -> ControlConfig:
+def uniform_control(links, gain: float, reference_angles: np.ndarray) -> ControlConfig:
     """ControlConfig with one common gain on every link."""
     normalized = tuple(sorted(normalize_link(l) for l in links))
     return ControlConfig(
         links=normalized,
         gains={l: gain for l in normalized},
         reference_angles=np.asarray(reference_angles, dtype=float),
-        literal_angles=literal_angles,
     )
 
 
@@ -126,38 +124,56 @@ class Trajectory:
         return MachineState(delta=self.delta[index], omega=self.omega[index])
 
 
+def link_laplacian(ctl: ControlConfig) -> np.ndarray:
+    """Gain-weighted Laplacian L_h of the link graph, one row per reference angle.
+
+    L_h[i, i] sums the gains of the links at i and L_h[i, k] = -h_ik, so the
+    control adds L_h (delta - reference_angles) to the mechanical power and
+    L_h / m is the Jacobian's control block.  An overflowing gain is left as
+    an infinite entry without a warning; callers check finiteness.
+    """
+    n = ctl.reference_angles.size
+    lap = np.zeros((n, n))
+    with np.errstate(over="ignore"):
+        for link in ctl.links:
+            i, k = link
+            h = ctl.gains[link]
+            lap[i, i] += h
+            lap[k, k] += h
+            lap[i, k] -= h
+            lap[k, i] -= h
+    return lap
+
+
 def electrical_power(delta: np.ndarray, net: ReducedNetwork) -> np.ndarray:
     """P_e[i] = sum_k d[i,k] cos(delta_i - delta_k) + c[i,k] sin(delta_i - delta_k).
 
-    The k = i term contributes the self-conductance power e_i^2 Re(y_g[i,i]).
+    Evaluated as Re(E_i conj((y_g E)_i)) with E = e_mag e^{j delta}: n complex
+    exponentials instead of n^2 cosines and sines.  The k = i term contributes
+    the self-conductance power e_i^2 Re(y_g[i,i]).
     """
-    delta = np.asarray(delta, dtype=float)
-    dd = delta[:, None] - delta[None, :]
-    return np.sum(net.d * np.cos(dd) + net.c * np.sin(dd), axis=1)
+    e = net.e_mag * np.exp(1j * np.asarray(delta, dtype=float))
+    return (e * np.conj(net.y_g @ e)).real
 
 
 def mechanical_power(delta: np.ndarray, op: OperatingPoint, ctl: ControlConfig) -> np.ndarray:
     """Constant dispatch plus phase-difference feedback over the link set."""
-    delta = np.asarray(delta, dtype=float)
-    p_m = op.p_m_const.copy()
-    angles = delta if ctl.literal_angles else delta - ctl.reference_angles
-    for link in ctl.links:
-        i, k = link
-        dev = angles[i] - angles[k]
-        h = ctl.gains[link]
-        p_m[i] += h * dev
-        p_m[k] -= h * dev
-    return p_m
+    return op.p_m_const + link_laplacian(ctl) @ (np.asarray(delta, dtype=float) - ctl.reference_angles)
+
+
+def _rhs(delta, omega, model, p_m_const, lap, reference_angles):
+    """Swing right-hand side with mechanical power p_m_const + lap (delta - reference_angles)."""
+    omega_dev = omega - model.op.omega_s
+    p_m = p_m_const + lap @ (delta - reference_angles)
+    p_e = electrical_power(delta, model.net)
+    return omega_dev, (p_m - model.d * omega_dev - p_e) / model.m
 
 
 def swing_rhs(
     state: MachineState, model: SystemModel, ctl: ControlConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """(d delta/dt, d omega/dt) of the controlled swing equations."""
-    omega_dev = state.omega - model.op.omega_s
-    p_m = mechanical_power(state.delta, model.op, ctl)
-    p_e = electrical_power(state.delta, model.net)
-    return omega_dev, (p_m - model.d * omega_dev - p_e) / model.m
+    return _rhs(state.delta, state.omega, model, model.op.p_m_const, link_laplacian(ctl), ctl.reference_angles)
 
 
 def simulate(
@@ -172,64 +188,51 @@ def simulate(
 
     A state-offset disturbance is added to the recorded state at the first
     grid time >= t_apply; a mechanical-step is added to the constant
-    mechanical power from that grid time onward.  Raises SimulationBlowUp when
-    the state leaves the finite range.
+    mechanical power from that grid time onward.  Raises ValueError beyond
+    MAX_STEPS steps and SimulationBlowUp when the state leaves the finite range.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_max < dt:
         raise ValueError("t_max must be at least dt")
+    if t_max / dt > MAX_STEPS:
+        raise ValueError(f"t_max / dt exceeds {MAX_STEPS} steps")
     n = model.n
-    if disturbance is not None:
-        problems = disturbance.validate(n)
-        if problems:
-            raise ValueError("; ".join(problems))
-
     steps = int(round(t_max / dt))
+    # No disturbance is a zero state offset; validate() leaves zero the terms a kind does not use.
+    dist = disturbance or DisturbanceSpec(kind="state-offset", target=0)
+    problems = dist.validate(n)
+    if problems:
+        raise ValueError("; ".join(problems))
+    unit = np.zeros(n)
+    unit[dist.target] = 1.0
+    apply_index = int(np.clip(np.ceil(dist.t_apply / dt - 1e-9), 0, steps + 1))
+
     times = np.arange(steps + 1) * dt
     delta = np.zeros((steps + 1, n))
     omega = np.zeros((steps + 1, n))
-
-    apply_index = steps + 1
-    pm_step = np.zeros(n)
-    if disturbance is not None:
-        apply_index = int(np.ceil(disturbance.t_apply / dt - 1e-9))
-        apply_index = max(apply_index, 0)
-        if disturbance.kind == "mechanical-step":
-            pm_step[disturbance.target] = disturbance.d_pm
-
-    d_vec = np.zeros(n)
-    w_vec = np.zeros(n)
-    if disturbance is not None and disturbance.kind == "state-offset":
-        d_vec[disturbance.target] = disturbance.d_delta
-        w_vec[disturbance.target] = disturbance.d_omega
-
-    def rhs(x_delta: np.ndarray, x_omega: np.ndarray, pm_extra: np.ndarray):
-        omega_dev = x_omega - model.op.omega_s
-        p_m = mechanical_power(x_delta, model.op, ctl) + pm_extra
-        p_e = electrical_power(x_delta, model.net)
-        return omega_dev, (p_m - model.d * omega_dev - p_e) / model.m
-
+    lap = link_laplacian(ctl)
+    ref = ctl.reference_angles
+    p_m = model.op.p_m_const
     cur_d = np.asarray(initial.delta, dtype=float).copy()
     cur_w = np.asarray(initial.omega, dtype=float).copy()
-    zero = np.zeros(n)
     # Overflow here is the blow-up signal, not a numerics bug to warn about.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps + 1):
-            if k == apply_index and disturbance is not None and disturbance.kind == "state-offset":
-                cur_d = cur_d + d_vec
-                cur_w = cur_w + w_vec
+            if k == apply_index:
+                cur_d = cur_d + dist.d_delta * unit
+                cur_w = cur_w + dist.d_omega * unit
+                p_m = model.op.p_m_const + dist.d_pm * unit
             delta[k] = cur_d
             omega[k] = cur_w
             if not (np.all(np.isfinite(cur_d)) and np.all(np.isfinite(cur_w))):
                 raise SimulationBlowUp(times[k])
             if k == steps:
                 break
-            pm_extra = pm_step if k >= apply_index else zero
-            k1d, k1w = rhs(cur_d, cur_w, pm_extra)
-            k2d, k2w = rhs(cur_d + 0.5 * dt * k1d, cur_w + 0.5 * dt * k1w, pm_extra)
-            k3d, k3w = rhs(cur_d + 0.5 * dt * k2d, cur_w + 0.5 * dt * k2w, pm_extra)
-            k4d, k4w = rhs(cur_d + dt * k3d, cur_w + dt * k3w, pm_extra)
+            k1d, k1w = _rhs(cur_d, cur_w, model, p_m, lap, ref)
+            k2d, k2w = _rhs(cur_d + 0.5 * dt * k1d, cur_w + 0.5 * dt * k1w, model, p_m, lap, ref)
+            k3d, k3w = _rhs(cur_d + 0.5 * dt * k2d, cur_w + 0.5 * dt * k2w, model, p_m, lap, ref)
+            k4d, k4w = _rhs(cur_d + dt * k3d, cur_w + dt * k3w, model, p_m, lap, ref)
             cur_d = cur_d + (dt / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
             cur_w = cur_w + (dt / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
     return Trajectory(times=times, delta=delta, omega=omega, dt=dt)

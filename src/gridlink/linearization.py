@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gridlink.dynamics import ControlConfig, uniform_control
+from gridlink.dynamics import ControlConfig, link_laplacian, uniform_control
 from gridlink.model import SystemModel
 from gridlink.reduction import ReducedNetwork
 
@@ -53,22 +53,15 @@ def coupling_matrix(net: ReducedNetwork, delta_s: np.ndarray, m: np.ndarray) -> 
 
 
 def control_matrix(ctl: ControlConfig, m: np.ndarray) -> np.ndarray:
-    """Link-feedback block: -h_ik/m_i off-diagonal, row-sum-zero diagonal.
+    """Link-feedback block L_h / m_i: -h_ik/m_i off-diagonal, row-sum-zero diagonal.
 
     With negative gains this is a weighted Laplacian scaled by 1/m_i:
-    negative diagonal, positive off-diagonals.
+    negative diagonal, positive off-diagonals.  An overflowing gain gives
+    infinite entries, which spectral evaluation rejects.
     """
     m = np.asarray(m, dtype=float)
-    n = m.size
-    k = np.zeros((n, n))
-    for link in ctl.links:
-        i, j = link
-        h = ctl.gains[link]
-        k[i, j] += -h / m[i]
-        k[j, i] += -h / m[j]
-        k[i, i] += h / m[i]
-        k[j, j] += h / m[j]
-    return k
+    with np.errstate(over="ignore"):
+        return link_laplacian(ctl) / m[:, None]
 
 
 def damping_matrix(d: np.ndarray, m: np.ndarray) -> np.ndarray:

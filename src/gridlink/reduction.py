@@ -141,7 +141,7 @@ def coupling_coefficients(y_g: np.ndarray, e_mag: np.ndarray) -> tuple[np.ndarra
     return outer * y_g.imag, outer * y_g.real
 
 
-def equilibrium(case: PowerCase, pf: PowerFlowSolution, net: ReducedNetwork) -> OperatingPoint:
+def equilibrium(delta_s: np.ndarray, omega_s: float, net: ReducedNetwork) -> OperatingPoint:
     """Operating point with constant mechanical power balancing electrical power.
 
     p_m_const is set to the reduced model's electrical power at delta_s, so
@@ -150,19 +150,15 @@ def equilibrium(case: PowerCase, pf: PowerFlowSolution, net: ReducedNetwork) -> 
     """
     from gridlink.dynamics import electrical_power
 
-    emfs = _internal_emfs(case, pf)
-    delta_s = np.angle(emfs)
-    op = OperatingPoint(delta_s=delta_s, omega_s=2.0 * math.pi * case.f0, p_m_const=np.zeros(net.n))
-    p_e = electrical_power(delta_s, net)
-    return OperatingPoint(delta_s=delta_s, omega_s=op.omega_s, p_m_const=p_e)
+    return OperatingPoint(delta_s=delta_s, omega_s=omega_s, p_m_const=electrical_power(delta_s, net))
 
 
 def reduce_case(case: PowerCase, pf: PowerFlowSolution) -> tuple[ReducedNetwork, OperatingPoint]:
     """Full reduction pipeline: augment, eliminate terminal buses, couple, balance."""
-    aug, e_mag, _ = augment_internal_nodes(case, pf)
+    aug, e_mag, delta_s = augment_internal_nodes(case, pf)
     n_bus = len(case.buses)
     retained = list(range(n_bus, n_bus + len(case.generators)))
     y_g = kron_reduce(aug, retained)
     c, d = coupling_coefficients(y_g, e_mag)
     net = ReducedNetwork(y_g=y_g, e_mag=e_mag, c=c, d=d)
-    return net, equilibrium(case, pf, net)
+    return net, equilibrium(delta_s, 2.0 * math.pi * case.f0, net)

@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gridlink
 from conftest import two_bus_feeder
 from gridlink.case import case_path
 from gridlink.cli import main, parse_perturb
@@ -139,6 +143,40 @@ def test_non_finite_number_is_input_error(tmp_path, capsys, subcommand, flag, va
     code = run([subcommand, "--case", case_path("toy3"), "--out", tmp_path / "o", f"{flag}={value}"])
     assert code == 2
     assert "must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, links_text",
+    [
+        (["--perturb", "gen=1.7,ddelta=0.1"], None),
+        (["--perturb", "gen=inf,ddelta=0.1"], None),
+        (["--perturb", "gen=1,ddelta=0.1,at=inf"], None),
+        (["--perturb", "gen=nan,ddelta=0.1"], None),
+        (["--perturb", "gen=1,ddelta=nan"], None),
+        ([], '{"links": [[true, 2]]}'),
+        (["--tmax", "1e9", "--dt", "1e-3"], None),
+    ],
+    ids=["gen-fraction", "gen-inf", "at-inf", "gen-nan", "ddelta-nan", "bool-link", "step-cap"],
+)
+def test_malformed_simulate_input_is_input_error(tmp_path, capsys, extra, links_text):
+    argv = ["simulate", "--case", case_path("toy3"), "--out", tmp_path / "o", *extra]
+    if links_text is not None:
+        (tmp_path / "links.json").write_text(links_text)
+        argv += ["--links", tmp_path / "links.json"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "input error" in err
+
+
+def test_overflowing_gain_prints_one_line(tmp_path, capfd):
+    # worker processes print numpy warnings straight to the inherited stderr
+    env = {**os.environ, "PYTHONPATH": str(Path(gridlink.__file__).parents[1])}
+    argv = ["plan", "--case", str(case_path("newengland39")), "--out", str(tmp_path / "o"), "--gain=-1e308",
+            "--workers", "2", "--budget", "1"]
+    proc = subprocess.run([sys.executable, "-m", "gridlink", *argv], env=env, timeout=60)
+    assert proc.returncode == 1
+    err = capfd.readouterr().err
+    assert err.splitlines() == ["gridlink: computation error: Jacobian has non-finite entries"]
 
 
 def test_plan_worker_error_exit_code(tmp_path, capsys):

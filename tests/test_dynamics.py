@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,20 +78,68 @@ def test_mechanical_power_single_link_hand_value():
     assert p[1] == pytest.approx(2.0 + 0.1, abs=1e-14)
 
 
-def test_literal_angle_control_shifts_equilibrium():
-    # raw angle differences leave a control offset at the operating point;
-    # the deviation form (default) does not
-    op = OperatingPoint(delta_s=np.array([0.2, -0.1]), omega_s=377.0, p_m_const=np.array([1.0, 2.0]))
-    literal = uniform_control([(0, 1)], -1.0, op.delta_s, literal_angles=True)
-    p = mechanical_power(op.delta_s, op, literal)
-    assert p[0] == pytest.approx(1.0 - 0.3, abs=1e-14)
-    assert p[1] == pytest.approx(2.0 + 0.3, abs=1e-14)
-    # identical Jacobians regardless of the form
+def _per_link_mechanical_power(delta, op, ctl):
+    p_m = op.p_m_const.copy()
+    angles = delta - ctl.reference_angles
+    for link in ctl.links:
+        i, k = link
+        dev = angles[i] - angles[k]
+        p_m[i] += ctl.gains[link] * dev
+        p_m[k] -= ctl.gains[link] * dev
+    return p_m
+
+
+def _per_link_control_matrix(ctl, m):
+    k_mat = np.zeros((m.size, m.size))
+    for link in ctl.links:
+        i, j = link
+        h = ctl.gains[link]
+        k_mat[i, j] += -h / m[i]
+        k_mat[j, i] += -h / m[j]
+        k_mat[i, i] += h / m[i]
+        k_mat[j, j] += h / m[j]
+    return k_mat
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_link_laplacian_matches_per_link_oracles(data):
     from gridlink.linearization import control_matrix
 
-    deviation = uniform_control([(0, 1)], -1.0, op.delta_s)
-    m = np.array([0.5, 0.25])
-    assert np.array_equal(control_matrix(literal, m), control_matrix(deviation, m))
+    n = data.draw(st.integers(min_value=2, max_value=8))
+    pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
+    links = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    gains = {link: data.draw(st.floats(min_value=-50.0, max_value=-1e-3)) for link in links}
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    ref = rng.uniform(-1.0, 1.0, n)
+    delta = ref + rng.uniform(-0.5, 0.5, n)
+    m = rng.uniform(0.01, 0.2, n)
+    op = OperatingPoint(delta_s=ref, omega_s=377.0, p_m_const=rng.normal(size=n))
+    ctl = ControlConfig(links=tuple(links), gains=gains, reference_angles=ref)
+
+    expected = _per_link_mechanical_power(delta, op, ctl)
+    scale = np.abs(op.p_m_const) + 2.0 * sum(abs(h) for h in gains.values()) * np.abs(delta - ref).max()
+    assert np.all(np.abs(mechanical_power(delta, op, ctl) - expected) <= 1e-13 * np.maximum(scale, 1.0))
+
+    expected = _per_link_control_matrix(ctl, m)
+    row_scale = np.abs(expected).sum(axis=1, keepdims=True)
+    assert np.all(np.abs(control_matrix(ctl, m) - expected) <= 1e-14 * row_scale)
+
+
+def _cos_sin_electrical_power(delta, net):
+    dd = delta[:, None] - delta[None, :]
+    return np.sum(net.d * np.cos(dd) + net.c * np.sin(dd), axis=1)
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+def test_electrical_power_matches_cos_sin_oracle(ne39_model, seed):
+    net = ne39_model.net
+    if seed is None:
+        delta = ne39_model.op.delta_s
+    else:
+        delta = np.random.default_rng(seed).uniform(-math.pi, math.pi, net.n)
+    expected = _cos_sin_electrical_power(delta, net)
+    assert np.all(np.abs(electrical_power(delta, net) - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
 
 
 def test_control_config_validation():
@@ -235,6 +284,48 @@ def test_simulate_mechanical_step_shifts_equilibrium(toy3_model):
     # extra drive on machine 0 must advance its angle relative to the others
     rel = (traj.delta[:, 0] - traj.delta[:, 2]) - (model.op.delta_s[0] - model.op.delta_s[2])
     assert rel[-1] > 1e-4
+
+
+def test_simulate_mechanical_step_is_swing_rhs_plus_step(toy3_model):
+    # RK4 driven by swing_rhs on a model whose constant mechanical power holds
+    # the step, from the apply index on, reproduces simulate bit for bit
+    model = toy3_model
+    ctl = uniform_control([(0, 2)], -1.5, model.op.delta_s)
+    dt, apply_index, steps = 2.0**-7, 10, 40
+    dist = DisturbanceSpec(kind="mechanical-step", target=1, d_pm=0.05, t_apply=apply_index * dt)
+    init = MachineState(model.op.delta_s + np.array([0.01, 0.0, -0.01]), np.full(3, model.op.omega_s))
+    traj = simulate(init, model, ctl, dist, t_max=steps * dt, dt=dt)
+
+    step = np.zeros(3)
+    step[1] = 0.05
+    stepped = replace(model, op=replace(model.op, p_m_const=model.op.p_m_const + step))
+    d, w = init.delta.copy(), init.omega.copy()
+    for k in range(steps + 1):
+        assert np.array_equal(traj.delta[k], d) and np.array_equal(traj.omega[k], w)
+        if k == steps:
+            break
+        rhs_model = stepped if k >= apply_index else model
+
+        def f(x_d, x_w):
+            return swing_rhs(MachineState(x_d, x_w), rhs_model, ctl)
+
+        k1d, k1w = f(d, w)
+        k2d, k2w = f(d + 0.5 * dt * k1d, w + 0.5 * dt * k1w)
+        k3d, k3w = f(d + 0.5 * dt * k2d, w + 0.5 * dt * k2w)
+        k4d, k4w = f(d + dt * k3d, w + dt * k3w)
+        d = d + (dt / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+        w = w + (dt / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+
+
+def test_simulate_disturbance_after_horizon_never_applies(toy3_model):
+    dist = DisturbanceSpec(kind="state-offset", target=1, d_delta=0.02, t_apply=math.inf)
+    traj = simulate(equilibrium_state(toy3_model), toy3_model, empty_control(3), dist, t_max=0.01, dt=1e-3)
+    assert np.abs(traj.delta - toy3_model.op.delta_s).max() <= 1e-12
+
+
+def test_simulate_rejects_step_count_above_cap(toy3_model):
+    with pytest.raises(ValueError, match="steps"):
+        simulate(equilibrium_state(toy3_model), toy3_model, empty_control(3), None, t_max=1e9, dt=1e-3)
 
 
 def test_simulate_rejects_mixed_disturbance(toy3_model):

@@ -235,6 +235,7 @@ def test_equilibrium_total_includes_losses(toy4_case):
 def test_equilibrium_signature_matches_reduce(toy4_case):
     pf = solve_powerflow(toy4_case)
     net, op = reduce_case(toy4_case, pf)
-    op2 = equilibrium(toy4_case, pf, net)
+    _, _, delta_s = augment_internal_nodes(toy4_case, pf)
+    op2 = equilibrium(delta_s, op.omega_s, net)
     assert np.array_equal(op.delta_s, op2.delta_s)
     assert np.array_equal(op.p_m_const, op2.p_m_const)
