@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,23 +40,6 @@ class InputError(Exception):
     """Bad input file or configuration (exit code 2)."""
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    case_path: str
-    output_path: str
-    links_path: str | None = None
-    gain_h: float = -1.0
-    budget: int = 15
-    dt: float = 1e-3
-    t_max: float = 20.0
-    deflate: bool = True
-    allow_nonpositive: bool = False
-    disturbance: DisturbanceSpec | None = None
-    format: str = "table"
-    workers: int = 1
-
-
 def parse_perturb(spec: str) -> DisturbanceSpec:
     """Parse '--perturb gen=I,ddelta=X,domega=Y[,at=T]' or 'pm-step gen=I,dpm=Z,at=T'.
 
@@ -77,6 +59,8 @@ def parse_perturb(spec: str) -> DisturbanceSpec:
             raise InputError(f"malformed perturbation term {part!r}; expected key=value")
         key, _, value = part.partition("=")
         key = key.strip()
+        if key in fields:
+            raise InputError(f"perturbation field {key!r} given more than once")
         try:
             fields[key] = int(value) if key == "gen" else float(value)
         except ValueError as exc:
@@ -101,12 +85,22 @@ def parse_perturb(spec: str) -> DisturbanceSpec:
     )
 
 
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of an input file; any failure to read it is an InputError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {what} {path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def read_links_file(path: str, n: int) -> list[tuple[int, int]]:
     """Read a JSON links file {"links": [[i, k], ...]} with 1-based numbers."""
     import json
 
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(_read_text(path, "links file"))
     except json.JSONDecodeError as exc:
         raise InputError(f"links file {path}: {exc.msg} at line {exc.lineno}") from exc
     if not isinstance(doc, dict) or "links" not in doc or not isinstance(doc["links"], list):
@@ -124,112 +118,103 @@ def read_links_file(path: str, n: int) -> list[tuple[int, int]]:
     return sorted(links)
 
 
-def _case_meta(cfg: RunConfig, text: str) -> dict:
-    return {
+def _load(args: argparse.Namespace) -> tuple[SystemModel, dict]:
+    text = _read_text(args.case, "case file")
+    case = parse_case(text)
+    meta = {
         "tool": f"gridlink {gridlink.__version__}",
-        "subcommand": cfg.subcommand,
-        "case": cfg.case_path,
+        "subcommand": args.subcommand,
+        "case": args.case,
         "case_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
     }
+    return build_system(case), meta
 
 
-def _load(cfg: RunConfig) -> tuple[SystemModel, dict]:
+def _write(args: argparse.Namespace, text: str) -> None:
     try:
-        text = Path(cfg.case_path).read_text(encoding="utf-8")
+        Path(args.out).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise InputError(f"cannot read case file {cfg.case_path}: {exc.strerror}") from exc
-    case = parse_case(text)
-    meta = _case_meta(cfg, text)
-    model = build_system(case)
-    return model, meta
+        raise InputError(f"cannot write output file {args.out}: {exc.strerror}") from exc
 
 
-def _write(cfg: RunConfig, text: str) -> None:
-    try:
-        Path(cfg.output_path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot write output file {cfg.output_path}: {exc.strerror}") from exc
-
-
-def run_analyze(cfg: RunConfig) -> int:
-    model, meta = _load(cfg)
-    links = read_links_file(cfg.links_path, model.n) if cfg.links_path else []
-    ctl = uniform_control(links, cfg.gain_h, model.op.delta_s)
-    report = spectral_abscissa(jacobian_blocks(model, ctl).assembled, deflate=cfg.deflate)
-    meta.update({"gain": cfg.gain_h, "links": len(links), "deflate": str(cfg.deflate).lower()})
-    if cfg.format == "structured":
-        _write(cfg, reports.render_json(reports.spectrum_document(report, meta)))
+def run_analyze(args: argparse.Namespace) -> int:
+    model, meta = _load(args)
+    links = read_links_file(args.links, model.n) if args.links else []
+    ctl = uniform_control(links, args.gain, model.op.delta_s)
+    report = spectral_abscissa(jacobian_blocks(model, ctl).assembled)
+    meta.update({"gain": args.gain, "links": len(links)})
+    if args.format == "structured":
+        _write(args, reports.render_json(reports.spectrum_document(report, meta)))
     else:
-        _write(cfg, reports.spectrum_table(report, meta))
+        _write(args, reports.spectrum_table(report, meta))
     return 0
 
 
-def run_plan(cfg: RunConfig) -> int:
-    model, meta = _load(cfg)
-    preinstalled = read_links_file(cfg.links_path, model.n) if cfg.links_path else []
+def run_plan(args: argparse.Namespace) -> int:
+    model, meta = _load(args)
+    preinstalled = read_links_file(args.links, model.n) if args.links else []
     result = greedy_plan(
         model,
-        budget=cfg.budget,
-        gain_h=cfg.gain_h,
-        allow_nonpositive=cfg.allow_nonpositive,
-        deflate=cfg.deflate,
-        workers=cfg.workers,
+        budget=args.budget,
+        gain_h=args.gain,
+        allow_nonpositive=args.allow_nonpositive,
+        workers=args.workers,
         preinstalled=preinstalled,
     )
     meta.update(
         {
-            "budget": cfg.budget,
-            "gain": cfg.gain_h,
-            "deflate": str(cfg.deflate).lower(),
-            "allow_nonpositive": str(cfg.allow_nonpositive).lower(),
+            "budget": args.budget,
+            "gain": args.gain,
+            "allow_nonpositive": str(args.allow_nonpositive).lower(),
             "preinstalled": len(preinstalled),
-            "workers": cfg.workers,
+            "workers": args.workers,
         }
     )
-    if cfg.format == "structured":
-        _write(cfg, reports.render_json(reports.plan_document(result, meta)))
+    if args.format == "structured":
+        _write(args, reports.render_json(reports.plan_document(result, meta)))
     else:
-        _write(cfg, reports.plan_table(result, meta))
+        _write(args, reports.plan_table(result, meta))
     return 0
 
 
-def run_simulate(cfg: RunConfig) -> int:
-    model, meta = _load(cfg)
-    links = read_links_file(cfg.links_path, model.n) if cfg.links_path else []
-    ctl = uniform_control(links, cfg.gain_h, model.op.delta_s)
-    if cfg.disturbance is not None:
-        problems = cfg.disturbance.validate(model.n)
+def run_simulate(args: argparse.Namespace) -> int:
+    model, meta = _load(args)
+    links = read_links_file(args.links, model.n) if args.links else []
+    ctl = uniform_control(links, args.gain, model.op.delta_s)
+    disturbance = args.perturb
+    if disturbance is not None:
+        problems = disturbance.validate(model.n)
         if problems:
             raise InputError("; ".join(problems))
     initial = MachineState(delta=model.op.delta_s.copy(), omega=np.full(model.n, model.op.omega_s))
-    traj = simulate(initial, model, ctl, cfg.disturbance, t_max=cfg.t_max, dt=cfg.dt)
+    traj = simulate(initial, model, ctl, disturbance, t_max=args.tmax, dt=args.dt)
 
-    alpha = spectral_abscissa(jacobian_blocks(model, ctl).assembled, deflate=cfg.deflate).alpha_max
+    alpha = spectral_abscissa(jacobian_blocks(model, ctl).assembled).alpha_max
     try:
-        fitted = decay_rate(traj, model.op, t_start=cfg.t_max / 4.0)
+        fitted = decay_rate(traj, model.op, t_start=args.tmax / 4.0)
         fitted_text = repr(fitted)
     except ValueError as exc:
         fitted_text = f"unavailable ({exc})"
     meta.update(
         {
-            "gain": cfg.gain_h,
+            "gain": args.gain,
             "links": len(links),
-            "dt": cfg.dt,
-            "t_max": cfg.t_max,
-            "disturbance": cfg.disturbance.kind if cfg.disturbance else "none",
+            "dt": args.dt,
+            "t_max": args.tmax,
+            "disturbance": disturbance.kind if disturbance else "none",
         }
     )
     footer = {"fitted_decay_rate": fitted_text, "alpha_max": repr(alpha)}
-    if cfg.format == "structured":
-        _write(cfg, reports.render_json(reports.trajectory_document(traj, meta, footer)))
+    if args.format == "structured":
+        _write(args, reports.render_json(reports.trajectory_document(traj, meta, footer)))
     else:
-        _write(cfg, reports.trajectory_table(traj, meta, footer))
+        _write(args, reports.trajectory_table(traj, meta, footer))
     return 0
 
 
-def run_reduce(cfg: RunConfig) -> int:
-    model, meta = _load(cfg)
-    _write(cfg, reports.render_json(reports.reduction_document(model.net, model.op, meta)))
+def run_reduce(args: argparse.Namespace) -> int:
+    model, meta = _load(args)
+    _write(args, reports.render_json(reports.reduction_document(model.net, model.op, meta)))
     return 0
 
 
@@ -252,9 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--case", required=True, help="case document path")
         p.add_argument("--out", required=True, help="output document path")
+        if name == "reduce":
+            continue
         p.add_argument("--links", default=None, help="JSON file with pre-installed links (1-based pairs)")
         p.add_argument("--gain", type=float, default=-1.0, help="common link gain h (pu power per rad)")
-        p.add_argument("--no-deflate", action="store_true", help="keep the structural zero mode in alpha_max")
         p.add_argument("--format", choices=("table", "structured"), default="table")
         if name == "plan":
             p.add_argument("--budget", type=int, default=15, help="number of links to install")
@@ -271,45 +257,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand, case_path=args.case, output_path=args.out)
-    if not math.isfinite(args.gain):
-        raise InputError("gain must be a finite number")
-    cfg.links_path = args.links
-    cfg.gain_h = args.gain
-    cfg.deflate = not args.no_deflate
-    cfg.format = args.format
+def check_args(args: argparse.Namespace) -> None:
+    """Reject bad flag values before any model work; replaces --perturb by its DisturbanceSpec."""
+    for name in ("gain", "dt", "tmax"):
+        if not math.isfinite(getattr(args, name, 0.0)):
+            raise InputError(f"{name} must be a finite number")
     if args.subcommand == "plan":
         if args.budget < 0:
             raise InputError("budget must be nonnegative")
         if args.workers < 1:
             raise InputError("workers must be at least 1")
-        cfg.budget = args.budget
-        cfg.allow_nonpositive = args.allow_nonpositive
-        cfg.workers = args.workers
+        if args.gain >= 0:
+            raise InputError("plan requires a negative gain")
     if args.subcommand == "simulate":
-        for name in ("dt", "tmax"):
-            if not math.isfinite(getattr(args, name)):
-                raise InputError(f"{name} must be a finite number")
         if args.dt <= 0 or args.tmax < args.dt:
             raise InputError("require dt > 0 and tmax >= dt")
         if args.tmax / args.dt > MAX_STEPS:
             raise InputError(f"tmax / dt exceeds {MAX_STEPS} steps")
-        cfg.dt = args.dt
-        cfg.t_max = args.tmax
         if args.perturb is not None:
-            cfg.disturbance = parse_perturb(args.perturb)
-    if args.subcommand == "plan" and cfg.gain_h >= 0:
-        raise InputError("plan requires a negative gain")
-    return cfg
+            args.perturb = parse_perturb(args.perturb)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        return _RUNNERS[cfg.subcommand](cfg)
+        check_args(args)
+        return _RUNNERS[args.subcommand](args)
     except (InputError, CaseError) as exc:
         print(f"gridlink: input error: {exc}", file=sys.stderr)
         return 2

@@ -225,7 +225,7 @@ def simulate(
                 p_m = model.op.p_m_const + dist.d_pm * unit
             delta[k] = cur_d
             omega[k] = cur_w
-            if not (np.all(np.isfinite(cur_d)) and np.all(np.isfinite(cur_w))):
+            if not (np.isfinite(cur_d).all() and np.isfinite(cur_w).all()):
                 raise SimulationBlowUp(times[k])
             if k == steps:
                 break

@@ -4,9 +4,9 @@ The Jacobian is assembled in block form [[0, I], [coupling + control,
 damping]] over (d delta, d omega).  All blocks are exact partial derivatives
 of the implemented swing right-hand side, so finite differences of the
 dynamics must reproduce them entry for entry.  Stability is judged by
-alpha_max, the largest real part over the spectrum after deflating the
-structural zero mode that comes from uniform-angle-shift invariance; the
-mode is removed exactly by writing angles relative to the last machine.
+alpha_max, the largest real part over the spectrum without the structural
+zero mode that comes from uniform-angle-shift invariance; the mode is
+removed exactly by writing angles relative to the last machine.
 """
 
 from __future__ import annotations
@@ -134,15 +134,14 @@ def _alpha(j: np.ndarray) -> float:
     return float(np.max(np.linalg.eigvals(j).real))
 
 
-def spectral_abscissa(j: np.ndarray, deflate: bool = True) -> SpectrumReport:
-    """Eigenvalues of the assembled Jacobian and alpha_max of the retained set.
+def spectral_abscissa(j: np.ndarray) -> SpectrumReport:
+    """Eigenvalues of the assembled Jacobian and alpha_max without the zero mode.
 
-    With ``deflate``, a matrix with the swing structure (see
-    _has_swing_structure) has its structural zero mode removed exactly:
-    alpha_max comes from the relative-angle Jacobian, and the report's
-    deflated_magnitude is the smallest |lambda| of the full spectrum.  Any
-    other matrix is reported with deflated=False and alpha_max over the whole
-    spectrum.
+    A matrix with the swing structure (see _has_swing_structure) has its
+    structural zero mode removed exactly: alpha_max comes from the
+    relative-angle Jacobian, and the report's deflated_magnitude is the
+    smallest |lambda| of the full spectrum.  Any other matrix is reported
+    with deflated=False and alpha_max over the whole spectrum.
     """
     j = np.asarray(j, dtype=float)
     if not np.all(np.isfinite(j)):
@@ -154,7 +153,7 @@ def spectral_abscissa(j: np.ndarray, deflate: bool = True) -> SpectrumReport:
 
     eigvals = np.linalg.eigvals(j)
     eigvals = eigvals[np.lexsort((-eigvals.imag, -eigvals.real))]
-    if deflate and _has_swing_structure(j):
+    if _has_swing_structure(j):
         reduced = relative_angle_jacobian(j[n:, :n], j[n:, n:])
         return SpectrumReport(
             eigenvalues=eigvals,
@@ -167,16 +166,14 @@ def spectral_abscissa(j: np.ndarray, deflate: bool = True) -> SpectrumReport:
     )
 
 
-def alpha_for_links(model: SystemModel, links, gain: float, deflate: bool = True) -> float:
+def alpha_for_links(model: SystemModel, links, gain: float) -> float:
     """alpha_max of the system with the given link set at one common gain.
 
-    With ``deflate`` this is the spectral abscissa of the relative-angle
-    Jacobian (the blocks have the swing structure by construction, so no
-    check is needed); without it, of the full Jacobian with its zero mode.
-    Bitwise equal to spectral_abscissa(blocks.assembled, deflate).alpha_max.
+    The spectral abscissa of the relative-angle Jacobian, so the structural
+    zero mode never enters (the blocks have the swing structure by
+    construction, so no check is needed).  Bitwise equal to
+    spectral_abscissa(blocks.assembled).alpha_max.
     """
     ctl = uniform_control(links, gain, model.op.delta_s)
     blocks = jacobian_blocks(model, ctl)
-    if deflate:
-        return _alpha(relative_angle_jacobian(blocks.coupling + blocks.control, blocks.damping))
-    return _alpha(blocks.assembled)
+    return _alpha(relative_angle_jacobian(blocks.coupling + blocks.control, blocks.damping))

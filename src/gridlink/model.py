@@ -33,9 +33,9 @@ def machine_constants(case: PowerCase) -> tuple[np.ndarray, np.ndarray]:
     return m, d
 
 
-def build_system(case: PowerCase, tol: float = 1e-8, max_iter: int = 20) -> SystemModel:
-    """Case -> power flow -> reduction -> SystemModel."""
-    pf = solve_powerflow(case, tol=tol, max_iter=max_iter)
+def build_system(case: PowerCase) -> SystemModel:
+    """Case -> power flow (default tolerance) -> reduction -> SystemModel."""
+    pf = solve_powerflow(case)
     net, op = reduce_case(case, pf)
     m, d = machine_constants(case)
     return SystemModel(net=net, op=op, m=m, d=d)

@@ -60,7 +60,7 @@ def candidate_links(n: int, installed=()) -> list[Link]:
     return [(i, k) for i in range(n) for k in range(i + 1, n) if (i, k) not in taken]
 
 
-def marginal_gain(link: Link, installed, model: SystemModel, gain_h: float, deflate: bool = True) -> float:
+def marginal_gain(link: Link, installed, model: SystemModel, gain_h: float) -> float:
     """alpha(installed) - alpha(installed + link); positive means improved stability."""
     if gain_h >= 0:
         raise ValueError("gain_h must be negative")
@@ -68,28 +68,28 @@ def marginal_gain(link: Link, installed, model: SystemModel, gain_h: float, defl
     base = [normalize_link(l) for l in installed]
     if link in base:
         raise ValueError(f"link {link} already installed")
-    before = alpha_for_links(model, base, gain_h, deflate=deflate)
-    after = alpha_for_links(model, base + [link], gain_h, deflate=deflate)
+    before = alpha_for_links(model, base, gain_h)
+    after = alpha_for_links(model, base + [link], gain_h)
     return before - after
 
 
-def _sweep(model: SystemModel, installed: list[Link], remaining: list[Link], gain_h: float, deflate: bool):
+def _sweep(model: SystemModel, installed: list[Link], remaining: list[Link], gain_h: float):
     """alpha_max after each candidate, in candidate order."""
-    return [alpha_for_links(model, installed + [link], gain_h, deflate=deflate) for link in remaining]
+    return [alpha_for_links(model, installed + [link], gain_h) for link in remaining]
 
 
 # Set once in each sweep worker process by _init_worker.
-_worker_args: tuple[SystemModel, float, bool] | None = None
+_worker_args: tuple[SystemModel, float] | None = None
 
 
-def _init_worker(model: SystemModel, gain_h: float, deflate: bool) -> None:
+def _init_worker(model: SystemModel, gain_h: float) -> None:
     global _worker_args
-    _worker_args = (model, gain_h, deflate)
+    _worker_args = (model, gain_h)
 
 
 def _sweep_chunk(installed: list[Link], chunk: list[Link]) -> list[float]:
-    model, gain_h, deflate = _worker_args
-    return _sweep(model, installed, chunk, gain_h, deflate)
+    model, gain_h = _worker_args
+    return _sweep(model, installed, chunk, gain_h)
 
 
 def _chunks(items: list, parts: int) -> list[list]:
@@ -110,12 +110,13 @@ def greedy_plan(
     budget: int,
     gain_h: float,
     allow_nonpositive: bool = False,
-    deflate: bool = True,
     workers: int = 1,
     preinstalled=(),
 ) -> PlanResult:
     """Install up to ``budget`` links, each the argmax of marginal gain.
 
+    Every alpha_max comes from alpha_for_links, without the structural zero
+    mode, so no gain is decided by the eigensolver's rounding of that mode.
     Stops early (with the reason recorded) when the best remaining gain is
     nonpositive, unless ``allow_nonpositive`` is set; a gain within TIE_TOL
     of zero ties with installing nothing and counts as nonpositive.  Ties
@@ -140,7 +141,7 @@ def greedy_plan(
         warnings.warn(f"budget {budget} exceeds the {available} available links; clamped", stacklevel=2)
         budget = available
 
-    alpha_before = alpha_for_links(model, installed, gain_h, deflate=deflate)
+    alpha_before = alpha_for_links(model, installed, gain_h)
     baseline = alpha_before
     iterations: list[PlanIteration] = []
     stopped_early = False
@@ -151,12 +152,12 @@ def greedy_plan(
     if budget and pool_size > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(pool_size, initializer=_init_worker, initargs=(model, gain_h, deflate))
+        pool = ProcessPoolExecutor(pool_size, initializer=_init_worker, initargs=(model, gain_h))
     try:
         for it in range(1, budget + 1):
             remaining = candidate_links(model.n, installed)
             if pool is None:
-                alphas = _sweep(model, installed, remaining, gain_h, deflate)
+                alphas = _sweep(model, installed, remaining, gain_h)
             else:
                 alphas = _pool_sweep(pool, pool_size, installed, remaining)
             best_link = None
@@ -191,7 +192,6 @@ def exhaustive_plan(
     model: SystemModel,
     budget: int,
     gain_h: float,
-    deflate: bool = True,
     guard: int = 10**6,
 ) -> PlanResult:
     """Global optimum over every link subset within the budget (small instances).
@@ -215,19 +215,19 @@ def exhaustive_plan(
     if count > guard:
         raise PlannerGuardError(f"{count} subsets exceed the exhaustive-search guard of {guard}")
 
-    baseline = alpha_for_links(model, [], gain_h, deflate=deflate)
+    baseline = alpha_for_links(model, [], gain_h)
     best_subset: tuple[Link, ...] = ()
     best_final = baseline
     for size in range(1, budget + 1):
         for subset in combinations(pool, size):
-            final = alpha_for_links(model, list(subset), gain_h, deflate=deflate)
+            final = alpha_for_links(model, list(subset), gain_h)
             if final < best_final - TIE_TOL:
                 best_subset, best_final = subset, final
 
     iterations = []
     prev_alpha = baseline
     for i, link in enumerate(best_subset, start=1):
-        alpha = alpha_for_links(model, list(best_subset[:i]), gain_h, deflate=deflate)
+        alpha = alpha_for_links(model, list(best_subset[:i]), gain_h)
         iterations.append(PlanIteration(index=i, link=link, alpha_max_after=alpha, marginal_gain=prev_alpha - alpha))
         prev_alpha = alpha
     return PlanResult(baseline_alpha=baseline, iterations=tuple(iterations), stopped_early=False)

@@ -170,7 +170,7 @@ def test_criterion_8_structural_zero_mode(toy3_model, toy4_model, ne39_model):
             shift[:n] = 1.0 / np.sqrt(n)
             cosine = abs(np.vdot(eigvecs[:, idx], shift)) / np.linalg.norm(eigvecs[:, idx])
             assert cosine >= 0.99
-            report = spectral_abscissa(jac, deflate=True)
+            report = spectral_abscissa(jac)
             assert report.deflated
             assert report.deflated_magnitude <= 1e-10 * norm
 
@@ -203,9 +203,9 @@ def test_criterion_9_planner_scalability(monkeypatch):
         calls = []
         real = gridlink.planner.alpha_for_links
 
-        def counting(model_arg, links, gain, deflate=True):
+        def counting(model_arg, links, gain):
             calls.append(len(links))
-            return real(model_arg, links, gain, deflate=deflate)
+            return real(model_arg, links, gain)
 
         monkeypatch.setattr(gridlink.planner, "alpha_for_links", counting)
         started = time.perf_counter()

@@ -122,8 +122,9 @@ def test_plan_budget_zero(tmp_path):
 
 def test_plan_budget_clamped(tmp_path, capsys):
     out = tmp_path / "plan.json"
-    code = run(["plan", "--case", case_path("newengland39"), "--out", out, "--budget", 10**6,
-                "--allow-nonpositive", "--format", "structured"])
+    with pytest.warns(UserWarning, match="clamped"):
+        code = run(["plan", "--case", case_path("newengland39"), "--out", out, "--budget", 10**6,
+                    "--allow-nonpositive", "--format", "structured"])
     assert code == 0
     doc = json.loads(out.read_text())
     assert len(doc["iterations"]) == 45
@@ -155,8 +156,9 @@ def test_non_finite_number_is_input_error(tmp_path, capsys, subcommand, flag, va
         (["--perturb", "gen=1,ddelta=nan"], None),
         ([], '{"links": [[true, 2]]}'),
         (["--tmax", "1e9", "--dt", "1e-3"], None),
+        (["--perturb", "gen=1,gen=2,ddelta=0.1"], None),
     ],
-    ids=["gen-fraction", "gen-inf", "at-inf", "gen-nan", "ddelta-nan", "bool-link", "step-cap"],
+    ids=["gen-fraction", "gen-inf", "at-inf", "gen-nan", "ddelta-nan", "bool-link", "step-cap", "gen-twice"],
 )
 def test_malformed_simulate_input_is_input_error(tmp_path, capsys, extra, links_text):
     argv = ["simulate", "--case", case_path("toy3"), "--out", tmp_path / "o", *extra]
@@ -166,6 +168,22 @@ def test_malformed_simulate_input_is_input_error(tmp_path, capsys, extra, links_
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "input error" in err
+
+
+@pytest.mark.parametrize("which", ["links-missing", "links-directory", "links-not-utf8", "case-not-utf8"])
+def test_unreadable_input_file_is_input_error(tmp_path, capsys, which):
+    bad = tmp_path / "bad.json"
+    if which == "links-directory":
+        bad.mkdir()
+    elif which.endswith("not-utf8"):
+        bad.write_bytes(b'{"links": [[1, 2]]} \xff')
+    case = bad if which == "case-not-utf8" else case_path("toy3")
+    argv = ["analyze", "--case", case, "--out", tmp_path / "o"]
+    if which.startswith("links"):
+        argv += ["--links", bad]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "input error: cannot read" in err
 
 
 def test_overflowing_gain_prints_one_line(tmp_path, capfd):
@@ -254,14 +272,20 @@ def test_simulate_fit_matches_alpha(tmp_path):
     assert fitted == pytest.approx(alpha, rel=0.15)
 
 
-def test_analyze_no_deflate_keeps_zero_mode(tmp_path):
-    out = tmp_path / "spectrum.json"
-    code = run(["analyze", "--case", case_path("toy3"), "--out", out, "--no-deflate", "--format", "structured"])
-    assert code == 0
-    doc = json.loads(out.read_text())
-    assert doc["deflated"] is False
-    # the structural zero mode is now the largest real part
-    assert abs(doc["alpha_max"]) <= 1e-10
+@pytest.mark.parametrize(
+    "subcommand, extra",
+    [
+        ("analyze", ["--no-deflate"]),
+        ("plan", ["--no-deflate"]),
+        ("reduce", ["--format", "table"]),
+        ("reduce", ["--links", "x"]),
+    ],
+)
+def test_undeclared_flag_is_usage_error(tmp_path, capsys, subcommand, extra):
+    with pytest.raises(SystemExit) as exc:
+        run([subcommand, "--case", case_path("toy3"), "--out", tmp_path / "o", *extra])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_simulate_structured_document(tmp_path):

@@ -143,7 +143,7 @@ def test_assembled_annihilates_uniform_shift(ne39_model):
 
 def test_spectrum_single_machine_damped():
     # characteristic polynomial of [[0,1],[0,-1]]: lambda (lambda + 1)
-    report = spectral_abscissa(np.array([[0.0, 1.0], [0.0, -1.0]]), deflate=True)
+    report = spectral_abscissa(np.array([[0.0, 1.0], [0.0, -1.0]]))
     assert report.deflated
     assert report.alpha_max == pytest.approx(-1.0, abs=1e-12)
     assert sorted(report.eigenvalues.real) == pytest.approx([-1.0, 0.0], abs=1e-12)
@@ -151,7 +151,7 @@ def test_spectrum_single_machine_damped():
 
 def test_spectrum_unit_stiffness_pair():
     # lambda^2 + lambda + 1 = 0 -> -0.5 +/- j sqrt(3)/2
-    report = spectral_abscissa(np.array([[0.0, 1.0], [-1.0, -1.0]]), deflate=False)
+    report = spectral_abscissa(np.array([[0.0, 1.0], [-1.0, -1.0]]))
     assert report.alpha_max == pytest.approx(-0.5, abs=1e-12)
     assert np.sort(report.eigenvalues.imag) == pytest.approx([-math.sqrt(3) / 2, math.sqrt(3) / 2], abs=1e-12)
 
@@ -161,21 +161,21 @@ def test_spectrum_block_diagonal_union():
     b = np.array([[0.0, 1.0], [-9.0, -0.5]])
     j = np.block([[a, np.zeros((2, 2))], [np.zeros((2, 2)), b]])
     union = np.sort_complex(np.concatenate([np.linalg.eigvals(a), np.linalg.eigvals(b)]))
-    got = np.sort_complex(spectral_abscissa(j, deflate=False).eigenvalues)
+    got = np.sort_complex(spectral_abscissa(j).eigenvalues)
     assert np.allclose(got, union, atol=1e-9)
 
 
 def test_spectrum_no_qualifying_zero_reported_not_fatal():
     # well-separated spectrum with no zero mode: deflation must decline
     j = np.array([[0.0, 1.0], [-1.0, -1.0]])
-    report = spectral_abscissa(j, deflate=True)
+    report = spectral_abscissa(j)
     assert not report.deflated
     assert report.alpha_max == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_spectrum_zero_mode_without_swing_structure_kept():
     # eigenvalues 0 and -1, but the top-right block is not I: no deflation
-    report = spectral_abscissa(np.array([[0.0, 2.0], [0.0, -1.0]]), deflate=True)
+    report = spectral_abscissa(np.array([[0.0, 2.0], [0.0, -1.0]]))
     assert not report.deflated
     assert report.deflated_magnitude is None
     assert report.alpha_max == pytest.approx(0.0, abs=1e-12)

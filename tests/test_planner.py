@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from gridlink import planner
+from gridlink.dynamics import normalize_link
 from gridlink.linearization import alpha_for_links
+from gridlink.model import SystemModel
 from gridlink.planner import (
     PlannerGuardError,
     candidate_links,
@@ -17,6 +19,7 @@ from gridlink.planner import (
     greedy_plan,
     marginal_gain,
 )
+from gridlink.reduction import OperatingPoint, ReducedNetwork
 from test_linearization import independent_alpha
 
 
@@ -147,11 +150,11 @@ def test_greedy_parallel_sweep_identical(ne39_model):
 
 def test_pool_sweep_bitwise_equals_serial(ne39_model):
     installed = []
-    initargs = (ne39_model, -1.0, True)
+    initargs = (ne39_model, -1.0)
     with ProcessPoolExecutor(2, initializer=planner._init_worker, initargs=initargs) as pool:
         for link in [(0, 8), (0, 2), (0, 1)]:
             remaining = candidate_links(ne39_model.n, installed)
-            serial = planner._sweep(ne39_model, installed, remaining, -1.0, True)
+            serial = planner._sweep(ne39_model, installed, remaining, -1.0)
             assert planner._pool_sweep(pool, 2, installed, remaining) == serial
             installed = sorted(installed + [link])
 
@@ -193,6 +196,29 @@ def test_import_loads_no_pool_modules():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_greedy_plan_follows_generator_relabelling(ne39_model, seed):
+    # generator j of the relabelled model is generator order[j] of ne39
+    order = np.random.default_rng(seed).permutation(ne39_model.n)
+    rank = np.argsort(order)
+    net, op = ne39_model.net, ne39_model.op
+    relabelled = SystemModel(
+        net=ReducedNetwork(
+            y_g=net.y_g[np.ix_(order, order)],
+            e_mag=net.e_mag[order],
+            c=net.c[np.ix_(order, order)],
+            d=net.d[np.ix_(order, order)],
+        ),
+        op=OperatingPoint(delta_s=op.delta_s[order], omega_s=op.omega_s, p_m_const=op.p_m_const[order]),
+        m=ne39_model.m[order],
+        d=ne39_model.d[order],
+    )
+    plan = greedy_plan(ne39_model, budget=4, gain_h=-1.0)
+    permuted = greedy_plan(relabelled, budget=4, gain_h=-1.0)
+    assert permuted.links == tuple(normalize_link((rank[i], rank[k])) for i, k in plan.links)
+    assert abs(permuted.final_alpha - plan.final_alpha) <= 1e-12 * max(1.0, abs(plan.final_alpha))
 
 
 def test_greedy_preinstalled_links_excluded(toy4_model):
