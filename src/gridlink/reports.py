@@ -162,11 +162,9 @@ def trajectory_table(traj: Trajectory, meta: dict[str, Any], footer: dict[str, A
     lines = header_lines(meta)
     columns = ["time"] + [f"delta_{i + 1}" for i in range(n)] + [f"omega_{i + 1}" for i in range(n)]
     lines.append(",".join(columns))
-    for k in range(traj.times.size):
-        values = [repr(float(traj.times[k]))]
-        values += [repr(float(v)) for v in traj.delta[k]]
-        values += [repr(float(v)) for v in traj.omega[k]]
-        lines.append(",".join(values))
+    # One row at a time: tolist() gives Python floats without a numpy scalar per value.
+    for t, delta, omega in zip(traj.times, traj.delta, traj.omega):
+        lines.append(",".join(map(repr, [float(t), *delta.tolist(), *omega.tolist()])))
     lines += header_lines(footer)
     return "\n".join(lines) + "\n"
 

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -70,6 +71,23 @@ def test_analyze_diverging_powerflow(tmp_path, capsys):
     code = run(["analyze", "--case", case, "--out", tmp_path / "o"])
     assert code == 1
     assert "power flow did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("factor, code", [(2.0, 0), (3.0, 1)])
+def test_analyze_load_scaling_past_nose_point(tmp_path, capsys, factor, code):
+    # ne39 with every load and dispatch scaled: x3 is past the voltage-collapse point
+    doc = json.loads(Path(case_path("newengland39")).read_text())
+    for bus in doc["buses"]:
+        bus["p_load"] *= factor
+        bus["q_load"] *= factor
+    for gen in doc["generators"]:
+        gen["p_gen"] *= factor
+    case = tmp_path / "scaled.json"
+    case.write_text(json.dumps(doc))
+    assert run(["analyze", "--case", case, "--out", tmp_path / "o"]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert len(err.splitlines()) == 1 and "power flow did not converge" in err
 
 
 def test_analyze_with_links_file(tmp_path):
@@ -365,3 +383,21 @@ def test_analyze_byte_identical(tmp_path):
     for out in (a, b):
         assert run(["analyze", "--case", case_path("toy4"), "--out", out, "--format", "structured"]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def _validate_decay_main():
+    path = Path(__file__).parents[1] / "scripts" / "validate_decay.py"
+    spec = importlib.util.spec_from_file_location("validate_decay", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+def test_validate_decay_default_horizon_covers_slowest_mode(capsys):
+    # toy4's slowest mode decays at about 0.11 /s; a 5 s horizon fits the faster ones
+    main = _validate_decay_main()
+    assert main(["--case", "toy4", "--budget", "1"]) == 0
+    assert "horizon:           36.8404 s" in capsys.readouterr().out
+    assert main(["--case", "toy4", "--budget", "1", "--tmax", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()] and "exceeds 15%" in err

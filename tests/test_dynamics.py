@@ -13,10 +13,12 @@ from gridlink.dynamics import (
     DisturbanceSpec,
     MachineState,
     SimulationBlowUp,
+    SwingOperator,
     Trajectory,
     decay_rate,
     electrical_power,
     empty_control,
+    link_laplacian,
     mechanical_power,
     simulate,
     swing_rhs,
@@ -208,6 +210,54 @@ def test_rhs_translation_covariance(shift):
     assert np.allclose(base[1], shifted[1], atol=1e-9)
 
 
+# The two-array right-hand side that SwingOperator replaced, kept as an oracle.
+def _two_array_rhs(delta, omega, model, ctl):
+    omega_dev = omega - model.op.omega_s
+    p_m = model.op.p_m_const + link_laplacian(ctl) @ (delta - ctl.reference_angles)
+    p_e = electrical_power(delta, model.net)
+    return omega_dev, (p_m - model.d * omega_dev - p_e) / model.m
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_swing_rhs_matches_two_array_oracle(ne39_model, data):
+    n = ne39_model.n
+    pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
+    links = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    gains = {link: data.draw(st.floats(min_value=-50.0, max_value=-1e-3)) for link in links}
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    op = ne39_model.op
+    model = replace(ne39_model, op=replace(op, p_m_const=op.p_m_const + rng.normal(size=n)))
+    ctl = ControlConfig(links=tuple(links), gains=gains, reference_angles=op.delta_s + rng.uniform(-0.1, 0.1, n))
+    delta = op.delta_s + rng.uniform(-math.pi, math.pi, n)
+    omega = op.omega_s + rng.normal(scale=2.0, size=n)
+
+    ddelta, domega = swing_rhs(MachineState(delta, omega), model, ctl)
+    exp_ddelta, exp_domega = _two_array_rhs(delta, omega, model, ctl)
+    net, omega_dev = model.net, np.abs(omega - op.omega_s)
+    scale = (
+        np.abs(model.op.p_m_const)
+        + np.abs(link_laplacian(ctl)) @ np.abs(delta - ctl.reference_angles)
+        + model.d * omega_dev
+        + net.e_mag * (np.abs(net.y_g) @ net.e_mag)
+    ) / model.m
+    assert np.all(np.abs(ddelta - exp_ddelta) <= 1e-12 * np.maximum(omega_dev, 1.0))
+    assert np.all(np.abs(domega - exp_domega) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+def test_swing_operator_power_term_is_electrical_power(ne39_model, seed):
+    # no links, omega at synchronous speed and c = 0 leave only -P_e / m
+    model = ne39_model
+    n = model.n
+    delta = model.op.delta_s if seed is None else np.random.default_rng(seed).uniform(-math.pi, math.pi, n)
+    op = SwingOperator(model, empty_control(n))
+    rate = op(np.concatenate([delta, np.full(n, model.op.omega_s)]), np.zeros(2 * n), np.empty(2 * n))
+    expected = electrical_power(delta, model.net)
+    assert np.all(rate[:n] == 0.0)
+    assert np.all(np.abs(-model.m * rate[n:] - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+
+
 # --- simulate -------------------------------------------------------------------
 
 
@@ -315,6 +365,50 @@ def test_simulate_mechanical_step_is_swing_rhs_plus_step(toy3_model):
         k4d, k4w = f(d + dt * k3d, w + dt * k3w)
         d = d + (dt / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
         w = w + (dt / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+
+
+# 15-link ne39 plan, 1-based, as gridlink plan --budget 15 --gain -1 installs it
+NE39_PLAN_15 = [(1, 9), (1, 3), (1, 2), (1, 6), (1, 8), (1, 10), (1, 7), (9, 10), (8, 9), (2, 9), (3, 10), (3, 9),
+                (3, 8), (2, 10), (6, 7)]
+
+
+def test_simulate_matches_two_array_rk4_loop(ne39_model):
+    model = ne39_model
+    ctl = uniform_control([(i - 1, k - 1) for i, k in NE39_PLAN_15], -1.0, model.op.delta_s)
+    init = MachineState(model.op.delta_s.copy(), np.full(model.n, model.op.omega_s))
+    dist = DisturbanceSpec(kind="state-offset", target=0, d_delta=0.05)
+    dt, steps = 1e-3, 2000
+    traj = simulate(init, model, ctl, dist, t_max=steps * dt, dt=dt)
+
+    def f(x_d, x_w):
+        return _two_array_rhs(x_d, x_w, model, ctl)
+
+    d, w = init.delta.copy(), init.omega.copy()
+    d[0] += 0.05
+    delta, omega = [d], [w]
+    for _ in range(steps):
+        k1d, k1w = f(d, w)
+        k2d, k2w = f(d + 0.5 * dt * k1d, w + 0.5 * dt * k1w)
+        k3d, k3w = f(d + 0.5 * dt * k2d, w + 0.5 * dt * k2w)
+        k4d, k4w = f(d + dt * k3d, w + dt * k3w)
+        d = d + (dt / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+        w = w + (dt / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+        delta.append(d)
+        omega.append(w)
+    assert np.abs(traj.delta - np.array(delta)).max() <= 1e-9
+    assert np.abs(traj.omega - np.array(omega)).max() <= 1e-9
+
+
+def test_simulate_trajectory_shapes_and_halves(toy3_model):
+    model = toy3_model
+    init = MachineState(model.op.delta_s + np.array([0.01, 0.0, -0.01]), np.full(3, model.op.omega_s + 0.5))
+    traj = simulate(init, model, empty_control(3), None, t_max=0.1, dt=1e-3)
+    assert traj.delta.shape == traj.omega.shape == (101, 3)
+    assert np.array_equal(traj.delta[0], init.delta) and np.array_equal(traj.omega[0], init.omega)
+    assert np.abs(traj.delta - model.op.delta_s).max() < 0.1
+    assert np.abs(traj.omega - model.op.omega_s).max() < 1.0
+    final = traj.state_at(100)
+    assert np.array_equal(final.delta, traj.delta[-1]) and np.array_equal(final.omega, traj.omega[-1])
 
 
 def test_simulate_disturbance_after_horizon_never_applies(toy3_model):

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -9,9 +10,10 @@ import numpy as np
 import pytest
 
 from gridlink import planner
+from gridlink.case import case_path, parse_case
 from gridlink.dynamics import normalize_link
 from gridlink.linearization import alpha_for_links
-from gridlink.model import SystemModel
+from gridlink.model import SystemModel, build_system
 from gridlink.planner import (
     PlannerGuardError,
     candidate_links,
@@ -218,6 +220,20 @@ def test_greedy_plan_follows_generator_relabelling(ne39_model, seed):
     plan = greedy_plan(ne39_model, budget=4, gain_h=-1.0)
     permuted = greedy_plan(relabelled, budget=4, gain_h=-1.0)
     assert permuted.links == tuple(normalize_link((rank[i], rank[k])) for i, k in plan.links)
+    assert abs(permuted.final_alpha - plan.final_alpha) <= 1e-12 * max(1.0, abs(plan.final_alpha))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_greedy_plan_ignores_bus_and_branch_order(ne39_model, seed):
+    # the same network with its bus and branch entries listed in another order
+    doc = json.loads(Path(case_path("newengland39")).read_text())
+    rng = np.random.default_rng(seed)
+    doc["buses"] = [doc["buses"][i] for i in rng.permutation(len(doc["buses"]))]
+    doc["branches"] = [doc["branches"][i] for i in rng.permutation(len(doc["branches"]))]
+    shuffled = build_system(parse_case(json.dumps(doc)))
+    plan = greedy_plan(ne39_model, budget=4, gain_h=-1.0)
+    permuted = greedy_plan(shuffled, budget=4, gain_h=-1.0)
+    assert permuted.links == plan.links
     assert abs(permuted.final_alpha - plan.final_alpha) <= 1e-12 * max(1.0, abs(plan.final_alpha))
 
 
