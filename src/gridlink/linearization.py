@@ -29,6 +29,13 @@ class JacobianBlocks:
 
 
 @dataclass(frozen=True)
+class ConstantBlocks:
+    coupling: np.ndarray  # (n, n) network block, 1/s^2
+    damping: np.ndarray  # (n, n) diagonal -d_i/m_i, 1/s
+    template: np.ndarray  # (2n-1, 2n-1) relative-angle Jacobian with a zero lower-left block
+
+
+@dataclass(frozen=True)
 class SpectrumReport:
     eigenvalues: np.ndarray  # (2n,) complex, sorted by descending real part
     alpha_max: float  # max real part over the retained spectrum, 1/s
@@ -82,15 +89,28 @@ def assemble_jacobian(coupling: np.ndarray, control: np.ndarray, damping: np.nda
     )
 
 
-def jacobian_blocks(model: SystemModel, ctl: ControlConfig) -> JacobianBlocks:
+def constant_blocks(model: SystemModel) -> ConstantBlocks:
+    """The link-independent Jacobian blocks of ``model``, as read-only arrays.
+
+    Computed once per model through SystemModel.constant_blocks.
+    """
     coupling = coupling_matrix(model.net, model.op.delta_s, model.m)
-    control = control_matrix(ctl, model.m)
     damping = damping_matrix(model.d, model.m)
+    template = relative_angle_jacobian(np.zeros_like(coupling), damping)
+    for block in (coupling, damping, template):
+        block.flags.writeable = False
+    return ConstantBlocks(coupling=coupling, damping=damping, template=template)
+
+
+def jacobian_blocks(model: SystemModel, ctl: ControlConfig) -> JacobianBlocks:
+    """The Jacobian's blocks for ``ctl``; coupling and damping are the model's cached, read-only ones."""
+    const = model.constant_blocks
+    control = control_matrix(ctl, model.m)
     return JacobianBlocks(
-        coupling=coupling,
+        coupling=const.coupling,
         control=control,
-        damping=damping,
-        assembled=assemble_jacobian(coupling, control, damping),
+        damping=const.damping,
+        assembled=assemble_jacobian(const.coupling, control, const.damping),
     )
 
 
@@ -171,9 +191,15 @@ def alpha_for_links(model: SystemModel, links, gain: float) -> float:
 
     The spectral abscissa of the relative-angle Jacobian, so the structural
     zero mode never enters (the blocks have the swing structure by
-    construction, so no check is needed).  Bitwise equal to
-    spectral_abscissa(blocks.assembled).alpha_max.
+    construction, so no check is needed).  Only the control block depends
+    on the links: each call copies the model's cached template, which holds
+    the [0, I, -1] top rows and the damping, writes coupling + control into
+    its lower-left block, and takes one eigvals.  Bitwise equal to
+    spectral_abscissa(jacobian_blocks(model, ctl).assembled).alpha_max.
     """
-    ctl = uniform_control(links, gain, model.op.delta_s)
-    blocks = jacobian_blocks(model, ctl)
-    return _alpha(relative_angle_jacobian(blocks.coupling + blocks.control, blocks.damping))
+    const = model.constant_blocks
+    n = model.n
+    control = control_matrix(uniform_control(links, gain, model.op.delta_s), model.m)
+    j = const.template.copy()
+    np.add(const.coupling[:, : n - 1], control[:, : n - 1], out=j[n - 1 :, : n - 1])
+    return _alpha(j)

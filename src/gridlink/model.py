@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -13,7 +14,13 @@ from gridlink.reduction import OperatingPoint, ReducedNetwork, reduce_case
 
 @dataclass(frozen=True)
 class SystemModel:
-    """Everything the dynamics, linearization, and planner need."""
+    """Everything the dynamics, linearization, and planner need.
+
+    The Jacobian's link-independent blocks are computed on the first
+    stability evaluation and cached on the instance, so its arrays must not
+    be mutated after that; dataclasses.replace gives a new model with a
+    fresh cache.
+    """
 
     net: ReducedNetwork
     op: OperatingPoint
@@ -23,6 +30,19 @@ class SystemModel:
     @property
     def n(self) -> int:
         return self.m.size
+
+    @cached_property
+    def constant_blocks(self):
+        """linearization.constant_blocks of this model, computed once."""
+        from gridlink.linearization import constant_blocks  # linearization imports this module
+
+        return constant_blocks(self)
+
+    def __getstate__(self):
+        # Unpickled arrays are writeable, so a copy rebuilds its read-only cache on first use.
+        state = dict(self.__dict__)
+        state.pop("constant_blocks", None)
+        return state
 
 
 def machine_constants(case: PowerCase) -> tuple[np.ndarray, np.ndarray]:

@@ -23,6 +23,11 @@ from gridlink.model import SystemModel
 # evaluation order.
 TIE_TOL = 1e-12
 
+# Each worker of a pool sweep gets this many contiguous chunks of the
+# candidates, so a worker slowed by the host does not hold up the sweep by a
+# whole half of it.
+CHUNKS_PER_WORKER = 8
+
 
 class PlannerGuardError(RuntimeError):
     """Exhaustive search would exceed the combinatorial guard."""
@@ -93,15 +98,18 @@ def _sweep_chunk(installed: list[Link], chunk: list[Link]) -> list[float]:
 
 
 def _chunks(items: list, parts: int) -> list[list]:
-    """``parts`` contiguous runs of ``items``, lengths differing by at most one."""
+    """min(parts, len(items)) contiguous non-empty runs of ``items``, in order, lengths differing by at most one."""
+    parts = min(parts, len(items))
+    if not parts:
+        return []
     size, extra = divmod(len(items), parts)
     bounds = [i * size + min(i, extra) for i in range(parts + 1)]
     return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _pool_sweep(pool, pool_size: int, installed: list[Link], remaining: list[Link]) -> list[float]:
-    """_sweep over contiguous chunks in the worker processes, in candidate order."""
-    chunks = _chunks(remaining, min(pool_size, len(remaining)))
+    """_sweep over CHUNKS_PER_WORKER contiguous chunks per worker process, in candidate order."""
+    chunks = _chunks(remaining, CHUNKS_PER_WORKER * pool_size)
     return [alpha for part in pool.map(_sweep_chunk, [installed] * len(chunks), chunks) for alpha in part]
 
 
@@ -125,8 +133,9 @@ def greedy_plan(
 
     With ``workers`` > 1 each sweep runs in one pool of worker processes,
     min(workers, CPU count, candidates in the first sweep) of them, started
-    once per call; each gets a contiguous chunk of the candidates.  The
-    result is identical to the serial sweep.
+    once per call.  Each sweep is cut into CHUNKS_PER_WORKER contiguous
+    chunks of the candidates per worker, handed out in order to whichever
+    worker is free.  The result is identical to the serial sweep.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")

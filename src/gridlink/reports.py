@@ -24,12 +24,13 @@ def sig4(value: float) -> str:
     return f"{value:.4g}"
 
 
-def _complex_matrix(m: np.ndarray) -> list[list[list[float]]]:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+# tolist() gives the same Python floats as float() per value, without a numpy scalar each.
+def _complex_pairs(a: np.ndarray) -> list:
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def _real_matrix(m: np.ndarray) -> list[list[float]]:
-    return [[float(v) for v in row] for row in m]
+def _reals(a: np.ndarray) -> list:
+    return np.asarray(a, dtype=float).tolist()
 
 
 def header_lines(meta: dict[str, Any]) -> list[str]:
@@ -49,7 +50,7 @@ def spectrum_document(report: SpectrumReport, meta: dict[str, Any]) -> dict[str,
         "alpha_max": report.alpha_max,
         "deflated": report.deflated,
         "deflated_magnitude": report.deflated_magnitude,
-        "eigenvalues": [[float(v.real), float(v.imag)] for v in report.eigenvalues],
+        "eigenvalues": _complex_pairs(report.eigenvalues),
     }
 
 
@@ -126,13 +127,13 @@ def reduction_document(net: ReducedNetwork, op: OperatingPoint, meta: dict[str, 
     return {
         "meta": meta,
         "n": net.n,
-        "e_mag": [float(v) for v in net.e_mag],
-        "y_g": _complex_matrix(net.y_g),
-        "c": _real_matrix(net.c),
-        "d": _real_matrix(net.d),
-        "delta_s": [float(v) for v in op.delta_s],
+        "e_mag": _reals(net.e_mag),
+        "y_g": _complex_pairs(net.y_g),
+        "c": _reals(net.c),
+        "d": _reals(net.d),
+        "delta_s": _reals(op.delta_s),
         "omega_s": float(op.omega_s),
-        "p_m_const": [float(v) for v in op.p_m_const],
+        "p_m_const": _reals(op.p_m_const),
     }
 
 
@@ -173,8 +174,8 @@ def trajectory_document(traj: Trajectory, meta: dict[str, Any], footer: dict[str
     return {
         "meta": meta,
         "dt": float(traj.dt),
-        "times": [float(v) for v in traj.times],
-        "delta": _real_matrix(traj.delta),
-        "omega": _real_matrix(traj.omega),
+        "times": _reals(traj.times),
+        "delta": _reals(traj.delta),
+        "omega": _reals(traj.omega),
         "summary": footer,
     }

@@ -210,6 +210,35 @@ def test_rhs_translation_covariance(shift):
     assert np.allclose(base[1], shifted[1], atol=1e-9)
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_uniform_angle_shift_leaves_rhs_unchanged(ne39_model, data):
+    # L_h annihilates the all-ones vector and P_e sees only angle differences,
+    # so shifting every angle (references fixed) changes no rate
+    model, op = ne39_model, ne39_model.op
+    n = model.n
+    pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
+    links = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    gain = data.draw(st.floats(min_value=-50.0, max_value=-1e-3))
+    shift = data.draw(st.floats(min_value=-10.0, max_value=10.0))
+    angles = st.floats(min_value=-math.pi, max_value=math.pi)
+    delta = op.delta_s + np.array(data.draw(st.lists(angles, min_size=n, max_size=n)))
+    omega = op.omega_s + np.array(data.draw(st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=n, max_size=n)))
+    ctl = uniform_control(links, gain, op.delta_s)
+
+    ddelta, domega = swing_rhs(MachineState(delta, omega), model, ctl)
+    shifted_ddelta, shifted_domega = swing_rhs(MachineState(delta + shift, omega), model, ctl)
+    net, omega_dev = model.net, np.abs(omega - op.omega_s)
+    scale = (
+        np.abs(op.p_m_const)
+        + np.abs(link_laplacian(ctl)) @ (np.abs(delta - ctl.reference_angles) + abs(shift))
+        + model.d * omega_dev
+        + net.e_mag * (np.abs(net.y_g) @ net.e_mag)
+    ) / model.m
+    assert np.array_equal(shifted_ddelta, ddelta)
+    assert np.all(np.abs(shifted_domega - domega) <= 1e-12 * scale)
+
+
 # The two-array right-hand side that SwingOperator replaced, kept as an oracle.
 def _two_array_rhs(delta, omega, model, ctl):
     omega_dev = omega - model.op.omega_s

@@ -1,4 +1,6 @@
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from gridlink.linearization import (
     relative_angle_jacobian,
     spectral_abscissa,
 )
-from gridlink.model import build_system
+from gridlink.model import SystemModel, build_system
 from gridlink.reduction import ReducedNetwork, coupling_coefficients
 
 
@@ -282,6 +284,39 @@ def test_alpha_matches_independent_script(toy3_model):
         expected = independent_alpha(model.net, model.op.delta_s, model.m, model.d, links, -1.0)
         got = alpha_for_links(model, links, -1.0)
         assert got == pytest.approx(expected, abs=1e-10)
+
+
+# --- the model's cached constant blocks ----------------------------------------------
+
+NE39_LINK_SETS = ([], [(0, 8)], [(0, 8), (0, 2), (0, 1), (0, 5), (0, 7)])
+
+
+def test_alpha_after_pickle_round_trip_is_bitwise_equal(ne39_model):
+    # a spawn worker receives the model pickled and rebuilds the cache itself
+    expected = [alpha_for_links(ne39_model, links, -1.0) for links in NE39_LINK_SETS]
+    copy = pickle.loads(pickle.dumps(ne39_model))
+    assert [alpha_for_links(copy, links, -1.0) for links in NE39_LINK_SETS] == expected
+    assert not copy.constant_blocks.template.flags.writeable
+
+
+def test_replaced_model_does_not_reuse_cached_blocks(ne39_model):
+    alpha_for_links(ne39_model, [(0, 8)], -1.0)
+    heavier = replace(ne39_model, m=2 * ne39_model.m)
+    fresh = SystemModel(net=ne39_model.net, op=ne39_model.op, m=2 * ne39_model.m, d=ne39_model.d)
+    for links in NE39_LINK_SETS:
+        assert alpha_for_links(heavier, links, -1.0) == alpha_for_links(fresh, links, -1.0)
+        assert alpha_for_links(heavier, links, -1.0) != alpha_for_links(ne39_model, links, -1.0)
+
+
+def test_cached_blocks_are_read_only_and_shared(ne39_model):
+    const = ne39_model.constant_blocks
+    for block in (const.coupling, const.damping, const.template):
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
+    # jacobian_blocks reads the same cache, so the constants are computed once per model
+    blocks = jacobian_blocks(ne39_model, empty_control(ne39_model.n))
+    assert blocks.coupling is const.coupling and blocks.damping is const.damping
+    assert ne39_model.constant_blocks is const
 
 
 def test_monotone_stabilization_against_closed_form():

@@ -22,6 +22,7 @@ from gridlink.planner import (
     marginal_gain,
 )
 from gridlink.reduction import OperatingPoint, ReducedNetwork
+from test_acceptance import _random_35_generator_model
 from test_linearization import independent_alpha
 
 
@@ -151,14 +152,27 @@ def test_greedy_parallel_sweep_identical(ne39_model):
 
 
 def test_pool_sweep_bitwise_equals_serial(ne39_model):
-    installed = []
-    initargs = (ne39_model, -1.0)
-    with ProcessPoolExecutor(2, initializer=planner._init_worker, initargs=initargs) as pool:
-        for link in [(0, 8), (0, 2), (0, 1)]:
-            remaining = candidate_links(ne39_model.n, installed)
-            serial = planner._sweep(ne39_model, installed, remaining, -1.0)
-            assert planner._pool_sweep(pool, 2, installed, remaining) == serial
-            installed = sorted(installed + [link])
+    # each sweep is cut into CHUNKS_PER_WORKER chunks per worker and reassembled in candidate order
+    for model, picks in [(ne39_model, [(0, 8), (0, 2), (0, 1)]), (_random_35_generator_model(seed=3), [(3, 17)])]:
+        installed = []
+        with ProcessPoolExecutor(2, initializer=planner._init_worker, initargs=(model, -1.0)) as pool:
+            for link in picks:
+                remaining = candidate_links(model.n, installed)
+                assert len(planner._chunks(remaining, planner.CHUNKS_PER_WORKER * 2)) > 2
+                serial = planner._sweep(model, installed, remaining, -1.0)
+                assert planner._pool_sweep(pool, 2, installed, remaining) == serial
+                installed = sorted(installed + [link])
+
+
+@pytest.mark.parametrize("count, parts", [(0, 4), (1, 16), (5, 16), (5, 5), (37, 16), (595, 16)])
+def test_chunks_are_contiguous_nonempty_and_ordered(count, parts):
+    items = [(i, i + 1) for i in range(count)]
+    chunks = planner._chunks(items, parts)
+    assert len(chunks) == min(count, parts)
+    assert all(chunks)
+    assert [item for chunk in chunks for item in chunk] == items
+    sizes = [len(chunk) for chunk in chunks]
+    assert not sizes or max(sizes) - min(sizes) <= 1
 
 
 def test_worker_error_reaches_caller(ne39_model):
