@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -278,9 +279,15 @@ def check_args(args: argparse.Namespace) -> None:
             args.perturb = parse_perturb(args.perturb)
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    return f"gridlink: warning: {message}\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A library warning (a clamped budget) prints as one plain line, like every other diagnostic.
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         check_args(args)
         return _RUNNERS[args.subcommand](args)
@@ -297,6 +304,8 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"gridlink: computation error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -2,8 +2,11 @@
 
 Per machine: m * dw/dt = P_m(delta) - d*(w - w_s) - P_e(delta), with the
 communication-link control entering mechanical power as phase-difference
-feedback.  Integration is classical fixed-step RK4, bitwise deterministic for
-fixed inputs.
+feedback.  SwingOperator evaluates the whole right-hand side on the stacked
+state x = [delta, omega] as dx/dt = H z + c: one matrix-vector product with a
+vector z that holds x, the electrical power terms w * (W w) with
+w = [cos delta, sin delta], and a constant 1.  Integration is classical
+fixed-step RK4, bitwise deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -164,11 +167,14 @@ def mechanical_power(delta: np.ndarray, op: OperatingPoint, ctl: ControlConfig) 
 class SwingOperator:
     """The controlled swing equations on the stacked state x = [delta, omega] (2n floats).
 
-    dx/dt = G (x - x_ref) + c - [0, Re(u conj(Y u))] with u = e^{j delta} and
-      G = [[0, I], [L_h / m, -diag(d / m)]],  x_ref = [reference_angles, omega_s ... omega_s],
-      c = [0, p_m_const / m],  Y = diag(e_mag / m) y_g diag(e_mag),
-    so the last term is electrical_power / m.  One evaluation is a handful of
-    numpy calls on preallocated buffers, which makes an instance not reentrant.
+    dx/dt = H z + c on one vector z = [x, w * (W w), 1] with w = [cos delta, sin delta] and
+      H = [G, -F, -G x_ref],  G = [[0, I], [L_h / m, -diag(d / m)]],  F = [[0, 0], [I, I]],
+      W = [[Re Y, -Im Y], [Im Y, Re Y]],  Y = diag(e_mag / m) y_g diag(e_mag),
+      x_ref = [reference_angles, omega_s ... omega_s],  c = [0, p_m_const / m].
+    The two halves of w * (W w) sum to electrical_power / m, so
+    H z = G (x - x_ref) - [0, P_e / m].  The state is read from ``state``, the
+    view z[:2n]; one evaluation is six numpy calls on preallocated buffers,
+    which makes an instance not reentrant.
     """
 
     def __init__(self, model: SystemModel, ctl: ControlConfig):
@@ -176,34 +182,45 @@ class SwingOperator:
         m, e_mag = model.m, model.net.e_mag
         self.n = n
         self.m = m
-        self.g = np.zeros((2 * n, 2 * n))
-        self.g[:n, n:] = np.eye(n)
-        # An overflowing gain leaves an infinite entry, which simulate reports as a blow-up.
-        with np.errstate(over="ignore"):
-            self.g[n:, :n] = link_laplacian(ctl) / m[:, None]
-        self.g[n:, n:] = np.diag(-model.d / m)
-        self.x_ref = np.concatenate([ctl.reference_angles, np.full(n, model.op.omega_s)])
+        self.h = np.zeros((2 * n, 4 * n + 1))
+        g = self.h[:, : 2 * n]
+        g[:n, n:] = np.eye(n)
+        g[n:, n:] = np.diag(-model.d / m)
+        self.h[n:, 2 * n : 3 * n] = self.h[n:, 3 * n : 4 * n] = -np.eye(n)
+        x_ref = np.concatenate([ctl.reference_angles, np.full(n, model.op.omega_s)])
+        # An overflowing gain leaves a non-finite entry, which simulate reports as a blow-up.
+        with np.errstate(over="ignore", invalid="ignore"):
+            g[n:, :n] = link_laplacian(ctl) / m[:, None]
+            self.h[:, -1] = -(g @ x_ref)
         self.c = self.drive(model.op.p_m_const)
-        self.y = (e_mag / m)[:, None] * model.net.y_g * e_mag[None, :]
-        self._j_delta = np.zeros(n, dtype=complex)
-        self._u = np.empty(n, dtype=complex)
-        self._dev = np.empty(2 * n)
+        y = (e_mag / m)[:, None] * model.net.y_g * e_mag[None, :]
+        self.w_matrix = np.block([[y.real, -y.imag], [y.imag, y.real]])
+        self.z = np.zeros(4 * n + 1)
+        self.z[-1] = 1.0
+        self.state = self.z[: 2 * n]
+        self._delta, self._power = self.z[:n], self.z[2 * n : 4 * n]
+        self._w = np.empty(2 * n)
+        self._cos, self._sin = self._w[:n], self._w[n:]
 
     def drive(self, p_m_const: np.ndarray) -> np.ndarray:
         """The constant term c for the constant mechanical power p_m_const."""
         return np.concatenate([np.zeros(self.n), p_m_const / self.m])
 
+    def rate(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write dx/dt at ``state``, with constant term c, into out (2n floats) and return it."""
+        w, power = self._w, self._power
+        np.cos(self._delta, out=self._cos)
+        np.sin(self._delta, out=self._sin)
+        self.w_matrix.dot(w, power)
+        power *= w
+        self.h.dot(self.z, out)
+        out += c
+        return out
+
     def __call__(self, x: np.ndarray, c: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write dx/dt at x, with constant term c, into out (2n floats) and return it."""
-        n, u = self.n, self._u
-        np.copyto(self._j_delta.imag, x[:n])
-        np.exp(self._j_delta, out=u)
-        p = (u * self.y.dot(u).conj()).real
-        np.subtract(x, self.x_ref, out=self._dev)
-        self.g.dot(self._dev, out)
-        out += c
-        out[n:] -= p
-        return out
+        np.copyto(self.state, x)
+        return self.rate(c, out)
 
 
 def swing_rhs(
@@ -228,9 +245,10 @@ def simulate(
     The stacked state [delta, omega] is stepped by one SwingOperator, built
     once per call, with stage buffers reused across steps; each step is
     written straight into one (steps + 1, 2n) array, of which the returned
-    delta and omega are views.  Stage inputs are x + (0.5 dt) k and the update
-    is x + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4), so the result equals RK4
-    driven by swing_rhs bit for bit.
+    delta and omega are views.  Stage inputs x + (0.5 dt) k are written
+    straight into the operator's state, and the update is
+    x + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4), so the result equals RK4 driven
+    by swing_rhs bit for bit.
 
     A state-offset disturbance is added to the recorded state at the first
     grid time >= t_apply; a mechanical-step is added to the constant
@@ -256,7 +274,7 @@ def simulate(
     apply_index = int(np.clip(np.ceil(dist.t_apply / dt - 1e-9), 0, steps + 1))
 
     op = SwingOperator(model, ctl)
-    c = op.c
+    z, c = op.state, op.c
     stepped_c = op.drive(model.op.p_m_const + dist.d_pm * unit)
     times = np.arange(steps + 1) * dt
     states = np.empty((steps + 1, 2 * n))
@@ -277,11 +295,14 @@ def simulate(
                 break
             op(x, c, k1)
             np.multiply(k1, half, out=stage)
-            op(np.add(x, stage, out=stage), c, k2)
+            np.add(x, stage, out=z)
+            op.rate(c, k2)
             np.multiply(k2, half, out=stage)
-            op(np.add(x, stage, out=stage), c, k3)
+            np.add(x, stage, out=z)
+            op.rate(c, k3)
             np.multiply(k3, dt, out=stage)
-            op(np.add(x, stage, out=stage), c, k4)
+            np.add(x, stage, out=z)
+            op.rate(c, k4)
             np.multiply(k2, 2.0, out=total)
             total += k1
             np.multiply(k3, 2.0, out=stage)

@@ -204,6 +204,18 @@ def test_unreadable_input_file_is_input_error(tmp_path, capsys, which):
     assert len(err.splitlines()) == 1 and "input error: cannot read" in err
 
 
+@pytest.mark.parametrize("case, available", [("toy3", 3), ("toy4", 6)])
+def test_plan_clamped_budget_warns_in_one_line(tmp_path, capfd, case, available):
+    # a subprocess, so the warning reaches stderr the way a user sees it
+    env = {**os.environ, "PYTHONPATH": str(Path(gridlink.__file__).parents[1])}
+    argv = ["plan", "--case", str(case_path(case)), "--out", str(tmp_path / "plan.txt"), "--budget", "15"]
+    proc = subprocess.run([sys.executable, "-m", "gridlink", *argv], env=env, timeout=60)
+    assert proc.returncode == 0
+    assert capfd.readouterr().err.splitlines() == [
+        f"gridlink: warning: budget 15 exceeds the {available} available links; clamped"
+    ]
+
+
 def test_overflowing_gain_prints_one_line(tmp_path, capfd):
     # worker processes print numpy warnings straight to the inherited stderr
     env = {**os.environ, "PYTHONPATH": str(Path(gridlink.__file__).parents[1])}

@@ -24,6 +24,7 @@ from gridlink.dynamics import (
     swing_rhs,
     uniform_control,
 )
+from gridlink.linearization import jacobian_blocks
 from gridlink.model import build_system
 from gridlink.reduction import OperatingPoint, ReducedNetwork, coupling_coefficients
 
@@ -285,6 +286,25 @@ def test_swing_operator_power_term_is_electrical_power(ne39_model, seed):
     expected = electrical_power(delta, model.net)
     assert np.all(rate[:n] == 0.0)
     assert np.all(np.abs(-model.m * rate[n:] - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+
+
+def test_swing_operator_finite_differences_match_jacobian(ne39_model):
+    # central differences of the operator at the operating point give the
+    # assembled Jacobian, on the 39-bus case with the 15-link plan installed
+    model = ne39_model
+    n = model.n
+    ctl = uniform_control([(i - 1, k - 1) for i, k in NE39_PLAN_15], -1.0, model.op.delta_s)
+    j = jacobian_blocks(model, ctl).assembled
+    op = SwingOperator(model, ctl)
+    x0 = np.concatenate([model.op.delta_s, np.full(n, model.op.omega_s)])
+    h = 1e-5
+    fd = np.empty_like(j)
+    for col in range(2 * n):
+        xp, xm = x0.copy(), x0.copy()
+        xp[col] += h
+        xm[col] -= h
+        fd[:, col] = (op(xp, op.c, np.empty(2 * n)) - op(xm, op.c, np.empty(2 * n))) / (2 * h)
+    assert np.all(np.abs(fd - j) <= 1e-6 * np.abs(j) + 1e-9 * np.abs(j).max())
 
 
 # --- simulate -------------------------------------------------------------------

@@ -11,17 +11,18 @@ import pytest
 
 from gridlink import planner
 from gridlink.case import case_path, parse_case
-from gridlink.dynamics import normalize_link
+from gridlink.dynamics import electrical_power, normalize_link
 from gridlink.linearization import alpha_for_links
 from gridlink.model import SystemModel, build_system
 from gridlink.planner import (
+    TIE_TOL,
     PlannerGuardError,
     candidate_links,
     exhaustive_plan,
     greedy_plan,
     marginal_gain,
 )
-from gridlink.reduction import OperatingPoint, ReducedNetwork
+from gridlink.reduction import OperatingPoint, ReducedNetwork, coupling_coefficients
 from test_acceptance import _random_35_generator_model
 from test_linearization import independent_alpha
 
@@ -270,6 +271,32 @@ def test_exhaustive_no_worse_than_greedy(toy4_model):
     greedy = greedy_plan(toy4_model, budget=2, gain_h=-1.0)
     exhaustive = exhaustive_plan(toy4_model, budget=2, gain_h=-1.0)
     assert exhaustive.final_alpha <= greedy.final_alpha + 1e-15
+
+
+def _stable_five_generator_model(seed: int) -> SystemModel:
+    # inductive coupling: off-diagonal admittance -(g - j b) with g, b > 0
+    rng = np.random.default_rng(seed)
+    n, omega_s = 5, 2.0 * np.pi * 60.0
+    b = rng.uniform(0.5, 4.0, (n, n))
+    g = rng.uniform(0.02, 0.4, (n, n))
+    y = -((g + g.T) / 2.0 - 1j * (b + b.T) / 2.0)
+    np.fill_diagonal(y, 0.0)
+    y += np.diag(-y.sum(axis=1) + rng.uniform(0.05, 0.5, n) + 1j * rng.uniform(-2.0, -0.5, n))
+    e_mag = rng.uniform(0.95, 1.15, n)
+    c, d = coupling_coefficients(y, e_mag)
+    net = ReducedNetwork(y_g=y, e_mag=e_mag, c=c, d=d)
+    delta_s = rng.uniform(-0.3, 0.3, n)
+    op = OperatingPoint(delta_s=delta_s, omega_s=omega_s, p_m_const=electrical_power(delta_s, net))
+    return SystemModel(net=net, op=op, m=2.0 * rng.uniform(20.0, 60.0, n) / omega_s, d=np.full(n, 0.05))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_exhaustive_no_worse_than_greedy_on_stable_models(seed):
+    model = _stable_five_generator_model(seed)
+    assert alpha_for_links(model, [], -1.0) < 0.0
+    greedy = greedy_plan(model, budget=2, gain_h=-1.0)
+    exhaustive = exhaustive_plan(model, budget=2, gain_h=-1.0)
+    assert exhaustive.final_alpha <= greedy.final_alpha + TIE_TOL
 
 
 def test_exhaustive_matches_scripted_enumeration(toy4_model):
