@@ -34,7 +34,6 @@ from gridlink.dynamics import (
     decay_rate,
     electrical_power,
     link_laplacian,
-    mechanical_power,
     simulate,
     swing_rhs,
     uniform_control,
@@ -46,7 +45,6 @@ from gridlink.linearization import (
     assemble_jacobian,
     control_matrix,
     coupling_matrix,
-    damping_matrix,
     jacobian_blocks,
     spectral_abscissa,
 )
@@ -57,7 +55,6 @@ from gridlink.planner import (
     candidate_links,
     exhaustive_plan,
     greedy_plan,
-    marginal_gain,
 )
 from gridlink.powerflow import PowerFlowError, PowerFlowSolution, mismatch, solve_powerflow
 from gridlink.reduction import (

@@ -153,6 +153,8 @@ def run_analyze(args: argparse.Namespace) -> int:
 
 def run_plan(args: argparse.Namespace) -> int:
     model, meta = _load(args)
+    if model.n < 2:
+        raise InputError(f"plan needs at least two generators to form links; the case has {model.n}")
     preinstalled = read_links_file(args.links, model.n) if args.links else []
     result = greedy_plan(
         model,

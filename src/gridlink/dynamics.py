@@ -48,50 +48,32 @@ class MachineState:
 
 @dataclass(frozen=True)
 class ControlConfig:
-    """Communication links with per-link feedback gains.
+    """Communication links with one common feedback gain.
 
-    Gains are pu power per radian and must be negative for stabilizing
-    feedback; nonnegative values are tolerated for diagnostics (``validate``
-    flags them, the planner refuses them).  The control adds L_h (delta -
-    reference_angles) to the mechanical power, L_h being the gain-weighted link
-    Laplacian (see link_laplacian), so it vanishes at the reference angles.
+    The gain is pu power per radian and must be negative for stabilizing
+    feedback.  Nothing here checks the links or the gain: read_links_file and
+    check_args reject bad ones at the CLI boundary, and the planner refuses a
+    nonnegative gain.  The control adds L_h (delta - reference_angles) to the
+    mechanical power, L_h being the gain-weighted link Laplacian (see
+    link_laplacian), so it vanishes at the reference angles.
     """
 
     links: tuple[Link, ...]
-    gains: dict[Link, float]
+    gain: float
     reference_angles: np.ndarray
-
-    def validate(self, n: int | None = None) -> list[str]:
-        report = []
-        seen = set()
-        for link in self.links:
-            i, k = link
-            if i == k:
-                report.append(f"self-link {link}")
-            if (min(link), max(link)) in seen:
-                report.append(f"duplicate link {link}")
-            seen.add((min(link), max(link)))
-            if link not in self.gains:
-                report.append(f"link {link} has no gain")
-            elif self.gains[link] >= 0:
-                report.append(f"link {link}: gain must be negative, got {self.gains[link]}")
-            if n is not None and not (0 <= i < n and 0 <= k < n):
-                report.append(f"link {link}: generator index out of range 0..{n - 1}")
-        return report
 
 
 def uniform_control(links, gain: float, reference_angles: np.ndarray) -> ControlConfig:
     """ControlConfig with one common gain on every link."""
-    normalized = tuple(sorted(normalize_link(l) for l in links))
     return ControlConfig(
-        links=normalized,
-        gains={l: gain for l in normalized},
+        links=tuple(sorted(normalize_link(l) for l in links)),
+        gain=gain,
         reference_angles=np.asarray(reference_angles, dtype=float),
     )
 
 
 def empty_control(n: int) -> ControlConfig:
-    return ControlConfig(links=(), gains={}, reference_angles=np.zeros(n))
+    return ControlConfig(links=(), gain=0.0, reference_angles=np.zeros(n))
 
 
 @dataclass(frozen=True)
@@ -123,24 +105,21 @@ class Trajectory:
     omega: np.ndarray  # (T, n) rad/s
     dt: float
 
-    def state_at(self, index: int) -> MachineState:
-        return MachineState(delta=self.delta[index], omega=self.omega[index])
-
 
 def link_laplacian(ctl: ControlConfig) -> np.ndarray:
     """Gain-weighted Laplacian L_h of the link graph, one row per reference angle.
 
-    L_h[i, i] sums the gains of the links at i and L_h[i, k] = -h_ik, so the
-    control adds L_h (delta - reference_angles) to the mechanical power and
-    L_h / m is the Jacobian's control block.  An overflowing gain is left as
-    an infinite entry without a warning; callers check finiteness.
+    With h the common gain, L_h[i, i] is h times the number of links at i and
+    L_h[i, k] = -h for each link (i, k), so the control adds
+    L_h (delta - reference_angles) to the mechanical power and L_h / m is the
+    Jacobian's control block.  An overflowing gain is left as an infinite
+    entry without a warning; callers check finiteness.
     """
     n = ctl.reference_angles.size
     lap = np.zeros((n, n))
+    h = ctl.gain
     with np.errstate(over="ignore"):
-        for link in ctl.links:
-            i, k = link
-            h = ctl.gains[link]
+        for i, k in ctl.links:
             lap[i, i] += h
             lap[k, k] += h
             lap[i, k] -= h
@@ -157,11 +136,6 @@ def electrical_power(delta: np.ndarray, net: ReducedNetwork) -> np.ndarray:
     """
     e = net.e_mag * np.exp(1j * np.asarray(delta, dtype=float))
     return (e * np.conj(net.y_g @ e)).real
-
-
-def mechanical_power(delta: np.ndarray, op: OperatingPoint, ctl: ControlConfig) -> np.ndarray:
-    """Constant dispatch plus phase-difference feedback over the link set."""
-    return op.p_m_const + link_laplacian(ctl) @ (np.asarray(delta, dtype=float) - ctl.reference_angles)
 
 
 class SwingOperator:

@@ -39,8 +39,8 @@ class ConstantBlocks:
 class SpectrumReport:
     eigenvalues: np.ndarray  # (2n,) complex, sorted by descending real part
     alpha_max: float  # max real part over the retained spectrum, 1/s
-    deflated: bool  # True when the structural zero mode was removed
-    deflated_magnitude: float | None  # smallest |lambda| of the full spectrum when deflated
+    deflated: bool  # always True: the structural zero mode is removed
+    deflated_magnitude: float  # smallest |lambda| of the full spectrum
 
 
 def coupling_matrix(net: ReducedNetwork, delta_s: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -62,18 +62,13 @@ def coupling_matrix(net: ReducedNetwork, delta_s: np.ndarray, m: np.ndarray) -> 
 def control_matrix(ctl: ControlConfig, m: np.ndarray) -> np.ndarray:
     """Link-feedback block L_h / m_i: -h_ik/m_i off-diagonal, row-sum-zero diagonal.
 
-    With negative gains this is a weighted Laplacian scaled by 1/m_i:
+    With a negative gain this is a weighted Laplacian scaled by 1/m_i:
     negative diagonal, positive off-diagonals.  An overflowing gain gives
     infinite entries, which spectral evaluation rejects.
     """
     m = np.asarray(m, dtype=float)
     with np.errstate(over="ignore"):
         return link_laplacian(ctl) / m[:, None]
-
-
-def damping_matrix(d: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Diagonal block with entries -d_i/m_i."""
-    return np.diag(-np.asarray(d, dtype=float) / np.asarray(m, dtype=float))
 
 
 def assemble_jacobian(coupling: np.ndarray, control: np.ndarray, damping: np.ndarray) -> np.ndarray:
@@ -95,7 +90,7 @@ def constant_blocks(model: SystemModel) -> ConstantBlocks:
     Computed once per model through SystemModel.constant_blocks.
     """
     coupling = coupling_matrix(model.net, model.op.delta_s, model.m)
-    damping = damping_matrix(model.d, model.m)
+    damping = np.diag(-model.d / model.m)
     template = relative_angle_jacobian(np.zeros_like(coupling), damping)
     for block in (coupling, damping, template):
         block.flags.writeable = False
@@ -103,7 +98,12 @@ def constant_blocks(model: SystemModel) -> ConstantBlocks:
 
 
 def jacobian_blocks(model: SystemModel, ctl: ControlConfig) -> JacobianBlocks:
-    """The Jacobian's blocks for ``ctl``; coupling and damping are the model's cached, read-only ones."""
+    """The Jacobian's blocks at the operating point for ``ctl``.
+
+    Coupling and damping are the model's cached, read-only ones; the control
+    block is L_h / m for the links at the control's one gain.  The assembled
+    matrix has the swing structure that spectral_abscissa requires.
+    """
     const = model.constant_blocks
     control = control_matrix(ctl, model.m)
     return JacobianBlocks(
@@ -155,13 +155,13 @@ def _alpha(j: np.ndarray) -> float:
 
 
 def spectral_abscissa(j: np.ndarray) -> SpectrumReport:
-    """Eigenvalues of the assembled Jacobian and alpha_max without the zero mode.
+    """Eigenvalues of an assembled swing Jacobian and alpha_max without the zero mode.
 
-    A matrix with the swing structure (see _has_swing_structure) has its
-    structural zero mode removed exactly: alpha_max comes from the
+    The structural zero mode is removed exactly: alpha_max comes from the
     relative-angle Jacobian, and the report's deflated_magnitude is the
-    smallest |lambda| of the full spectrum.  Any other matrix is reported
-    with deflated=False and alpha_max over the whole spectrum.
+    smallest |lambda| of the full spectrum, which is listed whole.  Raises
+    ValueError for a matrix that is non-finite, not square 2n x 2n, or
+    without the swing structure (see _has_swing_structure).
     """
     j = np.asarray(j, dtype=float)
     if not np.all(np.isfinite(j)):
@@ -169,20 +169,17 @@ def spectral_abscissa(j: np.ndarray) -> SpectrumReport:
     two_n = j.shape[0]
     if j.shape != (two_n, two_n) or two_n % 2 != 0:
         raise ValueError(f"expected a square 2n x 2n matrix, got {j.shape}")
+    if not _has_swing_structure(j):
+        raise ValueError("expected a swing Jacobian: top blocks [0, I], lower-left rows summing to zero")
     n = two_n // 2
 
     eigvals = np.linalg.eigvals(j)
     eigvals = eigvals[np.lexsort((-eigvals.imag, -eigvals.real))]
-    if _has_swing_structure(j):
-        reduced = relative_angle_jacobian(j[n:, :n], j[n:, n:])
-        return SpectrumReport(
-            eigenvalues=eigvals,
-            alpha_max=_alpha(reduced),
-            deflated=True,
-            deflated_magnitude=float(np.min(np.abs(eigvals))),
-        )
     return SpectrumReport(
-        eigenvalues=eigvals, alpha_max=float(np.max(eigvals.real)), deflated=False, deflated_magnitude=None
+        eigenvalues=eigvals,
+        alpha_max=_alpha(relative_angle_jacobian(j[n:, :n], j[n:, n:])),
+        deflated=True,
+        deflated_magnitude=float(np.min(np.abs(eigvals))),
     )
 
 

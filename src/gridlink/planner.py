@@ -65,19 +65,6 @@ def candidate_links(n: int, installed=()) -> list[Link]:
     return [(i, k) for i in range(n) for k in range(i + 1, n) if (i, k) not in taken]
 
 
-def marginal_gain(link: Link, installed, model: SystemModel, gain_h: float) -> float:
-    """alpha(installed) - alpha(installed + link); positive means improved stability."""
-    if gain_h >= 0:
-        raise ValueError("gain_h must be negative")
-    link = normalize_link(link)
-    base = [normalize_link(l) for l in installed]
-    if link in base:
-        raise ValueError(f"link {link} already installed")
-    before = alpha_for_links(model, base, gain_h)
-    after = alpha_for_links(model, base + [link], gain_h)
-    return before - after
-
-
 def _sweep(model: SystemModel, installed: list[Link], remaining: list[Link], gain_h: float):
     """alpha_max after each candidate, in candidate order."""
     return [alpha_for_links(model, installed + [link], gain_h) for link in remaining]

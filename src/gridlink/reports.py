@@ -57,10 +57,7 @@ def spectrum_document(report: SpectrumReport, meta: dict[str, Any]) -> dict[str,
 def spectrum_table(report: SpectrumReport, meta: dict[str, Any]) -> str:
     lines = header_lines(meta)
     lines.append(f"alpha_max: {sig4(report.alpha_max)}")
-    if report.deflated:
-        lines.append(f"deflated_zero_mode: true (|lambda| = {sig4(report.deflated_magnitude)})")
-    else:
-        lines.append("deflated_zero_mode: false")
+    lines.append(f"deflated_zero_mode: true (|lambda| = {sig4(report.deflated_magnitude)})")
     lines.append("eigenvalue_re,eigenvalue_im")
     for v in report.eigenvalues:
         lines.append(f"{sig4(v.real)},{sig4(v.imag)}")

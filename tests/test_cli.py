@@ -154,6 +154,16 @@ def test_plan_rejects_nonnegative_gain(tmp_path, capsys):
     assert "negative gain" in capsys.readouterr().err
 
 
+def test_plan_one_generator_is_input_error(tmp_path, capsys):
+    case = tmp_path / "feeder.json"
+    case.write_text(two_bus_feeder(0.5))
+    assert run(["plan", "--case", case, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "gridlink: input error: plan needs at least two generators to form links; the case has 1"
+    ]
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "subcommand, flag, value",
     [("plan", "--gain", "nan"), ("simulate", "--dt", "nan"), ("simulate", "--tmax", "inf")],

@@ -151,35 +151,34 @@ def test_spectrum_single_machine_damped():
     assert sorted(report.eigenvalues.real) == pytest.approx([-1.0, 0.0], abs=1e-12)
 
 
+def _swing_jacobian(stiffness, damping):
+    """The swing Jacobian [[0, I], [stiffness, damping]]."""
+    n = stiffness.shape[0]
+    return np.block([[np.zeros((n, n)), np.eye(n)], [stiffness, damping]])
+
+
 def test_spectrum_unit_stiffness_pair():
-    # lambda^2 + lambda + 1 = 0 -> -0.5 +/- j sqrt(3)/2
-    report = spectral_abscissa(np.array([[0.0, 1.0], [-1.0, -1.0]]))
+    # two machines, coupling 1/2 each way, damping 1: the angle difference obeys
+    # lambda^2 + lambda + 1 = 0 -> -0.5 +/- j sqrt(3)/2; the angle sum gives 0 and -1
+    j = _swing_jacobian(np.array([[-0.5, 0.5], [0.5, -0.5]]), -np.eye(2))
+    report = spectral_abscissa(j)
     assert report.alpha_max == pytest.approx(-0.5, abs=1e-12)
-    assert np.sort(report.eigenvalues.imag) == pytest.approx([-math.sqrt(3) / 2, math.sqrt(3) / 2], abs=1e-12)
+    expected = [-0.5 + 1j * math.sqrt(3) / 2, -0.5 - 1j * math.sqrt(3) / 2, 0.0, -1.0]
+    assert np.allclose(np.sort_complex(report.eigenvalues), np.sort_complex(expected), atol=1e-12)
+    assert report.deflated_magnitude == pytest.approx(0.0, abs=1e-12)
 
 
 def test_spectrum_block_diagonal_union():
-    a = np.array([[0.0, 1.0], [-4.0, -2.0]])
-    b = np.array([[0.0, 1.0], [-9.0, -0.5]])
-    j = np.block([[a, np.zeros((2, 2))], [np.zeros((2, 2)), b]])
-    union = np.sort_complex(np.concatenate([np.linalg.eigvals(a), np.linalg.eigvals(b)]))
-    got = np.sort_complex(spectral_abscissa(j).eigenvalues)
-    assert np.allclose(got, union, atol=1e-9)
-
-
-def test_spectrum_no_qualifying_zero_reported_not_fatal():
-    # well-separated spectrum with no zero mode: deflation must decline
-    j = np.array([[0.0, 1.0], [-1.0, -1.0]])
+    # two uncoupled pairs with coupling k each way and damping d: the angle
+    # difference obeys lambda^2 + d lambda + 2k = 0, the angle sum gives 0 and -d
+    pair = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    zero = np.zeros((2, 2))
+    j = _swing_jacobian(np.block([[2.0 * pair, zero], [zero, 4.5 * pair]]), np.diag([-2.0, -2.0, -0.5, -0.5]))
+    union = [-1 + 1j * math.sqrt(3), -1 - 1j * math.sqrt(3), 0.0, -2.0]
+    union += [-0.25 + 1j * math.sqrt(8.9375), -0.25 - 1j * math.sqrt(8.9375), 0.0, -0.5]
     report = spectral_abscissa(j)
-    assert not report.deflated
-    assert report.alpha_max == pytest.approx(-0.5, abs=1e-12)
-
-
-def test_spectrum_zero_mode_without_swing_structure_kept():
-    # eigenvalues 0 and -1, but the top-right block is not I: no deflation
-    report = spectral_abscissa(np.array([[0.0, 2.0], [0.0, -1.0]]))
-    assert not report.deflated
-    assert report.deflated_magnitude is None
+    assert np.allclose(np.sort_complex(report.eigenvalues), np.sort_complex(union), atol=1e-9)
+    # one zero mode is structural; the second, of the other pair's rigid rotation, stays
     assert report.alpha_max == pytest.approx(0.0, abs=1e-12)
 
 
@@ -198,10 +197,14 @@ def test_spectrum_conjugate_pairing(ne39_model, toy4_model):
 
 
 def test_spectrum_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-finite"):
         spectral_abscissa(np.full((2, 2), np.nan))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="square"):
         spectral_abscissa(np.zeros((3, 3)))
+    # no swing structure: lower-left row sum -1, and a top-right block that is not I
+    for j in ([[0.0, 1.0], [-1.0, -1.0]], [[0.0, 2.0], [0.0, -1.0]]):
+        with pytest.raises(ValueError, match="swing Jacobian"):
+            spectral_abscissa(np.array(j))
 
 
 # --- relative-angle Jacobian ---------------------------------------------------------

@@ -20,7 +20,6 @@ from gridlink.planner import (
     candidate_links,
     exhaustive_plan,
     greedy_plan,
-    marginal_gain,
 )
 from gridlink.reduction import OperatingPoint, ReducedNetwork, coupling_coefficients
 from test_acceptance import _random_35_generator_model
@@ -39,15 +38,6 @@ def test_candidate_links_requires_two_generators():
         candidate_links(1)
 
 
-def test_marginal_gain_is_alpha_difference(ne39_model):
-    link = (0, 8)
-    gain = marginal_gain(link, [], ne39_model, gain_h=-1.0)
-    before = alpha_for_links(ne39_model, [], -1.0)
-    after = alpha_for_links(ne39_model, [link], -1.0)
-    assert gain == pytest.approx(before - after, abs=1e-15)
-    assert gain > 0  # installing a helpful link must come out positive
-
-
 def test_gain_sign_convention_matches_iteration_tables():
     # a drop from -0.1899e-2 to -0.1963e-2 is an improvement of 0.64e-4
     before, after = -0.1899e-2, -0.1963e-2
@@ -59,15 +49,9 @@ def test_gain_sign_convention_matches_iteration_tables():
 def test_marginal_gain_zero_when_alpha_pinned(toy3_model):
     # uniform damping/inertia: every mode decays at -d/(2m) so links cannot
     # move alpha_max at all
+    baseline = alpha_for_links(toy3_model, [], -1.0)
     for link in candidate_links(3):
-        assert abs(marginal_gain(link, [], toy3_model, gain_h=-1.0)) <= 1e-12
-
-
-def test_marginal_gain_validates_inputs(toy3_model):
-    with pytest.raises(ValueError):
-        marginal_gain((0, 1), [], toy3_model, gain_h=1.0)
-    with pytest.raises(ValueError):
-        marginal_gain((0, 1), [(0, 1)], toy3_model, gain_h=-1.0)
+        assert abs(baseline - alpha_for_links(toy3_model, [link], -1.0)) <= 1e-12
 
 
 def test_marginal_gain_against_independent_eigensolves(toy4_model):
@@ -76,7 +60,8 @@ def test_marginal_gain_against_independent_eigensolves(toy4_model):
     expected = independent_alpha(model.net, model.op.delta_s, model.m, model.d, [], -1.0) - independent_alpha(
         model.net, model.op.delta_s, model.m, model.d, [link], -1.0
     )
-    assert marginal_gain(link, [], model, gain_h=-1.0) == pytest.approx(expected, abs=1e-10)
+    gain = alpha_for_links(model, [], -1.0) - alpha_for_links(model, [link], -1.0)
+    assert gain == pytest.approx(expected, abs=1e-10)
 
 
 # --- greedy_plan ------------------------------------------------------------------
