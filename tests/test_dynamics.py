@@ -68,6 +68,22 @@ def test_link_laplacian_single_link_hand_value():
     assert np.array_equal(link_laplacian(ctl), [[-1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, -1.0]])
 
 
+def test_mechanical_power_zero_at_reference(toy3_model):
+    # the control adds L_h (delta - reference_angles), which vanishes at the reference angles
+    op = OperatingPoint(delta_s=np.array([0.2, -0.1]), omega_s=377.0, p_m_const=np.array([1.0, 2.0]))
+    ctl = uniform_control([(0, 1)], -3.0, op.delta_s)
+    assert np.array_equal(op.p_m_const + link_laplacian(ctl) @ (op.delta_s - ctl.reference_angles), op.p_m_const)
+
+    # off equilibrium, at the reference angles the controlled swing equations equal the uncontrolled ones
+    model = toy3_model
+    ref = model.op.delta_s + np.array([0.3, -0.2, 0.1])
+    state = MachineState(ref, model.op.omega_s + np.array([0.5, -1.0, 0.25]))
+    free = swing_rhs(state, model, empty_control(model.n))
+    ctl = uniform_control([(0, 1), (1, 2), (0, 2)], -3.0, ref)
+    for got, want in zip(swing_rhs(state, model, ctl), free):
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
 def _per_link_mechanical_power(delta, op, ctl):
     p_m = op.p_m_const.copy()
     angles = delta - ctl.reference_angles

@@ -201,10 +201,20 @@ def test_spectrum_rejects_bad_input():
         spectral_abscissa(np.full((2, 2), np.nan))
     with pytest.raises(ValueError, match="square"):
         spectral_abscissa(np.zeros((3, 3)))
-    # no swing structure: lower-left row sum -1, and a top-right block that is not I
-    for j in ([[0.0, 1.0], [-1.0, -1.0]], [[0.0, 2.0], [0.0, -1.0]]):
-        with pytest.raises(ValueError, match="swing Jacobian"):
-            spectral_abscissa(np.array(j))
+
+
+def test_spectrum_no_qualifying_zero_reported_not_fatal():
+    # well-separated spectrum with no zero mode (lower-left row sum -1): no swing
+    # structure, so it is reported as a ValueError rather than evaluated
+    with pytest.raises(ValueError, match="swing Jacobian"):
+        spectral_abscissa(np.array([[0.0, 1.0], [-1.0, -1.0]]))
+
+
+def test_spectrum_zero_mode_without_swing_structure_kept():
+    # eigenvalues 0 and -1, but the top-right block is not I: a zero mode alone
+    # does not make a swing Jacobian, so the matrix is rejected
+    with pytest.raises(ValueError, match="swing Jacobian"):
+        spectral_abscissa(np.array([[0.0, 2.0], [0.0, -1.0]]))
 
 
 # --- relative-angle Jacobian ---------------------------------------------------------
