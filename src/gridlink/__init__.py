@@ -39,13 +39,11 @@ from gridlink.dynamics import (
     uniform_control,
 )
 from gridlink.linearization import (
-    JacobianBlocks,
     SpectrumReport,
     alpha_for_links,
-    assemble_jacobian,
     control_matrix,
     coupling_matrix,
-    jacobian_blocks,
+    jacobian,
     spectral_abscissa,
 )
 from gridlink.model import SystemModel, build_system, machine_constants

@@ -29,7 +29,7 @@ from gridlink.dynamics import (
     simulate,
     uniform_control,
 )
-from gridlink.linearization import jacobian_blocks, spectral_abscissa
+from gridlink.linearization import spectral_abscissa
 from gridlink.model import SystemModel, build_system
 from gridlink.planner import PlannerGuardError, greedy_plan
 from gridlink.powerflow import PowerFlowError
@@ -142,7 +142,7 @@ def run_analyze(args: argparse.Namespace) -> int:
     model, meta = _load(args)
     links = read_links_file(args.links, model.n) if args.links else []
     ctl = uniform_control(links, args.gain, model.op.delta_s)
-    report = spectral_abscissa(jacobian_blocks(model, ctl).assembled)
+    report = spectral_abscissa(model, ctl)
     meta.update({"gain": args.gain, "links": len(links)})
     if args.format == "structured":
         _write(args, reports.render_json(reports.spectrum_document(report, meta)))
@@ -192,7 +192,7 @@ def run_simulate(args: argparse.Namespace) -> int:
     initial = MachineState(delta=model.op.delta_s.copy(), omega=np.full(model.n, model.op.omega_s))
     traj = simulate(initial, model, ctl, disturbance, t_max=args.tmax, dt=args.dt)
 
-    alpha = spectral_abscissa(jacobian_blocks(model, ctl).assembled).alpha_max
+    alpha = spectral_abscissa(model, ctl).alpha_max
     try:
         fitted = decay_rate(traj, model.op, t_start=args.tmax / 4.0)
         fitted_text = repr(fitted)

@@ -216,6 +216,8 @@ def simulate(
 ) -> Trajectory:
     """Integrate with classical RK4 at fixed step dt over [0, t_max].
 
+    The last sample is the last grid time k dt <= t_max (within 1e-9 steps).
+
     The stacked state [delta, omega] is stepped by one SwingOperator, built
     once per call, with stage buffers reused across steps; each step is
     written straight into one (steps + 1, 2n) array, of which the returned
@@ -236,7 +238,7 @@ def simulate(
     if t_max / dt > MAX_STEPS:
         raise ValueError(f"t_max / dt exceeds {MAX_STEPS} steps")
     n = model.n
-    steps = int(round(t_max / dt))
+    steps = int(np.floor(t_max / dt + 1e-9))
     # No disturbance is a zero state offset; validate() leaves zero the terms a kind does not use.
     dist = disturbance or DisturbanceSpec(kind="state-offset", target=0)
     problems = dist.validate(n)

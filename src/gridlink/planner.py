@@ -23,10 +23,13 @@ from gridlink.model import SystemModel
 # evaluation order.
 TIE_TOL = 1e-12
 
-# Each worker of a pool sweep gets this many contiguous chunks of the
+# A pool sweep hands each worker at most this many contiguous chunks of the
 # candidates, so a worker slowed by the host does not hold up the sweep by a
 # whole half of it.
 CHUNKS_PER_WORKER = 8
+
+# exhaustive_plan refuses to scan more link subsets than this.
+EXHAUSTIVE_GUARD = 10**6
 
 
 class PlannerGuardError(RuntimeError):
@@ -79,25 +82,9 @@ def _init_worker(model: SystemModel, gain_h: float) -> None:
     _worker_args = (model, gain_h)
 
 
-def _sweep_chunk(installed: list[Link], chunk: list[Link]) -> list[float]:
+def _worker_alpha(links: list[Link]) -> float:
     model, gain_h = _worker_args
-    return _sweep(model, installed, chunk, gain_h)
-
-
-def _chunks(items: list, parts: int) -> list[list]:
-    """min(parts, len(items)) contiguous non-empty runs of ``items``, in order, lengths differing by at most one."""
-    parts = min(parts, len(items))
-    if not parts:
-        return []
-    size, extra = divmod(len(items), parts)
-    bounds = [i * size + min(i, extra) for i in range(parts + 1)]
-    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
-def _pool_sweep(pool, pool_size: int, installed: list[Link], remaining: list[Link]) -> list[float]:
-    """_sweep over CHUNKS_PER_WORKER contiguous chunks per worker process, in candidate order."""
-    chunks = _chunks(remaining, CHUNKS_PER_WORKER * pool_size)
-    return [alpha for part in pool.map(_sweep_chunk, [installed] * len(chunks), chunks) for alpha in part]
+    return alpha_for_links(model, links, gain_h)
 
 
 def greedy_plan(
@@ -120,9 +107,10 @@ def greedy_plan(
 
     With ``workers`` > 1 each sweep runs in one pool of worker processes,
     min(workers, CPU count, candidates in the first sweep) of them, started
-    once per call.  Each sweep is cut into CHUNKS_PER_WORKER contiguous
-    chunks of the candidates per worker, handed out in order to whichever
-    worker is free.  The result is identical to the serial sweep.
+    once per call.  Each sweep is one pool.map over the candidates in
+    contiguous chunks, at most CHUNKS_PER_WORKER per worker, each handed to
+    whichever worker is free; the results come back in candidate order, so
+    the plan is identical to the serial sweep.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -155,7 +143,8 @@ def greedy_plan(
             if pool is None:
                 alphas = _sweep(model, installed, remaining, gain_h)
             else:
-                alphas = _pool_sweep(pool, pool_size, installed, remaining)
+                chunksize = math.ceil(len(remaining) / (CHUNKS_PER_WORKER * pool_size))
+                alphas = pool.map(_worker_alpha, [installed + [l] for l in remaining], chunksize=chunksize)
             best_link = None
             best_alpha = math.inf
             best_gain = -math.inf
@@ -184,12 +173,7 @@ def greedy_plan(
     )
 
 
-def exhaustive_plan(
-    model: SystemModel,
-    budget: int,
-    gain_h: float,
-    guard: int = 10**6,
-) -> PlanResult:
+def exhaustive_plan(model: SystemModel, budget: int, gain_h: float) -> PlanResult:
     """Global optimum over every link subset within the budget (small instances).
 
     Scans all subsets of size 0..budget in lexicographic order, so the result
@@ -197,7 +181,7 @@ def exhaustive_plan(
     outcome.  Strictly better means the final alpha_max drops by more than
     TIE_TOL; ties resolve to the smaller, lexicographically first subset,
     matching the greedy tie-break.  Raises PlannerGuardError when the subset
-    count exceeds ``guard``.
+    count exceeds EXHAUSTIVE_GUARD.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -208,8 +192,8 @@ def exhaustive_plan(
         warnings.warn(f"budget {budget} exceeds the {len(pool)} available links; clamped", stacklevel=2)
         budget = len(pool)
     count = sum(math.comb(len(pool), size) for size in range(budget + 1))
-    if count > guard:
-        raise PlannerGuardError(f"{count} subsets exceed the exhaustive-search guard of {guard}")
+    if count > EXHAUSTIVE_GUARD:
+        raise PlannerGuardError(f"{count} subsets exceed the exhaustive-search guard of {EXHAUSTIVE_GUARD}")
 
     baseline = alpha_for_links(model, [], gain_h)
     best_subset: tuple[Link, ...] = ()

@@ -94,7 +94,7 @@ def inline_pool(monkeypatch):
             sizes.append(max_workers)
             initializer(*initargs)
 
-        def map(self, fn, *iterables):
+        def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
         def shutdown(self, cancel_futures=False):

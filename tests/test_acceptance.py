@@ -15,7 +15,7 @@ import gridlink.planner
 from gridlink.case import case_path
 from gridlink.cli import main
 from gridlink.dynamics import MachineState, decay_rate, empty_control, simulate, swing_rhs, uniform_control
-from gridlink.linearization import jacobian_blocks, spectral_abscissa
+from gridlink.linearization import jacobian, spectral_abscissa
 from gridlink.model import SystemModel
 from gridlink.planner import exhaustive_plan, greedy_plan
 from gridlink.reduction import OperatingPoint, ReducedNetwork, augment_internal_nodes, coupling_coefficients
@@ -64,7 +64,7 @@ def test_criterion_1_jacobian_finite_difference_oracle(toy3_model, ne39_model):
         started = time.perf_counter()
         for model, links in ((toy3_model, [(0, 1)]), (ne39_model, [])):
             ctl = uniform_control(links, -1.0, model.op.delta_s) if links else empty_control(model.n)
-            jac = jacobian_blocks(model, ctl).assembled
+            jac = jacobian(model, ctl)
             fd = _fd_jacobian(model, ctl)
             scale = np.abs(jac).max()
             assert np.all(np.abs(fd - jac) <= 1e-6 * np.abs(jac) + 1e-9 * scale)
@@ -130,7 +130,7 @@ def test_criterion_6_decay_rate_consistency(toy3_model):
         started = time.perf_counter()
         model = toy3_model
         ctl = uniform_control([(0, 1)], -1.0, model.op.delta_s)
-        alpha = spectral_abscissa(jacobian_blocks(model, ctl).assembled).alpha_max
+        alpha = spectral_abscissa(model, ctl).alpha_max
         offset = np.zeros(model.n)
         offset[0] = 0.01  # infinity norm of the angle perturbation
         init = MachineState(model.op.delta_s + offset, np.full(model.n, model.op.omega_s))
@@ -159,7 +159,7 @@ def test_criterion_7_integrator_order(oscillator_model):
 def test_criterion_8_structural_zero_mode(toy3_model, toy4_model, ne39_model):
     with criterion(8, "every bundled case has exactly one deflatable zero mode"):
         for model in (toy3_model, toy4_model, ne39_model):
-            jac = jacobian_blocks(model, empty_control(model.n)).assembled
+            jac = jacobian(model, empty_control(model.n))
             norm = np.linalg.norm(jac, 2)
             eigvals, eigvecs = np.linalg.eig(jac)
             small = np.abs(eigvals) <= 1e-10 * norm
@@ -170,7 +170,7 @@ def test_criterion_8_structural_zero_mode(toy3_model, toy4_model, ne39_model):
             shift[:n] = 1.0 / np.sqrt(n)
             cosine = abs(np.vdot(eigvecs[:, idx], shift)) / np.linalg.norm(eigvecs[:, idx])
             assert cosine >= 0.99
-            report = spectral_abscissa(jac)
+            report = spectral_abscissa(model, empty_control(model.n))
             assert report.deflated
             assert report.deflated_magnitude <= 1e-10 * norm
 

@@ -265,6 +265,12 @@ def test_plan_final_alpha_equals_analyze(tmp_path):
     assert run(["analyze", "--case", case_path("newengland39"), "--out", spectrum, "--links", links,
                 "--format", "structured"]) == 0
     assert json.loads(spectrum.read_text())["alpha_max"] == doc["final_alpha"]
+    # simulate's footer reports the same alpha_max, bit for bit
+    traj = tmp_path / "traj.csv"
+    assert run(["simulate", "--case", case_path("newengland39"), "--out", traj, "--links", links,
+                "--tmax", 0.01]) == 0
+    footer = next(l for l in traj.read_text().splitlines() if l.startswith("# alpha_max: "))
+    assert float(footer.split(": ", 1)[1]) == doc["final_alpha"]
 
 
 def test_plan_byte_identical_and_parallel(tmp_path):
@@ -296,6 +302,18 @@ def test_simulate_equilibrium_constant(tmp_path):
     first = np.array([float(v) for v in rows[0].split(",")])
     last = np.array([float(v) for v in rows[-1].split(",")])
     assert np.abs(first[1:] - last[1:]).max() <= 1e-10
+
+
+@pytest.mark.parametrize("dt, tmax, samples", [(0.3, 1.05, 4), (0.001, 0.0015, 2), (0.1, 0.3, 4)])
+def test_simulate_ends_at_last_grid_time_within_tmax(tmp_path, dt, tmax, samples):
+    # the last sample is the last k dt <= tmax; 0.3 / 0.1 rounds below 3 and still takes 3 steps
+    out = tmp_path / "traj.json"
+    code = run(["simulate", "--case", case_path("toy3"), "--out", out, "--dt", dt, "--tmax", tmax,
+                "--format", "structured"])
+    assert code == 0
+    times = json.loads(out.read_text())["times"]
+    assert len(times) == samples
+    assert times[-1] <= tmax + 1e-9 * dt
 
 
 def test_simulate_fit_matches_alpha(tmp_path):

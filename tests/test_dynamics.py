@@ -23,7 +23,7 @@ from gridlink.dynamics import (
     swing_rhs,
     uniform_control,
 )
-from gridlink.linearization import jacobian_blocks
+from gridlink.linearization import jacobian
 from gridlink.model import build_system
 from gridlink.reduction import OperatingPoint, ReducedNetwork, coupling_coefficients
 
@@ -288,7 +288,7 @@ def test_swing_operator_finite_differences_match_jacobian(ne39_model):
     model = ne39_model
     n = model.n
     ctl = uniform_control([(i - 1, k - 1) for i, k in NE39_PLAN_15], -1.0, model.op.delta_s)
-    j = jacobian_blocks(model, ctl).assembled
+    j = jacobian(model, ctl)
     op = SwingOperator(model, ctl)
     x0 = np.concatenate([model.op.delta_s, np.full(n, model.op.omega_s)])
     h = 1e-5
@@ -507,11 +507,11 @@ def test_decay_rate_oscillatory_envelope():
 
 
 def test_decay_rate_cross_module(toy3_model):
-    from gridlink.linearization import jacobian_blocks, spectral_abscissa
+    from gridlink.linearization import spectral_abscissa
 
     model = toy3_model
     ctl = uniform_control([(0, 1)], -1.0, model.op.delta_s)
-    alpha = spectral_abscissa(jacobian_blocks(model, ctl).assembled).alpha_max
+    alpha = spectral_abscissa(model, ctl).alpha_max
     init = MachineState(model.op.delta_s + np.array([0.01, 0.0, 0.0]), np.full(3, model.op.omega_s))
     traj = simulate(init, model, ctl, None, t_max=5.0, dt=1e-3)
     fitted = decay_rate(traj, model.op, t_start=1.0)

@@ -11,22 +11,33 @@ from gridlink.case import parse_case
 from gridlink.dynamics import MachineState, empty_control, swing_rhs, uniform_control
 from gridlink.linearization import (
     alpha_for_links,
-    assemble_jacobian,
     control_matrix,
     coupling_matrix,
-    jacobian_blocks,
+    jacobian,
     relative_angle_jacobian,
     spectral_abscissa,
 )
 from gridlink.model import SystemModel, build_system
-from gridlink.reduction import ReducedNetwork, coupling_coefficients
+from gridlink.reduction import ReducedNetwork, coupling_coefficients, equilibrium
+
+
+def _network(y):
+    """The reduced network of admittance y with unit EMFs."""
+    c, d = coupling_coefficients(y, np.ones(y.shape[0]))
+    return ReducedNetwork(y_g=y, e_mag=np.ones(y.shape[0]), c=c, d=d)
 
 
 def _pair_network(c12=1.0):
     y = np.zeros((2, 2), dtype=complex)
     y[0, 1] = y[1, 0] = c12 * 1j
-    c, d = coupling_coefficients(y, np.ones(2))
-    return ReducedNetwork(y_g=y, e_mag=np.ones(2), c=c, d=d)
+    return _network(y)
+
+
+def _hand_model(y, d):
+    """Unit-inertia machines at zero angles on admittance y: coupling Im(y_ik) off the diagonal."""
+    n = y.shape[0]
+    net = _network(y)
+    return SystemModel(net=net, op=equilibrium(np.zeros(n), 1.0, net), m=np.ones(n), d=np.asarray(d, dtype=float))
 
 
 def independent_alpha(net, delta_s, m, d, links, gain, deflate=True):
@@ -118,23 +129,22 @@ def test_control_matrix_mass_weighted_symmetry():
 
 
 def test_assemble_single_machine():
-    j = assemble_jacobian(np.zeros((1, 1)), np.zeros((1, 1)), np.array([[-1.0]]))
-    assert np.array_equal(j, [[0.0, 1.0], [0.0, -1.0]])
+    model = _hand_model(np.zeros((1, 1), dtype=complex), [1.0])
+    assert np.array_equal(jacobian(model, empty_control(1)), [[0.0, 1.0], [0.0, -1.0]])
 
 
 def test_assemble_block_structure(ne39_model):
-    blocks = jacobian_blocks(ne39_model, empty_control(ne39_model.n))
     n = ne39_model.n
-    j = blocks.assembled
+    j = jacobian(ne39_model, empty_control(n))
     assert np.array_equal(j[:n, :n], np.zeros((n, n)))
     assert np.array_equal(j[:n, n:], np.eye(n))
-    assert np.array_equal(j[n:, n:], blocks.damping)
-    assert np.allclose(np.diag(blocks.damping), -ne39_model.d / ne39_model.m)
+    assert np.array_equal(j[n:, n:], ne39_model.constant_blocks.damping)
+    assert np.allclose(np.diag(j[n:, n:]), -ne39_model.d / ne39_model.m)
 
 
 def test_assembled_annihilates_uniform_shift(ne39_model):
     ctl = uniform_control([(0, 3), (2, 5)], -1.0, ne39_model.op.delta_s)
-    j = jacobian_blocks(ne39_model, ctl).assembled
+    j = jacobian(ne39_model, ctl)
     n = ne39_model.n
     shift = np.concatenate([np.ones(n), np.zeros(n)])
     assert np.abs(j @ shift).max() <= 1e-10 * np.abs(j).max()
@@ -144,24 +154,19 @@ def test_assembled_annihilates_uniform_shift(ne39_model):
 
 
 def test_spectrum_single_machine_damped():
-    # characteristic polynomial of [[0,1],[0,-1]]: lambda (lambda + 1)
-    report = spectral_abscissa(np.array([[0.0, 1.0], [0.0, -1.0]]))
+    # m = d = 1, no coupling: the Jacobian [[0,1],[0,-1]] has characteristic polynomial lambda (lambda + 1)
+    report = spectral_abscissa(_hand_model(np.zeros((1, 1), dtype=complex), [1.0]), empty_control(1))
     assert report.deflated
     assert report.alpha_max == pytest.approx(-1.0, abs=1e-12)
     assert sorted(report.eigenvalues.real) == pytest.approx([-1.0, 0.0], abs=1e-12)
 
 
-def _swing_jacobian(stiffness, damping):
-    """The swing Jacobian [[0, I], [stiffness, damping]]."""
-    n = stiffness.shape[0]
-    return np.block([[np.zeros((n, n)), np.eye(n)], [stiffness, damping]])
-
-
 def test_spectrum_unit_stiffness_pair():
     # two machines, coupling 1/2 each way, damping 1: the angle difference obeys
     # lambda^2 + lambda + 1 = 0 -> -0.5 +/- j sqrt(3)/2; the angle sum gives 0 and -1
-    j = _swing_jacobian(np.array([[-0.5, 0.5], [0.5, -0.5]]), -np.eye(2))
-    report = spectral_abscissa(j)
+    y = np.zeros((2, 2), dtype=complex)
+    y[0, 1] = y[1, 0] = 0.5j
+    report = spectral_abscissa(_hand_model(y, [1.0, 1.0]), empty_control(2))
     assert report.alpha_max == pytest.approx(-0.5, abs=1e-12)
     expected = [-0.5 + 1j * math.sqrt(3) / 2, -0.5 - 1j * math.sqrt(3) / 2, 0.0, -1.0]
     assert np.allclose(np.sort_complex(report.eigenvalues), np.sort_complex(expected), atol=1e-12)
@@ -171,12 +176,12 @@ def test_spectrum_unit_stiffness_pair():
 def test_spectrum_block_diagonal_union():
     # two uncoupled pairs with coupling k each way and damping d: the angle
     # difference obeys lambda^2 + d lambda + 2k = 0, the angle sum gives 0 and -d
-    pair = np.array([[-1.0, 1.0], [1.0, -1.0]])
-    zero = np.zeros((2, 2))
-    j = _swing_jacobian(np.block([[2.0 * pair, zero], [zero, 4.5 * pair]]), np.diag([-2.0, -2.0, -0.5, -0.5]))
+    y = np.zeros((4, 4), dtype=complex)
+    y[0, 1] = y[1, 0] = 2.0j
+    y[2, 3] = y[3, 2] = 4.5j
     union = [-1 + 1j * math.sqrt(3), -1 - 1j * math.sqrt(3), 0.0, -2.0]
     union += [-0.25 + 1j * math.sqrt(8.9375), -0.25 - 1j * math.sqrt(8.9375), 0.0, -0.5]
-    report = spectral_abscissa(j)
+    report = spectral_abscissa(_hand_model(y, [2.0, 2.0, 0.5, 0.5]), empty_control(4))
     assert np.allclose(np.sort_complex(report.eigenvalues), np.sort_complex(union), atol=1e-9)
     # one zero mode is structural; the second, of the other pair's rigid rotation, stays
     assert report.alpha_max == pytest.approx(0.0, abs=1e-12)
@@ -184,7 +189,7 @@ def test_spectrum_block_diagonal_union():
 
 def test_spectrum_conjugate_pairing(ne39_model, toy4_model):
     for model in (ne39_model, toy4_model):
-        report = spectral_abscissa(jacobian_blocks(model, empty_control(model.n)).assembled)
+        report = spectral_abscissa(model, empty_control(model.n))
         eigs = sorted(report.eigenvalues, key=lambda z: (z.real, abs(z.imag), z.imag))
         remaining = list(eigs)
         while remaining:
@@ -196,25 +201,17 @@ def test_spectrum_conjugate_pairing(ne39_model, toy4_model):
             remaining.remove(partner)
 
 
-def test_spectrum_rejects_bad_input():
+def test_spectrum_rejects_overflowing_gain(toy3_model):
+    # two links at a machine sum the gain twice on its diagonal, which overflows
+    ctl = uniform_control([(0, 1), (0, 2)], -1e308, toy3_model.op.delta_s)
     with pytest.raises(ValueError, match="non-finite"):
-        spectral_abscissa(np.full((2, 2), np.nan))
-    with pytest.raises(ValueError, match="square"):
-        spectral_abscissa(np.zeros((3, 3)))
-
-
-def test_spectrum_no_qualifying_zero_reported_not_fatal():
-    # well-separated spectrum with no zero mode (lower-left row sum -1): no swing
-    # structure, so it is reported as a ValueError rather than evaluated
-    with pytest.raises(ValueError, match="swing Jacobian"):
-        spectral_abscissa(np.array([[0.0, 1.0], [-1.0, -1.0]]))
-
-
-def test_spectrum_zero_mode_without_swing_structure_kept():
-    # eigenvalues 0 and -1, but the top-right block is not I: a zero mode alone
-    # does not make a swing Jacobian, so the matrix is rejected
-    with pytest.raises(ValueError, match="swing Jacobian"):
-        spectral_abscissa(np.array([[0.0, 2.0], [0.0, -1.0]]))
+        spectral_abscissa(toy3_model, ctl)
+    # with unit inertias only the last machine's diagonal overflows, an entry the relative-angle Jacobian leaves out
+    y = np.zeros((3, 3), dtype=complex)
+    y[0, 1] = y[1, 0] = y[1, 2] = y[2, 1] = 0.5j
+    model = _hand_model(y, [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        spectral_abscissa(model, uniform_control([(0, 2), (1, 2)], -1e308, model.op.delta_s))
 
 
 # --- relative-angle Jacobian ---------------------------------------------------------
@@ -235,18 +232,23 @@ def _heuristic_alpha(j):
 
 
 def _check_relative_angle_spectrum(model, links, gain):
-    blocks = jacobian_blocks(model, uniform_control(links, gain, model.op.delta_s))
-    reduced = relative_angle_jacobian(blocks.coupling + blocks.control, blocks.damping)
-    assert reduced.shape == (2 * model.n - 1, 2 * model.n - 1)
-    full = list(np.linalg.eigvals(blocks.assembled))
+    ctl = uniform_control(links, gain, model.op.delta_s)
+    j = jacobian(model, ctl)
+    reduced = relative_angle_jacobian(model, links, gain)
+    n = model.n
+    assert reduced.shape == (2 * n - 1, 2 * n - 1)
+    # both builders write the same coupling + control and damping entries
+    assert np.array_equal(reduced[n - 1 :, : n - 1], j[n:, : n - 1])
+    assert np.array_equal(reduced[n - 1 :, n - 1 :], j[n:, n:])
+    full = list(np.linalg.eigvals(j))
     tol = 1e-9 * max(1.0, max(abs(z) for z in full))
     # the reduced spectrum plus {0} is the full spectrum, matched one to one
     for z in np.append(np.linalg.eigvals(reduced), 0.0):
         k = int(np.argmin([abs(w - z) for w in full]))
         assert abs(full.pop(k) - z) <= tol
     alpha = alpha_for_links(model, links, gain)
-    assert abs(alpha - _heuristic_alpha(blocks.assembled)) <= 1e-12 * max(1.0, abs(alpha))
-    report = spectral_abscissa(blocks.assembled)
+    assert abs(alpha - _heuristic_alpha(j)) <= 1e-12 * max(1.0, abs(alpha))
+    report = spectral_abscissa(model, ctl)
     assert report.deflated
     assert report.alpha_max == alpha  # analyze and the planner agree bitwise
     assert report.deflated_magnitude == np.min(np.abs(report.eigenvalues))
@@ -281,7 +283,7 @@ def test_relative_angle_spectrum_drawn_links(ne39_model, toy4_model, data):
 
 
 def test_alpha_empty_equals_uncontrolled(toy4_model):
-    baseline = spectral_abscissa(jacobian_blocks(toy4_model, empty_control(4)).assembled).alpha_max
+    baseline = spectral_abscissa(toy4_model, empty_control(4)).alpha_max
     assert alpha_for_links(toy4_model, [], -1.0) == pytest.approx(baseline, abs=1e-15)
 
 
@@ -326,9 +328,9 @@ def test_cached_blocks_are_read_only_and_shared(ne39_model):
     for block in (const.coupling, const.damping, const.template):
         with pytest.raises(ValueError):
             block[0, 0] = 1.0
-    # jacobian_blocks reads the same cache, so the constants are computed once per model
-    blocks = jacobian_blocks(ne39_model, empty_control(ne39_model.n))
-    assert blocks.coupling is const.coupling and blocks.damping is const.damping
+    # jacobian reads the same cache, so the constants are computed once per model
+    j = jacobian(ne39_model, empty_control(ne39_model.n))
+    assert np.array_equal(j[ne39_model.n :, ne39_model.n :], const.damping)
     assert ne39_model.constant_blocks is const
 
 
@@ -372,7 +374,7 @@ def test_monotone_stabilization_against_closed_form():
 def test_full_jacobian_matches_rhs_finite_differences(toy3_model):
     model = toy3_model
     ctl = uniform_control([(0, 1)], -1.0, model.op.delta_s)
-    j = jacobian_blocks(model, ctl).assembled
+    j = jacobian(model, ctl)
     n = model.n
     x0 = np.concatenate([model.op.delta_s, np.full(n, model.op.omega_s)])
 

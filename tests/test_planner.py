@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -138,27 +139,18 @@ def test_greedy_parallel_sweep_identical(ne39_model):
 
 
 def test_pool_sweep_bitwise_equals_serial(ne39_model):
-    # each sweep is cut into CHUNKS_PER_WORKER chunks per worker and reassembled in candidate order
+    # the pool maps the candidates in chunks of several and returns them in candidate order
     for model, picks in [(ne39_model, [(0, 8), (0, 2), (0, 1)]), (_random_35_generator_model(seed=3), [(3, 17)])]:
         installed = []
         with ProcessPoolExecutor(2, initializer=planner._init_worker, initargs=(model, -1.0)) as pool:
             for link in picks:
                 remaining = candidate_links(model.n, installed)
-                assert len(planner._chunks(remaining, planner.CHUNKS_PER_WORKER * 2)) > 2
+                chunksize = math.ceil(len(remaining) / (planner.CHUNKS_PER_WORKER * 2))
+                assert chunksize > 1
                 serial = planner._sweep(model, installed, remaining, -1.0)
-                assert planner._pool_sweep(pool, 2, installed, remaining) == serial
+                candidates = [installed + [l] for l in remaining]
+                assert list(pool.map(planner._worker_alpha, candidates, chunksize=chunksize)) == serial
                 installed = sorted(installed + [link])
-
-
-@pytest.mark.parametrize("count, parts", [(0, 4), (1, 16), (5, 16), (5, 5), (37, 16), (595, 16)])
-def test_chunks_are_contiguous_nonempty_and_ordered(count, parts):
-    items = [(i, i + 1) for i in range(count)]
-    chunks = planner._chunks(items, parts)
-    assert len(chunks) == min(count, parts)
-    assert all(chunks)
-    assert [item for chunk in chunks for item in chunk] == items
-    sizes = [len(chunk) for chunk in chunks]
-    assert not sizes or max(sizes) - min(sizes) <= 1
 
 
 def test_worker_error_reaches_caller(ne39_model):
@@ -189,10 +181,10 @@ def test_pool_size_clamped(monkeypatch, inline_pool, toy4_model, workers, cores,
 
 
 def test_import_loads_no_pool_modules():
-    # the process pool is imported only when a plan asks for workers
+    # the process pool is imported only when a plan asks for workers, and scipy never
     code = (
         "import sys, gridlink; "
-        "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))"
+        "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing', 'scipy'))))"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(planner.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
@@ -313,6 +305,7 @@ def test_exhaustive_iterations_are_prefix_alphas(toy4_model):
         previous = it.alpha_max_after
 
 
-def test_exhaustive_guard(toy4_model):
+def test_exhaustive_guard(monkeypatch, toy4_model):
+    monkeypatch.setattr(planner, "EXHAUSTIVE_GUARD", 5)
     with pytest.raises(PlannerGuardError):
-        exhaustive_plan(toy4_model, budget=3, gain_h=-1.0, guard=5)
+        exhaustive_plan(toy4_model, budget=3, gain_h=-1.0)
