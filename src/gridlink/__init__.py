@@ -31,6 +31,7 @@ from gridlink.dynamics import (
     MachineState,
     SimulationBlowUp,
     Trajectory,
+    control_matrix,
     decay_rate,
     electrical_power,
     link_laplacian,
@@ -41,7 +42,6 @@ from gridlink.dynamics import (
 from gridlink.linearization import (
     SpectrumReport,
     alpha_for_links,
-    control_matrix,
     coupling_matrix,
     jacobian,
     spectral_abscissa,

@@ -127,6 +127,28 @@ def link_laplacian(ctl: ControlConfig) -> np.ndarray:
     return lap
 
 
+def control_matrix(ctl: ControlConfig, m: np.ndarray) -> np.ndarray:
+    """Link-feedback block L_h / m_i: -h_ik/m_i off-diagonal, row-sum-zero diagonal.
+
+    With a negative gain this is a weighted Laplacian scaled by 1/m_i:
+    negative diagonal, positive off-diagonals.  An overflowing gain gives
+    infinite entries, which spectral evaluation rejects.
+    """
+    m = np.asarray(m, dtype=float)
+    with np.errstate(over="ignore"):
+        return link_laplacian(ctl) / m[:, None]
+
+
+def swing_matrix(model: SystemModel, ctl: ControlConfig) -> np.ndarray:
+    """G = [[0, I], [L_h / m, -diag(d / m)]], the linear part of the swing equations, (2n, 2n)."""
+    n = model.n
+    g = np.zeros((2 * n, 2 * n))
+    g[:n, n:] = np.eye(n)
+    g[n:, :n] = control_matrix(ctl, model.m)
+    g[n:, n:] = np.diag(-model.d / model.m)
+    return g
+
+
 def electrical_power(delta: np.ndarray, net: ReducedNetwork) -> np.ndarray:
     """P_e[i] = sum_k d[i,k] cos(delta_i - delta_k) + c[i,k] sin(delta_i - delta_k).
 
@@ -142,7 +164,7 @@ class SwingOperator:
     """The controlled swing equations on the stacked state x = [delta, omega] (2n floats).
 
     dx/dt = H z + c on one vector z = [x, w * (W w), 1] with w = [cos delta, sin delta] and
-      H = [G, -F, -G x_ref],  G = [[0, I], [L_h / m, -diag(d / m)]],  F = [[0, 0], [I, I]],
+      H = [G, -F, -G x_ref],  G = swing_matrix(model, ctl),  F = [[0, 0], [I, I]],
       W = [[Re Y, -Im Y], [Im Y, Re Y]],  Y = diag(e_mag / m) y_g diag(e_mag),
       x_ref = [reference_angles, omega_s ... omega_s],  c = [0, p_m_const / m].
     The two halves of w * (W w) sum to electrical_power / m, so
@@ -157,14 +179,11 @@ class SwingOperator:
         self.n = n
         self.m = m
         self.h = np.zeros((2 * n, 4 * n + 1))
-        g = self.h[:, : 2 * n]
-        g[:n, n:] = np.eye(n)
-        g[n:, n:] = np.diag(-model.d / m)
+        self.h[:, : 2 * n] = g = swing_matrix(model, ctl)
         self.h[n:, 2 * n : 3 * n] = self.h[n:, 3 * n : 4 * n] = -np.eye(n)
         x_ref = np.concatenate([ctl.reference_angles, np.full(n, model.op.omega_s)])
         # An overflowing gain leaves a non-finite entry, which simulate reports as a blow-up.
         with np.errstate(over="ignore", invalid="ignore"):
-            g[n:, :n] = link_laplacian(ctl) / m[:, None]
             self.h[:, -1] = -(g @ x_ref)
         self.c = self.drive(model.op.p_m_const)
         y = (e_mag / m)[:, None] * model.net.y_g * e_mag[None, :]

@@ -16,7 +16,7 @@ from gridlink.reduction import OperatingPoint, ReducedNetwork, reduce_case
 class SystemModel:
     """Everything the dynamics, linearization, and planner need.
 
-    The Jacobian's link-independent blocks are computed on the first
+    The relative-angle Jacobian without control is computed on the first
     stability evaluation and cached on the instance, so its arrays must not
     be mutated after that; dataclasses.replace gives a new model with a
     fresh cache.
@@ -32,16 +32,23 @@ class SystemModel:
         return self.m.size
 
     @cached_property
-    def constant_blocks(self):
-        """linearization.constant_blocks of this model, computed once."""
-        from gridlink.linearization import constant_blocks  # linearization imports this module
+    def uncontrolled_jacobian(self) -> np.ndarray:
+        """linearization.relative_angle_jacobian without links, read-only: the full Jacobian projected."""
+        from gridlink.dynamics import empty_control  # both modules import this one
+        from gridlink.linearization import jacobian
 
-        return constant_blocks(self)
+        n = self.n
+        full = jacobian(self, empty_control(n))
+        keep = np.r_[: n - 1, n : 2 * n]  # drop delta_n; d(delta_i - delta_n)/dt subtracts its row
+        j = full[np.ix_(keep, keep)]
+        j[: n - 1] -= full[n - 1, keep]
+        j.flags.writeable = False
+        return j
 
     def __getstate__(self):
         # Unpickled arrays are writeable, so a copy rebuilds its read-only cache on first use.
         state = dict(self.__dict__)
-        state.pop("constant_blocks", None)
+        state.pop("uncontrolled_jacobian", None)
         return state
 
 

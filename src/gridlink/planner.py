@@ -68,6 +68,22 @@ def candidate_links(n: int, installed=()) -> list[Link]:
     return [(i, k) for i in range(n) for k in range(i + 1, n) if (i, k) not in taken]
 
 
+def _plan_args(budget: int, gain_h: float, n: int, preinstalled=()) -> tuple[list[Link], int]:
+    """The planners' argument checks: (sorted preinstalled links, budget clamped with a warning)."""
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+    if gain_h >= 0:
+        raise ValueError("gain_h must be negative")
+    installed = sorted(normalize_link(l) for l in preinstalled)
+    if len(set(installed)) != len(installed):
+        raise ValueError("duplicate links in preinstalled set")
+    available = len(candidate_links(n, installed))
+    if budget > available:
+        warnings.warn(f"budget {budget} exceeds the {available} available links; clamped", stacklevel=3)
+        budget = available
+    return installed, budget
+
+
 def _sweep(model: SystemModel, installed: list[Link], remaining: list[Link], gain_h: float):
     """alpha_max after each candidate, in candidate order."""
     return [alpha_for_links(model, installed + [link], gain_h) for link in remaining]
@@ -112,26 +128,14 @@ def greedy_plan(
     whichever worker is free; the results come back in candidate order, so
     the plan is identical to the serial sweep.
     """
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    if gain_h >= 0:
-        raise ValueError("gain_h must be negative")
-    installed = sorted(normalize_link(l) for l in preinstalled)
-    if len(set(installed)) != len(installed):
-        raise ValueError("duplicate links in preinstalled set")
-
-    available = len(candidate_links(model.n, installed))
-    if budget > available:
-        warnings.warn(f"budget {budget} exceeds the {available} available links; clamped", stacklevel=2)
-        budget = available
-
+    installed, budget = _plan_args(budget, gain_h, model.n, preinstalled)
     alpha_before = alpha_for_links(model, installed, gain_h)
     baseline = alpha_before
     iterations: list[PlanIteration] = []
     stopped_early = False
     stop_reason = None
 
-    pool_size = min(workers, os.cpu_count() or 1, available)
+    pool_size = min(workers, os.cpu_count() or 1, len(candidate_links(model.n, installed)))
     pool = None
     if budget and pool_size > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -183,14 +187,8 @@ def exhaustive_plan(model: SystemModel, budget: int, gain_h: float) -> PlanResul
     matching the greedy tie-break.  Raises PlannerGuardError when the subset
     count exceeds EXHAUSTIVE_GUARD.
     """
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    if gain_h >= 0:
-        raise ValueError("gain_h must be negative")
+    _, budget = _plan_args(budget, gain_h, model.n)
     pool = candidate_links(model.n)
-    if budget > len(pool):
-        warnings.warn(f"budget {budget} exceeds the {len(pool)} available links; clamped", stacklevel=2)
-        budget = len(pool)
     count = sum(math.comb(len(pool), size) for size in range(budget + 1))
     if count > EXHAUSTIVE_GUARD:
         raise PlannerGuardError(f"{count} subsets exceed the exhaustive-search guard of {EXHAUSTIVE_GUARD}")

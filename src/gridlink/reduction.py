@@ -116,7 +116,7 @@ def kron_reduce(y: np.ndarray, retained: list[int] | np.ndarray) -> np.ndarray:
     """
     n = y.shape[0]
     retained = np.asarray(sorted(retained), dtype=int)
-    eliminated = np.array([i for i in range(n) if i not in set(retained.tolist())], dtype=int)
+    eliminated = np.delete(np.arange(n), retained)
     if eliminated.size == 0:
         return y.copy()
     y_rr = y[np.ix_(retained, retained)]

@@ -15,11 +15,13 @@ from gridlink.dynamics import (
     SimulationBlowUp,
     SwingOperator,
     Trajectory,
+    control_matrix,
     decay_rate,
     electrical_power,
     empty_control,
     link_laplacian,
     simulate,
+    swing_matrix,
     swing_rhs,
     uniform_control,
 )
@@ -110,8 +112,6 @@ def _per_link_control_matrix(ctl, m):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_link_laplacian_matches_per_link_oracles(data):
-    from gridlink.linearization import control_matrix
-
     n = data.draw(st.integers(min_value=2, max_value=8))
     pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
     links = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
@@ -413,6 +413,19 @@ def test_simulate_mechanical_step_is_swing_rhs_plus_step(toy3_model):
 # 15-link ne39 plan, 1-based, as gridlink plan --budget 15 --gain -1 installs it
 NE39_PLAN_15 = [(1, 9), (1, 3), (1, 2), (1, 6), (1, 8), (1, 10), (1, 7), (9, 10), (8, 9), (2, 9), (3, 10), (3, 9),
                 (3, 8), (2, 10), (6, 7)]
+
+
+def test_swing_operator_and_jacobian_share_the_swing_matrix(ne39_model):
+    # the RK4 operator's linear part is swing_matrix itself; the Jacobian adds coupling to its lower-left block only
+    n = ne39_model.n
+    ctl = uniform_control([(i - 1, k - 1) for i, k in NE39_PLAN_15], -1.0, ne39_model.op.delta_s)
+    g = swing_matrix(ne39_model, ctl)
+    assert np.array_equal(SwingOperator(ne39_model, ctl).h[:, : 2 * n], g)
+    j = jacobian(ne39_model, ctl)
+    lower_left = np.zeros((2 * n, 2 * n), dtype=bool)
+    lower_left[n:, :n] = True
+    assert np.array_equal(j[~lower_left], g[~lower_left])
+    assert not np.array_equal(j[n:, :n], g[n:, :n])
 
 
 def test_simulate_matches_two_array_rk4_loop(ne39_model):

@@ -8,16 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridlink.case import parse_case
-from gridlink.dynamics import MachineState, empty_control, swing_rhs, uniform_control
+from gridlink.dynamics import MachineState, control_matrix, empty_control, swing_rhs, uniform_control
 from gridlink.linearization import (
     alpha_for_links,
-    control_matrix,
     coupling_matrix,
     jacobian,
     relative_angle_jacobian,
     spectral_abscissa,
 )
 from gridlink.model import SystemModel, build_system
+from gridlink.planner import greedy_plan
 from gridlink.reduction import ReducedNetwork, coupling_coefficients, equilibrium
 
 
@@ -138,8 +138,7 @@ def test_assemble_block_structure(ne39_model):
     j = jacobian(ne39_model, empty_control(n))
     assert np.array_equal(j[:n, :n], np.zeros((n, n)))
     assert np.array_equal(j[:n, n:], np.eye(n))
-    assert np.array_equal(j[n:, n:], ne39_model.constant_blocks.damping)
-    assert np.allclose(np.diag(j[n:, n:]), -ne39_model.d / ne39_model.m)
+    assert np.array_equal(j[n:, n:], np.diag(-ne39_model.d / ne39_model.m))
 
 
 def test_assembled_annihilates_uniform_shift(ne39_model):
@@ -212,6 +211,11 @@ def test_spectrum_rejects_overflowing_gain(toy3_model):
     model = _hand_model(y, [1.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="non-finite"):
         spectral_abscissa(model, uniform_control([(0, 2), (1, 2)], -1e308, model.op.delta_s))
+    # the planner's path refuses the same control
+    with pytest.raises(ValueError, match="non-finite"):
+        alpha_for_links(model, [(0, 2), (1, 2)], -1e308)
+    with pytest.raises(ValueError, match="non-finite"):
+        greedy_plan(model, 0, -1e308, preinstalled=[(0, 2), (1, 2)])
 
 
 # --- relative-angle Jacobian ---------------------------------------------------------
@@ -311,7 +315,7 @@ def test_alpha_after_pickle_round_trip_is_bitwise_equal(ne39_model):
     expected = [alpha_for_links(ne39_model, links, -1.0) for links in NE39_LINK_SETS]
     copy = pickle.loads(pickle.dumps(ne39_model))
     assert [alpha_for_links(copy, links, -1.0) for links in NE39_LINK_SETS] == expected
-    assert not copy.constant_blocks.template.flags.writeable
+    assert not copy.uncontrolled_jacobian.flags.writeable
 
 
 def test_replaced_model_does_not_reuse_cached_blocks(ne39_model):
@@ -324,14 +328,15 @@ def test_replaced_model_does_not_reuse_cached_blocks(ne39_model):
 
 
 def test_cached_blocks_are_read_only_and_shared(ne39_model):
-    const = ne39_model.constant_blocks
-    for block in (const.coupling, const.damping, const.template):
-        with pytest.raises(ValueError):
-            block[0, 0] = 1.0
-    # jacobian reads the same cache, so the constants are computed once per model
-    j = jacobian(ne39_model, empty_control(ne39_model.n))
-    assert np.array_equal(j[ne39_model.n :, ne39_model.n :], const.damping)
-    assert ne39_model.constant_blocks is const
+    cached = ne39_model.uncontrolled_jacobian
+    with pytest.raises(ValueError):
+        cached[0, 0] = 1.0
+    assert ne39_model.uncontrolled_jacobian is cached
+    # the projection of the full uncontrolled Jacobian: drop delta_n, subtract its row from the other angle rows
+    n = ne39_model.n
+    full = np.delete(jacobian(ne39_model, empty_control(n)), n - 1, axis=1)
+    full[: n - 1] -= full[n - 1]
+    assert np.array_equal(cached, np.delete(full, n - 1, axis=0))
 
 
 def test_monotone_stabilization_against_closed_form():
