@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from gridlink.case import load_case
-from gridlink.dynamics import MachineState, decay_rate, simulate, uniform_control
+from gridlink.dynamics import ControlConfig, MachineState, decay_rate, simulate
 from gridlink.linearization import alpha_for_links
 from gridlink.model import build_system
 from gridlink.planner import greedy_plan
@@ -37,7 +37,7 @@ def main(argv=None) -> int:
     model = build_system(load_case(args.case))
     plan = greedy_plan(model, budget=args.budget, gain_h=args.gain, allow_nonpositive=True)
     links = list(plan.links)
-    ctl = uniform_control(links, args.gain, model.op.delta_s)
+    ctl = ControlConfig(links, args.gain)
     alpha = alpha_for_links(model, links, args.gain)
     if alpha >= 0:
         print(f"validate_decay: alpha_max = {alpha:.6e} >= 0, no decay to validate", file=sys.stderr)

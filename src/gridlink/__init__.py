@@ -22,7 +22,6 @@ from gridlink.case import (
     case_path,
     load_case,
     parse_case,
-    serialize_case,
     validate,
 )
 from gridlink.dynamics import (
@@ -37,7 +36,6 @@ from gridlink.dynamics import (
     link_laplacian,
     simulate,
     swing_rhs,
-    uniform_control,
 )
 from gridlink.linearization import (
     SpectrumReport,

@@ -201,27 +201,6 @@ def parse_case(text: str) -> PowerCase:
     return case
 
 
-def serialize_case(case: PowerCase) -> str:
-    """Render a case back to its JSON document form (parse round-trips exactly)."""
-    doc: dict = {"base_mva": case.base_mva, "f0": case.f0, "buses": [], "branches": [], "generators": []}
-    for bus in case.buses:
-        entry: dict = {"id": bus.id, "kind": bus.kind, "p_load": bus.p_load, "q_load": bus.q_load}
-        if bus.v_set is not None:
-            entry["v_set"] = bus.v_set
-        entry["shunt_g"] = bus.shunt_g
-        entry["shunt_b"] = bus.shunt_b
-        doc["buses"].append(entry)
-    for br in case.branches:
-        doc["branches"].append(
-            {"from": br.from_bus, "to": br.to_bus, "r": br.r, "x": br.x, "b": br.b_charging, "tap": br.tap}
-        )
-    for gen in case.generators:
-        doc["generators"].append(
-            {"bus": gen.bus, "p_gen": gen.p_gen, "h": gen.inertia_h, "d": gen.damping_d, "xd_prime": gen.xd_prime}
-        )
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def validate(case: PowerCase) -> list[str]:
     """Check every case invariant; returns one entry per violation (empty = valid)."""
     report: list[str] = []

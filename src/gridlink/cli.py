@@ -21,13 +21,13 @@ import gridlink
 from gridlink.case import CaseError, parse_case
 from gridlink.dynamics import (
     MAX_STEPS,
+    ControlConfig,
     DisturbanceSpec,
     MachineState,
     SimulationBlowUp,
     decay_rate,
     normalize_link,
     simulate,
-    uniform_control,
 )
 from gridlink.linearization import spectral_abscissa
 from gridlink.model import SystemModel, build_system
@@ -141,7 +141,7 @@ def _write(args: argparse.Namespace, text: str) -> None:
 def run_analyze(args: argparse.Namespace) -> int:
     model, meta = _load(args)
     links = read_links_file(args.links, model.n) if args.links else []
-    ctl = uniform_control(links, args.gain, model.op.delta_s)
+    ctl = ControlConfig(links, args.gain)
     report = spectral_abscissa(model, ctl)
     meta.update({"gain": args.gain, "links": len(links)})
     if args.format == "structured":
@@ -183,7 +183,7 @@ def run_plan(args: argparse.Namespace) -> int:
 def run_simulate(args: argparse.Namespace) -> int:
     model, meta = _load(args)
     links = read_links_file(args.links, model.n) if args.links else []
-    ctl = uniform_control(links, args.gain, model.op.delta_s)
+    ctl = ControlConfig(links, args.gain)
     disturbance = args.perturb
     if disturbance is not None:
         problems = disturbance.validate(model.n)

@@ -48,32 +48,23 @@ class MachineState:
 
 @dataclass(frozen=True)
 class ControlConfig:
-    """Communication links with one common feedback gain.
+    """Communication links with one common feedback gain, acting about the operating point.
 
-    The gain is pu power per radian and must be negative for stabilizing
-    feedback.  Nothing here checks the links or the gain: read_links_file and
-    check_args reject bad ones at the CLI boundary, and the planner refuses a
-    nonnegative gain.  The control adds L_h (delta - reference_angles) to the
+    The links are stored normalized (i < k) and sorted.  The gain is pu power
+    per radian and must be negative for stabilizing feedback.  Nothing here
+    checks the links' range or the gain: read_links_file and check_args
+    reject bad ones at the CLI boundary, and the planner refuses a
+    nonnegative gain.  The control adds L_h (delta - model.op.delta_s) to the
     mechanical power, L_h being the gain-weighted link Laplacian (see
-    link_laplacian), so it vanishes at the reference angles.
+    link_laplacian), so it vanishes at the operating point and (delta_s,
+    omega_s) stays a fixed point for every link set and gain.
     """
 
-    links: tuple[Link, ...]
-    gain: float
-    reference_angles: np.ndarray
+    links: tuple[Link, ...] = ()
+    gain: float = 0.0
 
-
-def uniform_control(links, gain: float, reference_angles: np.ndarray) -> ControlConfig:
-    """ControlConfig with one common gain on every link."""
-    return ControlConfig(
-        links=tuple(sorted(normalize_link(l) for l in links)),
-        gain=gain,
-        reference_angles=np.asarray(reference_angles, dtype=float),
-    )
-
-
-def empty_control(n: int) -> ControlConfig:
-    return ControlConfig(links=(), gain=0.0, reference_angles=np.zeros(n))
+    def __post_init__(self):
+        object.__setattr__(self, "links", tuple(sorted(normalize_link(l) for l in self.links)))
 
 
 @dataclass(frozen=True)
@@ -106,16 +97,15 @@ class Trajectory:
     dt: float
 
 
-def link_laplacian(ctl: ControlConfig) -> np.ndarray:
-    """Gain-weighted Laplacian L_h of the link graph, one row per reference angle.
+def link_laplacian(ctl: ControlConfig, n: int) -> np.ndarray:
+    """Gain-weighted Laplacian L_h of the link graph on n machines, (n, n).
 
     With h the common gain, L_h[i, i] is h times the number of links at i and
     L_h[i, k] = -h for each link (i, k), so the control adds
-    L_h (delta - reference_angles) to the mechanical power and L_h / m is the
+    L_h (delta - model.op.delta_s) to the mechanical power and L_h / m is the
     Jacobian's control block.  An overflowing gain is left as an infinite
     entry without a warning; callers check finiteness.
     """
-    n = ctl.reference_angles.size
     lap = np.zeros((n, n))
     h = ctl.gain
     with np.errstate(over="ignore"):
@@ -136,7 +126,7 @@ def control_matrix(ctl: ControlConfig, m: np.ndarray) -> np.ndarray:
     """
     m = np.asarray(m, dtype=float)
     with np.errstate(over="ignore"):
-        return link_laplacian(ctl) / m[:, None]
+        return link_laplacian(ctl, m.size) / m[:, None]
 
 
 def swing_matrix(model: SystemModel, ctl: ControlConfig) -> np.ndarray:
@@ -166,11 +156,12 @@ class SwingOperator:
     dx/dt = H z + c on one vector z = [x, w * (W w), 1] with w = [cos delta, sin delta] and
       H = [G, -F, -G x_ref],  G = swing_matrix(model, ctl),  F = [[0, 0], [I, I]],
       W = [[Re Y, -Im Y], [Im Y, Re Y]],  Y = diag(e_mag / m) y_g diag(e_mag),
-      x_ref = [reference_angles, omega_s ... omega_s],  c = [0, p_m_const / m].
+      x_ref = [model.op.delta_s, omega_s ... omega_s],  c = [0, p_m_const / m].
     The two halves of w * (W w) sum to electrical_power / m, so
-    H z = G (x - x_ref) - [0, P_e / m].  The state is read from ``state``, the
-    view z[:2n]; one evaluation is six numpy calls on preallocated buffers,
-    which makes an instance not reentrant.
+    H z = G (x - x_ref) - [0, P_e / m]: the link control acts about the
+    operating point.  The state is read from ``state``, the view z[:2n]; one
+    evaluation is six numpy calls on preallocated buffers, which makes an
+    instance not reentrant.
     """
 
     def __init__(self, model: SystemModel, ctl: ControlConfig):
@@ -181,7 +172,7 @@ class SwingOperator:
         self.h = np.zeros((2 * n, 4 * n + 1))
         self.h[:, : 2 * n] = g = swing_matrix(model, ctl)
         self.h[n:, 2 * n : 3 * n] = self.h[n:, 3 * n : 4 * n] = -np.eye(n)
-        x_ref = np.concatenate([ctl.reference_angles, np.full(n, model.op.omega_s)])
+        x_ref = np.concatenate([model.op.delta_s, np.full(n, model.op.omega_s)])
         # An overflowing gain leaves a non-finite entry, which simulate reports as a blow-up.
         with np.errstate(over="ignore", invalid="ignore"):
             self.h[:, -1] = -(g @ x_ref)

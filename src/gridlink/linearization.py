@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gridlink.dynamics import ControlConfig, control_matrix, swing_matrix, uniform_control
+from gridlink.dynamics import ControlConfig, control_matrix, swing_matrix
 from gridlink.model import SystemModel
-from gridlink.reduction import ReducedNetwork
+from gridlink.reduction import ReducedNetwork, coupling_coefficients
 
 
 @dataclass(frozen=True)
@@ -33,14 +33,16 @@ class SpectrumReport:
 def coupling_matrix(net: ReducedNetwork, delta_s: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Angle-coupling block: d(d omega_i/dt)/d delta_k of the uncontrolled dynamics.
 
-    Off-diagonal (c cos - d sin)/m_i at the equilibrium angle differences;
-    the diagonal is minus the row sum, so rows annihilate the all-ones vector
-    exactly.
+    Off-diagonal (c cos - d sin)/m_i at the equilibrium angle differences,
+    with c and d taken from y_g and e_mag by coupling_coefficients, the
+    network the right-hand side reads; the diagonal is minus the row sum, so
+    rows annihilate the all-ones vector exactly.
     """
     delta_s = np.asarray(delta_s, dtype=float)
     m = np.asarray(m, dtype=float)
+    c, d = coupling_coefficients(net.y_g, net.e_mag)
     dd = delta_s[:, None] - delta_s[None, :]
-    t = (net.c * np.cos(dd) - net.d * np.sin(dd)) / m[:, None]
+    t = (c * np.cos(dd) - d * np.sin(dd)) / m[:, None]
     np.fill_diagonal(t, 0.0)
     np.fill_diagonal(t, -t.sum(axis=1))
     return t
@@ -69,7 +71,7 @@ def relative_angle_jacobian(model: SystemModel, links, gain: float) -> np.ndarra
     overflow alone.
     """
     n = model.n
-    control = control_matrix(uniform_control(links, gain, model.op.delta_s), model.m)
+    control = control_matrix(ControlConfig(links, gain), model.m)
     j = model.uncontrolled_jacobian.copy()
     j[n - 1 :, : n - 1] += control[:, : n - 1]
     if not (np.isfinite(control).all() and np.isfinite(j).all()):

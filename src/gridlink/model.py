@@ -34,11 +34,11 @@ class SystemModel:
     @cached_property
     def uncontrolled_jacobian(self) -> np.ndarray:
         """linearization.relative_angle_jacobian without links, read-only: the full Jacobian projected."""
-        from gridlink.dynamics import empty_control  # both modules import this one
+        from gridlink.dynamics import ControlConfig  # both modules import this one
         from gridlink.linearization import jacobian
 
         n = self.n
-        full = jacobian(self, empty_control(n))
+        full = jacobian(self, ControlConfig())
         keep = np.r_[: n - 1, n : 2 * n]  # drop delta_n; d(delta_i - delta_n)/dt subtracts its row
         j = full[np.ix_(keep, keep)]
         j[: n - 1] -= full[n - 1, keep]

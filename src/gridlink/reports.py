@@ -134,23 +134,6 @@ def reduction_document(net: ReducedNetwork, op: OperatingPoint, meta: dict[str, 
     }
 
 
-def read_reduction_document(text: str) -> tuple[ReducedNetwork, OperatingPoint]:
-    doc = json.loads(text)
-    y_g = np.array([[complex(re, im) for re, im in row] for row in doc["y_g"]])
-    net = ReducedNetwork(
-        y_g=y_g,
-        e_mag=np.array(doc["e_mag"], dtype=float),
-        c=np.array(doc["c"], dtype=float),
-        d=np.array(doc["d"], dtype=float),
-    )
-    op = OperatingPoint(
-        delta_s=np.array(doc["delta_s"], dtype=float),
-        omega_s=float(doc["omega_s"]),
-        p_m_const=np.array(doc["p_m_const"], dtype=float),
-    )
-    return net, op
-
-
 # --- trajectory -------------------------------------------------------------
 
 

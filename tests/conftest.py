@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,27 @@ def two_bus_feeder(p_load: float) -> str:
       "branches": [{{"from": 1, "to": 2, "r": 0.0, "x": 0.1}}],
       "generators": [{{"bus": 1, "p_gen": {p_load}, "h": 4.0}}]
     }}"""
+
+
+def serialize_case(case) -> str:
+    """Render a case back to its JSON document form (parse round-trips exactly)."""
+    doc: dict = {"base_mva": case.base_mva, "f0": case.f0, "buses": [], "branches": [], "generators": []}
+    for bus in case.buses:
+        entry: dict = {"id": bus.id, "kind": bus.kind, "p_load": bus.p_load, "q_load": bus.q_load}
+        if bus.v_set is not None:
+            entry["v_set"] = bus.v_set
+        entry["shunt_g"] = bus.shunt_g
+        entry["shunt_b"] = bus.shunt_b
+        doc["buses"].append(entry)
+    for br in case.branches:
+        doc["branches"].append(
+            {"from": br.from_bus, "to": br.to_bus, "r": br.r, "x": br.x, "b": br.b_charging, "tap": br.tap}
+        )
+    for gen in case.generators:
+        doc["generators"].append(
+            {"bus": gen.bus, "p_gen": gen.p_gen, "h": gen.inertia_h, "d": gen.damping_d, "xd_prime": gen.xd_prime}
+        )
+    return json.dumps(doc, indent=2) + "\n"
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ import pytest
 import gridlink.planner
 from gridlink.case import case_path
 from gridlink.cli import main
-from gridlink.dynamics import MachineState, decay_rate, empty_control, simulate, swing_rhs, uniform_control
+from gridlink.dynamics import ControlConfig, MachineState, decay_rate, simulate, swing_rhs
 from gridlink.linearization import jacobian, spectral_abscissa
 from gridlink.model import SystemModel
 from gridlink.planner import exhaustive_plan, greedy_plan
@@ -63,7 +63,7 @@ def test_criterion_1_jacobian_finite_difference_oracle(toy3_model, ne39_model):
     with criterion(1, "assembled Jacobian matches rhs finite differences to 1e-6"):
         started = time.perf_counter()
         for model, links in ((toy3_model, [(0, 1)]), (ne39_model, [])):
-            ctl = uniform_control(links, -1.0, model.op.delta_s) if links else empty_control(model.n)
+            ctl = ControlConfig(links, -1.0) if links else ControlConfig()
             jac = jacobian(model, ctl)
             fd = _fd_jacobian(model, ctl)
             scale = np.abs(jac).max()
@@ -129,7 +129,7 @@ def test_criterion_6_decay_rate_consistency(toy3_model):
     with criterion(6, "fitted trajectory decay rate within 15% of alpha_max"):
         started = time.perf_counter()
         model = toy3_model
-        ctl = uniform_control([(0, 1)], -1.0, model.op.delta_s)
+        ctl = ControlConfig([(0, 1)], -1.0)
         alpha = spectral_abscissa(model, ctl).alpha_max
         offset = np.zeros(model.n)
         offset[0] = 0.01  # infinity norm of the angle perturbation
@@ -146,7 +146,7 @@ def test_criterion_7_integrator_order(oscillator_model):
         init = MachineState(model.op.delta_s + np.array([0.25, -0.25]), np.full(2, model.op.omega_s))
 
         def terminal(dt):
-            traj = simulate(init, model, empty_control(2), None, t_max=1.0, dt=dt)
+            traj = simulate(init, model, ControlConfig(), None, t_max=1.0, dt=dt)
             return np.concatenate([traj.delta[-1], traj.omega[-1]])
 
         dt = 0.004
@@ -159,7 +159,7 @@ def test_criterion_7_integrator_order(oscillator_model):
 def test_criterion_8_structural_zero_mode(toy3_model, toy4_model, ne39_model):
     with criterion(8, "every bundled case has exactly one deflatable zero mode"):
         for model in (toy3_model, toy4_model, ne39_model):
-            jac = jacobian(model, empty_control(model.n))
+            jac = jacobian(model, ControlConfig())
             norm = np.linalg.norm(jac, 2)
             eigvals, eigvecs = np.linalg.eig(jac)
             small = np.abs(eigvals) <= 1e-10 * norm
@@ -170,7 +170,7 @@ def test_criterion_8_structural_zero_mode(toy3_model, toy4_model, ne39_model):
             shift[:n] = 1.0 / np.sqrt(n)
             cosine = abs(np.vdot(eigvecs[:, idx], shift)) / np.linalg.norm(eigvecs[:, idx])
             assert cosine >= 0.99
-            report = spectral_abscissa(model, empty_control(model.n))
+            report = spectral_abscissa(model, ControlConfig())
             assert report.deflated
             assert report.deflated_magnitude <= 1e-10 * norm
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import serialize_case
 from gridlink.case import (
     BranchRecord,
     BusRecord,
@@ -14,7 +15,6 @@ from gridlink.case import (
     PowerCase,
     build_ybus,
     parse_case,
-    serialize_case,
     validate,
 )
 

@@ -18,12 +18,10 @@ from gridlink.dynamics import (
     control_matrix,
     decay_rate,
     electrical_power,
-    empty_control,
     link_laplacian,
     simulate,
     swing_matrix,
     swing_rhs,
-    uniform_control,
 )
 from gridlink.linearization import jacobian
 from gridlink.model import build_system
@@ -62,33 +60,35 @@ def test_electrical_power_two_machine_hand_value():
 
 
 def test_link_laplacian_empty_links():
-    assert np.array_equal(link_laplacian(empty_control(3)), np.zeros((3, 3)))
+    assert np.array_equal(link_laplacian(ControlConfig(), 3), np.zeros((3, 3)))
 
 
 def test_link_laplacian_single_link_hand_value():
-    ctl = uniform_control([(2, 0)], -1.0, np.array([0.2, -0.1, 0.4]))
-    assert np.array_equal(link_laplacian(ctl), [[-1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, -1.0]])
+    ctl = ControlConfig([(2, 0)], -1.0)
+    assert ctl.links == ((0, 2),)
+    assert np.array_equal(link_laplacian(ctl, 3), [[-1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, -1.0]])
 
 
 def test_mechanical_power_zero_at_reference(toy3_model):
-    # the control adds L_h (delta - reference_angles), which vanishes at the reference angles
+    # the control adds L_h (delta - delta_s), which vanishes at the operating point's angles
     op = OperatingPoint(delta_s=np.array([0.2, -0.1]), omega_s=377.0, p_m_const=np.array([1.0, 2.0]))
-    ctl = uniform_control([(0, 1)], -3.0, op.delta_s)
-    assert np.array_equal(op.p_m_const + link_laplacian(ctl) @ (op.delta_s - ctl.reference_angles), op.p_m_const)
+    ctl = ControlConfig([(0, 1)], -3.0)
+    assert np.array_equal(op.p_m_const + link_laplacian(ctl, 2) @ (op.delta_s - op.delta_s), op.p_m_const)
 
-    # off equilibrium, at the reference angles the controlled swing equations equal the uncontrolled ones
-    model = toy3_model
-    ref = model.op.delta_s + np.array([0.3, -0.2, 0.1])
+    # off the power-flow equilibrium, at the operating point's angles the
+    # controlled swing equations equal the uncontrolled ones
+    ref = toy3_model.op.delta_s + np.array([0.3, -0.2, 0.1])
+    model = replace(toy3_model, op=replace(toy3_model.op, delta_s=ref))
     state = MachineState(ref, model.op.omega_s + np.array([0.5, -1.0, 0.25]))
-    free = swing_rhs(state, model, empty_control(model.n))
-    ctl = uniform_control([(0, 1), (1, 2), (0, 2)], -3.0, ref)
+    free = swing_rhs(state, model, ControlConfig())
+    ctl = ControlConfig([(0, 1), (1, 2), (0, 2)], -3.0)
     for got, want in zip(swing_rhs(state, model, ctl), free):
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def _per_link_mechanical_power(delta, op, ctl):
     p_m = op.p_m_const.copy()
-    angles = delta - ctl.reference_angles
+    angles = delta - op.delta_s
     for link in ctl.links:
         i, k = link
         dev = angles[i] - angles[k]
@@ -121,11 +121,11 @@ def test_link_laplacian_matches_per_link_oracles(data):
     delta = ref + rng.uniform(-0.5, 0.5, n)
     m = rng.uniform(0.01, 0.2, n)
     op = OperatingPoint(delta_s=ref, omega_s=377.0, p_m_const=rng.normal(size=n))
-    ctl = ControlConfig(links=tuple(links), gain=gain, reference_angles=ref)
+    ctl = ControlConfig(tuple(links), gain)
 
     expected = _per_link_mechanical_power(delta, op, ctl)
     scale = np.abs(op.p_m_const) + 2.0 * len(links) * abs(gain) * np.abs(delta - ref).max()
-    p_m = op.p_m_const + link_laplacian(ctl) @ (delta - ref)
+    p_m = op.p_m_const + link_laplacian(ctl, n) @ (delta - ref)
     assert np.all(np.abs(p_m - expected) <= 1e-13 * np.maximum(scale, 1.0))
 
     expected = _per_link_control_matrix(ctl, m)
@@ -152,7 +152,7 @@ def test_electrical_power_matches_cos_sin_oracle(ne39_model, seed):
 def test_rhs_zero_at_equilibrium_any_control(toy3_model):
     state = equilibrium_state(toy3_model)
     for links in ([], [(0, 1)], [(0, 1), (1, 2), (0, 2)]):
-        ctl = uniform_control(links, -1.0, toy3_model.op.delta_s)
+        ctl = ControlConfig(links, -1.0)
         ddelta, domega = swing_rhs(state, toy3_model, ctl)
         assert np.abs(ddelta).max() <= 1e-10
         assert np.abs(domega).max() <= 1e-10
@@ -162,7 +162,7 @@ def test_rhs_isolated_damping_response(toy3_model):
     model = toy3_model
     omega = np.full(model.n, model.op.omega_s)
     omega[1] += 1.0
-    ddelta, domega = swing_rhs(MachineState(model.op.delta_s.copy(), omega), model, empty_control(model.n))
+    ddelta, domega = swing_rhs(MachineState(model.op.delta_s.copy(), omega), model, ControlConfig())
     assert ddelta[1] == pytest.approx(1.0, abs=1e-14)
     assert domega[1] == pytest.approx(-model.d[1] / model.m[1], rel=1e-12)
     assert ddelta[0] == 0.0 and ddelta[2] == 0.0
@@ -171,7 +171,7 @@ def test_rhs_isolated_damping_response(toy3_model):
 def test_rhs_matches_flow_derivative(toy3_model):
     # central finite differences of the integrated flow as the oracle
     model = toy3_model
-    ctl = uniform_control([(0, 2)], -1.0, model.op.delta_s)
+    ctl = ControlConfig([(0, 2)], -1.0)
     rng = np.random.default_rng(11)
     state = MachineState(
         model.op.delta_s + rng.uniform(-0.2, 0.2, model.n),
@@ -190,17 +190,17 @@ def test_rhs_matches_flow_derivative(toy3_model):
 @settings(max_examples=25, deadline=None)
 @given(shift=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))
 def test_rhs_translation_covariance(shift):
-    # shifting all angles and all references together changes nothing
+    # shifting all angles and the operating point's angles together changes nothing
     net = _lossless_pair()
     op = OperatingPoint(delta_s=np.array([0.1, -0.1]), omega_s=377.0, p_m_const=np.zeros(2))
     from gridlink.model import SystemModel
 
     model = SystemModel(net=net, op=op, m=np.array([0.02, 0.03]), d=np.array([0.05, 0.02]))
     state = MachineState(np.array([0.4, -0.2]), np.array([377.5, 376.8]))
-    ctl = uniform_control([(0, 1)], -1.0, op.delta_s)
+    ctl = ControlConfig([(0, 1)], -1.0)
     base = swing_rhs(state, model, ctl)
-    shifted_ctl = uniform_control([(0, 1)], -1.0, op.delta_s + shift)
-    shifted = swing_rhs(MachineState(state.delta + shift, state.omega), model, shifted_ctl)
+    shifted_model = replace(model, op=replace(op, delta_s=op.delta_s + shift))
+    shifted = swing_rhs(MachineState(state.delta + shift, state.omega), shifted_model, ctl)
     assert np.allclose(base[0], shifted[0], atol=1e-12)
     assert np.allclose(base[1], shifted[1], atol=1e-9)
 
@@ -209,7 +209,7 @@ def test_rhs_translation_covariance(shift):
 @given(data=st.data())
 def test_uniform_angle_shift_leaves_rhs_unchanged(ne39_model, data):
     # L_h annihilates the all-ones vector and P_e sees only angle differences,
-    # so shifting every angle (references fixed) changes no rate
+    # so shifting every angle (operating point fixed) changes no rate
     model, op = ne39_model, ne39_model.op
     n = model.n
     pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
@@ -219,14 +219,14 @@ def test_uniform_angle_shift_leaves_rhs_unchanged(ne39_model, data):
     angles = st.floats(min_value=-math.pi, max_value=math.pi)
     delta = op.delta_s + np.array(data.draw(st.lists(angles, min_size=n, max_size=n)))
     omega = op.omega_s + np.array(data.draw(st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=n, max_size=n)))
-    ctl = uniform_control(links, gain, op.delta_s)
+    ctl = ControlConfig(links, gain)
 
     ddelta, domega = swing_rhs(MachineState(delta, omega), model, ctl)
     shifted_ddelta, shifted_domega = swing_rhs(MachineState(delta + shift, omega), model, ctl)
     net, omega_dev = model.net, np.abs(omega - op.omega_s)
     scale = (
         np.abs(op.p_m_const)
-        + np.abs(link_laplacian(ctl)) @ (np.abs(delta - ctl.reference_angles) + abs(shift))
+        + np.abs(link_laplacian(ctl, n)) @ (np.abs(delta - op.delta_s) + abs(shift))
         + model.d * omega_dev
         + net.e_mag * (np.abs(net.y_g) @ net.e_mag)
     ) / model.m
@@ -237,7 +237,7 @@ def test_uniform_angle_shift_leaves_rhs_unchanged(ne39_model, data):
 # The two-array right-hand side that SwingOperator replaced, kept as an oracle.
 def _two_array_rhs(delta, omega, model, ctl):
     omega_dev = omega - model.op.omega_s
-    p_m = model.op.p_m_const + link_laplacian(ctl) @ (delta - ctl.reference_angles)
+    p_m = model.op.p_m_const + link_laplacian(ctl, model.n) @ (delta - model.op.delta_s)
     p_e = electrical_power(delta, model.net)
     return omega_dev, (p_m - model.d * omega_dev - p_e) / model.m
 
@@ -251,8 +251,10 @@ def test_swing_rhs_matches_two_array_oracle(ne39_model, data):
     gain = data.draw(st.floats(min_value=-50.0, max_value=-1e-3))
     rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
     op = ne39_model.op
-    model = replace(ne39_model, op=replace(op, p_m_const=op.p_m_const + rng.normal(size=n)))
-    ctl = ControlConfig(links=tuple(links), gain=gain, reference_angles=op.delta_s + rng.uniform(-0.1, 0.1, n))
+    # the operating point's angles and mechanical power both moved off the power-flow equilibrium
+    p_m_const = op.p_m_const + rng.normal(size=n)
+    model = replace(ne39_model, op=replace(op, delta_s=op.delta_s + rng.uniform(-0.1, 0.1, n), p_m_const=p_m_const))
+    ctl = ControlConfig(tuple(links), gain)
     delta = op.delta_s + rng.uniform(-math.pi, math.pi, n)
     omega = op.omega_s + rng.normal(scale=2.0, size=n)
 
@@ -261,7 +263,7 @@ def test_swing_rhs_matches_two_array_oracle(ne39_model, data):
     net, omega_dev = model.net, np.abs(omega - op.omega_s)
     scale = (
         np.abs(model.op.p_m_const)
-        + np.abs(link_laplacian(ctl)) @ np.abs(delta - ctl.reference_angles)
+        + np.abs(link_laplacian(ctl, n)) @ np.abs(delta - model.op.delta_s)
         + model.d * omega_dev
         + net.e_mag * (np.abs(net.y_g) @ net.e_mag)
     ) / model.m
@@ -275,7 +277,7 @@ def test_swing_operator_power_term_is_electrical_power(ne39_model, seed):
     model = ne39_model
     n = model.n
     delta = model.op.delta_s if seed is None else np.random.default_rng(seed).uniform(-math.pi, math.pi, n)
-    op = SwingOperator(model, empty_control(n))
+    op = SwingOperator(model, ControlConfig())
     rate = op(np.concatenate([delta, np.full(n, model.op.omega_s)]), np.zeros(2 * n), np.empty(2 * n))
     expected = electrical_power(delta, model.net)
     assert np.all(rate[:n] == 0.0)
@@ -287,7 +289,7 @@ def test_swing_operator_finite_differences_match_jacobian(ne39_model):
     # assembled Jacobian, on the 39-bus case with the 15-link plan installed
     model = ne39_model
     n = model.n
-    ctl = uniform_control([(i - 1, k - 1) for i, k in NE39_PLAN_15], -1.0, model.op.delta_s)
+    ctl = ControlConfig([(i - 1, k - 1) for i, k in NE39_PLAN_15], -1.0)
     j = jacobian(model, ctl)
     op = SwingOperator(model, ctl)
     x0 = np.concatenate([model.op.delta_s, np.full(n, model.op.omega_s)])
@@ -305,7 +307,7 @@ def test_swing_operator_finite_differences_match_jacobian(ne39_model):
 
 
 def test_simulate_holds_equilibrium(toy3_model):
-    traj = simulate(equilibrium_state(toy3_model), toy3_model, empty_control(3), None, t_max=2.0, dt=1e-3)
+    traj = simulate(equilibrium_state(toy3_model), toy3_model, ControlConfig(), None, t_max=2.0, dt=1e-3)
     assert np.abs(traj.delta - toy3_model.op.delta_s).max() <= 1e-10
     assert np.abs(traj.omega - toy3_model.op.omega_s).max() <= 1e-10
     assert traj.times[0] == 0.0
@@ -315,7 +317,7 @@ def test_simulate_holds_equilibrium(toy3_model):
 def test_simulate_stable_deviation_shrinks(toy3_model):
     model = toy3_model
     init = MachineState(model.op.delta_s + np.array([0.01, -0.005, 0.0]), np.full(3, model.op.omega_s))
-    traj = simulate(init, model, empty_control(3), None, t_max=5.0, dt=1e-3)
+    traj = simulate(init, model, ControlConfig(), None, t_max=5.0, dt=1e-3)
     from gridlink.dynamics import deviation_norms
 
     norms = deviation_norms(traj, model.op)
@@ -327,7 +329,7 @@ def test_simulate_rk4_order(oscillator_model):
     init = MachineState(model.op.delta_s + np.array([0.25, -0.25]), np.full(2, model.op.omega_s))
 
     def terminal(dt):
-        t = simulate(init, model, empty_control(2), None, t_max=1.0, dt=dt)
+        t = simulate(init, model, ControlConfig(), None, t_max=1.0, dt=dt)
         return np.concatenate([t.delta[-1], t.omega[-1]])
 
     ref = terminal(0.0005)
@@ -341,7 +343,7 @@ def test_simulate_energy_conservation(oscillator_model):
     model = oscillator_model
     assert np.abs(model.net.d).max() <= 1e-9
     init = MachineState(model.op.delta_s + np.array([0.25, -0.25]), np.full(2, model.op.omega_s))
-    traj = simulate(init, model, empty_control(2), None, t_max=10.0, dt=1e-3)
+    traj = simulate(init, model, ControlConfig(), None, t_max=10.0, dt=1e-3)
 
     d_omega = traj.omega - model.op.omega_s
     kinetic = 0.5 * (model.m * d_omega**2).sum(axis=1)
@@ -354,7 +356,7 @@ def test_simulate_energy_conservation(oscillator_model):
 def test_simulate_bitwise_deterministic(toy3_model):
     model = toy3_model
     init = MachineState(model.op.delta_s + 0.01, np.full(3, model.op.omega_s))
-    ctl = uniform_control([(0, 1)], -1.0, model.op.delta_s)
+    ctl = ControlConfig([(0, 1)], -1.0)
     a = simulate(init, model, ctl, None, t_max=1.0, dt=1e-3)
     b = simulate(init, model, ctl, None, t_max=1.0, dt=1e-3)
     assert np.array_equal(a.delta, b.delta)
@@ -364,7 +366,7 @@ def test_simulate_bitwise_deterministic(toy3_model):
 def test_simulate_state_offset_applied_at_time(toy3_model):
     model = toy3_model
     dist = DisturbanceSpec(kind="state-offset", target=1, d_delta=0.02, t_apply=0.5)
-    traj = simulate(equilibrium_state(model), model, empty_control(3), dist, t_max=1.0, dt=1e-3)
+    traj = simulate(equilibrium_state(model), model, ControlConfig(), dist, t_max=1.0, dt=1e-3)
     k = int(round(0.5 / 1e-3))
     assert np.abs(traj.delta[k - 1] - model.op.delta_s).max() <= 1e-12
     assert traj.delta[k, 1] - model.op.delta_s[1] == pytest.approx(0.02, abs=1e-12)
@@ -373,7 +375,7 @@ def test_simulate_state_offset_applied_at_time(toy3_model):
 def test_simulate_mechanical_step_shifts_equilibrium(toy3_model):
     model = toy3_model
     dist = DisturbanceSpec(kind="mechanical-step", target=0, d_pm=0.05, t_apply=0.0)
-    traj = simulate(equilibrium_state(model), model, empty_control(3), dist, t_max=8.0, dt=1e-3)
+    traj = simulate(equilibrium_state(model), model, ControlConfig(), dist, t_max=8.0, dt=1e-3)
     # extra drive on machine 0 must advance its angle relative to the others
     rel = (traj.delta[:, 0] - traj.delta[:, 2]) - (model.op.delta_s[0] - model.op.delta_s[2])
     assert rel[-1] > 1e-4
@@ -383,7 +385,7 @@ def test_simulate_mechanical_step_is_swing_rhs_plus_step(toy3_model):
     # RK4 driven by swing_rhs on a model whose constant mechanical power holds
     # the step, from the apply index on, reproduces simulate bit for bit
     model = toy3_model
-    ctl = uniform_control([(0, 2)], -1.5, model.op.delta_s)
+    ctl = ControlConfig([(0, 2)], -1.5)
     dt, apply_index, steps = 2.0**-7, 10, 40
     dist = DisturbanceSpec(kind="mechanical-step", target=1, d_pm=0.05, t_apply=apply_index * dt)
     init = MachineState(model.op.delta_s + np.array([0.01, 0.0, -0.01]), np.full(3, model.op.omega_s))
@@ -418,7 +420,7 @@ NE39_PLAN_15 = [(1, 9), (1, 3), (1, 2), (1, 6), (1, 8), (1, 10), (1, 7), (9, 10)
 def test_swing_operator_and_jacobian_share_the_swing_matrix(ne39_model):
     # the RK4 operator's linear part is swing_matrix itself; the Jacobian adds coupling to its lower-left block only
     n = ne39_model.n
-    ctl = uniform_control([(i - 1, k - 1) for i, k in NE39_PLAN_15], -1.0, ne39_model.op.delta_s)
+    ctl = ControlConfig([(i - 1, k - 1) for i, k in NE39_PLAN_15], -1.0)
     g = swing_matrix(ne39_model, ctl)
     assert np.array_equal(SwingOperator(ne39_model, ctl).h[:, : 2 * n], g)
     j = jacobian(ne39_model, ctl)
@@ -430,7 +432,7 @@ def test_swing_operator_and_jacobian_share_the_swing_matrix(ne39_model):
 
 def test_simulate_matches_two_array_rk4_loop(ne39_model):
     model = ne39_model
-    ctl = uniform_control([(i - 1, k - 1) for i, k in NE39_PLAN_15], -1.0, model.op.delta_s)
+    ctl = ControlConfig([(i - 1, k - 1) for i, k in NE39_PLAN_15], -1.0)
     init = MachineState(model.op.delta_s.copy(), np.full(model.n, model.op.omega_s))
     dist = DisturbanceSpec(kind="state-offset", target=0, d_delta=0.05)
     dt, steps = 1e-3, 2000
@@ -458,7 +460,7 @@ def test_simulate_matches_two_array_rk4_loop(ne39_model):
 def test_simulate_trajectory_shapes_and_halves(toy3_model):
     model = toy3_model
     init = MachineState(model.op.delta_s + np.array([0.01, 0.0, -0.01]), np.full(3, model.op.omega_s + 0.5))
-    traj = simulate(init, model, empty_control(3), None, t_max=0.1, dt=1e-3)
+    traj = simulate(init, model, ControlConfig(), None, t_max=0.1, dt=1e-3)
     assert traj.delta.shape == traj.omega.shape == (101, 3)
     assert np.array_equal(traj.delta[0], init.delta) and np.array_equal(traj.omega[0], init.omega)
     assert np.abs(traj.delta - model.op.delta_s).max() < 0.1
@@ -467,24 +469,24 @@ def test_simulate_trajectory_shapes_and_halves(toy3_model):
 
 def test_simulate_disturbance_after_horizon_never_applies(toy3_model):
     dist = DisturbanceSpec(kind="state-offset", target=1, d_delta=0.02, t_apply=math.inf)
-    traj = simulate(equilibrium_state(toy3_model), toy3_model, empty_control(3), dist, t_max=0.01, dt=1e-3)
+    traj = simulate(equilibrium_state(toy3_model), toy3_model, ControlConfig(), dist, t_max=0.01, dt=1e-3)
     assert np.abs(traj.delta - toy3_model.op.delta_s).max() <= 1e-12
 
 
 def test_simulate_rejects_step_count_above_cap(toy3_model):
     with pytest.raises(ValueError, match="steps"):
-        simulate(equilibrium_state(toy3_model), toy3_model, empty_control(3), None, t_max=1e9, dt=1e-3)
+        simulate(equilibrium_state(toy3_model), toy3_model, ControlConfig(), None, t_max=1e9, dt=1e-3)
 
 
 def test_simulate_rejects_mixed_disturbance(toy3_model):
     dist = DisturbanceSpec(kind="state-offset", target=0, d_delta=0.1, d_pm=0.1)
     with pytest.raises(ValueError, match="d_pm"):
-        simulate(equilibrium_state(toy3_model), toy3_model, empty_control(3), dist, t_max=1.0, dt=1e-3)
+        simulate(equilibrium_state(toy3_model), toy3_model, ControlConfig(), dist, t_max=1.0, dt=1e-3)
 
 
 def test_simulate_blowup_reports_time():
     model = build_system(parse_case(TWO_MACHINE_OSCILLATOR.replace('"h": 4.0', '"h": 0.5')))
-    ctl = uniform_control([(0, 1)], +50.0, model.op.delta_s)  # destabilizing diagnostic gain
+    ctl = ControlConfig([(0, 1)], +50.0)  # destabilizing diagnostic gain
     init = MachineState(model.op.delta_s + np.array([1e-3, 0.0]), np.full(2, model.op.omega_s))
     with pytest.raises(SimulationBlowUp) as exc_info:
         simulate(init, model, ctl, None, t_max=20.0, dt=1e-3)
@@ -523,7 +525,7 @@ def test_decay_rate_cross_module(toy3_model):
     from gridlink.linearization import spectral_abscissa
 
     model = toy3_model
-    ctl = uniform_control([(0, 1)], -1.0, model.op.delta_s)
+    ctl = ControlConfig([(0, 1)], -1.0)
     alpha = spectral_abscissa(model, ctl).alpha_max
     init = MachineState(model.op.delta_s + np.array([0.01, 0.0, 0.0]), np.full(3, model.op.omega_s))
     traj = simulate(init, model, ctl, None, t_max=5.0, dt=1e-3)
@@ -532,6 +534,6 @@ def test_decay_rate_cross_module(toy3_model):
 
 
 def test_decay_rate_underflow_error(toy3_model):
-    traj = simulate(equilibrium_state(toy3_model), toy3_model, empty_control(3), None, t_max=1.0, dt=1e-3)
+    traj = simulate(equilibrium_state(toy3_model), toy3_model, ControlConfig(), None, t_max=1.0, dt=1e-3)
     with pytest.raises(ValueError, match="underflow"):
         decay_rate(traj, toy3_model.op, t_start=0.0)

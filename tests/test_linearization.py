@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridlink.case import parse_case
-from gridlink.dynamics import MachineState, control_matrix, empty_control, swing_rhs, uniform_control
+from gridlink.dynamics import ControlConfig, MachineState, control_matrix, swing_rhs
 from gridlink.linearization import (
     alpha_for_links,
     coupling_matrix,
@@ -88,7 +88,7 @@ def test_coupling_matrix_matches_finite_differences(ne39_model):
     t = coupling_matrix(model.net, model.op.delta_s, model.m)
     n = model.n
     h = 1e-6
-    ctl = empty_control(n)
+    ctl = ControlConfig()
     fd = np.zeros((n, n))
     for k in range(n):
         dp = model.op.delta_s.copy()
@@ -108,18 +108,18 @@ def test_coupling_matrix_rows_sum_to_zero(ne39_model):
 
 
 def test_control_matrix_empty():
-    assert np.array_equal(control_matrix(empty_control(3), np.ones(3)), np.zeros((3, 3)))
+    assert np.array_equal(control_matrix(ControlConfig(), np.ones(3)), np.zeros((3, 3)))
 
 
 def test_control_matrix_single_link_hand():
-    ctl = uniform_control([(0, 1)], -1.0, np.zeros(2))
+    ctl = ControlConfig([(0, 1)], -1.0)
     k = control_matrix(ctl, np.ones(2))
     assert np.allclose(k, [[-1.0, 1.0], [1.0, -1.0]], atol=1e-15)
 
 
 def test_control_matrix_mass_weighted_symmetry():
     m = np.array([0.5, 2.0, 1.5])
-    ctl = uniform_control([(0, 1), (1, 2)], -0.7, np.zeros(3))
+    ctl = ControlConfig([(0, 1), (1, 2)], -0.7)
     k = control_matrix(ctl, m)
     for i in range(3):
         for j in range(3):
@@ -130,19 +130,19 @@ def test_control_matrix_mass_weighted_symmetry():
 
 def test_assemble_single_machine():
     model = _hand_model(np.zeros((1, 1), dtype=complex), [1.0])
-    assert np.array_equal(jacobian(model, empty_control(1)), [[0.0, 1.0], [0.0, -1.0]])
+    assert np.array_equal(jacobian(model, ControlConfig()), [[0.0, 1.0], [0.0, -1.0]])
 
 
 def test_assemble_block_structure(ne39_model):
     n = ne39_model.n
-    j = jacobian(ne39_model, empty_control(n))
+    j = jacobian(ne39_model, ControlConfig())
     assert np.array_equal(j[:n, :n], np.zeros((n, n)))
     assert np.array_equal(j[:n, n:], np.eye(n))
     assert np.array_equal(j[n:, n:], np.diag(-ne39_model.d / ne39_model.m))
 
 
 def test_assembled_annihilates_uniform_shift(ne39_model):
-    ctl = uniform_control([(0, 3), (2, 5)], -1.0, ne39_model.op.delta_s)
+    ctl = ControlConfig([(0, 3), (2, 5)], -1.0)
     j = jacobian(ne39_model, ctl)
     n = ne39_model.n
     shift = np.concatenate([np.ones(n), np.zeros(n)])
@@ -154,7 +154,7 @@ def test_assembled_annihilates_uniform_shift(ne39_model):
 
 def test_spectrum_single_machine_damped():
     # m = d = 1, no coupling: the Jacobian [[0,1],[0,-1]] has characteristic polynomial lambda (lambda + 1)
-    report = spectral_abscissa(_hand_model(np.zeros((1, 1), dtype=complex), [1.0]), empty_control(1))
+    report = spectral_abscissa(_hand_model(np.zeros((1, 1), dtype=complex), [1.0]), ControlConfig())
     assert report.deflated
     assert report.alpha_max == pytest.approx(-1.0, abs=1e-12)
     assert sorted(report.eigenvalues.real) == pytest.approx([-1.0, 0.0], abs=1e-12)
@@ -165,7 +165,7 @@ def test_spectrum_unit_stiffness_pair():
     # lambda^2 + lambda + 1 = 0 -> -0.5 +/- j sqrt(3)/2; the angle sum gives 0 and -1
     y = np.zeros((2, 2), dtype=complex)
     y[0, 1] = y[1, 0] = 0.5j
-    report = spectral_abscissa(_hand_model(y, [1.0, 1.0]), empty_control(2))
+    report = spectral_abscissa(_hand_model(y, [1.0, 1.0]), ControlConfig())
     assert report.alpha_max == pytest.approx(-0.5, abs=1e-12)
     expected = [-0.5 + 1j * math.sqrt(3) / 2, -0.5 - 1j * math.sqrt(3) / 2, 0.0, -1.0]
     assert np.allclose(np.sort_complex(report.eigenvalues), np.sort_complex(expected), atol=1e-12)
@@ -180,7 +180,7 @@ def test_spectrum_block_diagonal_union():
     y[2, 3] = y[3, 2] = 4.5j
     union = [-1 + 1j * math.sqrt(3), -1 - 1j * math.sqrt(3), 0.0, -2.0]
     union += [-0.25 + 1j * math.sqrt(8.9375), -0.25 - 1j * math.sqrt(8.9375), 0.0, -0.5]
-    report = spectral_abscissa(_hand_model(y, [2.0, 2.0, 0.5, 0.5]), empty_control(4))
+    report = spectral_abscissa(_hand_model(y, [2.0, 2.0, 0.5, 0.5]), ControlConfig())
     assert np.allclose(np.sort_complex(report.eigenvalues), np.sort_complex(union), atol=1e-9)
     # one zero mode is structural; the second, of the other pair's rigid rotation, stays
     assert report.alpha_max == pytest.approx(0.0, abs=1e-12)
@@ -188,7 +188,7 @@ def test_spectrum_block_diagonal_union():
 
 def test_spectrum_conjugate_pairing(ne39_model, toy4_model):
     for model in (ne39_model, toy4_model):
-        report = spectral_abscissa(model, empty_control(model.n))
+        report = spectral_abscissa(model, ControlConfig())
         eigs = sorted(report.eigenvalues, key=lambda z: (z.real, abs(z.imag), z.imag))
         remaining = list(eigs)
         while remaining:
@@ -202,7 +202,7 @@ def test_spectrum_conjugate_pairing(ne39_model, toy4_model):
 
 def test_spectrum_rejects_overflowing_gain(toy3_model):
     # two links at a machine sum the gain twice on its diagonal, which overflows
-    ctl = uniform_control([(0, 1), (0, 2)], -1e308, toy3_model.op.delta_s)
+    ctl = ControlConfig([(0, 1), (0, 2)], -1e308)
     with pytest.raises(ValueError, match="non-finite"):
         spectral_abscissa(toy3_model, ctl)
     # with unit inertias only the last machine's diagonal overflows, an entry the relative-angle Jacobian leaves out
@@ -210,7 +210,7 @@ def test_spectrum_rejects_overflowing_gain(toy3_model):
     y[0, 1] = y[1, 0] = y[1, 2] = y[2, 1] = 0.5j
     model = _hand_model(y, [1.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="non-finite"):
-        spectral_abscissa(model, uniform_control([(0, 2), (1, 2)], -1e308, model.op.delta_s))
+        spectral_abscissa(model, ControlConfig([(0, 2), (1, 2)], -1e308))
     # the planner's path refuses the same control
     with pytest.raises(ValueError, match="non-finite"):
         alpha_for_links(model, [(0, 2), (1, 2)], -1e308)
@@ -236,7 +236,7 @@ def _heuristic_alpha(j):
 
 
 def _check_relative_angle_spectrum(model, links, gain):
-    ctl = uniform_control(links, gain, model.op.delta_s)
+    ctl = ControlConfig(links, gain)
     j = jacobian(model, ctl)
     reduced = relative_angle_jacobian(model, links, gain)
     n = model.n
@@ -287,7 +287,7 @@ def test_relative_angle_spectrum_drawn_links(ne39_model, toy4_model, data):
 
 
 def test_alpha_empty_equals_uncontrolled(toy4_model):
-    baseline = spectral_abscissa(toy4_model, empty_control(4)).alpha_max
+    baseline = spectral_abscissa(toy4_model, ControlConfig()).alpha_max
     assert alpha_for_links(toy4_model, [], -1.0) == pytest.approx(baseline, abs=1e-15)
 
 
@@ -327,6 +327,16 @@ def test_replaced_model_does_not_reuse_cached_blocks(ne39_model):
         assert alpha_for_links(heavier, links, -1.0) != alpha_for_links(ne39_model, links, -1.0)
 
 
+def test_stored_coupling_coefficients_move_no_alpha(ne39_model):
+    # the Jacobian reads y_g, the network the right-hand side reads, so stored
+    # c and d that disagree with it change no alpha
+    net = ne39_model.net
+    for changed in (replace(net, c=2 * net.c), replace(net, d=2 * net.d)):
+        model = replace(ne39_model, net=changed)
+        for links in NE39_LINK_SETS:
+            assert alpha_for_links(model, links, -1.0) == alpha_for_links(ne39_model, links, -1.0)
+
+
 def test_cached_blocks_are_read_only_and_shared(ne39_model):
     cached = ne39_model.uncontrolled_jacobian
     with pytest.raises(ValueError):
@@ -334,9 +344,30 @@ def test_cached_blocks_are_read_only_and_shared(ne39_model):
     assert ne39_model.uncontrolled_jacobian is cached
     # the projection of the full uncontrolled Jacobian: drop delta_n, subtract its row from the other angle rows
     n = ne39_model.n
-    full = np.delete(jacobian(ne39_model, empty_control(n)), n - 1, axis=1)
+    full = np.delete(jacobian(ne39_model, ControlConfig()), n - 1, axis=1)
     full[: n - 1] -= full[n - 1]
     assert np.array_equal(cached, np.delete(full, n - 1, axis=0))
+
+
+# --- physics invariants ---------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_link_control_adds_no_damping(ne39_model, toy4_model, data):
+    # link control adds stiffness L_h / m to the angle block and never touches
+    # the damping diagonal, so the trace is -sum(d / m) for every link set and
+    # gain; the 2n - 1 retained eigenvalues sum to it, so alpha_max is at
+    # least their mean
+    model = data.draw(st.sampled_from([ne39_model, toy4_model]))
+    n = model.n
+    pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
+    links = sorted(data.draw(st.sets(st.sampled_from(pairs), max_size=len(pairs))))
+    gain = data.draw(st.floats(min_value=-100.0, max_value=-0.1))
+    damping = -np.sum(model.d / model.m)
+    trace = np.trace(relative_angle_jacobian(model, links, gain))
+    assert abs(trace - damping) <= 1e-12 * abs(damping)
+    assert alpha_for_links(model, links, gain) >= damping / (2 * n - 1) - 1e-12
 
 
 def test_monotone_stabilization_against_closed_form():
@@ -378,7 +409,7 @@ def test_monotone_stabilization_against_closed_form():
 
 def test_full_jacobian_matches_rhs_finite_differences(toy3_model):
     model = toy3_model
-    ctl = uniform_control([(0, 1)], -1.0, model.op.delta_s)
+    ctl = ControlConfig([(0, 1)], -1.0)
     j = jacobian(model, ctl)
     n = model.n
     x0 = np.concatenate([model.op.delta_s, np.full(n, model.op.omega_s)])

@@ -206,10 +206,10 @@ def test_coupling_consistency_invariant(ne39_model):
 
 def test_equilibrium_is_exact_fixed_point(ne39_model):
     from conftest import equilibrium_state
-    from gridlink.dynamics import empty_control, swing_rhs
+    from gridlink.dynamics import ControlConfig, swing_rhs
 
     state = equilibrium_state(ne39_model)
-    ddelta, domega = swing_rhs(state, ne39_model, empty_control(ne39_model.n))
+    ddelta, domega = swing_rhs(state, ne39_model, ControlConfig())
     assert np.abs(ddelta).max() <= 1e-10
     assert np.abs(domega).max() <= 1e-10
 
