@@ -13,6 +13,7 @@ import hashlib
 import math
 import sys
 import warnings
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -131,9 +132,14 @@ def _load(args: argparse.Namespace) -> tuple[SystemModel, dict]:
     return build_system(case), meta
 
 
-def _write(args: argparse.Namespace, text: str) -> None:
+def _write(args: argparse.Namespace, blocks: Iterable[str]) -> None:
+    """Write the text blocks to --out in order through one open file, each as it is rendered.
+
+    A document rendered in one piece is passed as a single block.
+    """
     try:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as out:
+            out.writelines(blocks)
     except OSError as exc:
         raise InputError(f"cannot write output file {args.out}: {exc.strerror}") from exc
 
@@ -145,9 +151,9 @@ def run_analyze(args: argparse.Namespace) -> int:
     report = spectral_abscissa(model, ctl)
     meta.update({"gain": args.gain, "links": len(links)})
     if args.format == "structured":
-        _write(args, reports.render_json(reports.spectrum_document(report, meta)))
+        _write(args, [reports.render_json(reports.spectrum_document(report, meta))])
     else:
-        _write(args, reports.spectrum_table(report, meta))
+        _write(args, [reports.spectrum_table(report, meta)])
     return 0
 
 
@@ -174,9 +180,9 @@ def run_plan(args: argparse.Namespace) -> int:
         }
     )
     if args.format == "structured":
-        _write(args, reports.render_json(reports.plan_document(result, meta)))
+        _write(args, [reports.render_json(reports.plan_document(result, meta))])
     else:
-        _write(args, reports.plan_table(result, meta))
+        _write(args, [reports.plan_table(result, meta)])
     return 0
 
 
@@ -209,7 +215,7 @@ def run_simulate(args: argparse.Namespace) -> int:
     )
     footer = {"fitted_decay_rate": fitted_text, "alpha_max": repr(alpha)}
     if args.format == "structured":
-        _write(args, reports.render_json(reports.trajectory_document(traj, meta, footer)))
+        _write(args, reports.trajectory_document(traj, meta, footer))
     else:
         _write(args, reports.trajectory_table(traj, meta, footer))
     return 0
@@ -217,7 +223,7 @@ def run_simulate(args: argparse.Namespace) -> int:
 
 def run_reduce(args: argparse.Namespace) -> int:
     model, meta = _load(args)
-    _write(args, reports.render_json(reports.reduction_document(model.net, model.op, meta)))
+    _write(args, [reports.render_json(reports.reduction_document(model.net, model.op, meta))])
     return 0
 
 

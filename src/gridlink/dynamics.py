@@ -23,6 +23,8 @@ Link = tuple[int, int]
 
 # Cap on the RK4 steps of one simulate call, which stores one (steps + 1) x 2n array.
 MAX_STEPS = 10**6
+# simulate checks its rows for a blow-up this many at a time, not after every step.
+_CHECK_ROWS = 1024
 
 
 class SimulationBlowUp(RuntimeError):
@@ -233,13 +235,16 @@ def simulate(
     written straight into one (steps + 1, 2n) array, of which the returned
     delta and omega are views.  Stage inputs x + (0.5 dt) k are written
     straight into the operator's state, and the update is
-    x + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4), so the result equals RK4 driven
-    by swing_rhs bit for bit.
+    x + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4), with the scalar factors held in
+    0-d arrays, so the result equals RK4 driven by swing_rhs bit for bit.
 
     A state-offset disturbance is added to the recorded state at the first
     grid time >= t_apply; a mechanical-step is added to the constant
     mechanical power from that grid time onward.  Raises ValueError beyond
-    MAX_STEPS steps and SimulationBlowUp when the state leaves the finite range.
+    MAX_STEPS steps.  The rows are checked for finiteness _CHECK_ROWS at a
+    time, as each block of them is complete; a non-finite row raises
+    SimulationBlowUp at the time of the first one, after at most one block
+    of further steps.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -267,7 +272,8 @@ def simulate(
     states[0, :n] = initial.delta
     states[0, n:] = initial.omega
     k1, k2, k3, k4, stage, total = np.empty((6, 2 * n))
-    half, sixth = 0.5 * dt, dt / 6.0
+    # 0-d arrays: numpy converts a Python float operand on every call.
+    half, full, two, sixth = (np.array(f) for f in (0.5 * dt, dt, 2.0, dt / 6.0))
     # Overflow here is the blow-up signal, not a numerics bug to warn about.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps + 1):
@@ -275,8 +281,11 @@ def simulate(
             if k == apply_index:
                 x += offset
                 c = stepped_c
-            if not np.isfinite(x).all():
-                raise SimulationBlowUp(times[k])
+            if k % _CHECK_ROWS == _CHECK_ROWS - 1 or k == steps:
+                first = k - k % _CHECK_ROWS
+                finite = np.isfinite(states[first : k + 1]).all(axis=1)
+                if not finite.all():
+                    raise SimulationBlowUp(times[first + finite.argmin()])
             if k == steps:
                 break
             op(x, c, k1)
@@ -286,12 +295,12 @@ def simulate(
             np.multiply(k2, half, out=stage)
             np.add(x, stage, out=z)
             op.rate(c, k3)
-            np.multiply(k3, dt, out=stage)
+            np.multiply(k3, full, out=stage)
             np.add(x, stage, out=z)
             op.rate(c, k4)
-            np.multiply(k2, 2.0, out=total)
+            np.multiply(k2, two, out=total)
             total += k1
-            np.multiply(k3, 2.0, out=stage)
+            np.multiply(k3, two, out=stage)
             total += stage
             total += k4
             total *= sixth

@@ -10,6 +10,7 @@ inputs.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from typing import Any
 
 import numpy as np
@@ -136,26 +137,49 @@ def reduction_document(net: ReducedNetwork, op: OperatingPoint, meta: dict[str, 
 
 # --- trajectory -------------------------------------------------------------
 
+# Rows rendered per text block of a trajectory document; a block is about 0.4 MB of text at n = 10.
+ROWS_PER_BLOCK = 1024
 
-def trajectory_table(traj: Trajectory, meta: dict[str, Any], footer: dict[str, Any]) -> str:
-    """Delimited table: time, delta_1..delta_n, omega_1..omega_n, full precision."""
+
+def _row_blocks(rows: int) -> Iterator[slice]:
+    return (slice(start, start + ROWS_PER_BLOCK) for start in range(0, rows, ROWS_PER_BLOCK))
+
+
+def trajectory_table(traj: Trajectory, meta: dict[str, Any], footer: dict[str, Any]) -> Iterator[str]:
+    """Delimited table: time, delta_1..delta_n, omega_1..omega_n, full precision.
+
+    Yields text blocks, to be written in order: the header and column line,
+    then ROWS_PER_BLOCK rows at a time, then the footer.  Their concatenation
+    is the whole document, so no more than one block of rows is held as text.
+    """
     n = traj.delta.shape[1]
-    lines = header_lines(meta)
     columns = ["time"] + [f"delta_{i + 1}" for i in range(n)] + [f"omega_{i + 1}" for i in range(n)]
-    lines.append(",".join(columns))
-    # One row at a time: tolist() gives Python floats without a numpy scalar per value.
-    for t, delta, omega in zip(traj.times, traj.delta, traj.omega):
-        lines.append(",".join(map(repr, [float(t), *delta.tolist(), *omega.tolist()])))
-    lines += header_lines(footer)
-    return "\n".join(lines) + "\n"
+    yield "\n".join(header_lines(meta) + [",".join(columns)]) + "\n"
+    for rows in _row_blocks(traj.times.size):
+        # tolist() gives Python floats without a numpy scalar per value.
+        block = zip(traj.times[rows].tolist(), traj.delta[rows].tolist(), traj.omega[rows].tolist())
+        yield "".join(",".join(map(repr, [t, *delta, *omega])) + "\n" for t, delta, omega in block)
+    yield "".join(line + "\n" for line in header_lines(footer))
 
 
-def trajectory_document(traj: Trajectory, meta: dict[str, Any], footer: dict[str, Any]) -> dict[str, Any]:
-    return {
-        "meta": meta,
-        "dt": float(traj.dt),
-        "times": _reals(traj.times),
-        "delta": _reals(traj.delta),
-        "omega": _reals(traj.omega),
-        "summary": footer,
-    }
+def _json_members(doc: dict[str, Any]) -> str:
+    """The members of a non-empty doc as render_json lays them out, without the enclosing braces."""
+    return json.dumps(doc, indent=2)[2:-2]
+
+
+def trajectory_document(traj: Trajectory, meta: dict[str, Any], footer: dict[str, Any]) -> Iterator[str]:
+    """Structured trajectory: meta, dt, times, delta, omega and summary, as text blocks.
+
+    The layout is render_json's, except that each row of times, delta and
+    omega sits on one line; as in trajectory_table, the rows are rendered
+    ROWS_PER_BLOCK at a time.
+    """
+    yield "{\n" + _json_members({"meta": meta, "dt": float(traj.dt)}) + ",\n"
+    for key, values in (("times", traj.times), ("delta", traj.delta), ("omega", traj.omega)):
+        separator = "\n    "
+        yield f'  "{key}": ['
+        for rows in _row_blocks(values.shape[0]):
+            yield separator + ",\n    ".join(map(json.dumps, values[rows].tolist()))
+            separator = ",\n    "
+        yield "\n  ],\n"
+    yield _json_members({"summary": footer}) + "\n}\n"

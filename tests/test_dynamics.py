@@ -493,6 +493,33 @@ def test_simulate_blowup_reports_time():
     assert 0.0 < exc_info.value.time <= 20.0
 
 
+@pytest.mark.parametrize(
+    "gain, t_max, time", [(5000.0, 20.0, 0.371), (500.0, 20.0, 1.147), (50.0, 3.7, 3.636), (5.0, 20.0, 11.558)]
+)
+def test_simulate_blowup_time_matches_per_step_loop(gain, t_max, time):
+    # simulate checks finiteness a block of rows at a time; it reports the first non-finite row, as RK4 on
+    # one SwingOperator that stops there does: in the first block, in a later one, or in a last partial one
+    model = build_system(parse_case(TWO_MACHINE_OSCILLATOR.replace('"h": 4.0', '"h": 0.5')))
+    ctl = ControlConfig([(0, 1)], gain)
+    init = MachineState(model.op.delta_s + np.array([1e-3, 0.0]), np.full(2, model.op.omega_s))
+    with pytest.raises(SimulationBlowUp) as exc_info:
+        simulate(init, model, ctl, None, t_max=t_max, dt=1e-3)
+
+    op, dt = SwingOperator(model, ctl), 1e-3
+    x, rate = np.concatenate([init.delta, init.omega]), np.empty((4, 4))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(round(t_max / dt) + 1):
+            if not np.isfinite(x).all():
+                break
+            k1 = op(x, op.c, rate[0])
+            k2 = op(x + 0.5 * dt * k1, op.c, rate[1])
+            k3 = op(x + 0.5 * dt * k2, op.c, rate[2])
+            k4 = op(x + dt * k3, op.c, rate[3])
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    assert exc_info.value.time == k * dt
+    assert round(k * dt, 9) == time
+
+
 # --- decay_rate -----------------------------------------------------------------
 
 
