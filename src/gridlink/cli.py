@@ -9,12 +9,17 @@ failures print a single-line diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import math
+import os
+import stat
 import sys
 import warnings
-from collections.abc import Iterable
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
+from typing import IO
 
 import numpy as np
 
@@ -26,6 +31,7 @@ from gridlink.dynamics import (
     DisturbanceSpec,
     MachineState,
     SimulationBlowUp,
+    Trajectory,
     decay_rate,
     normalize_link,
     simulate,
@@ -132,16 +138,37 @@ def _load(args: argparse.Namespace) -> tuple[SystemModel, dict]:
     return build_system(case), meta
 
 
+@contextlib.contextmanager
+def _output(args: argparse.Namespace) -> Iterator[IO[str]]:
+    """--out, open for writing; failing to open or write it is an InputError.
+
+    If the block raises, the partial file is removed, so a failed run leaves
+    no output file (a path that is not a regular file, /dev/null say, is only
+    closed), and the exception propagates.
+    """
+    try:
+        out = open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write output file {args.out}: {exc.strerror}") from exc
+    try:
+        with out:
+            yield out
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            if stat.S_ISREG(os.lstat(args.out).st_mode):
+                os.remove(args.out)
+        if isinstance(exc, OSError):
+            raise InputError(f"cannot write output file {args.out}: {exc.strerror}") from exc
+        raise
+
+
 def _write(args: argparse.Namespace, blocks: Iterable[str]) -> None:
     """Write the text blocks to --out in order through one open file, each as it is rendered.
 
     A document rendered in one piece is passed as a single block.
     """
-    try:
-        with open(args.out, "w", encoding="utf-8") as out:
-            out.writelines(blocks)
-    except OSError as exc:
-        raise InputError(f"cannot write output file {args.out}: {exc.strerror}") from exc
+    with _output(args) as out:
+        out.writelines(blocks)
 
 
 def run_analyze(args: argparse.Namespace) -> int:
@@ -186,7 +213,73 @@ def run_plan(args: argparse.Namespace) -> int:
     return 0
 
 
+class _TrajectoryWriter:
+    """Renders a trajectory document's parts and writes them to out, in document order, as simulate runs.
+
+    on_block is simulate's block hook.  Each time a block of rows is final,
+    every render task whose rows are now final is handed over, in document
+    order, and the parts that are done are written, so only a few rendered
+    blocks are held at a time.  With more than one CPU and more than one
+    block the tasks run in one worker process, overlapping the integration;
+    otherwise each runs here as it is handed over.  Either way the same
+    renderers run on the same rows, so the bytes are the same.  Leaving the
+    with block shuts the worker down, cancelling what it has not started.
+    """
+
+    def __init__(self, out: IO[str], parts: Callable[[Trajectory, dict], Iterator[reports.Part]], meta: dict):
+        self.out, self.parts_of, self.meta = out, parts, meta
+        self.parts: Iterator[reports.Part] | None = None
+        self.next: reports.Part | None = None
+        self.pool = None
+        self.pending: deque = deque()  # text, or futures of text, in document order
+
+    def __enter__(self) -> _TrajectoryWriter:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self.pool is not None:
+            self.pool.shutdown(cancel_futures=True)
+
+    def on_block(self, traj: Trajectory, stop: int) -> None:
+        if self.parts is None:
+            self.parts = self.parts_of(traj, self.meta)
+            self.next = next(self.parts, None)
+            if stop < traj.times.size and (os.cpu_count() or 1) > 1:
+                from concurrent.futures import ProcessPoolExecutor
+
+                self.pool = ProcessPoolExecutor(1)
+        while self.next is not None and (isinstance(self.next, str) or self.next[0] <= stop):
+            self.pending.append(self._start(self.next))
+            self.next = next(self.parts, None)
+        self._write_done(wait=False)
+
+    def _start(self, part: reports.Part):
+        if isinstance(part, str):
+            return part
+        _, renderer, args = part
+        return self.pool.submit(renderer, *args) if self.pool is not None else renderer(*args)
+
+    def _write_done(self, wait: bool) -> None:
+        pending = self.pending
+        while pending and (wait or isinstance(pending[0], str) or pending[0].done()):
+            part = pending.popleft()
+            self.out.write(part if isinstance(part, str) else part.result())
+
+    def finish(self, traj: Trajectory, footer: str) -> None:
+        """Write every remaining part of the finished trajectory, then the footer."""
+        self.on_block(traj, traj.times.size)
+        self._write_done(wait=True)
+        self.out.write(footer)
+
+
 def run_simulate(args: argparse.Namespace) -> int:
+    """Integrate, fit the decay rate and write the trajectory document to --out.
+
+    --out is opened before the integration, so an unwritable path fails
+    without integrating.  The document is rendered while the integration
+    runs (see _TrajectoryWriter), and the footer is written once the decay
+    fit is done.  A failed run, a blow-up say, leaves no output file.
+    """
     model, meta = _load(args)
     links = read_links_file(args.links, model.n) if args.links else []
     ctl = ControlConfig(links, args.gain)
@@ -196,14 +289,6 @@ def run_simulate(args: argparse.Namespace) -> int:
         if problems:
             raise InputError("; ".join(problems))
     initial = MachineState(delta=model.op.delta_s.copy(), omega=np.full(model.n, model.op.omega_s))
-    traj = simulate(initial, model, ctl, disturbance, t_max=args.tmax, dt=args.dt)
-
-    alpha = spectral_abscissa(model, ctl).alpha_max
-    try:
-        fitted = decay_rate(traj, model.op, t_start=args.tmax / 4.0)
-        fitted_text = repr(fitted)
-    except ValueError as exc:
-        fitted_text = f"unavailable ({exc})"
     meta.update(
         {
             "gain": args.gain,
@@ -213,11 +298,19 @@ def run_simulate(args: argparse.Namespace) -> int:
             "disturbance": disturbance.kind if disturbance else "none",
         }
     )
-    footer = {"fitted_decay_rate": fitted_text, "alpha_max": repr(alpha)}
     if args.format == "structured":
-        _write(args, reports.trajectory_document(traj, meta, footer))
+        parts, footer_text = reports.document_parts, reports.document_footer
     else:
-        _write(args, reports.trajectory_table(traj, meta, footer))
+        parts, footer_text = reports.table_parts, reports.table_footer
+    with _output(args) as out, _TrajectoryWriter(out, parts, meta) as writer:
+        traj = simulate(initial, model, ctl, disturbance, t_max=args.tmax, dt=args.dt, on_block=writer.on_block)
+        alpha = spectral_abscissa(model, ctl).alpha_max
+        try:
+            fitted = decay_rate(traj, model.op, t_start=args.tmax / 4.0)
+            fitted_text = repr(fitted)
+        except ValueError as exc:
+            fitted_text = f"unavailable ({exc})"
+        writer.finish(traj, footer_text({"fitted_decay_rate": fitted_text, "alpha_max": repr(alpha)}))
     return 0
 
 

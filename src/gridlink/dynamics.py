@@ -11,6 +11,7 @@ fixed-step RK4, bitwise deterministic for fixed inputs.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import Literal
 
@@ -23,8 +24,9 @@ Link = tuple[int, int]
 
 # Cap on the RK4 steps of one simulate call, which stores one (steps + 1) x 2n array.
 MAX_STEPS = 10**6
-# simulate checks its rows for a blow-up this many at a time, not after every step.
-_CHECK_ROWS = 1024
+# Trajectory rows per block: simulate checks its rows for a blow-up a block at a time, the
+# trajectory documents render a block per text block, and deviation_norms works a block at a time.
+ROWS_PER_BLOCK = 1024
 
 
 class SimulationBlowUp(RuntimeError):
@@ -97,6 +99,11 @@ class Trajectory:
     delta: np.ndarray  # (T, n) rad
     omega: np.ndarray  # (T, n) rad/s
     dt: float
+
+
+def row_blocks(rows: int) -> Iterator[slice]:
+    """Slices of ROWS_PER_BLOCK consecutive rows covering range(rows); the last may be shorter."""
+    return (slice(start, min(start + ROWS_PER_BLOCK, rows)) for start in range(0, rows, ROWS_PER_BLOCK))
 
 
 def link_laplacian(ctl: ControlConfig, n: int) -> np.ndarray:
@@ -225,6 +232,7 @@ def simulate(
     disturbance: DisturbanceSpec | None,
     t_max: float,
     dt: float = 1e-3,
+    on_block: Callable[[Trajectory, int], None] | None = None,
 ) -> Trajectory:
     """Integrate with classical RK4 at fixed step dt over [0, t_max].
 
@@ -240,11 +248,18 @@ def simulate(
 
     A state-offset disturbance is added to the recorded state at the first
     grid time >= t_apply; a mechanical-step is added to the constant
-    mechanical power from that grid time onward.  Raises ValueError beyond
-    MAX_STEPS steps.  The rows are checked for finiteness _CHECK_ROWS at a
-    time, as each block of them is complete; a non-finite row raises
-    SimulationBlowUp at the time of the first one, after at most one block
-    of further steps.
+    mechanical power from that grid time onward; only the target entries are
+    written, so an infinite disturbance is a blow-up at t_apply, not a
+    warning.  Raises ValueError beyond MAX_STEPS steps.  The rows are checked
+    for finiteness ROWS_PER_BLOCK at a time, as each block of them is
+    complete; a non-finite row raises SimulationBlowUp at the time of the
+    first one, after at most one block of further steps.
+
+    After each block has been checked, on_block(traj, stop) is called with
+    the trajectory that will be returned: its times are all set, and rows
+    [0, stop) of delta and omega are final and finite, while later rows are
+    not yet written.  A caller can hand those rows on (to be rendered, say)
+    while the integration goes on; the last call has stop = times.size.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -259,18 +274,18 @@ def simulate(
     problems = dist.validate(n)
     if problems:
         raise ValueError("; ".join(problems))
-    unit = np.zeros(n)
-    unit[dist.target] = 1.0
-    offset = np.concatenate([dist.d_delta * unit, dist.d_omega * unit])
     apply_index = int(np.clip(np.ceil(dist.t_apply / dt - 1e-9), 0, steps + 1))
 
     op = SwingOperator(model, ctl)
     z, c = op.state, op.c
-    stepped_c = op.drive(model.op.p_m_const + dist.d_pm * unit)
+    stepped_p_m = model.op.p_m_const.copy()
+    stepped_p_m[dist.target] += dist.d_pm
+    stepped_c = op.drive(stepped_p_m)
     times = np.arange(steps + 1) * dt
     states = np.empty((steps + 1, 2 * n))
     states[0, :n] = initial.delta
     states[0, n:] = initial.omega
+    traj = Trajectory(times=times, delta=states[:, :n], omega=states[:, n:], dt=dt)
     k1, k2, k3, k4, stage, total = np.empty((6, 2 * n))
     # 0-d arrays: numpy converts a Python float operand on every call.
     half, full, two, sixth = (np.array(f) for f in (0.5 * dt, dt, 2.0, dt / 6.0))
@@ -279,13 +294,16 @@ def simulate(
         for k in range(steps + 1):
             x = states[k]
             if k == apply_index:
-                x += offset
+                x[dist.target] += dist.d_delta
+                x[n + dist.target] += dist.d_omega
                 c = stepped_c
-            if k % _CHECK_ROWS == _CHECK_ROWS - 1 or k == steps:
-                first = k - k % _CHECK_ROWS
+            if k % ROWS_PER_BLOCK == ROWS_PER_BLOCK - 1 or k == steps:
+                first = k - k % ROWS_PER_BLOCK
                 finite = np.isfinite(states[first : k + 1]).all(axis=1)
                 if not finite.all():
                     raise SimulationBlowUp(times[first + finite.argmin()])
+                if on_block is not None:
+                    on_block(traj, k + 1)
             if k == steps:
                 break
             op(x, c, k1)
@@ -305,19 +323,24 @@ def simulate(
             total += k4
             total *= sixth
             np.add(x, total, out=states[k + 1])
-    return Trajectory(times=times, delta=states[:, :n], omega=states[:, n:], dt=dt)
+    return traj
 
 
 def deviation_norms(traj: Trajectory, op: OperatingPoint) -> np.ndarray:
     """Per-sample 2-norm of the state deviation with the uniform angle shift removed.
 
     Angles are measured relative to the last machine, which projects out the
-    rigid rotation that the dynamics cannot damp.
+    rigid rotation that the dynamics cannot damp.  Each row's norm depends on
+    that row alone, so they are computed ROWS_PER_BLOCK rows at a time and
+    the temporaries stay a block in size.
     """
-    d_delta = traj.delta - op.delta_s[None, :]
-    d_delta = d_delta - d_delta[:, [-1]]
-    d_omega = traj.omega - op.omega_s
-    return np.sqrt(np.sum(d_delta**2, axis=1) + np.sum(d_omega**2, axis=1))
+    norms = np.empty(traj.times.size)
+    for rows in row_blocks(traj.times.size):
+        d_delta = traj.delta[rows] - op.delta_s[None, :]
+        d_delta = d_delta - d_delta[:, [-1]]
+        d_omega = traj.omega[rows] - op.omega_s
+        norms[rows] = np.sqrt(np.sum(d_delta**2, axis=1) + np.sum(d_omega**2, axis=1))
+    return norms
 
 
 def decay_rate(traj: Trajectory, op: OperatingPoint, t_start: float) -> float:

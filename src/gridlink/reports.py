@@ -10,12 +10,13 @@ inputs.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from typing import Any
 
 import numpy as np
 
-from gridlink.dynamics import Trajectory
+# ROWS_PER_BLOCK is also the number of rows in a text block of a trajectory document.
+from gridlink.dynamics import ROWS_PER_BLOCK, Trajectory, row_blocks  # noqa: F401
 from gridlink.linearization import SpectrumReport
 from gridlink.planner import PlanResult
 from gridlink.reduction import OperatingPoint, ReducedNetwork
@@ -136,30 +137,48 @@ def reduction_document(net: ReducedNetwork, op: OperatingPoint, meta: dict[str, 
 
 
 # --- trajectory -------------------------------------------------------------
+#
+# A trajectory document is a sequence of parts in document order, up to its footer.  A part is
+# either text or a render task (rows, renderer, args): renderer(*args) is the part's text, and it
+# may run as soon as the first ``rows`` rows of the trajectory are final.  A renderer is a
+# module-level function of array slices, so a task can run in another process.  The document
+# ends with the footer's text, which is rendered once the decay fit is done.
 
-# Rows rendered per text block of a trajectory document; a block is about 0.4 MB of text at n = 10.
-ROWS_PER_BLOCK = 1024
+Part = str | tuple[int, Callable[..., str], tuple]
 
 
-def _row_blocks(rows: int) -> Iterator[slice]:
-    return (slice(start, start + ROWS_PER_BLOCK) for start in range(0, rows, ROWS_PER_BLOCK))
+def table_rows(times: np.ndarray, delta: np.ndarray, omega: np.ndarray) -> str:
+    """Rows of the trajectory table: time, delta_1..delta_n, omega_1..omega_n, full precision.
+
+    The columns are stacked here, so a caller passes slices of its arrays and no copy.
+    """
+    # tolist() gives Python floats without a numpy scalar per value.
+    rows = np.column_stack((times, delta, omega)).tolist()
+    return "".join(",".join(map(repr, row)) + "\n" for row in rows)
 
 
-def trajectory_table(traj: Trajectory, meta: dict[str, Any], footer: dict[str, Any]) -> Iterator[str]:
-    """Delimited table: time, delta_1..delta_n, omega_1..omega_n, full precision.
+def json_rows(values: np.ndarray, first: bool) -> str:
+    """Rows of one array of the structured trajectory, one JSON value per line.
 
-    Yields text blocks, to be written in order: the header and column line,
-    then ROWS_PER_BLOCK rows at a time, then the footer.  Their concatenation
-    is the whole document, so no more than one block of rows is held as text.
+    Every row but the array's first is preceded by a comma.
+    """
+    return ("\n    " if first else ",\n    ") + ",\n    ".join(map(json.dumps, values.tolist()))
+
+
+def table_parts(traj: Trajectory, meta: dict[str, Any]) -> Iterator[Part]:
+    """Parts of the delimited table: the header and column line, then ROWS_PER_BLOCK rows a task.
+
+    The columns are time, delta_1..delta_n and omega_1..omega_n.
     """
     n = traj.delta.shape[1]
     columns = ["time"] + [f"delta_{i + 1}" for i in range(n)] + [f"omega_{i + 1}" for i in range(n)]
     yield "\n".join(header_lines(meta) + [",".join(columns)]) + "\n"
-    for rows in _row_blocks(traj.times.size):
-        # tolist() gives Python floats without a numpy scalar per value.
-        block = zip(traj.times[rows].tolist(), traj.delta[rows].tolist(), traj.omega[rows].tolist())
-        yield "".join(",".join(map(repr, [t, *delta, *omega])) + "\n" for t, delta, omega in block)
-    yield "".join(line + "\n" for line in header_lines(footer))
+    for rows in row_blocks(traj.times.size):
+        yield rows.stop, table_rows, (traj.times[rows], traj.delta[rows], traj.omega[rows])
+
+
+def table_footer(footer: dict[str, Any]) -> str:
+    return "".join(line + "\n" for line in header_lines(footer))
 
 
 def _json_members(doc: dict[str, Any]) -> str:
@@ -167,19 +186,42 @@ def _json_members(doc: dict[str, Any]) -> str:
     return json.dumps(doc, indent=2)[2:-2]
 
 
-def trajectory_document(traj: Trajectory, meta: dict[str, Any], footer: dict[str, Any]) -> Iterator[str]:
-    """Structured trajectory: meta, dt, times, delta, omega and summary, as text blocks.
+def document_parts(traj: Trajectory, meta: dict[str, Any]) -> Iterator[Part]:
+    """Parts of the structured trajectory: meta, dt, times, delta and omega, up to the summary.
 
     The layout is render_json's, except that each row of times, delta and
-    omega sits on one line; as in trajectory_table, the rows are rendered
-    ROWS_PER_BLOCK at a time.
+    omega sits on one line.  Times are ready from the start; the rows of
+    delta and omega ROWS_PER_BLOCK at a time, as they are final.
     """
     yield "{\n" + _json_members({"meta": meta, "dt": float(traj.dt)}) + ",\n"
-    for key, values in (("times", traj.times), ("delta", traj.delta), ("omega", traj.omega)):
-        separator = "\n    "
+    for key, values, ready in (("times", traj.times, False), ("delta", traj.delta, True), ("omega", traj.omega, True)):
         yield f'  "{key}": ['
-        for rows in _row_blocks(values.shape[0]):
-            yield separator + ",\n    ".join(map(json.dumps, values[rows].tolist()))
-            separator = ",\n    "
+        for rows in row_blocks(values.shape[0]):
+            yield rows.stop if ready else 0, json_rows, (values[rows], rows.start == 0)
         yield "\n  ],\n"
-    yield _json_members({"summary": footer}) + "\n}\n"
+
+
+def document_footer(footer: dict[str, Any]) -> str:
+    return _json_members({"summary": footer}) + "\n}\n"
+
+
+def rendered(parts: Iterable[Part]) -> Iterator[str]:
+    """The text of each part in turn, rendered in this process."""
+    for part in parts:
+        yield part if isinstance(part, str) else part[1](*part[2])
+
+
+def trajectory_table(traj: Trajectory, meta: dict[str, Any], footer: dict[str, Any]) -> Iterator[str]:
+    """The delimited table of a finished trajectory as text blocks, to be written in order.
+
+    The blocks are table_parts rendered in this process, then the footer, so
+    no more than one block of rows is held as text.
+    """
+    yield from rendered(table_parts(traj, meta))
+    yield table_footer(footer)
+
+
+def trajectory_document(traj: Trajectory, meta: dict[str, Any], footer: dict[str, Any]) -> Iterator[str]:
+    """The structured trajectory of a finished trajectory as text blocks: document_parts, then the summary."""
+    yield from rendered(document_parts(traj, meta))
+    yield document_footer(footer)

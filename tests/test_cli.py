@@ -1,5 +1,9 @@
+import argparse
+import concurrent.futures
 import importlib.util
+import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,8 +14,10 @@ import pytest
 
 import gridlink
 from conftest import two_bus_feeder
+from gridlink import cli, reports
 from gridlink.case import case_path
 from gridlink.cli import main, parse_perturb
+from gridlink.dynamics import ROWS_PER_BLOCK, Trajectory, row_blocks
 
 SINGLE_MACHINE = """{
   "base_mva": 100.0, "f0": 60.0,
@@ -372,6 +378,173 @@ def test_simulate_pm_step(tmp_path):
     code = run(["simulate", "--case", case_path("toy3"), "--out", out, "--tmax", 1.0,
                 "--perturb", "pm-step gen=1,dpm=0.05,at=0.2"])
     assert code == 0
+
+
+class StandInFuture:
+    """Renders when its result is read; reports itself not done the first time it is asked."""
+
+    def __init__(self, fn, args):
+        self.fn, self.args, self.asked = fn, args, False
+
+    def done(self):
+        done, self.asked = self.asked, True
+        return done
+
+    def result(self):
+        return self.fn(*self.args)
+
+
+@pytest.fixture
+def stand_in_pool(monkeypatch):
+    """Replace the renderer's process pool by one that runs its tasks in this process.
+
+    Returns the pools created; each records the arguments of its tasks and its shutdowns.
+    """
+    pools = []
+
+    class StandInPool:
+        def __init__(self, max_workers):
+            assert max_workers == 1
+            self.tasks, self.shutdowns = [], []
+            pools.append(self)
+
+        def submit(self, fn, *args):
+            self.tasks.append(args)
+            return StandInFuture(fn, args)
+
+        def shutdown(self, cancel_futures=False):
+            self.shutdowns.append(cancel_futures)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StandInPool)
+    return pools
+
+
+@pytest.mark.parametrize("fmt", ["table", "structured"])
+@pytest.mark.parametrize("rows", [1, ROWS_PER_BLOCK, ROWS_PER_BLOCK + 1, 3 * ROWS_PER_BLOCK + 1])
+def test_trajectory_writer_pooled_and_inline_write_the_same_bytes(monkeypatch, stand_in_pool, fmt, rows):
+    # blocks handed on as simulate hands them on; the pool takes views of the rows, each task as soon as
+    # its rows are final, in document order, and is used only for more than one block on more than one CPU
+    states = np.random.default_rng(rows).standard_normal((rows, 6)) * 10.0 ** np.arange(-3, 3)
+    traj = Trajectory(times=np.arange(rows) * 1e-3, delta=states[:, :3], omega=states[:, 3:], dt=1e-3)
+    meta, footer = {"tool": "gridlink", "links": 2}, {"fitted_decay_rate": "-0.5", "alpha_max": "-0.4"}
+    if fmt == "table":
+        parts, closing, whole = reports.table_parts, reports.table_footer, reports.trajectory_table
+    else:
+        parts, closing, whole = reports.document_parts, reports.document_footer, reports.trajectory_document
+    stops = [rows.stop for rows in row_blocks(rows)]
+
+    def write(cores):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        out, submitted = io.StringIO(), []
+        with cli._TrajectoryWriter(out, parts, meta) as writer:
+            for stop in stops:
+                writer.on_block(traj, stop)
+                submitted.append(sum(len(pool.tasks) for pool in stand_in_pool))
+            writer.finish(traj, closing(footer))
+        return out.getvalue(), submitted
+
+    inline, _ = write(1)
+    assert stand_in_pool == []
+    pooled, submitted = write(2)
+    assert pooled == inline == "".join(whole(traj, meta, footer))
+    if len(stops) == 1:
+        assert stand_in_pool == []
+        return
+    (pool,) = stand_in_pool
+    assert pool.shutdowns == [True]
+    for args in pool.tasks:
+        arrays = [a for a in args if isinstance(a, np.ndarray)]
+        assert arrays and all(np.shares_memory(a, traj.times) or np.shares_memory(a, states) for a in arrays)
+    blocks = len(stops)
+    if fmt == "table":
+        assert submitted == list(range(1, blocks + 1))
+    else:
+        # times at once, delta as its blocks are final, omega after the last delta block
+        assert submitted == [blocks + k for k in range(1, blocks)] + [3 * blocks]
+
+
+def _write_case(tmp_path):
+    case = tmp_path / "unstable.json"
+    case.write_text(UNSTABLE_PAIR)
+    links = tmp_path / "links.json"
+    links.write_text('{"links": [[1, 2]]}')
+    return case, links
+
+
+@pytest.mark.parametrize("gain, code", [(-1.0, 0), (50.0, 1)])
+def test_simulate_leaves_no_worker_process_and_no_failed_output(tmp_path, monkeypatch, capsys, gain, code):
+    # 3,701 rows, four blocks; at gain +50 the state blows up at 3.636 s, in the last block
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    pools = []
+
+    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
+    case, links = _write_case(tmp_path)
+    out = tmp_path / "traj.csv"
+    out.write_text("an earlier run\n")
+    assert run(["simulate", "--case", case, "--out", out, "--links", links, "--gain", gain,
+                "--perturb", "gen=1,ddelta=0.001", "--tmax", 3.7]) == code
+    assert len(pools) == 1
+    assert multiprocessing.active_children() == []
+    if code:
+        assert capsys.readouterr().err == "gridlink: computation error: state became non-finite at t = 3.636000 s\n"
+        assert not out.exists()
+    else:
+        assert sum(not line.startswith("#") for line in out.read_text().splitlines()) == 1 + 3701
+
+
+def test_failed_simulate_leaves_a_symlinked_output_in_place(tmp_path):
+    # only a regular file at --out is removed; a symlink (or a device such as /dev/null) is not
+    case, links = _write_case(tmp_path)
+    target = tmp_path / "target.csv"
+    target.write_text("")
+    out = tmp_path / "traj.csv"
+    out.symlink_to(target)
+    assert run(["simulate", "--case", case, "--out", out, "--links", links, "--gain", 50.0,
+                "--perturb", "gen=1,ddelta=0.001", "--tmax", 3.7]) == 1
+    assert out.is_symlink() and target.exists()
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_simulate_output_is_input_error_before_integrating(tmp_path, monkeypatch, capsys, where):
+    def integrate(*args, **kwargs):
+        raise AssertionError("simulate integrated with an unwritable --out")
+
+    monkeypatch.setattr(cli, "simulate", integrate)
+    out = tmp_path / "missing" / "traj.csv" if where == "missing-directory" else tmp_path
+    assert run(["simulate", "--case", case_path("toy3"), "--out", out, "--tmax", 1.0]) == 2
+    assert capsys.readouterr().err.startswith(f"gridlink: input error: cannot write output file {out}: ")
+    assert tmp_path.is_dir()
+
+
+def test_failed_write_leaves_no_output_file(tmp_path):
+    # a document whose rendering fails part way is removed, not left half written
+    def blocks():
+        yield "a first block\n"
+        raise ValueError("rendering failed")
+
+    out = tmp_path / "doc.txt"
+    with pytest.raises(ValueError, match="rendering failed"):
+        cli._write(argparse.Namespace(out=str(out)), blocks())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["table", "structured"])
+def test_simulate_pm_step_pooled_and_inline_bytes_agree(tmp_path, monkeypatch, fmt):
+    # a real worker process and the inline renderer write the same document
+    def simulate_bytes(cores):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        out = tmp_path / f"traj-{cores}"
+        assert run(["simulate", "--case", case_path("newengland39"), "--out", out, "--tmax", 3.0,
+                    "--perturb", "pm-step gen=3,dpm=0.2,at=0.5", "--format", fmt]) == 0
+        return out.read_bytes()
+
+    assert simulate_bytes(2) == simulate_bytes(1)
+    assert multiprocessing.active_children() == []
 
 
 def test_perturb_parsing_errors():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import TWO_MACHINE_OSCILLATOR, equilibrium_state
 from gridlink.case import parse_case
 from gridlink.dynamics import (
+    ROWS_PER_BLOCK,
     ControlConfig,
     DisturbanceSpec,
     MachineState,
@@ -17,6 +19,7 @@ from gridlink.dynamics import (
     Trajectory,
     control_matrix,
     decay_rate,
+    deviation_norms,
     electrical_power,
     link_laplacian,
     simulate,
@@ -518,6 +521,69 @@ def test_simulate_blowup_time_matches_per_step_loop(gain, t_max, time):
             x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     assert exc_info.value.time == k * dt
     assert round(k * dt, 9) == time
+
+
+@pytest.mark.parametrize(
+    "disturbance, time",
+    [
+        (DisturbanceSpec(kind="state-offset", target=1, d_omega=np.inf, t_apply=0.5), 0.5),
+        (DisturbanceSpec(kind="state-offset", target=0, d_delta=-np.inf, t_apply=0.5), 0.5),
+        # the stepped drive first shows in the row after t_apply
+        (DisturbanceSpec(kind="mechanical-step", target=1, d_pm=np.inf, t_apply=0.5), 0.501),
+    ],
+)
+def test_simulate_infinite_disturbance_blows_up_without_warning(oscillator_model, disturbance, time):
+    # only the target's entries take the disturbance, so no inf * 0 is formed for the others
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimulationBlowUp) as exc_info:
+            simulate(equilibrium_state(oscillator_model), oscillator_model, ControlConfig(), disturbance, t_max=2.0)
+    assert exc_info.value.time == pytest.approx(time, abs=1e-12)
+
+
+@pytest.mark.parametrize("t_max", [0.001, 1.023, 1.024, 3.073])
+def test_simulate_hands_on_each_checked_block(oscillator_model, t_max):
+    # on_block sees the trajectory simulate returns, once per block, with rows [0, stop) already final
+    model = oscillator_model
+    init = MachineState(model.op.delta_s + np.array([0.25, -0.25]), np.full(2, model.op.omega_s))
+    calls = []
+    traj = simulate(init, model, ControlConfig(), None, t_max=t_max,
+                    on_block=lambda t, stop: calls.append((t, stop, t.delta[:stop].copy(), t.omega[:stop].copy())))
+    rows = traj.times.size
+    expected = [min(stop, rows) for stop in range(ROWS_PER_BLOCK, rows + ROWS_PER_BLOCK, ROWS_PER_BLOCK)]
+    assert [stop for _, stop, _, _ in calls] == expected
+    for seen, stop, delta, omega in calls:
+        assert seen is traj
+        assert np.array_equal(delta, traj.delta[:stop]) and np.array_equal(omega, traj.omega[:stop])
+
+
+def test_simulate_hands_on_no_block_with_a_blowup():
+    # the blow-up at 3.636 s lies in the fourth block: the first three are handed on, it is not
+    model = build_system(parse_case(TWO_MACHINE_OSCILLATOR.replace('"h": 4.0', '"h": 0.5')))
+    init = MachineState(model.op.delta_s + np.array([1e-3, 0.0]), np.full(2, model.op.omega_s))
+    stops = []
+
+    def on_block(traj, stop):
+        assert np.isfinite(traj.delta[:stop]).all() and np.isfinite(traj.omega[:stop]).all()
+        stops.append(stop)
+
+    with pytest.raises(SimulationBlowUp) as exc_info:
+        simulate(init, model, ControlConfig([(0, 1)], 50.0), None, t_max=3.7, on_block=on_block)
+    assert round(exc_info.value.time, 9) == 3.636
+    assert stops == [ROWS_PER_BLOCK, 2 * ROWS_PER_BLOCK, 3 * ROWS_PER_BLOCK]
+
+
+def test_deviation_norms_in_blocks_equal_whole_array_norms(ne39_model):
+    # each row's norm depends on that row alone, so computing them a block at a time changes no bit
+    model = ne39_model
+    init = MachineState(model.op.delta_s + 0.05 * np.eye(model.n)[0], np.full(model.n, model.op.omega_s))
+    traj = simulate(init, model, ControlConfig(), None, t_max=3 * ROWS_PER_BLOCK * 1e-3)
+    assert traj.times.size == 3 * ROWS_PER_BLOCK + 1
+    d_delta = traj.delta - model.op.delta_s[None, :]
+    d_delta = d_delta - d_delta[:, [-1]]
+    d_omega = traj.omega - model.op.omega_s
+    whole = np.sqrt(np.sum(d_delta**2, axis=1) + np.sum(d_omega**2, axis=1))
+    assert np.array_equal(deviation_norms(traj, model.op), whole)
 
 
 # --- decay_rate -----------------------------------------------------------------

@@ -86,14 +86,17 @@ def _rows_on_one_line(text):
     ],
 )
 def test_structured_document_matches_per_value_renderer(tmp_path, monkeypatch, builder, argv, oracle):
-    # the CLI document for ne39, byte for byte, against the per-value builder on the same inputs
+    # the CLI document for ne39, byte for byte, against the per-value builder on the same inputs; the
+    # CLI builds a trajectory document from document_parts(traj, meta) and document_footer(footer)
+    names = ["document_parts", "document_footer"] if builder == "trajectory_document" else [builder]
     seen = []
-    real = getattr(reports, builder)
-    monkeypatch.setattr(reports, builder, lambda *args: seen.append(args) or real(*args))
+    for name in names:
+        real = getattr(reports, name)
+        monkeypatch.setattr(reports, name, lambda *args, real=real: seen.append(args) or real(*args))
     out = tmp_path / "doc.json"
     assert main([argv[0], "--case", str(case_path("newengland39")), "--out", str(out), *argv[1:]]) == 0
-    (args,) = seen
-    expected = render_json(oracle(*args))
+    assert len(seen) == len(names)
+    expected = render_json(oracle(*(arg for args in seen for arg in args)))
     if builder == "trajectory_document":
         expected = _rows_on_one_line(expected)
     assert out.read_bytes() == expected.encode("utf-8")
