@@ -38,7 +38,7 @@ from gridlink.dynamics import (
 )
 from gridlink.linearization import spectral_abscissa
 from gridlink.model import SystemModel, build_system
-from gridlink.planner import PlannerGuardError, greedy_plan
+from gridlink.planner import PlannerGuardError, greedy_plan, usable_cpu_count
 from gridlink.powerflow import PowerFlowError
 from gridlink.reduction import KronReductionError
 from gridlink import reports
@@ -219,11 +219,12 @@ class _TrajectoryWriter:
     on_block is simulate's block hook.  Each time a block of rows is final,
     every render task whose rows are now final is handed over, in document
     order, and the parts that are done are written, so only a few rendered
-    blocks are held at a time.  With more than one CPU and more than one
-    block the tasks run in one worker process, overlapping the integration;
-    otherwise each runs here as it is handed over.  Either way the same
-    renderers run on the same rows, so the bytes are the same.  Leaving the
-    with block shuts the worker down, cancelling what it has not started.
+    blocks are held at a time.  With more than one usable CPU (see
+    usable_cpu_count) and more than one block the tasks run in one worker
+    process, overlapping the integration; otherwise each runs here as it is
+    handed over.  Either way the same renderers run on the same rows, so the
+    bytes are the same.  Leaving the with block shuts the worker down,
+    cancelling what it has not started.
     """
 
     def __init__(self, out: IO[str], parts: Callable[[Trajectory, dict], Iterator[reports.Part]], meta: dict):
@@ -244,7 +245,7 @@ class _TrajectoryWriter:
         if self.parts is None:
             self.parts = self.parts_of(traj, self.meta)
             self.next = next(self.parts, None)
-            if stop < traj.times.size and (os.cpu_count() or 1) > 1:
+            if stop < traj.times.size and usable_cpu_count() > 1:
                 from concurrent.futures import ProcessPoolExecutor
 
                 self.pool = ProcessPoolExecutor(1)

@@ -3,10 +3,11 @@
 Per machine: m * dw/dt = P_m(delta) - d*(w - w_s) - P_e(delta), with the
 communication-link control entering mechanical power as phase-difference
 feedback.  SwingOperator evaluates the whole right-hand side on the stacked
-state x = [delta, omega] as dx/dt = H z + c: one matrix-vector product with a
+state x = [delta, omega] as dx/dt = H z: one matrix-vector product with a
 vector z that holds x, the electrical power terms w * (W w) with
-w = [cos delta, sin delta], and a constant 1.  Integration is classical
-fixed-step RK4, bitwise deterministic for fixed inputs.
+w = [cos delta, sin delta], and a constant 1, whose column of H holds the
+constant drive.  Integration is classical fixed-step RK4, bitwise
+deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -162,58 +163,58 @@ def electrical_power(delta: np.ndarray, net: ReducedNetwork) -> np.ndarray:
 class SwingOperator:
     """The controlled swing equations on the stacked state x = [delta, omega] (2n floats).
 
-    dx/dt = H z + c on one vector z = [x, w * (W w), 1] with w = [cos delta, sin delta] and
-      H = [G, -F, -G x_ref],  G = swing_matrix(model, ctl),  F = [[0, 0], [I, I]],
+    dx/dt = H z on one vector z = [x, w * (W w), 1] with w = [cos delta, sin delta] and
+      H = [G, -F, c - G x_ref],  G = swing_matrix(model, ctl),  F = [[0, 0], [I, I]],
       W = [[Re Y, -Im Y], [Im Y, Re Y]],  Y = diag(e_mag / m) y_g diag(e_mag),
-      x_ref = [model.op.delta_s, omega_s ... omega_s],  c = [0, p_m_const / m].
+      x_ref = [model.op.delta_s, omega_s ... omega_s],  c = [0, p_m / m].
     The two halves of w * (W w) sum to electrical_power / m, so
-    H z = G (x - x_ref) - [0, P_e / m]: the link control acts about the
-    operating point.  The state is read from ``state``, the view z[:2n]; one
-    evaluation is six numpy calls on preallocated buffers, which makes an
-    instance not reentrant.
+    H z = G (x - x_ref) + c - [0, P_e / m]: the link control acts about the
+    operating point.  The drive c, for the constant mechanical power p_m, is
+    H's last column: model.op.p_m_const until set_drive changes it.  The
+    state is read from ``state``, the view z[:2n]; rate(out) writes dx/dt
+    there into out, by five numpy calls on preallocated buffers bound once
+    here, which makes an instance not reentrant.
     """
 
     def __init__(self, model: SystemModel, ctl: ControlConfig):
         n = model.n
         m, e_mag = model.m, model.net.e_mag
-        self.n = n
-        self.m = m
-        self.h = np.zeros((2 * n, 4 * n + 1))
-        self.h[:, : 2 * n] = g = swing_matrix(model, ctl)
-        self.h[n:, 2 * n : 3 * n] = self.h[n:, 3 * n : 4 * n] = -np.eye(n)
+        self.n, self.m = n, m
+        self.h = h = np.zeros((2 * n, 4 * n + 1))
+        h[:, : 2 * n] = g = swing_matrix(model, ctl)
+        h[n:, 2 * n : 3 * n] = h[n:, 3 * n : 4 * n] = -np.eye(n)
         x_ref = np.concatenate([model.op.delta_s, np.full(n, model.op.omega_s)])
         # An overflowing gain leaves a non-finite entry, which simulate reports as a blow-up.
         with np.errstate(over="ignore", invalid="ignore"):
-            self.h[:, -1] = -(g @ x_ref)
-        self.c = self.drive(model.op.p_m_const)
+            self._g_x_ref = g @ x_ref
+        self.set_drive(model.op.p_m_const)
         y = (e_mag / m)[:, None] * model.net.y_g * e_mag[None, :]
-        self.w_matrix = np.block([[y.real, -y.imag], [y.imag, y.real]])
-        self.z = np.zeros(4 * n + 1)
-        self.z[-1] = 1.0
-        self.state = self.z[: 2 * n]
-        self._delta, self._power = self.z[:n], self.z[2 * n : 4 * n]
-        self._w = np.empty(2 * n)
-        self._cos, self._sin = self._w[:n], self._w[n:]
+        w_dot = np.block([[y.real, -y.imag], [y.imag, y.real]]).dot
+        z = np.zeros(4 * n + 1)
+        z[-1] = 1.0
+        self.state = z[: 2 * n]
+        delta, power, w = z[:n], z[2 * n : 4 * n], np.empty(2 * n)
+        cos_w, sin_w = w[:n], w[n:]
+        cos, sin, multiply, h_dot = np.cos, np.sin, np.multiply, h.dot
 
-    def drive(self, p_m_const: np.ndarray) -> np.ndarray:
-        """The constant term c for the constant mechanical power p_m_const."""
-        return np.concatenate([np.zeros(self.n), p_m_const / self.m])
+        def rate(out: np.ndarray) -> np.ndarray:
+            """Write dx/dt at ``state`` into out (2n floats) and return it."""
+            cos(delta, cos_w)
+            sin(delta, sin_w)
+            w_dot(w, power)
+            multiply(power, w, power)
+            return h_dot(z, out)
 
-    def rate(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write dx/dt at ``state``, with constant term c, into out (2n floats) and return it."""
-        w, power = self._w, self._power
-        np.cos(self._delta, out=self._cos)
-        np.sin(self._delta, out=self._sin)
-        self.w_matrix.dot(w, power)
-        power *= w
-        self.h.dot(self.z, out)
-        out += c
-        return out
+        self.rate = rate
 
-    def __call__(self, x: np.ndarray, c: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write dx/dt at x, with constant term c, into out (2n floats) and return it."""
+    def set_drive(self, p_m: np.ndarray) -> None:
+        """Make p_m (n floats) the constant mechanical power: H's last column becomes c - G x_ref."""
+        self.h[:, -1] = np.concatenate([np.zeros(self.n), p_m / self.m]) - self._g_x_ref
+
+    def __call__(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write dx/dt at x into out (2n floats) and return it."""
         np.copyto(self.state, x)
-        return self.rate(c, out)
+        return self.rate(out)
 
 
 def swing_rhs(
@@ -221,7 +222,7 @@ def swing_rhs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(d delta/dt, d omega/dt) of the controlled swing equations, by the SwingOperator simulate uses."""
     op = SwingOperator(model, ctl)
-    rate = op(np.concatenate([state.delta, state.omega], dtype=float), op.c, np.empty(2 * model.n))
+    rate = op(np.concatenate([state.delta, state.omega], dtype=float), np.empty(2 * model.n))
     return rate[: model.n], rate[model.n :]
 
 
@@ -238,17 +239,19 @@ def simulate(
 
     The last sample is the last grid time k dt <= t_max (within 1e-9 steps).
 
-    The stacked state [delta, omega] is stepped by one SwingOperator, built
-    once per call, with stage buffers reused across steps; each step is
-    written straight into one (steps + 1, 2n) array, of which the returned
-    delta and omega are views.  Stage inputs x + (0.5 dt) k are written
-    straight into the operator's state, and the update is
-    x + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4), with the scalar factors held in
-    0-d arrays, so the result equals RK4 driven by swing_rhs bit for bit.
+    The stacked state [delta, omega] is stepped by the rate of one
+    SwingOperator, built once per call, with stage buffers reused across
+    steps; each step is written straight into one (steps + 1, 2n) array, of
+    which the returned delta and omega are views.  Stage inputs
+    x + (0.5 dt) k are written straight into the operator's state, and the
+    update is x + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4), with k1..k4 the rows
+    of one array (k2 and k3 doubled by one multiply) and the scalar factors
+    held in 0-d arrays, so the result equals RK4 driven by swing_rhs bit for
+    bit: a step is 33 numpy calls.
 
     A state-offset disturbance is added to the recorded state at the first
-    grid time >= t_apply; a mechanical-step is added to the constant
-    mechanical power from that grid time onward; only the target entries are
+    grid time >= t_apply; a mechanical-step is added to the operator's drive
+    from that grid time onward (set_drive); only the target entries are
     written, so an infinite disturbance is a blow-up at t_apply, not a
     warning.  Raises ValueError beyond MAX_STEPS steps.  The rows are checked
     for finiteness ROWS_PER_BLOCK at a time, as each block of them is
@@ -277,52 +280,51 @@ def simulate(
     apply_index = int(np.clip(np.ceil(dist.t_apply / dt - 1e-9), 0, steps + 1))
 
     op = SwingOperator(model, ctl)
-    z, c = op.state, op.c
+    z, rate = op.state, op.rate
     stepped_p_m = model.op.p_m_const.copy()
     stepped_p_m[dist.target] += dist.d_pm
-    stepped_c = op.drive(stepped_p_m)
     times = np.arange(steps + 1) * dt
     states = np.empty((steps + 1, 2 * n))
     states[0, :n] = initial.delta
     states[0, n:] = initial.omega
     traj = Trajectory(times=times, delta=states[:, :n], omega=states[:, n:], dt=dt)
-    k1, k2, k3, k4, stage, total = np.empty((6, 2 * n))
+    ks, stage, total = np.empty((4, 2 * n)), np.empty(2 * n), np.empty(2 * n)
+    (k1, k2, k3, k4), k2_k3 = ks, ks[1:3]
     # 0-d arrays: numpy converts a Python float operand on every call.
     half, full, two, sixth = (np.array(f) for f in (0.5 * dt, dt, 2.0, dt / 6.0))
+    copyto, multiply, add = np.copyto, np.multiply, np.add
     # Overflow here is the blow-up signal, not a numerics bug to warn about.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps + 1):
-            x = states[k]
-            if k == apply_index:
-                x[dist.target] += dist.d_delta
-                x[n + dist.target] += dist.d_omega
-                c = stepped_c
-            if k % ROWS_PER_BLOCK == ROWS_PER_BLOCK - 1 or k == steps:
-                first = k - k % ROWS_PER_BLOCK
-                finite = np.isfinite(states[first : k + 1]).all(axis=1)
-                if not finite.all():
-                    raise SimulationBlowUp(times[first + finite.argmin()])
-                if on_block is not None:
-                    on_block(traj, k + 1)
-            if k == steps:
-                break
-            op(x, c, k1)
-            np.multiply(k1, half, out=stage)
-            np.add(x, stage, out=z)
-            op.rate(c, k2)
-            np.multiply(k2, half, out=stage)
-            np.add(x, stage, out=z)
-            op.rate(c, k3)
-            np.multiply(k3, full, out=stage)
-            np.add(x, stage, out=z)
-            op.rate(c, k4)
-            np.multiply(k2, two, out=total)
-            total += k1
-            np.multiply(k3, two, out=stage)
-            total += stage
-            total += k4
-            total *= sixth
-            np.add(x, total, out=states[k + 1])
+        for rows in row_blocks(steps + 1):
+            for k in range(rows.start, rows.stop):
+                if k:
+                    x = states[k - 1]
+                    copyto(z, x)
+                    rate(k1)
+                    multiply(k1, half, stage)
+                    add(x, stage, z)
+                    rate(k2)
+                    multiply(k2, half, stage)
+                    add(x, stage, z)
+                    rate(k3)
+                    multiply(k3, full, stage)
+                    add(x, stage, z)
+                    rate(k4)
+                    multiply(k2_k3, two, k2_k3)
+                    add(k1, k2, total)
+                    add(total, k3, total)
+                    add(total, k4, total)
+                    multiply(total, sixth, total)
+                    add(x, total, states[k])
+                if k == apply_index:
+                    states[k, dist.target] += dist.d_delta
+                    states[k, n + dist.target] += dist.d_omega
+                    op.set_drive(stepped_p_m)
+            finite = np.isfinite(states[rows]).all(axis=1)
+            if not finite.all():
+                raise SimulationBlowUp(times[rows.start + finite.argmin()])
+            if on_block is not None:
+                on_block(traj, rows.stop)
     return traj
 
 

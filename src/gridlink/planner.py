@@ -68,6 +68,15 @@ def candidate_links(n: int, installed=()) -> list[Link]:
     return [(i, k) for i in range(n) for k in range(i + 1, n) if (i, k) not in taken]
 
 
+def usable_cpu_count() -> int:
+    """CPUs this process may run on: under taskset or a cpuset, fewer than os.cpu_count()."""
+    if hasattr(os, "process_cpu_count"):  # Python 3.13 on
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _plan_args(budget: int, gain_h: float, n: int, preinstalled=()) -> tuple[list[Link], int]:
     """The planners' argument checks: (sorted preinstalled links, budget clamped with a warning)."""
     if budget < 0:
@@ -122,7 +131,7 @@ def greedy_plan(
     larger than the number of candidate links is clamped with a warning.
 
     With ``workers`` > 1 each sweep runs in one pool of worker processes,
-    min(workers, CPU count, candidates in the first sweep) of them, started
+    min(workers, usable CPUs, candidates in the first sweep) of them, started
     once per call.  Each sweep is one pool.map over the candidates in
     contiguous chunks, at most CHUNKS_PER_WORKER per worker, each handed to
     whichever worker is free; the results come back in candidate order, so
@@ -135,7 +144,7 @@ def greedy_plan(
     stopped_early = False
     stop_reason = None
 
-    pool_size = min(workers, os.cpu_count() or 1, len(candidate_links(model.n, installed)))
+    pool_size = min(workers, usable_cpu_count(), len(candidate_links(model.n, installed)))
     pool = None
     if budget and pool_size > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -251,7 +251,7 @@ def test_plan_worker_error_exit_code(tmp_path, capsys):
 
 
 def test_plan_echoes_requested_workers(tmp_path, monkeypatch, inline_pool):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr("gridlink.planner.usable_cpu_count", lambda: 4)
     out = tmp_path / "plan.json"
     assert run(["plan", "--case", case_path("toy4"), "--out", out, "--budget", 2, "--workers", 64,
                 "--format", "structured"]) == 0
@@ -434,7 +434,7 @@ def test_trajectory_writer_pooled_and_inline_write_the_same_bytes(monkeypatch, s
     stops = [rows.stop for rows in row_blocks(rows)]
 
     def write(cores):
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(cli, "usable_cpu_count", lambda: cores)
         out, submitted = io.StringIO(), []
         with cli._TrajectoryWriter(out, parts, meta) as writer:
             for stop in stops:
@@ -474,7 +474,7 @@ def _write_case(tmp_path):
 @pytest.mark.parametrize("gain, code", [(-1.0, 0), (50.0, 1)])
 def test_simulate_leaves_no_worker_process_and_no_failed_output(tmp_path, monkeypatch, capsys, gain, code):
     # 3,701 rows, four blocks; at gain +50 the state blows up at 3.636 s, in the last block
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "usable_cpu_count", lambda: 2)
     pools = []
 
     class RecordedPool(concurrent.futures.ProcessPoolExecutor):
@@ -537,7 +537,7 @@ def test_failed_write_leaves_no_output_file(tmp_path):
 def test_simulate_pm_step_pooled_and_inline_bytes_agree(tmp_path, monkeypatch, fmt):
     # a real worker process and the inline renderer write the same document
     def simulate_bytes(cores):
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(cli, "usable_cpu_count", lambda: cores)
         out = tmp_path / f"traj-{cores}"
         assert run(["simulate", "--case", case_path("newengland39"), "--out", out, "--tmax", 3.0,
                     "--perturb", "pm-step gen=3,dpm=0.2,at=0.5", "--format", fmt]) == 0
@@ -545,6 +545,28 @@ def test_simulate_pm_step_pooled_and_inline_bytes_agree(tmp_path, monkeypatch, f
 
     assert simulate_bytes(2) == simulate_bytes(1)
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+def test_one_usable_cpu_makes_no_pool(tmp_path, monkeypatch, toy4_model):
+    # under an affinity of one CPU, as taskset or a cpuset sets it, os.cpu_count() still counts every CPU
+    made = []
+
+    def no_pool(*args, **kwargs):
+        made.append(args)
+        raise AssertionError("a process pool was made with one usable CPU")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(allowed)})
+    try:
+        assert cli.usable_cpu_count() == 1
+        assert run(["simulate", "--case", case_path("toy3"), "--out", tmp_path / "traj.csv", "--tmax", 3.0]) == 0
+        plan = gridlink.greedy_plan(toy4_model, budget=2, gain_h=-1.0, workers=2)
+    finally:
+        os.sched_setaffinity(0, allowed)
+    assert made == []
+    assert plan == gridlink.greedy_plan(toy4_model, budget=2, gain_h=-1.0)
 
 
 def test_perturb_parsing_errors():

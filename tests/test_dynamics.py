@@ -276,12 +276,13 @@ def test_swing_rhs_matches_two_array_oracle(ne39_model, data):
 
 @pytest.mark.parametrize("seed", [None, 0, 1, 2])
 def test_swing_operator_power_term_is_electrical_power(ne39_model, seed):
-    # no links, omega at synchronous speed and c = 0 leave only -P_e / m
+    # no links, omega at synchronous speed and no drive (c = 0) leave only -P_e / m
     model = ne39_model
     n = model.n
     delta = model.op.delta_s if seed is None else np.random.default_rng(seed).uniform(-math.pi, math.pi, n)
     op = SwingOperator(model, ControlConfig())
-    rate = op(np.concatenate([delta, np.full(n, model.op.omega_s)]), np.zeros(2 * n), np.empty(2 * n))
+    op.set_drive(np.zeros(n))
+    rate = op(np.concatenate([delta, np.full(n, model.op.omega_s)]), np.empty(2 * n))
     expected = electrical_power(delta, model.net)
     assert np.all(rate[:n] == 0.0)
     assert np.all(np.abs(-model.m * rate[n:] - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
@@ -302,7 +303,7 @@ def test_swing_operator_finite_differences_match_jacobian(ne39_model):
         xp, xm = x0.copy(), x0.copy()
         xp[col] += h
         xm[col] -= h
-        fd[:, col] = (op(xp, op.c, np.empty(2 * n)) - op(xm, op.c, np.empty(2 * n))) / (2 * h)
+        fd[:, col] = (op(xp, np.empty(2 * n)) - op(xm, np.empty(2 * n))) / (2 * h)
     assert np.all(np.abs(fd - j) <= 1e-6 * np.abs(j) + 1e-9 * np.abs(j).max())
 
 
@@ -384,22 +385,22 @@ def test_simulate_mechanical_step_shifts_equilibrium(toy3_model):
     assert rel[-1] > 1e-4
 
 
-def test_simulate_mechanical_step_is_swing_rhs_plus_step(toy3_model):
-    # RK4 driven by swing_rhs on a model whose constant mechanical power holds
-    # the step, from the apply index on, reproduces simulate bit for bit
-    model = toy3_model
-    ctl = ControlConfig([(0, 2)], -1.5)
-    dt, apply_index, steps = 2.0**-7, 10, 40
-    dist = DisturbanceSpec(kind="mechanical-step", target=1, d_pm=0.05, t_apply=apply_index * dt)
-    init = MachineState(model.op.delta_s + np.array([0.01, 0.0, -0.01]), np.full(3, model.op.omega_s))
-    traj = simulate(init, model, ctl, dist, t_max=steps * dt, dt=dt)
+def _swing_rhs_rk4(init, model, ctl, dist, dt, steps):
+    """(delta, omega) rows of RK4 driven by swing_rhs, the disturbance applied at its grid time.
 
-    step = np.zeros(3)
-    step[1] = 0.05
+    From that time on, swing_rhs is given a model whose constant mechanical power holds the step.
+    """
+    apply_index = math.ceil(dist.t_apply / dt - 1e-9)
+    step = np.zeros(model.n)
+    step[dist.target] = dist.d_pm
     stepped = replace(model, op=replace(model.op, p_m_const=model.op.p_m_const + step))
     d, w = init.delta.copy(), init.omega.copy()
+    delta, omega = np.empty((steps + 1, model.n)), np.empty((steps + 1, model.n))
     for k in range(steps + 1):
-        assert np.array_equal(traj.delta[k], d) and np.array_equal(traj.omega[k], w)
+        if k == apply_index:
+            d[dist.target] += dist.d_delta
+            w[dist.target] += dist.d_omega
+        delta[k], omega[k] = d, w
         if k == steps:
             break
         rhs_model = stepped if k >= apply_index else model
@@ -413,6 +414,20 @@ def test_simulate_mechanical_step_is_swing_rhs_plus_step(toy3_model):
         k4d, k4w = f(d + dt * k3d, w + dt * k3w)
         d = d + (dt / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
         w = w + (dt / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+    return delta, omega
+
+
+def test_simulate_mechanical_step_is_swing_rhs_plus_step(toy3_model):
+    # RK4 driven by swing_rhs on a model whose constant mechanical power holds
+    # the step, from the apply index on, reproduces simulate bit for bit
+    model = toy3_model
+    ctl = ControlConfig([(0, 2)], -1.5)
+    dt, apply_index, steps = 2.0**-7, 10, 40
+    dist = DisturbanceSpec(kind="mechanical-step", target=1, d_pm=0.05, t_apply=apply_index * dt)
+    init = MachineState(model.op.delta_s + np.array([0.01, 0.0, -0.01]), np.full(3, model.op.omega_s))
+    traj = simulate(init, model, ctl, dist, t_max=steps * dt, dt=dt)
+    delta, omega = _swing_rhs_rk4(init, model, ctl, dist, dt, steps)
+    assert np.array_equal(traj.delta, delta) and np.array_equal(traj.omega, omega)
 
 
 # 15-link ne39 plan, 1-based, as gridlink plan --budget 15 --gain -1 installs it
@@ -431,6 +446,30 @@ def test_swing_operator_and_jacobian_share_the_swing_matrix(ne39_model):
     lower_left[n:, :n] = True
     assert np.array_equal(j[~lower_left], g[~lower_left])
     assert not np.array_equal(j[n:, :n], g[n:, :n])
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        DisturbanceSpec(kind="state-offset", target=0, d_delta=0.05, d_omega=-0.1),
+        DisturbanceSpec(kind="mechanical-step", target=2, d_pm=0.2, t_apply=1.2),
+    ],
+    ids=["state-offset", "pm-step"],
+)
+def test_simulate_ne39_is_swing_rhs_rk4_across_blocks(ne39_model, dist):
+    # 1,501 rows run into a second block, with on_block passed and the pm-step applied in that block;
+    # the trajectory, and every row handed on, is RK4 driven by swing_rhs bit for bit
+    model = ne39_model
+    ctl = ControlConfig([(i - 1, k - 1) for i, k in NE39_PLAN_15], -1.0)
+    init, dt, steps = equilibrium_state(model), 1e-3, 1500
+    handed_on = []
+    traj = simulate(init, model, ctl, dist, t_max=steps * dt, dt=dt,
+                    on_block=lambda t, stop: handed_on.append((stop, t.delta[:stop].copy(), t.omega[:stop].copy())))
+    delta, omega = _swing_rhs_rk4(init, model, ctl, dist, dt, steps)
+    assert np.array_equal(traj.delta, delta) and np.array_equal(traj.omega, omega)
+    assert [stop for stop, _, _ in handed_on] == [ROWS_PER_BLOCK, steps + 1]
+    for stop, d, w in handed_on:
+        assert np.array_equal(d, delta[:stop]) and np.array_equal(w, omega[:stop])
 
 
 def test_simulate_matches_two_array_rk4_loop(ne39_model):
@@ -514,10 +553,10 @@ def test_simulate_blowup_time_matches_per_step_loop(gain, t_max, time):
         for k in range(round(t_max / dt) + 1):
             if not np.isfinite(x).all():
                 break
-            k1 = op(x, op.c, rate[0])
-            k2 = op(x + 0.5 * dt * k1, op.c, rate[1])
-            k3 = op(x + 0.5 * dt * k2, op.c, rate[2])
-            k4 = op(x + dt * k3, op.c, rate[3])
+            k1 = op(x, rate[0])
+            k2 = op(x + 0.5 * dt * k1, rate[1])
+            k3 = op(x + 0.5 * dt * k2, rate[2])
+            k4 = op(x + dt * k3, rate[3])
             x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     assert exc_info.value.time == k * dt
     assert round(k * dt, 9) == time

@@ -173,7 +173,7 @@ def test_worker_error_reaches_caller(ne39_model):
     ],
 )
 def test_pool_size_clamped(monkeypatch, inline_pool, toy4_model, workers, cores, budget, preinstalled, expected):
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(planner, "usable_cpu_count", lambda: cores)
     kwargs = dict(budget=budget, gain_h=-1.0, allow_nonpositive=True, preinstalled=preinstalled)
     result = greedy_plan(toy4_model, workers=workers, **kwargs)
     assert inline_pool == expected
