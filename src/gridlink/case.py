@@ -98,7 +98,10 @@ def _number(obj: dict, key: str, path: str, default: float | None = None) -> flo
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise CaseSchemaError(f"{path}.{key}: expected a number, got {type(value).__name__}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the largest float
+        value = math.inf
     if not math.isfinite(value):
         raise CaseSchemaError(f"{path}.{key}: expected a finite number")
     return value
@@ -114,7 +117,8 @@ def _integer(obj: dict, key: str, path: str) -> int:
 def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
     unknown = sorted(set(obj) - allowed)
     if unknown:
-        raise CaseSchemaError(f"{path}: unknown field(s) {', '.join(unknown)}")
+        # quoted as JSON strings, so a name holding a line break stays on the diagnostic's one line
+        raise CaseSchemaError(f"{path}: unknown field(s) {', '.join(map(json.dumps, unknown))}")
 
 
 def parse_case(text: str) -> PowerCase:
@@ -128,6 +132,8 @@ def parse_case(text: str) -> PowerCase:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CaseSyntaxError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer of too many digits, or nesting too deep
+        raise CaseSyntaxError(str(exc)) from exc
     if not isinstance(doc, dict):
         raise CaseSchemaError("top level: expected an object")
     _reject_unknown(doc, {"base_mva", "f0", "buses", "branches", "generators"}, "top level")

@@ -17,7 +17,7 @@ import stat
 import sys
 import warnings
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from pathlib import Path
 from typing import IO
 
@@ -111,6 +111,8 @@ def read_links_file(path: str, n: int) -> list[tuple[int, int]]:
         doc = json.loads(_read_text(path, "links file"))
     except json.JSONDecodeError as exc:
         raise InputError(f"links file {path}: {exc.msg} at line {exc.lineno}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer of too many digits, or nesting too deep
+        raise InputError(f"links file {path}: {exc}") from exc
     if not isinstance(doc, dict) or "links" not in doc or not isinstance(doc["links"], list):
         raise InputError(f"links file {path}: expected an object with a 'links' array")
     links = []
@@ -162,13 +164,10 @@ def _output(args: argparse.Namespace) -> Iterator[IO[str]]:
         raise
 
 
-def _write(args: argparse.Namespace, blocks: Iterable[str]) -> None:
-    """Write the text blocks to --out in order through one open file, each as it is rendered.
-
-    A document rendered in one piece is passed as a single block.
-    """
+def _write(args: argparse.Namespace, text: str) -> None:
+    """Write a document rendered in one piece to --out."""
     with _output(args) as out:
-        out.writelines(blocks)
+        out.write(text)
 
 
 def run_analyze(args: argparse.Namespace) -> int:
@@ -178,9 +177,9 @@ def run_analyze(args: argparse.Namespace) -> int:
     report = spectral_abscissa(model, ctl)
     meta.update({"gain": args.gain, "links": len(links)})
     if args.format == "structured":
-        _write(args, [reports.render_json(reports.spectrum_document(report, meta))])
+        _write(args, reports.render_json(reports.spectrum_document(report, meta)))
     else:
-        _write(args, [reports.spectrum_table(report, meta)])
+        _write(args, reports.spectrum_table(report, meta))
     return 0
 
 
@@ -207,9 +206,9 @@ def run_plan(args: argparse.Namespace) -> int:
         }
     )
     if args.format == "structured":
-        _write(args, [reports.render_json(reports.plan_document(result, meta))])
+        _write(args, reports.render_json(reports.plan_document(result, meta)))
     else:
-        _write(args, [reports.plan_table(result, meta)])
+        _write(args, reports.plan_table(result, meta))
     return 0
 
 
@@ -229,8 +228,7 @@ class _TrajectoryWriter:
 
     def __init__(self, out: IO[str], parts: Callable[[Trajectory, dict], Iterator[reports.Part]], meta: dict):
         self.out, self.parts_of, self.meta = out, parts, meta
-        self.parts: Iterator[reports.Part] | None = None
-        self.next: reports.Part | None = None
+        self.parts: deque | None = None  # the parts not yet handed over, in document order
         self.pool = None
         self.pending: deque = deque()  # text, or futures of text, in document order
 
@@ -243,22 +241,19 @@ class _TrajectoryWriter:
 
     def on_block(self, traj: Trajectory, stop: int) -> None:
         if self.parts is None:
-            self.parts = self.parts_of(traj, self.meta)
-            self.next = next(self.parts, None)
+            self.parts = deque(self.parts_of(traj, self.meta))
             if stop < traj.times.size and usable_cpu_count() > 1:
                 from concurrent.futures import ProcessPoolExecutor
 
                 self.pool = ProcessPoolExecutor(1)
-        while self.next is not None and (isinstance(self.next, str) or self.next[0] <= stop):
-            self.pending.append(self._start(self.next))
-            self.next = next(self.parts, None)
+        parts = self.parts
+        while parts and (isinstance(parts[0], str) or parts[0][0] <= stop):
+            part = parts.popleft()
+            if not isinstance(part, str):
+                _, renderer, args = part
+                part = self.pool.submit(renderer, *args) if self.pool is not None else renderer(*args)
+            self.pending.append(part)
         self._write_done(wait=False)
-
-    def _start(self, part: reports.Part):
-        if isinstance(part, str):
-            return part
-        _, renderer, args = part
-        return self.pool.submit(renderer, *args) if self.pool is not None else renderer(*args)
 
     def _write_done(self, wait: bool) -> None:
         pending = self.pending
@@ -266,9 +261,8 @@ class _TrajectoryWriter:
             part = pending.popleft()
             self.out.write(part if isinstance(part, str) else part.result())
 
-    def finish(self, traj: Trajectory, footer: str) -> None:
-        """Write every remaining part of the finished trajectory, then the footer."""
-        self.on_block(traj, traj.times.size)
+    def finish(self, footer: str) -> None:
+        """Write every remaining part, then the footer; simulate's last on_block handed over every row."""
         self._write_done(wait=True)
         self.out.write(footer)
 
@@ -311,13 +305,13 @@ def run_simulate(args: argparse.Namespace) -> int:
             fitted_text = repr(fitted)
         except ValueError as exc:
             fitted_text = f"unavailable ({exc})"
-        writer.finish(traj, footer_text({"fitted_decay_rate": fitted_text, "alpha_max": repr(alpha)}))
+        writer.finish(footer_text({"fitted_decay_rate": fitted_text, "alpha_max": repr(alpha)}))
     return 0
 
 
 def run_reduce(args: argparse.Namespace) -> int:
     model, meta = _load(args)
-    _write(args, [reports.render_json(reports.reduction_document(model.net, model.op, meta))])
+    _write(args, reports.render_json(reports.reduction_document(model.net, model.op, meta)))
     return 0
 
 
@@ -392,7 +386,9 @@ def main(argv: list[str] | None = None) -> int:
     formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         check_args(args)
-        return _RUNNERS[args.subcommand](args)
+        # Floating-point trouble no step expects (an extreme case value) is a computation error.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _RUNNERS[args.subcommand](args)
     except (InputError, CaseError) as exc:
         print(f"gridlink: input error: {exc}", file=sys.stderr)
         return 2
@@ -403,6 +399,7 @@ def main(argv: list[str] | None = None) -> int:
         PlannerGuardError,
         np.linalg.LinAlgError,
         ValueError,
+        ArithmeticError,
     ) as exc:
         print(f"gridlink: computation error: {exc}", file=sys.stderr)
         return 1

@@ -10,13 +10,12 @@ inputs.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from typing import Any
 
 import numpy as np
 
-# ROWS_PER_BLOCK is also the number of rows in a text block of a trajectory document.
-from gridlink.dynamics import ROWS_PER_BLOCK, Trajectory, row_blocks  # noqa: F401
+from gridlink.dynamics import Trajectory, row_blocks
 from gridlink.linearization import SpectrumReport
 from gridlink.planner import PlanResult
 from gridlink.reduction import OperatingPoint, ReducedNetwork
@@ -142,7 +141,8 @@ def reduction_document(net: ReducedNetwork, op: OperatingPoint, meta: dict[str, 
 # either text or a render task (rows, renderer, args): renderer(*args) is the part's text, and it
 # may run as soon as the first ``rows`` rows of the trajectory are final.  A renderer is a
 # module-level function of array slices, so a task can run in another process.  The document
-# ends with the footer's text, which is rendered once the decay fit is done.
+# ends with the footer's text, which is rendered once the decay fit is done.  The CLI's
+# _TrajectoryWriter is the one renderer of the parts.
 
 Part = str | tuple[int, Callable[..., str], tuple]
 
@@ -203,25 +203,3 @@ def document_parts(traj: Trajectory, meta: dict[str, Any]) -> Iterator[Part]:
 
 def document_footer(footer: dict[str, Any]) -> str:
     return _json_members({"summary": footer}) + "\n}\n"
-
-
-def rendered(parts: Iterable[Part]) -> Iterator[str]:
-    """The text of each part in turn, rendered in this process."""
-    for part in parts:
-        yield part if isinstance(part, str) else part[1](*part[2])
-
-
-def trajectory_table(traj: Trajectory, meta: dict[str, Any], footer: dict[str, Any]) -> Iterator[str]:
-    """The delimited table of a finished trajectory as text blocks, to be written in order.
-
-    The blocks are table_parts rendered in this process, then the footer, so
-    no more than one block of rows is held as text.
-    """
-    yield from rendered(table_parts(traj, meta))
-    yield table_footer(footer)
-
-
-def trajectory_document(traj: Trajectory, meta: dict[str, Any], footer: dict[str, Any]) -> Iterator[str]:
-    """The structured trajectory of a finished trajectory as text blocks: document_parts, then the summary."""
-    yield from rendered(document_parts(traj, meta))
-    yield document_footer(footer)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from gridlink.case import load_case, parse_case
 from gridlink.model import build_system
 from gridlink.powerflow import solve_powerflow
+from gridlink.reports import header_lines
 
 TWO_MACHINE_OSCILLATOR = """{
   "base_mva": 100.0, "f0": 60.0,
@@ -126,3 +128,34 @@ def inline_pool(monkeypatch):
     monkeypatch.setattr(planner, "_worker_args", None)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return sizes
+
+
+# Independent oracles of the trajectory documents: one numpy scalar -> float -> repr per value.
+def _per_value_table(traj, meta, footer):
+    n = traj.delta.shape[1]
+    lines = header_lines(meta)
+    lines.append(",".join(["time"] + [f"delta_{i + 1}" for i in range(n)] + [f"omega_{i + 1}" for i in range(n)]))
+    for k in range(traj.times.size):
+        values = [repr(float(traj.times[k]))]
+        values += [repr(float(v)) for v in traj.delta[k]]
+        values += [repr(float(v)) for v in traj.omega[k]]
+        lines.append(",".join(values))
+    lines += header_lines(footer)
+    return "\n".join(lines) + "\n"
+
+
+def _per_value_trajectory_document(traj, meta, footer):
+    return {
+        "meta": meta,
+        "dt": float(traj.dt),
+        "times": [float(v) for v in traj.times],
+        "delta": [[float(v) for v in row] for row in traj.delta],
+        "omega": [[float(v) for v in row] for row in traj.omega],
+        "summary": footer,
+    }
+
+
+def _rows_on_one_line(text):
+    # a render_json document with each row of delta and omega on one line: the structured trajectory's layout
+    row = re.compile(r"\n    \[\n      ([^\]]*)\n    \]")
+    return row.sub(lambda m: "\n    [" + m[1].replace(",\n      ", ", ") + "]", text)

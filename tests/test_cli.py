@@ -1,5 +1,7 @@
 import argparse
 import concurrent.futures
+import contextlib
+import copy
 import importlib.util
 import io
 import json
@@ -11,9 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gridlink
-from conftest import two_bus_feeder
+from conftest import _per_value_table, _per_value_trajectory_document, _rows_on_one_line, two_bus_feeder
 from gridlink import cli, reports
 from gridlink.case import case_path
 from gridlink.cli import main, parse_perturb
@@ -217,6 +221,136 @@ def test_unreadable_input_file_is_input_error(tmp_path, capsys, which):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "input error: cannot read" in err
+
+
+@pytest.mark.parametrize(
+    "field, location",
+    [(["base_mva"], "top level.base_mva"), (["generators", 1, "h"], "generators[1].h"),
+     (["buses", 2, "p_load"], "buses[2].p_load")],
+    ids=["base_mva", "h", "p_load"],
+)
+def test_integer_too_large_for_a_float_is_input_error(tmp_path, capsys, field, location):
+    doc = json.loads(case_path("toy3").read_text())
+    *parents, key = field
+    node = doc
+    for step in parents:
+        node = node[step]
+    node[key] = 10**400
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(doc))
+    assert run(["analyze", "--case", case, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err == f"gridlink: input error: {location}: expected a finite number\n"
+
+
+@pytest.mark.parametrize("reader", ["case", "links"])
+@pytest.mark.parametrize(
+    "text, message",
+    [("[" * 100_000 + "]" * 100_000, "recursion depth"), ('{"links": [[1, 2' + "0" * 10_000 + "]]}", "digits")],
+    ids=["deep-nesting", "long-integer"],
+)
+def test_json_the_parser_refuses_is_input_error(tmp_path, capsys, reader, text, message):
+    # json.loads raises RecursionError for deep nesting, and ValueError for an integer of more digits
+    # than int() converts: neither is a JSONDecodeError
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    argv = ["analyze", "--case", bad if reader == "case" else case_path("toy3"), "--out", tmp_path / "o"]
+    if reader == "links":
+        argv += ["--links", bad]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("gridlink: input error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "bus, values",
+    [(2, {"p_load": 1e-160, "v_set": 5e-324}), (0, {"v_set": 6.7e185})],
+    ids=["v_set-underflows", "v_set-overflows"],
+)
+def test_extreme_case_value_is_one_line_computation_error(tmp_path, capsys, bus, values):
+    # finite values whose arithmetic overflows or divides by zero stop the run with one line, not
+    # a traceback (a ZeroDivisionError) or a run of numpy warnings
+    doc = json.loads(case_path("toy3").read_text())
+    doc["buses"][bus].update(values)
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(doc))
+    assert run(["analyze", "--case", case, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("gridlink: computation error: ")
+    assert not (tmp_path / "o").exists()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def perturbed(draw, doc):
+    """doc with one to three members, at any depth, replaced by a number or another JSON value, or deleted."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while node:
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            if isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+                node = node[key]
+                continue
+            if draw(st.booleans()):
+                del node[key]
+            else:
+                node[key] = draw(st.floats() | st.integers() | JSON_VALUES)
+            break
+    return doc
+
+
+TOY3_DOC = json.loads(case_path("toy3").read_text())
+TOY3_LINKS = {"links": [[1, 2], [2, 3]]}
+
+
+def _json_documents(base):
+    return (JSON_VALUES | perturbed(base)).map(json.dumps)
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("inputs")
+
+
+def _exit_and_stderr(argv):
+    """main's exit code and stderr; anything main raises but SystemExit fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_json_documents(TOY3_DOC))
+@example(text=json.dumps({**TOY3_DOC, "base_mva": 10**400}))
+@example(text="[" * 100_000 + "]" * 100_000)
+@example(text=json.dumps({"\n": None}))
+def test_no_case_document_makes_main_raise(scratch_dir, text):
+    case = scratch_dir / "case.json"
+    case.write_text(text)
+    code, err = _exit_and_stderr(["analyze", "--case", case, "--out", scratch_dir / "o"])
+    assert code in (0, 1, 2)
+    assert len(err.splitlines()) <= 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_json_documents(TOY3_LINKS))
+@example(text="[" * 100_000 + "]" * 100_000)
+def test_no_links_document_makes_main_raise(scratch_dir, text):
+    links = scratch_dir / "links.json"
+    links.write_text(text)
+    code, err = _exit_and_stderr(["analyze", "--case", case_path("toy3"), "--links", links, "--out", scratch_dir / "o"])
+    assert code in (0, 1, 2)
+    assert len(err.splitlines()) <= 1
 
 
 @pytest.mark.parametrize("case, available", [("toy3", 3), ("toy4", 6)])
@@ -428,9 +562,11 @@ def test_trajectory_writer_pooled_and_inline_write_the_same_bytes(monkeypatch, s
     traj = Trajectory(times=np.arange(rows) * 1e-3, delta=states[:, :3], omega=states[:, 3:], dt=1e-3)
     meta, footer = {"tool": "gridlink", "links": 2}, {"fitted_decay_rate": "-0.5", "alpha_max": "-0.4"}
     if fmt == "table":
-        parts, closing, whole = reports.table_parts, reports.table_footer, reports.trajectory_table
+        parts, closing = reports.table_parts, reports.table_footer
+        expected = _per_value_table(traj, meta, footer)
     else:
-        parts, closing, whole = reports.document_parts, reports.document_footer, reports.trajectory_document
+        parts, closing = reports.document_parts, reports.document_footer
+        expected = _rows_on_one_line(reports.render_json(_per_value_trajectory_document(traj, meta, footer)))
     stops = [rows.stop for rows in row_blocks(rows)]
 
     def write(cores):
@@ -440,13 +576,13 @@ def test_trajectory_writer_pooled_and_inline_write_the_same_bytes(monkeypatch, s
             for stop in stops:
                 writer.on_block(traj, stop)
                 submitted.append(sum(len(pool.tasks) for pool in stand_in_pool))
-            writer.finish(traj, closing(footer))
+            writer.finish(closing(footer))
         return out.getvalue(), submitted
 
     inline, _ = write(1)
     assert stand_in_pool == []
     pooled, submitted = write(2)
-    assert pooled == inline == "".join(whole(traj, meta, footer))
+    assert pooled == inline == expected
     if len(stops) == 1:
         assert stand_in_pool == []
         return
@@ -523,13 +659,13 @@ def test_unwritable_simulate_output_is_input_error_before_integrating(tmp_path, 
 
 def test_failed_write_leaves_no_output_file(tmp_path):
     # a document whose rendering fails part way is removed, not left half written
-    def blocks():
-        yield "a first block\n"
-        raise ValueError("rendering failed")
-
     out = tmp_path / "doc.txt"
     with pytest.raises(ValueError, match="rendering failed"):
-        cli._write(argparse.Namespace(out=str(out)), blocks())
+        with cli._output(argparse.Namespace(out=str(out))) as f:
+            f.write("a first block\n")
+            f.flush()
+            assert out.read_text() == "a first block\n"
+            raise ValueError("rendering failed")
     assert not out.exists()
 
 

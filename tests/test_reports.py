@@ -1,32 +1,42 @@
 import argparse
-import re
+import io
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import _per_value_table, _per_value_trajectory_document, _rows_on_one_line
 from gridlink import cli, reports
 from gridlink.case import case_path
 from gridlink.cli import main
-from gridlink.dynamics import ControlConfig, DisturbanceSpec, MachineState, Trajectory, simulate
-from gridlink.reports import ROWS_PER_BLOCK, header_lines, render_json, trajectory_document, trajectory_table
+from gridlink.dynamics import (
+    ROWS_PER_BLOCK,
+    ControlConfig,
+    DisturbanceSpec,
+    MachineState,
+    Trajectory,
+    row_blocks,
+    simulate,
+)
+from gridlink.reports import render_json
 
 
-def _per_value_table(traj, meta, footer):
-    # the renderer trajectory_table replaced: one numpy scalar -> float -> repr per value
-    n = traj.delta.shape[1]
-    lines = header_lines(meta)
-    lines.append(",".join(["time"] + [f"delta_{i + 1}" for i in range(n)] + [f"omega_{i + 1}" for i in range(n)]))
-    for k in range(traj.times.size):
-        values = [repr(float(traj.times[k]))]
-        values += [repr(float(v)) for v in traj.delta[k]]
-        values += [repr(float(v)) for v in traj.omega[k]]
-        lines.append(",".join(values))
-    lines += header_lines(footer)
-    return "\n".join(lines) + "\n"
+def _written_inline(monkeypatch, traj, fmt, meta, footer):
+    """The document the CLI's writer writes for traj, its blocks handed over as simulate hands them, one usable CPU."""
+    monkeypatch.setattr(cli, "usable_cpu_count", lambda: 1)
+    if fmt == "table":
+        parts, closing = reports.table_parts, reports.table_footer
+    else:
+        parts, closing = reports.document_parts, reports.document_footer
+    out = io.StringIO()
+    with cli._TrajectoryWriter(out, parts, meta) as writer:
+        for rows in row_blocks(traj.times.size):
+            writer.on_block(traj, rows.stop)
+        writer.finish(closing(footer))
+    return out.getvalue()
 
 
-def test_trajectory_table_matches_per_value_renderer():
+def test_trajectory_table_matches_per_value_renderer(monkeypatch):
     # delta and omega are views of one stacked array, as simulate returns them
     states = np.array(
         [
@@ -37,7 +47,7 @@ def test_trajectory_table_matches_per_value_renderer():
     )
     traj = Trajectory(times=np.arange(3) * 1e-3, delta=states[:, :3], omega=states[:, 3:], dt=1e-3)
     meta, footer = {"tool": "gridlink", "links": 2}, {"fitted_decay_rate": "-0.5", "alpha_max": "-0.4"}
-    text = "".join(trajectory_table(traj, meta, footer))
+    text = _written_inline(monkeypatch, traj, "table", meta, footer)
     assert text == _per_value_table(traj, meta, footer)
     assert "\n0.0,-0.0,5e-324,1e-300,376.99111843077515," in text
 
@@ -55,23 +65,6 @@ def _per_value_reduction_document(net, op, meta):
         "omega_s": float(op.omega_s),
         "p_m_const": [float(v) for v in op.p_m_const],
     }
-
-
-def _per_value_trajectory_document(traj, meta, footer):
-    return {
-        "meta": meta,
-        "dt": float(traj.dt),
-        "times": [float(v) for v in traj.times],
-        "delta": [[float(v) for v in row] for row in traj.delta],
-        "omega": [[float(v) for v in row] for row in traj.omega],
-        "summary": footer,
-    }
-
-
-def _rows_on_one_line(text):
-    # a render_json document with each row of delta and omega on one line: trajectory_document's layout
-    row = re.compile(r"\n    \[\n      ([^\]]*)\n    \]")
-    return row.sub(lambda m: "\n    [" + m[1].replace(",\n      ", ", ") + "]", text)
 
 
 @pytest.mark.parametrize(
@@ -103,33 +96,39 @@ def test_structured_document_matches_per_value_renderer(tmp_path, monkeypatch, b
 
 
 @pytest.mark.parametrize("rows", [1, ROWS_PER_BLOCK - 1, ROWS_PER_BLOCK, ROWS_PER_BLOCK + 1, 2 * ROWS_PER_BLOCK + 1])
-def test_trajectory_blocks_join_to_per_row_documents(rows):
-    # header, ceil(rows / ROWS_PER_BLOCK) blocks of rows and footer, for the table and for each
-    # of the structured document's three arrays
+def test_trajectory_blocks_join_to_per_row_documents(monkeypatch, rows):
+    # a header and ceil(rows / ROWS_PER_BLOCK) tasks of rows, for the table and for each of the
+    # structured document's three arrays; the footer is rendered apart, once the decay fit is done
     states = np.random.default_rng(rows).standard_normal((rows, 4)) * 10.0 ** np.arange(-2, 2)
     traj = Trajectory(times=np.arange(rows) * 1e-3, delta=states[:, :2], omega=states[:, 2:], dt=1e-3)
     meta, footer = {"tool": "gridlink", "links": 1}, {"fitted_decay_rate": "-0.5", "alpha_max": "-0.4"}
-    row_blocks = -(-rows // ROWS_PER_BLOCK)
-    table = list(trajectory_table(traj, meta, footer))
-    assert len(table) == row_blocks + 2
-    assert max(block.count("\n") for block in table[1:-1]) <= ROWS_PER_BLOCK
-    assert "".join(table) == _per_value_table(traj, meta, footer)
-    document = list(trajectory_document(traj, meta, footer))
-    assert len(document) == 3 * (row_blocks + 2) + 2
-    assert "".join(document) == _rows_on_one_line(render_json(_per_value_trajectory_document(traj, meta, footer)))
+    blocks = -(-rows // ROWS_PER_BLOCK)
+    header, *tasks = reports.table_parts(traj, meta)
+    assert isinstance(header, str) and len(tasks) == blocks
+    assert max(renderer(*args).count("\n") for _, renderer, args in tasks) <= ROWS_PER_BLOCK
+    assert _written_inline(monkeypatch, traj, "table", meta, footer) == _per_value_table(traj, meta, footer)
+    document = list(reports.document_parts(traj, meta))
+    assert len(document) == 3 * (blocks + 2) + 1
+    assert sum(not isinstance(part, str) for part in document) == 3 * blocks
+    expected = _rows_on_one_line(render_json(_per_value_trajectory_document(traj, meta, footer)))
+    assert _written_inline(monkeypatch, traj, "structured", meta, footer) == expected
 
 
-def test_trajectory_table_is_written_one_block_at_a_time(tmp_path, ne39_model):
-    # rendering and writing ne39's 20 s table holds about one block of rows, not the document
+def test_trajectory_table_is_written_one_block_at_a_time(tmp_path, monkeypatch, ne39_model):
+    # the CLI's writer, rendering inline, holds about one block of ne39's 20 s table, not the document
+    monkeypatch.setattr(cli, "usable_cpu_count", lambda: 1)
     model = ne39_model
     init = MachineState(model.op.delta_s.copy(), np.full(model.n, model.op.omega_s))
     dist = DisturbanceSpec(kind="state-offset", target=0, d_delta=0.05)
     traj = simulate(init, model, ControlConfig(), dist, t_max=20.0, dt=1e-3)
     out = tmp_path / "traj.csv"
-    blocks = trajectory_table(traj, {"tool": "gridlink"}, {"alpha_max": "-0.09"})
     tracemalloc.start()
     try:
-        cli._write(argparse.Namespace(out=str(out)), blocks)
+        with cli._output(argparse.Namespace(out=str(out))) as f:
+            with cli._TrajectoryWriter(f, reports.table_parts, {"tool": "gridlink"}) as writer:
+                for rows in row_blocks(traj.times.size):
+                    writer.on_block(traj, rows.stop)
+                writer.finish(reports.table_footer({"alpha_max": "-0.09"}))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
