@@ -16,7 +16,6 @@ import os
 import stat
 import sys
 import warnings
-from collections import deque
 from collections.abc import Callable, Iterator
 from pathlib import Path
 from typing import IO
@@ -38,7 +37,7 @@ from gridlink.dynamics import (
 )
 from gridlink.linearization import spectral_abscissa
 from gridlink.model import SystemModel, build_system
-from gridlink.planner import PlannerGuardError, greedy_plan, usable_cpu_count
+from gridlink.planner import greedy_plan, usable_cpu_count
 from gridlink.powerflow import PowerFlowError
 from gridlink.reduction import KronReductionError
 from gridlink import reports
@@ -212,58 +211,78 @@ def run_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-class _TrajectoryWriter:
-    """Renders a trajectory document's parts and writes them to out, in document order, as simulate runs.
+class _TrajectoryWriter(contextlib.AbstractContextManager):
+    """Writes a trajectory document to out as simulate runs; write is reports.write_table or write_document.
 
-    on_block is simulate's block hook.  Each time a block of rows is final,
-    every render task whose rows are now final is handed over, in document
-    order, and the parts that are done are written, so only a few rendered
-    blocks are held at a time.  With more than one usable CPU (see
-    usable_cpu_count) and more than one block the tasks run in one worker
-    process, overlapping the integration; otherwise each runs here as it is
-    handed over.  Either way the same renderers run on the same rows, so the
-    bytes are the same.  Leaving the with block shuts the worker down,
-    cancelling what it has not started.
+    With more than one usable CPU (see usable_cpu_count), more than one block and os.fork, the first
+    on_block forks a child that runs write into the inherited out, reading simulate's shared rows once
+    on_block has sent their stop down a pipe.  It ends by os._exit, which flushes no other stream, with
+    the errno of a failed write as its status.  Otherwise write runs here in finish.
     """
 
-    def __init__(self, out: IO[str], parts: Callable[[Trajectory, dict], Iterator[reports.Part]], meta: dict):
-        self.out, self.parts_of, self.meta = out, parts, meta
-        self.parts: deque | None = None  # the parts not yet handed over, in document order
-        self.pool = None
-        self.pending: deque = deque()  # text, or futures of text, in document order
-
-    def __enter__(self) -> _TrajectoryWriter:
-        return self
+    def __init__(self, out: IO[str], write: Callable[..., None], meta: dict):
+        self.out, self.write, self.meta = out, write, meta
+        self.traj: Trajectory | None = None
+        self.pid: int | None = None  # the forked writer, until it is reaped
+        self.pipe = -1  # the parent's end of the pipe; in the child, its end
 
     def __exit__(self, *exc_info) -> None:
-        if self.pool is not None:
-            self.pool.shutdown(cancel_futures=True)
+        if self.pid is not None:  # the run failed: the child reads the end of the pipe and exits
+            os.close(self.pipe)
+            os.waitpid(self.pid, 0)
 
     def on_block(self, traj: Trajectory, stop: int) -> None:
-        if self.parts is None:
-            self.parts = deque(self.parts_of(traj, self.meta))
-            if stop < traj.times.size and usable_cpu_count() > 1:
-                from concurrent.futures import ProcessPoolExecutor
+        if self.traj is None:
+            self.traj = traj
+            if stop < traj.times.size and usable_cpu_count() > 1 and hasattr(os, "fork"):
+                self._fork()
+        if self.pid is not None:
+            try:
+                os.write(self.pipe, stop.to_bytes(8, "little"))
+            except BrokenPipeError:
+                self._reap()  # the child failed first: raise its error, not this one
 
-                self.pool = ProcessPoolExecutor(1)
-        parts = self.parts
-        while parts and (isinstance(parts[0], str) or parts[0][0] <= stop):
-            part = parts.popleft()
-            if not isinstance(part, str):
-                _, renderer, args = part
-                part = self.pool.submit(renderer, *args) if self.pool is not None else renderer(*args)
-            self.pending.append(part)
-        self._write_done(wait=False)
+    def _fork(self) -> None:
+        self.out.flush()
+        received, self.pipe = os.pipe()
+        self.pid = os.fork()
+        if self.pid:
+            os.close(received)
+            return
+        os.close(self.pipe)
+        self.pipe, self.final = received, 0
+        try:
+            self.write(self.out, self.traj, self.meta, self._ready)
+            self.out.flush()
+            os._exit(0)
+        except OSError as exc:
+            os._exit(exc.errno or 255)
+        finally:
+            os._exit(255)
 
-    def _write_done(self, wait: bool) -> None:
-        pending = self.pending
-        while pending and (wait or isinstance(pending[0], str) or pending[0].done()):
-            part = pending.popleft()
-            self.out.write(part if isinstance(part, str) else part.result())
+    def _ready(self, stop: int) -> None:
+        """The child's ready: read stops from the pipe until one reaches stop."""
+        while self.final < stop:
+            message = os.read(self.pipe, 8)
+            if not message:
+                raise EOFError("the run ended before every row was final")
+            self.final = int.from_bytes(message, "little")
+
+    def _reap(self) -> None:
+        """Close the pipe and wait for the child; raise the OSError it ended with, if any."""
+        os.close(self.pipe)
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            raise OSError(code, os.strerror(code))
 
     def finish(self, footer: str) -> None:
-        """Write every remaining part, then the footer; simulate's last on_block handed over every row."""
-        self._write_done(wait=True)
+        """Write the rest of the document, then the footer; simulate's last on_block reported every row."""
+        if self.pid is None:
+            self.write(self.out, self.traj, self.meta, lambda stop: None)
+        else:
+            self._reap()
         self.out.write(footer)
 
 
@@ -294,10 +313,10 @@ def run_simulate(args: argparse.Namespace) -> int:
         }
     )
     if args.format == "structured":
-        parts, footer_text = reports.document_parts, reports.document_footer
+        write, footer_text = reports.write_document, reports.document_footer
     else:
-        parts, footer_text = reports.table_parts, reports.table_footer
-    with _output(args) as out, _TrajectoryWriter(out, parts, meta) as writer:
+        write, footer_text = reports.write_table, reports.table_footer
+    with _output(args) as out, _TrajectoryWriter(out, write, meta) as writer:
         traj = simulate(initial, model, ctl, disturbance, t_max=args.tmax, dt=args.dt, on_block=writer.on_block)
         alpha = spectral_abscissa(model, ctl).alpha_max
         try:
@@ -396,7 +415,6 @@ def main(argv: list[str] | None = None) -> int:
         PowerFlowError,
         KronReductionError,
         SimulationBlowUp,
-        PlannerGuardError,
         np.linalg.LinAlgError,
         ValueError,
         ArithmeticError,

@@ -12,6 +12,7 @@ deterministic for fixed inputs.
 
 from __future__ import annotations
 
+import mmap
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import Literal
@@ -242,7 +243,8 @@ def simulate(
     The stacked state [delta, omega] is stepped by the rate of one
     SwingOperator, built once per call, with stage buffers reused across
     steps; each step is written straight into one (steps + 1, 2n) array, of
-    which the returned delta and omega are views.  Stage inputs
+    which the returned delta and omega are views, in an anonymous shared
+    mapping that a process forked meanwhile reads.  Stage inputs
     x + (0.5 dt) k are written straight into the operator's state, and the
     update is x + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4), with k1..k4 the rows
     of one array (k2 and k3 doubled by one multiply) and the scalar factors
@@ -284,7 +286,7 @@ def simulate(
     stepped_p_m = model.op.p_m_const.copy()
     stepped_p_m[dist.target] += dist.d_pm
     times = np.arange(steps + 1) * dt
-    states = np.empty((steps + 1, 2 * n))
+    states = np.frombuffer(mmap.mmap(-1, (steps + 1) * 2 * n * 8)).reshape(steps + 1, 2 * n)
     states[0, :n] = initial.delta
     states[0, n:] = initial.omega
     traj = Trajectory(times=times, delta=states[:, :n], omega=states[:, n:], dt=dt)

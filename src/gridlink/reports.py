@@ -10,8 +10,8 @@ inputs.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterator
-from typing import Any
+from collections.abc import Callable
+from typing import IO, Any
 
 import numpy as np
 
@@ -137,44 +137,21 @@ def reduction_document(net: ReducedNetwork, op: OperatingPoint, meta: dict[str, 
 
 # --- trajectory -------------------------------------------------------------
 #
-# A trajectory document is a sequence of parts in document order, up to its footer.  A part is
-# either text or a render task (rows, renderer, args): renderer(*args) is the part's text, and it
-# may run as soon as the first ``rows`` rows of the trajectory are final.  A renderer is a
-# module-level function of array slices, so a task can run in another process.  The document
-# ends with the footer's text, which is rendered once the decay fit is done.  The CLI's
-# _TrajectoryWriter is the one renderer of the parts.
-
-Part = str | tuple[int, Callable[..., str], tuple]
+# write_table and write_document write a trajectory document up to its footer, which is rendered
+# once the decay fit is done.  They call ready(stop) before they read rows [0, stop), and it returns
+# once those rows are final.  The CLI's _TrajectoryWriter runs them, in a forked process or inline.
 
 
-def table_rows(times: np.ndarray, delta: np.ndarray, omega: np.ndarray) -> str:
-    """Rows of the trajectory table: time, delta_1..delta_n, omega_1..omega_n, full precision.
-
-    The columns are stacked here, so a caller passes slices of its arrays and no copy.
-    """
-    # tolist() gives Python floats without a numpy scalar per value.
-    rows = np.column_stack((times, delta, omega)).tolist()
-    return "".join(",".join(map(repr, row)) + "\n" for row in rows)
-
-
-def json_rows(values: np.ndarray, first: bool) -> str:
-    """Rows of one array of the structured trajectory, one JSON value per line.
-
-    Every row but the array's first is preceded by a comma.
-    """
-    return ("\n    " if first else ",\n    ") + ",\n    ".join(map(json.dumps, values.tolist()))
-
-
-def table_parts(traj: Trajectory, meta: dict[str, Any]) -> Iterator[Part]:
-    """Parts of the delimited table: the header and column line, then ROWS_PER_BLOCK rows a task.
-
-    The columns are time, delta_1..delta_n and omega_1..omega_n.
-    """
+def write_table(out: IO[str], traj: Trajectory, meta: dict[str, Any], ready: Callable[[int], None]) -> None:
+    """Write the delimited table to out: the header, the column line, then the rows, a block at a time."""
     n = traj.delta.shape[1]
     columns = ["time"] + [f"delta_{i + 1}" for i in range(n)] + [f"omega_{i + 1}" for i in range(n)]
-    yield "\n".join(header_lines(meta) + [",".join(columns)]) + "\n"
+    out.write("\n".join(header_lines(meta) + [",".join(columns)]) + "\n")
     for rows in row_blocks(traj.times.size):
-        yield rows.stop, table_rows, (traj.times[rows], traj.delta[rows], traj.omega[rows])
+        ready(rows.stop)
+        # tolist() gives Python floats without a numpy scalar per value.
+        values = np.column_stack((traj.times[rows], traj.delta[rows], traj.omega[rows])).tolist()
+        out.write("".join(",".join(map(repr, row)) + "\n" for row in values))
 
 
 def table_footer(footer: dict[str, Any]) -> str:
@@ -186,19 +163,21 @@ def _json_members(doc: dict[str, Any]) -> str:
     return json.dumps(doc, indent=2)[2:-2]
 
 
-def document_parts(traj: Trajectory, meta: dict[str, Any]) -> Iterator[Part]:
-    """Parts of the structured trajectory: meta, dt, times, delta and omega, up to the summary.
+def write_document(out: IO[str], traj: Trajectory, meta: dict[str, Any], ready: Callable[[int], None]) -> None:
+    """Write the structured trajectory to out: meta, dt, times, delta and omega, up to the summary.
 
     The layout is render_json's, except that each row of times, delta and
     omega sits on one line.  Times are ready from the start; the rows of
-    delta and omega ROWS_PER_BLOCK at a time, as they are final.
+    delta and omega are rendered ROWS_PER_BLOCK at a time.
     """
-    yield "{\n" + _json_members({"meta": meta, "dt": float(traj.dt)}) + ",\n"
-    for key, values, ready in (("times", traj.times, False), ("delta", traj.delta, True), ("omega", traj.omega, True)):
-        yield f'  "{key}": ['
+    out.write("{\n" + _json_members({"meta": meta, "dt": float(traj.dt)}) + ",\n")
+    for key, values, wait in (("times", traj.times, False), ("delta", traj.delta, True), ("omega", traj.omega, True)):
+        out.write(f'  "{key}": [')
         for rows in row_blocks(values.shape[0]):
-            yield rows.stop if ready else 0, json_rows, (values[rows], rows.start == 0)
-        yield "\n  ],\n"
+            ready(rows.stop if wait else 0)
+            prefix = ",\n    " if rows.start else "\n    "
+            out.write(prefix + ",\n    ".join(map(json.dumps, values[rows].tolist())))
+        out.write("\n  ],\n")
 
 
 def document_footer(footer: dict[str, Any]) -> str:

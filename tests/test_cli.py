@@ -5,10 +5,12 @@ import copy
 import importlib.util
 import io
 import json
-import multiprocessing
+import mmap
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -514,89 +516,94 @@ def test_simulate_pm_step(tmp_path):
     assert code == 0
 
 
-class StandInFuture:
-    """Renders when its result is read; reports itself not done the first time it is asked."""
-
-    def __init__(self, fn, args):
-        self.fn, self.args, self.asked = fn, args, False
-
-    def done(self):
-        done, self.asked = self.asked, True
-        return done
-
-    def result(self):
-        return self.fn(*self.args)
-
-
 @pytest.fixture
-def stand_in_pool(monkeypatch):
-    """Replace the renderer's process pool by one that runs its tasks in this process.
+def forks(monkeypatch):
+    """Record the pid of every process os.fork starts from this one."""
+    pids, real_fork = [], os.fork
 
-    Returns the pools created; each records the arguments of its tasks and its shutdowns.
-    """
-    pools = []
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    class StandInPool:
-        def __init__(self, max_workers):
-            assert max_workers == 1
-            self.tasks, self.shutdowns = [], []
-            pools.append(self)
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
 
-        def submit(self, fn, *args):
-            self.tasks.append(args)
-            return StandInFuture(fn, args)
 
-        def shutdown(self, cancel_futures=False):
-            self.shutdowns.append(cancel_futures)
+def assert_reaped(pid):
+    # waitpid of a child that was reaped, or of no child, raises ChildProcessError
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StandInPool)
-    return pools
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once seconds have passed, rather than hang on a wait."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("fmt", ["table", "structured"])
 @pytest.mark.parametrize("rows", [1, ROWS_PER_BLOCK, ROWS_PER_BLOCK + 1, 3 * ROWS_PER_BLOCK + 1])
-def test_trajectory_writer_pooled_and_inline_write_the_same_bytes(monkeypatch, stand_in_pool, fmt, rows):
-    # blocks handed on as simulate hands them on; the pool takes views of the rows, each task as soon as
-    # its rows are final, in document order, and is used only for more than one block on more than one CPU
-    states = np.random.default_rng(rows).standard_normal((rows, 6)) * 10.0 ** np.arange(-3, 3)
+def test_trajectory_writer_pooled_and_inline_write_the_same_bytes(tmp_path, monkeypatch, forks, fmt, rows):
+    # blocks handed on as simulate hands them on, each written to shared memory just before; a forked
+    # writer, started only for more than one block on more than one CPU, reads no row before it is final
+    # (the rows after it hold NaN), into a real file, and writes the bytes the inline writer writes
+    values = np.random.default_rng(rows).standard_normal((rows, 6)) * 10.0 ** np.arange(-3, 3)
+    states = np.frombuffer(mmap.mmap(-1, values.nbytes)).reshape(values.shape)
     traj = Trajectory(times=np.arange(rows) * 1e-3, delta=states[:, :3], omega=states[:, 3:], dt=1e-3)
     meta, footer = {"tool": "gridlink", "links": 2}, {"fitted_decay_rate": "-0.5", "alpha_max": "-0.4"}
+    final = Trajectory(times=traj.times, delta=values[:, :3], omega=values[:, 3:], dt=1e-3)
     if fmt == "table":
-        parts, closing = reports.table_parts, reports.table_footer
-        expected = _per_value_table(traj, meta, footer)
+        write, closing = reports.write_table, reports.table_footer
+        expected = _per_value_table(final, meta, footer)
     else:
-        parts, closing = reports.document_parts, reports.document_footer
-        expected = _rows_on_one_line(reports.render_json(_per_value_trajectory_document(traj, meta, footer)))
-    stops = [rows.stop for rows in row_blocks(rows)]
+        write, closing = reports.write_document, reports.document_footer
+        expected = _rows_on_one_line(reports.render_json(_per_value_trajectory_document(final, meta, footer)))
 
-    def write(cores):
+    def written(cores):
         monkeypatch.setattr(cli, "usable_cpu_count", lambda: cores)
-        out, submitted = io.StringIO(), []
-        with cli._TrajectoryWriter(out, parts, meta) as writer:
-            for stop in stops:
-                writer.on_block(traj, stop)
-                submitted.append(sum(len(pool.tasks) for pool in stand_in_pool))
-            writer.finish(closing(footer))
-        return out.getvalue(), submitted
+        states[:] = np.nan
+        path = tmp_path / f"traj-{cores}"
+        with time_limit(60), open(path, "w", encoding="utf-8") as out:
+            with cli._TrajectoryWriter(out, write, meta) as writer:
+                for block in row_blocks(rows):
+                    time.sleep(0.05)  # time for a writer that does not wait to read rows that are not final
+                    states[block] = values[block]
+                    writer.on_block(traj, block.stop)
+                writer.finish(closing(footer))
+        return path.read_text(encoding="utf-8")
 
-    inline, _ = write(1)
-    assert stand_in_pool == []
-    pooled, submitted = write(2)
+    inline = written(1)
+    assert forks == []
+    pooled = written(2)
     assert pooled == inline == expected
-    if len(stops) == 1:
-        assert stand_in_pool == []
-        return
-    (pool,) = stand_in_pool
-    assert pool.shutdowns == [True]
-    for args in pool.tasks:
-        arrays = [a for a in args if isinstance(a, np.ndarray)]
-        assert arrays and all(np.shares_memory(a, traj.times) or np.shares_memory(a, states) for a in arrays)
-    blocks = len(stops)
-    if fmt == "table":
-        assert submitted == list(range(1, blocks + 1))
-    else:
-        # times at once, delta as its blocks are final, omega after the last delta block
-        assert submitted == [blocks + k for k in range(1, blocks)] + [3 * blocks]
+    assert len(forks) == (rows > ROWS_PER_BLOCK)
+    for pid in forks:
+        assert_reaped(pid)
+
+
+def test_trajectory_writer_reaps_its_child_when_the_run_fails(tmp_path, monkeypatch, forks):
+    # an exception after the first block closes the pipe: the child reads its end and exits, and is reaped
+    monkeypatch.setattr(cli, "usable_cpu_count", lambda: 2)
+    states = np.zeros((3 * ROWS_PER_BLOCK, 4))
+    traj = Trajectory(times=np.arange(3 * ROWS_PER_BLOCK) * 1e-3, delta=states[:, :2], omega=states[:, 2:], dt=1e-3)
+    with time_limit(60), pytest.raises(ValueError, match="after the first block"):
+        with open(tmp_path / "traj.csv", "w", encoding="utf-8") as out:
+            with cli._TrajectoryWriter(out, reports.write_table, {"tool": "gridlink"}) as writer:
+                writer.on_block(traj, ROWS_PER_BLOCK)
+                raise ValueError("after the first block")
+    (pid,) = forks
+    assert_reaped(pid)
 
 
 def _write_case(tmp_path):
@@ -608,29 +615,55 @@ def _write_case(tmp_path):
 
 
 @pytest.mark.parametrize("gain, code", [(-1.0, 0), (50.0, 1)])
-def test_simulate_leaves_no_worker_process_and_no_failed_output(tmp_path, monkeypatch, capsys, gain, code):
+def test_simulate_leaves_no_worker_process_and_no_failed_output(tmp_path, monkeypatch, capsys, forks, gain, code):
     # 3,701 rows, four blocks; at gain +50 the state blows up at 3.636 s, in the last block
     monkeypatch.setattr(cli, "usable_cpu_count", lambda: 2)
-    pools = []
-
-    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
     case, links = _write_case(tmp_path)
     out = tmp_path / "traj.csv"
     out.write_text("an earlier run\n")
-    assert run(["simulate", "--case", case, "--out", out, "--links", links, "--gain", gain,
-                "--perturb", "gen=1,ddelta=0.001", "--tmax", 3.7]) == code
-    assert len(pools) == 1
-    assert multiprocessing.active_children() == []
+    with time_limit(60):
+        assert run(["simulate", "--case", case, "--out", out, "--links", links, "--gain", gain,
+                    "--perturb", "gen=1,ddelta=0.001", "--tmax", 3.7]) == code
+    (pid,) = forks
+    assert_reaped(pid)
     if code:
         assert capsys.readouterr().err == "gridlink: computation error: state became non-finite at t = 3.636000 s\n"
         assert not out.exists()
     else:
         assert sum(not line.startswith("#") for line in out.read_text().splitlines()) == 1 + 3701
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("cores", [2, 1])
+def test_simulate_write_failure_is_input_error(monkeypatch, capsys, forks, cores):
+    # every write to /dev/full fails; a forked writer's failure is reported as the inline writer's is,
+    # whether the parent finds it by a broken pipe or by the child's exit status
+    monkeypatch.setattr(cli, "usable_cpu_count", lambda: cores)
+    with time_limit(60):
+        assert run(["simulate", "--case", case_path("toy3"), "--out", "/dev/full", "--tmax", 10.0]) == 2
+    assert capsys.readouterr().err == (
+        "gridlink: input error: cannot write output file /dev/full: No space left on device\n"
+    )
+    assert len(forks) == (cores > 1)
+    for pid in forks:
+        assert_reaped(pid)
+
+
+def test_forked_writer_leaves_stdout_to_its_parent(tmp_path):
+    # a line buffered on stdout before a pooled simulate is written once: the forked writer ends by
+    # os._exit, not through interpreter shutdown, which would flush its copy of the buffer too
+    argv = ["simulate", "--case", str(case_path("toy3")), "--out", str(tmp_path / "traj.csv"), "--tmax", "3"]
+    code = (
+        "import sys; from gridlink import cli; "
+        "sys.stdout.write('a result line\\n'); "
+        "cli.usable_cpu_count = lambda: 2; "
+        f"sys.exit(cli.main({argv!r}))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "a result line\n"
+    assert sum(not line.startswith("#") for line in (tmp_path / "traj.csv").read_text().splitlines()) == 1 + 3001
 
 
 def test_failed_simulate_leaves_a_symlinked_output_in_place(tmp_path):
@@ -670,8 +703,8 @@ def test_failed_write_leaves_no_output_file(tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["table", "structured"])
-def test_simulate_pm_step_pooled_and_inline_bytes_agree(tmp_path, monkeypatch, fmt):
-    # a real worker process and the inline renderer write the same document
+def test_simulate_pm_step_pooled_and_inline_bytes_agree(tmp_path, monkeypatch, forks, fmt):
+    # a forked writer and the inline writer write the same document
     def simulate_bytes(cores):
         monkeypatch.setattr(cli, "usable_cpu_count", lambda: cores)
         out = tmp_path / f"traj-{cores}"
@@ -680,7 +713,8 @@ def test_simulate_pm_step_pooled_and_inline_bytes_agree(tmp_path, monkeypatch, f
         return out.read_bytes()
 
     assert simulate_bytes(2) == simulate_bytes(1)
-    assert multiprocessing.active_children() == []
+    (pid,) = forks
+    assert_reaped(pid)
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
@@ -690,9 +724,10 @@ def test_one_usable_cpu_makes_no_pool(tmp_path, monkeypatch, toy4_model):
 
     def no_pool(*args, **kwargs):
         made.append(args)
-        raise AssertionError("a process pool was made with one usable CPU")
+        raise AssertionError("a process was started with one usable CPU")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_pool)
     allowed = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(allowed)})
     try:

@@ -181,8 +181,7 @@ def test_pool_size_clamped(monkeypatch, inline_pool, toy4_model, workers, cores,
 
 
 def test_import_loads_no_pool_modules():
-    # the process pool is imported only when a plan asks for workers or a simulate renders in a
-    # worker, and scipy never
+    # the process pool is imported only when a plan asks for workers, and scipy never
     code = (
         "import sys, gridlink, gridlink.cli; "
         "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing', 'scipy'))))"

@@ -1,6 +1,7 @@
 import argparse
 import io
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,11 +26,11 @@ def _written_inline(monkeypatch, traj, fmt, meta, footer):
     """The document the CLI's writer writes for traj, its blocks handed over as simulate hands them, one usable CPU."""
     monkeypatch.setattr(cli, "usable_cpu_count", lambda: 1)
     if fmt == "table":
-        parts, closing = reports.table_parts, reports.table_footer
+        write, closing = reports.write_table, reports.table_footer
     else:
-        parts, closing = reports.document_parts, reports.document_footer
+        write, closing = reports.write_document, reports.document_footer
     out = io.StringIO()
-    with cli._TrajectoryWriter(out, parts, meta) as writer:
+    with cli._TrajectoryWriter(out, write, meta) as writer:
         for rows in row_blocks(traj.times.size):
             writer.on_block(traj, rows.stop)
         writer.finish(closing(footer))
@@ -79,17 +80,23 @@ def _per_value_reduction_document(net, op, meta):
     ],
 )
 def test_structured_document_matches_per_value_renderer(tmp_path, monkeypatch, builder, argv, oracle):
-    # the CLI document for ne39, byte for byte, against the per-value builder on the same inputs; the
-    # CLI builds a trajectory document from document_parts(traj, meta) and document_footer(footer)
-    names = ["document_parts", "document_footer"] if builder == "trajectory_document" else [builder]
-    seen = []
+    # the CLI document for ne39, byte for byte, against the per-value builder on the same inputs; the CLI
+    # writes a trajectory document by write_document(out, traj, meta, ready) and document_footer(footer),
+    # here inline, so that the calls are seen in this process
+    monkeypatch.setattr(cli, "usable_cpu_count", lambda: 1)
+    names = ["write_document", "document_footer"] if builder == "trajectory_document" else [builder]
+    seen = {name: [] for name in names}
     for name in names:
-        real = getattr(reports, name)
-        monkeypatch.setattr(reports, name, lambda *args, real=real: seen.append(args) or real(*args))
+
+        def spy(*args, name=name, real=getattr(reports, name)):
+            seen[name].append(args[1:3] if name == "write_document" else args)  # (traj, meta) of write_document
+            return real(*args)
+
+        monkeypatch.setattr(reports, name, spy)
     out = tmp_path / "doc.json"
     assert main([argv[0], "--case", str(case_path("newengland39")), "--out", str(out), *argv[1:]]) == 0
-    assert len(seen) == len(names)
-    expected = render_json(oracle(*(arg for args in seen for arg in args)))
+    assert [len(calls) for calls in seen.values()] == [1] * len(names)
+    expected = render_json(oracle(*(arg for name in names for arg in seen[name][0])))
     if builder == "trajectory_document":
         expected = _rows_on_one_line(expected)
     assert out.read_bytes() == expected.encode("utf-8")
@@ -97,21 +104,37 @@ def test_structured_document_matches_per_value_renderer(tmp_path, monkeypatch, b
 
 @pytest.mark.parametrize("rows", [1, ROWS_PER_BLOCK - 1, ROWS_PER_BLOCK, ROWS_PER_BLOCK + 1, 2 * ROWS_PER_BLOCK + 1])
 def test_trajectory_blocks_join_to_per_row_documents(monkeypatch, rows):
-    # a header and ceil(rows / ROWS_PER_BLOCK) tasks of rows, for the table and for each of the
-    # structured document's three arrays; the footer is rendered apart, once the decay fit is done
-    states = np.random.default_rng(rows).standard_normal((rows, 4)) * 10.0 ** np.arange(-2, 2)
+    # each writer asks for rows [0, stop) to be final before it reads them: the table a block at a time, the
+    # structured document its times at once and delta and omega a block at a time; rows that are not final
+    # hold NaN, so a row read early shows.  Each write holds at most ROWS_PER_BLOCK rows.  The footer is
+    # rendered apart, once the decay fit is done
+    values = np.random.default_rng(rows).standard_normal((rows, 4)) * 10.0 ** np.arange(-2, 2)
+    states = np.full_like(values, np.nan)
     traj = Trajectory(times=np.arange(rows) * 1e-3, delta=states[:, :2], omega=states[:, 2:], dt=1e-3)
     meta, footer = {"tool": "gridlink", "links": 1}, {"fitted_decay_rate": "-0.5", "alpha_max": "-0.4"}
-    blocks = -(-rows // ROWS_PER_BLOCK)
-    header, *tasks = reports.table_parts(traj, meta)
-    assert isinstance(header, str) and len(tasks) == blocks
-    assert max(renderer(*args).count("\n") for _, renderer, args in tasks) <= ROWS_PER_BLOCK
-    assert _written_inline(monkeypatch, traj, "table", meta, footer) == _per_value_table(traj, meta, footer)
-    document = list(reports.document_parts(traj, meta))
-    assert len(document) == 3 * (blocks + 2) + 1
-    assert sum(not isinstance(part, str) for part in document) == 3 * blocks
-    expected = _rows_on_one_line(render_json(_per_value_trajectory_document(traj, meta, footer)))
-    assert _written_inline(monkeypatch, traj, "structured", meta, footer) == expected
+    final = Trajectory(times=traj.times, delta=values[:, :2], omega=values[:, 2:], dt=1e-3)
+    stops = [block.stop for block in row_blocks(rows)]
+
+    def ready(stop):
+        asked.append(stop)
+        states[:stop] = values[:stop]
+
+    for write, closing, expected_stops, expected in (
+        (reports.write_table, reports.table_footer, stops, _per_value_table(final, meta, footer)),
+        (
+            reports.write_document,
+            reports.document_footer,
+            [0] * len(stops) + 2 * stops,
+            _rows_on_one_line(render_json(_per_value_trajectory_document(final, meta, footer))),
+        ),
+    ):
+        states[:] = np.nan
+        writes, asked = [], []
+        write(SimpleNamespace(write=writes.append), traj, meta, ready)
+        assert asked == expected_stops
+        assert max(text.count("\n") for text in writes) <= ROWS_PER_BLOCK
+        assert "".join(writes) + closing(footer) == expected
+    assert _written_inline(monkeypatch, final, "table", meta, footer) == _per_value_table(final, meta, footer)
 
 
 def test_trajectory_table_is_written_one_block_at_a_time(tmp_path, monkeypatch, ne39_model):
@@ -125,7 +148,7 @@ def test_trajectory_table_is_written_one_block_at_a_time(tmp_path, monkeypatch, 
     tracemalloc.start()
     try:
         with cli._output(argparse.Namespace(out=str(out))) as f:
-            with cli._TrajectoryWriter(f, reports.table_parts, {"tool": "gridlink"}) as writer:
+            with cli._TrajectoryWriter(f, reports.write_table, {"tool": "gridlink"}) as writer:
                 for rows in row_blocks(traj.times.size):
                     writer.on_block(traj, rows.stop)
                 writer.finish(reports.table_footer({"alpha_max": "-0.09"}))
