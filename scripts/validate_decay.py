@@ -16,7 +16,6 @@ import numpy as np
 
 from gridlink.case import load_case
 from gridlink.dynamics import ControlConfig, MachineState, decay_rate, simulate
-from gridlink.linearization import alpha_for_links
 from gridlink.model import build_system
 from gridlink.planner import greedy_plan
 
@@ -38,7 +37,7 @@ def main(argv=None) -> int:
     plan = greedy_plan(model, budget=args.budget, gain_h=args.gain, allow_nonpositive=True)
     links = list(plan.links)
     ctl = ControlConfig(links, args.gain)
-    alpha = alpha_for_links(model, links, args.gain)
+    alpha = plan.final_alpha
     if alpha >= 0:
         print(f"validate_decay: alpha_max = {alpha:.6e} >= 0, no decay to validate", file=sys.stderr)
         return 1

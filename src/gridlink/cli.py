@@ -35,7 +35,7 @@ from gridlink.dynamics import (
     normalize_link,
     simulate,
 )
-from gridlink.linearization import spectral_abscissa
+from gridlink.linearization import alpha_for_links, spectral_abscissa
 from gridlink.model import SystemModel, build_system
 from gridlink.planner import greedy_plan, usable_cpu_count
 from gridlink.powerflow import PowerFlowError
@@ -302,7 +302,7 @@ def run_simulate(args: argparse.Namespace) -> int:
         problems = disturbance.validate(model.n)
         if problems:
             raise InputError("; ".join(problems))
-    initial = MachineState(delta=model.op.delta_s.copy(), omega=np.full(model.n, model.op.omega_s))
+    initial = MachineState(delta=model.op.delta_s, omega=np.full(model.n, model.op.omega_s))
     meta.update(
         {
             "gain": args.gain,
@@ -318,7 +318,7 @@ def run_simulate(args: argparse.Namespace) -> int:
         write, footer_text = reports.write_table, reports.table_footer
     with _output(args) as out, _TrajectoryWriter(out, write, meta) as writer:
         traj = simulate(initial, model, ctl, disturbance, t_max=args.tmax, dt=args.dt, on_block=writer.on_block)
-        alpha = spectral_abscissa(model, ctl).alpha_max
+        alpha = alpha_for_links(model, ctl.links, ctl.gain)
         try:
             fitted = decay_rate(traj, model.op, t_start=args.tmax / 4.0)
             fitted_text = repr(fitted)

@@ -58,8 +58,8 @@ class ControlConfig:
 
     The links are stored normalized (i < k) and sorted.  The gain is pu power
     per radian and must be negative for stabilizing feedback.  Nothing here
-    checks the links' range or the gain: read_links_file and check_args
-    reject bad ones at the CLI boundary, and the planner refuses a
+    checks them: read_links_file and check_args reject bad ones at the CLI
+    boundary, link_laplacian a link outside 0..n-1, and the planner a
     nonnegative gain.  The control adds L_h (delta - model.op.delta_s) to the
     mechanical power, L_h being the gain-weighted link Laplacian (see
     link_laplacian), so it vanishes at the operating point and (delta_s,
@@ -114,13 +114,16 @@ def link_laplacian(ctl: ControlConfig, n: int) -> np.ndarray:
     With h the common gain, L_h[i, i] is h times the number of links at i and
     L_h[i, k] = -h for each link (i, k), so the control adds
     L_h (delta - model.op.delta_s) to the mechanical power and L_h / m is the
-    Jacobian's control block.  An overflowing gain is left as an infinite
-    entry without a warning; callers check finiteness.
+    Jacobian's control block.  A link with an endpoint outside 0..n-1 raises
+    ValueError.  An overflowing gain is left as an infinite entry without a
+    warning; callers check finiteness.
     """
     lap = np.zeros((n, n))
     h = ctl.gain
     with np.errstate(over="ignore"):
-        for i, k in ctl.links:
+        for i, k in ctl.links:  # i < k
+            if i < 0 or k >= n:
+                raise ValueError(f"link {(i, k)} has an endpoint outside 0..{n - 1}")
             lap[i, i] += h
             lap[k, k] += h
             lap[i, k] -= h

@@ -38,7 +38,6 @@ class PlannerGuardError(RuntimeError):
 
 @dataclass(frozen=True)
 class PlanIteration:
-    index: int  # 1-based iteration number
     link: Link
     alpha_max_after: float  # 1/s
     marginal_gain: float  # alpha before minus alpha after; positive = improvement
@@ -46,10 +45,15 @@ class PlanIteration:
 
 @dataclass(frozen=True)
 class PlanResult:
+    """A plan's iterations in install order; stop_reason is None unless a greedy plan stopped early."""
+
     baseline_alpha: float  # alpha_max before any planned link
     iterations: tuple[PlanIteration, ...]
-    stopped_early: bool
     stop_reason: str | None = None
+
+    @property
+    def stopped_early(self) -> bool:
+        return self.stop_reason is not None
 
     @property
     def final_alpha(self) -> float:
@@ -124,11 +128,12 @@ def greedy_plan(
 
     Every alpha_max comes from alpha_for_links, without the structural zero
     mode, so no gain is decided by the eigensolver's rounding of that mode.
-    Stops early (with the reason recorded) when the best remaining gain is
-    nonpositive, unless ``allow_nonpositive`` is set; a gain within TIE_TOL
-    of zero ties with installing nothing and counts as nonpositive.  Ties
-    within TIE_TOL go to the lexicographically smallest pair.  A budget
-    larger than the number of candidate links is clamped with a warning.
+    Stops early, with the reason in stop_reason, when the best remaining gain
+    is nonpositive, unless ``allow_nonpositive`` is set; a gain within
+    TIE_TOL of zero ties with installing nothing and counts as nonpositive.
+    Ties within TIE_TOL go to the lexicographically smallest pair.  A budget
+    larger than the number of candidate links is clamped with a warning.  A
+    ``preinstalled`` link with an endpoint outside 0..n-1 raises ValueError.
 
     With ``workers`` > 1 each sweep runs in one pool of worker processes,
     min(workers, usable CPUs, candidates in the first sweep) of them, started
@@ -141,7 +146,6 @@ def greedy_plan(
     alpha_before = alpha_for_links(model, installed, gain_h)
     baseline = alpha_before
     iterations: list[PlanIteration] = []
-    stopped_early = False
     stop_reason = None
 
     pool_size = min(workers, usable_cpu_count(), len(candidate_links(model.n, installed)))
@@ -166,24 +170,16 @@ def greedy_plan(
                 if gain > best_gain + TIE_TOL:
                     best_link, best_alpha, best_gain = link, alpha, gain
             if best_gain <= TIE_TOL and not allow_nonpositive:
-                stopped_early = True
                 stop_reason = f"best marginal gain {best_gain:.3e} is nonpositive at iteration {it}"
                 break
             installed.append(best_link)
             installed.sort()
-            iterations.append(
-                PlanIteration(index=it, link=best_link, alpha_max_after=best_alpha, marginal_gain=best_gain)
-            )
+            iterations.append(PlanIteration(link=best_link, alpha_max_after=best_alpha, marginal_gain=best_gain))
             alpha_before = best_alpha
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    return PlanResult(
-        baseline_alpha=baseline,
-        iterations=tuple(iterations),
-        stopped_early=stopped_early,
-        stop_reason=stop_reason,
-    )
+    return PlanResult(baseline_alpha=baseline, iterations=tuple(iterations), stop_reason=stop_reason)
 
 
 def exhaustive_plan(model: SystemModel, budget: int, gain_h: float) -> PlanResult:
@@ -215,6 +211,6 @@ def exhaustive_plan(model: SystemModel, budget: int, gain_h: float) -> PlanResul
     prev_alpha = baseline
     for i, link in enumerate(best_subset, start=1):
         alpha = alpha_for_links(model, list(best_subset[:i]), gain_h)
-        iterations.append(PlanIteration(index=i, link=link, alpha_max_after=alpha, marginal_gain=prev_alpha - alpha))
+        iterations.append(PlanIteration(link=link, alpha_max_after=alpha, marginal_gain=prev_alpha - alpha))
         prev_alpha = alpha
-    return PlanResult(baseline_alpha=baseline, iterations=tuple(iterations), stopped_early=False)
+    return PlanResult(baseline_alpha=baseline, iterations=tuple(iterations))

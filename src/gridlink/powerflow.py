@@ -14,6 +14,11 @@ import numpy as np
 from gridlink.case import CaseSchemaError, PowerCase, build_ybus, validate
 
 
+# solve_powerflow's mismatch tolerance (pu) and its cap on Newton iterations.
+TOL = 1e-8
+MAX_ITER = 20
+
+
 class PowerFlowError(RuntimeError):
     """Power flow did not converge or hit a singular Jacobian iterate."""
 
@@ -72,15 +77,14 @@ def newton_jacobian(ybus: np.ndarray, v: np.ndarray, pvpq: list[int], pq: list[i
     )
 
 
-def solve_powerflow(case: PowerCase, tol: float = 1e-8, max_iter: int = 20) -> PowerFlowSolution:
+def solve_powerflow(case: PowerCase) -> PowerFlowSolution:
     """Solve the AC power flow from a flat start.
 
-    Convergence means every pv/pq active and pq reactive mismatch is <= tol;
-    the slack bus absorbs the residual.  Raises PowerFlowError on
-    non-convergence, divergence, or a singular Jacobian iterate.
+    Convergence means every pv/pq active and pq reactive mismatch is <= TOL
+    within MAX_ITER Newton iterations; the slack bus absorbs the residual.
+    Raises PowerFlowError on non-convergence, divergence, or a singular
+    Jacobian iterate.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     report = validate(case)
     if report:
         raise CaseSchemaError("; ".join(report))
@@ -93,15 +97,14 @@ def solve_powerflow(case: PowerCase, tol: float = 1e-8, max_iter: int = 20) -> P
     v_mag = np.array([bus.v_set if bus.v_set is not None else 1.0 for bus in case.buses])
     v_ang = np.zeros(len(case.buses))
 
-    iterations = 0
-    for _ in range(max_iter + 1):
+    for iterations in range(MAX_ITER + 1):
         v = v_mag * np.exp(1j * v_ang)
         s = _complex_injections(ybus, v)
         f = np.concatenate([p_spec[pvpq] - s.real[pvpq], q_spec[pq] - s.imag[pq]])
         max_f = float(np.max(np.abs(f))) if f.size else 0.0
         if not np.isfinite(max_f):
             raise PowerFlowError(f"power flow did not converge: diverged after {iterations} iterations")
-        if max_f <= tol:
+        if max_f <= TOL:
             return PowerFlowSolution(
                 v_mag=v_mag,
                 v_ang=v_ang,
@@ -110,7 +113,7 @@ def solve_powerflow(case: PowerCase, tol: float = 1e-8, max_iter: int = 20) -> P
                 iterations=iterations,
                 max_mismatch=max_f,
             )
-        if iterations == max_iter:
+        if iterations == MAX_ITER:
             break
         jac = newton_jacobian(ybus, v, pvpq, pq)
         try:
@@ -118,16 +121,13 @@ def solve_powerflow(case: PowerCase, tol: float = 1e-8, max_iter: int = 20) -> P
         except np.linalg.LinAlgError as exc:
             raise PowerFlowError(f"singular Jacobian at iteration {iterations + 1}") from exc
         n_ang = len(pvpq)
-        v_ang = v_ang.copy()
-        v_mag = v_mag.copy()
         v_ang[pvpq] += dx[:n_ang]
         v_mag[pq] += dx[n_ang:]
         if np.any(v_mag <= 0):
             raise PowerFlowError(
                 f"power flow did not converge: voltage collapsed at iteration {iterations + 1}"
             )
-        iterations += 1
-    raise PowerFlowError(f"power flow did not converge within {max_iter} iterations (mismatch {max_f:.3e})")
+    raise PowerFlowError(f"power flow did not converge within {MAX_ITER} iterations (mismatch {max_f:.3e})")
 
 
 def mismatch(case: PowerCase, v_mag: np.ndarray, v_ang: np.ndarray) -> np.ndarray:

@@ -68,12 +68,16 @@ def spectrum_table(report: SpectrumReport, meta: dict[str, Any]) -> str:
 # --- plan -------------------------------------------------------------------
 
 
+_PLAN_COLUMNS = ("iteration", "gen_i", "gen_k", "alpha_max", "marginal_gain")
+
+
 def _plan_rows(result: PlanResult) -> list[tuple]:
-    # Link endpoints are reported 1-based, matching generator numbering in
-    # the human tables; row 0 is the uncontrolled baseline.
+    # Iterations are numbered from 1 and link endpoints reported 1-based,
+    # matching generator numbering in the human tables; row 0 is the
+    # uncontrolled baseline.
     rows: list[tuple] = [(0, "", "", result.baseline_alpha, 0.0)]
-    for it in result.iterations:
-        rows.append((it.index, it.link[0] + 1, it.link[1] + 1, it.alpha_max_after, it.marginal_gain))
+    for index, it in enumerate(result.iterations, start=1):
+        rows.append((index, it.link[0] + 1, it.link[1] + 1, it.alpha_max_after, it.marginal_gain))
     return rows
 
 
@@ -91,7 +95,7 @@ def plan_meta(result: PlanResult, meta: dict[str, Any]) -> dict[str, Any]:
 
 def plan_table(result: PlanResult, meta: dict[str, Any]) -> str:
     lines = header_lines(plan_meta(result, meta))
-    lines.append("iteration,gen_i,gen_k,alpha_max,marginal_gain")
+    lines.append(",".join(_PLAN_COLUMNS))
     for index, gi, gk, alpha, gain in _plan_rows(result):
         lines.append(f"{index},{gi},{gk},{sig4(alpha)},{sig4(gain)}")
     return "\n".join(lines) + "\n"
@@ -105,16 +109,7 @@ def plan_document(result: PlanResult, meta: dict[str, Any]) -> dict[str, Any]:
         "improvement": result.baseline_alpha - result.final_alpha,
         "stopped_early": result.stopped_early,
         "stop_reason": result.stop_reason,
-        "iterations": [
-            {
-                "iteration": it.index,
-                "gen_i": it.link[0] + 1,
-                "gen_k": it.link[1] + 1,
-                "alpha_max": it.alpha_max_after,
-                "marginal_gain": it.marginal_gain,
-            }
-            for it in result.iterations
-        ],
+        "iterations": [dict(zip(_PLAN_COLUMNS, row)) for row in _plan_rows(result)[1:]],
     }
 
 

@@ -53,3 +53,21 @@ def test_benchmark_workload_runs_untraced_and_traced(perfbench, tmp_path, name):
     workload.check()
     layers = tracing.layer_metrics(tracer.take(), workload.workers)
     assert set(layers) == {metric for metric, _ in tracing.LAYER_METRICS}
+
+
+def test_tracer_reports_only_the_known_absent_hooks(perfbench):
+    # A hooked name that src/ renames or deletes would zero its per-layer metric without failing
+    # any run, so the list of hooks that name nothing in this tree is pinned here.
+    _, tracing = perfbench
+    tracer = tracing.Tracer()
+    try:
+        absent = tracer.install()
+    finally:
+        tracer.uninstall()
+    assert absent == [
+        "gridlink.linearization.jacobian_blocks",
+        "gridlink.cli.jacobian_blocks",
+        "gridlink.dynamics.mechanical_power",
+        "gridlink.reports.trajectory_table",
+        "gridlink.reports.trajectory_document",
+    ]

@@ -318,6 +318,12 @@ def test_simulate_holds_equilibrium(toy3_model):
     assert np.allclose(np.diff(traj.times), traj.dt)
 
 
+@pytest.mark.parametrize("link", [(-1, 0), (0, 3)])
+def test_simulate_rejects_link_out_of_range(toy3_model, link):
+    with pytest.raises(ValueError, match=r"outside 0\.\.2"):
+        simulate(equilibrium_state(toy3_model), toy3_model, ControlConfig([link], -1.0), None, t_max=0.01, dt=1e-3)
+
+
 def test_simulate_stable_deviation_shrinks(toy3_model):
     model = toy3_model
     init = MachineState(model.op.delta_s + np.array([0.01, -0.005, 0.0]), np.full(3, model.op.omega_s))

@@ -200,6 +200,13 @@ def test_spectrum_conjugate_pairing(ne39_model, toy4_model):
             remaining.remove(partner)
 
 
+@pytest.mark.parametrize("link", [(-1, 0), (0, 10), (10, 11)])
+def test_alpha_rejects_link_endpoint_out_of_range(ne39_model, link):
+    # numpy would wrap a negative endpoint around: (-1, 0) would be evaluated as (0, 9)
+    with pytest.raises(ValueError, match=r"outside 0\.\.9"):
+        alpha_for_links(ne39_model, [link], -1.0)
+
+
 def test_spectrum_rejects_overflowing_gain(toy3_model):
     # two links at a machine sum the gain twice on its diagonal, which overflows
     ctl = ControlConfig([(0, 1), (0, 2)], -1e308)

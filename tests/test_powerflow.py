@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import two_bus_feeder
+from gridlink import powerflow
 from gridlink.case import parse_case
 from gridlink.powerflow import (
+    TOL,
     PowerFlowError,
     bus_partition,
     build_ybus,
@@ -54,11 +56,17 @@ def test_two_bus_beyond_loadability_fails():
         solve_powerflow(parse_case(two_bus_feeder(20.0)))
 
 
+def test_newton_gives_up_after_max_iter(monkeypatch, ne39_case):
+    needed = solve_powerflow(ne39_case).iterations
+    monkeypatch.setattr(powerflow, "MAX_ITER", needed - 1)
+    with pytest.raises(PowerFlowError, match=f"did not converge within {needed - 1} iterations"):
+        solve_powerflow(ne39_case)
+
+
 def test_generation_balances_load_plus_losses(ne39_case, toy4_case):
     # independent loss computation from branch currents and bus shunts
     for case in (ne39_case, toy4_case):
-        tol = 1e-8
-        pf = solve_powerflow(case, tol=tol)
+        pf = solve_powerflow(case)
         index = case.bus_index()
         v = pf.v_mag * np.exp(1j * pf.v_ang)
         losses = 0.0
@@ -69,9 +77,9 @@ def test_generation_balances_load_plus_losses(ne39_case, toy4_case):
             losses += br.r * abs(i_series) ** 2
         for bus in case.buses:
             losses += bus.shunt_g * pf.v_mag[index[bus.id]] ** 2
-        assert losses >= -10 * tol
+        assert losses >= -10 * TOL
         # sum of net injections = generation - load, which must equal losses
-        assert abs(pf.p_inj.sum() - losses) <= 10 * tol
+        assert abs(pf.p_inj.sum() - losses) <= 10 * TOL
 
 
 def test_deterministic_bitwise(ne39_case):
@@ -101,10 +109,9 @@ def test_invalid_case_rejected():
 
 
 def test_mismatch_small_at_solution(ne39_case):
-    tol = 1e-8
-    pf = solve_powerflow(ne39_case, tol=tol)
+    pf = solve_powerflow(ne39_case)
     res = mismatch(ne39_case, pf.v_mag, pf.v_ang)
-    assert np.abs(res).max() <= tol
+    assert np.abs(res).max() <= TOL
 
 
 def test_mismatch_flat_equals_negated_load():

@@ -19,6 +19,7 @@ from gridlink.dynamics import (
     row_blocks,
     simulate,
 )
+from gridlink.planner import exhaustive_plan, greedy_plan
 from gridlink.reports import render_json
 
 
@@ -157,3 +158,18 @@ def test_trajectory_table_is_written_one_block_at_a_time(tmp_path, monkeypatch, 
         tracemalloc.stop()
     assert out.read_text(encoding="utf-8").count("\n") == 20001 + 3
     assert peak < out.stat().st_size / 4
+
+
+@pytest.mark.parametrize("plan", [greedy_plan, exhaustive_plan])
+def test_plan_documents_number_iterations_and_links_from_one(toy4_model, plan):
+    result = plan(toy4_model, budget=3, gain_h=-1.0)
+    assert len(result.iterations) >= 2
+    expected = [(i, a + 1, b + 1) for i, (a, b) in enumerate(result.links, start=1)]
+    table = [line for line in reports.plan_table(result, {}).splitlines() if not line.startswith("#")]
+    assert table[0] == "iteration,gen_i,gen_k,alpha_max,marginal_gain"
+    assert table[1].startswith("0,,,")
+    assert [tuple(map(int, row.split(",")[:3])) for row in table[2:]] == expected
+    doc = reports.plan_document(result, {})
+    assert [(it["iteration"], it["gen_i"], it["gen_k"]) for it in doc["iterations"]] == expected
+    assert [it["alpha_max"] for it in doc["iterations"]] == [it.alpha_max_after for it in result.iterations]
+    assert [it["marginal_gain"] for it in doc["iterations"]] == [it.marginal_gain for it in result.iterations]
