@@ -5,19 +5,24 @@ Plans a few links, perturbs one rotor angle, integrates the controlled swing
 equations, and compares the fitted decay rate of the deviation norm with the
 predicted alpha_max.  Without --tmax the horizon is max(5, 4 / |alpha_max|) s,
 four time constants of the slowest mode, so the fit from tmax / 4 on sees that
-mode rather than the faster ones.  Exits 1 with one line on stderr when
-alpha_max >= 0 or the mismatch exceeds MAX_MISMATCH.
+mode rather than the faster ones.  Exits as gridlink does, with one line on
+stderr for a failure: 2 for a bad argument or a case that cannot be read, 1
+for a run that fails, for alpha_max >= 0, or for a mismatch above
+MAX_MISMATCH.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
-from gridlink.case import load_case
-from gridlink.dynamics import ControlConfig, MachineState, decay_rate, simulate
+from gridlink.case import CaseError, load_case
+from gridlink.dynamics import MAX_STEPS, ControlConfig, MachineState, SimulationBlowUp, decay_rate, simulate
 from gridlink.model import build_system
 from gridlink.planner import greedy_plan
+from gridlink.powerflow import PowerFlowError
+from gridlink.reduction import KronReductionError
 
 # Relative mismatch allowed between fitted decay rate and alpha_max (acceptance criterion 6).
 MAX_MISMATCH = 0.15
@@ -32,8 +37,46 @@ def main(argv=None) -> int:
     parser.add_argument("--tmax", type=float, default=None, help="horizon, s (default max(5, 4 / |alpha_max|))")
     parser.add_argument("--dt", type=float, default=1e-3)
     args = parser.parse_args(argv)
+    problem = bad_argument(args)
+    if problem:
+        print(f"validate_decay: {problem}", file=sys.stderr)
+        return 2
+    try:
+        case = load_case(args.case)
+    except (OSError, CaseError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"validate_decay: cannot read case {args.case}: {reason}", file=sys.stderr)
+        return 2
+    try:
+        # Floating-point trouble no step expects is a failed run, as in gridlink.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return validate(case, args)
+    except (PowerFlowError, KronReductionError, SimulationBlowUp, ValueError, ArithmeticError) as exc:
+        print(f"validate_decay: {exc}", file=sys.stderr)
+        return 1
 
-    model = build_system(load_case(args.case))
+
+def bad_argument(args) -> str | None:
+    """What is wrong with the numeric arguments, or None."""
+    for name in ("gain", "ddelta", "dt", "tmax"):
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            return f"--{name} must be a finite number"
+    if args.gain >= 0:
+        return "--gain must be negative"
+    if args.budget < 0:
+        return "--budget must be nonnegative"
+    if args.dt <= 0:
+        return "--dt must be positive"
+    if args.tmax is not None and args.tmax < args.dt:
+        return "--tmax must be at least --dt"
+    if args.tmax is not None and args.tmax / args.dt > MAX_STEPS:
+        return f"--tmax / --dt exceeds {MAX_STEPS} steps"
+    return None
+
+
+def validate(case, args) -> int:
+    model = build_system(case)
     plan = greedy_plan(model, budget=args.budget, gain_h=args.gain, allow_nonpositive=True)
     links = list(plan.links)
     ctl = ControlConfig(links, args.gain)

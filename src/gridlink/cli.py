@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import json
 import math
 import os
 import stat
@@ -37,7 +38,7 @@ from gridlink.dynamics import (
 )
 from gridlink.linearization import alpha_for_links, spectral_abscissa
 from gridlink.model import SystemModel, build_system
-from gridlink.planner import greedy_plan, usable_cpu_count
+from gridlink.planner import greedy_plan
 from gridlink.powerflow import PowerFlowError
 from gridlink.reduction import KronReductionError
 from gridlink import reports
@@ -104,8 +105,6 @@ def _read_text(path: str, what: str) -> str:
 
 def read_links_file(path: str, n: int) -> list[tuple[int, int]]:
     """Read a JSON links file {"links": [[i, k], ...]} with 1-based numbers."""
-    import json
-
     try:
         doc = json.loads(_read_text(path, "links file"))
     except json.JSONDecodeError as exc:
@@ -214,10 +213,10 @@ def run_plan(args: argparse.Namespace) -> int:
 class _TrajectoryWriter(contextlib.AbstractContextManager):
     """Writes a trajectory document to out as simulate runs; write is reports.write_table or write_document.
 
-    With more than one usable CPU (see usable_cpu_count), more than one block and os.fork, the first
-    on_block forks a child that runs write into the inherited out, reading simulate's shared rows once
-    on_block has sent their stop down a pipe.  It ends by os._exit, which flushes no other stream, with
-    the errno of a failed write as its status.  Otherwise write runs here in finish.
+    With more than one block and os.fork, the first on_block forks a child that runs write into the
+    inherited out, reading simulate's shared rows once on_block has sent their stop down a pipe.  It
+    ends by os._exit, which flushes no other stream, with the errno of a failed write as its status.
+    Otherwise write runs here in finish.
     """
 
     def __init__(self, out: IO[str], write: Callable[..., None], meta: dict):
@@ -234,7 +233,7 @@ class _TrajectoryWriter(contextlib.AbstractContextManager):
     def on_block(self, traj: Trajectory, stop: int) -> None:
         if self.traj is None:
             self.traj = traj
-            if stop < traj.times.size and usable_cpu_count() > 1 and hasattr(os, "fork"):
+            if stop < traj.times.size and hasattr(os, "fork"):
                 self._fork()
         if self.pid is not None:
             try:
@@ -415,7 +414,6 @@ def main(argv: list[str] | None = None) -> int:
         PowerFlowError,
         KronReductionError,
         SimulationBlowUp,
-        np.linalg.LinAlgError,
         ValueError,
         ArithmeticError,
     ) as exc:

@@ -13,6 +13,7 @@ function that computes alpha_max.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,24 @@ def jacobian(model: SystemModel, ctl: ControlConfig) -> np.ndarray:
     return j
 
 
+# uncontrolled_jacobian's matrices, one per model object; an entry dies with its model.
+_UNCONTROLLED: weakref.WeakKeyDictionary[SystemModel, np.ndarray] = weakref.WeakKeyDictionary()
+
+
+def uncontrolled_jacobian(model: SystemModel) -> np.ndarray:
+    """relative_angle_jacobian without links, read-only, computed once per model object."""
+    j = _UNCONTROLLED.get(model)
+    if j is None:
+        n = model.n
+        full = jacobian(model, ControlConfig())
+        keep = np.r_[: n - 1, n : 2 * n]  # drop delta_n; d(delta_i - delta_n)/dt subtracts its row
+        j = full[np.ix_(keep, keep)]
+        j[: n - 1] -= full[n - 1, keep]
+        j.flags.writeable = False
+        _UNCONTROLLED[model] = j
+    return j
+
+
 def relative_angle_jacobian(model: SystemModel, links, gain: float) -> np.ndarray:
     """(2n-1)x(2n-1) Jacobian over angles relative to the last machine and all speeds.
 
@@ -63,16 +82,16 @@ def relative_angle_jacobian(model: SystemModel, links, gain: float) -> np.ndarra
     so d(delta_i - delta_n)/dt = omega_i - omega_n and the block only sees
     the relative angles.  This is the projection deviation_norms uses, and
     its spectrum is exactly that of the full Jacobian with the structural
-    zero mode removed.  Only the control block depends on the links, so the
-    model's uncontrolled_jacobian is copied and the control block added to
-    its lower-left block.  Raises ValueError when L_h / m or the result has
-    a non-finite entry (an overflowing gain): L_h / m is checked whole
-    because the last machine's diagonal, which the result leaves out, can
-    overflow alone.
+    zero mode removed.  Only the control block depends on the links, so
+    uncontrolled_jacobian(model) is copied and the control block added to
+    its lower-left block, rows n-1.. and columns ..n-1.  Raises ValueError
+    when L_h / m or the result has a non-finite entry (an overflowing gain):
+    L_h / m is checked whole because the last machine's diagonal, which the
+    result leaves out, can overflow alone.
     """
     n = model.n
     control = control_matrix(ControlConfig(links, gain), model.m)
-    j = model.uncontrolled_jacobian.copy()
+    j = uncontrolled_jacobian(model).copy()
     j[n - 1 :, : n - 1] += control[:, : n - 1]
     if not (np.isfinite(control).all() and np.isfinite(j).all()):
         raise ValueError("Jacobian has non-finite entries")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -12,14 +11,14 @@ from gridlink.powerflow import solve_powerflow
 from gridlink.reduction import OperatingPoint, ReducedNetwork, reduce_case
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemModel:
     """Everything the dynamics, linearization, and planner need.
 
-    The relative-angle Jacobian without control is computed on the first
-    stability evaluation and cached on the instance, so its arrays must not
-    be mutated after that; dataclasses.replace gives a new model with a
-    fresh cache.
+    Models compare and hash by identity.  linearization caches the
+    uncontrolled relative-angle Jacobian per model object on its first
+    stability evaluation, so a model's arrays must not be mutated after
+    that; dataclasses.replace gives a new model with a fresh cache.
     """
 
     net: ReducedNetwork
@@ -30,26 +29,6 @@ class SystemModel:
     @property
     def n(self) -> int:
         return self.m.size
-
-    @cached_property
-    def uncontrolled_jacobian(self) -> np.ndarray:
-        """linearization.relative_angle_jacobian without links, read-only: the full Jacobian projected."""
-        from gridlink.dynamics import ControlConfig  # both modules import this one
-        from gridlink.linearization import jacobian
-
-        n = self.n
-        full = jacobian(self, ControlConfig())
-        keep = np.r_[: n - 1, n : 2 * n]  # drop delta_n; d(delta_i - delta_n)/dt subtracts its row
-        j = full[np.ix_(keep, keep)]
-        j[: n - 1] -= full[n - 1, keep]
-        j.flags.writeable = False
-        return j
-
-    def __getstate__(self):
-        # Unpickled arrays are writeable, so a copy rebuilds its read-only cache on first use.
-        state = dict(self.__dict__)
-        state.pop("uncontrolled_jacobian", None)
-        return state
 
 
 def machine_constants(case: PowerCase) -> tuple[np.ndarray, np.ndarray]:

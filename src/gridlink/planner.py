@@ -40,7 +40,6 @@ class PlannerGuardError(RuntimeError):
 class PlanIteration:
     link: Link
     alpha_max_after: float  # 1/s
-    marginal_gain: float  # alpha before minus alpha after; positive = improvement
 
 
 @dataclass(frozen=True)
@@ -174,7 +173,7 @@ def greedy_plan(
                 break
             installed.append(best_link)
             installed.sort()
-            iterations.append(PlanIteration(link=best_link, alpha_max_after=best_alpha, marginal_gain=best_gain))
+            iterations.append(PlanIteration(link=best_link, alpha_max_after=best_alpha))
             alpha_before = best_alpha
     finally:
         if pool is not None:
@@ -207,10 +206,8 @@ def exhaustive_plan(model: SystemModel, budget: int, gain_h: float) -> PlanResul
             if final < best_final - TIE_TOL:
                 best_subset, best_final = subset, final
 
-    iterations = []
-    prev_alpha = baseline
-    for i, link in enumerate(best_subset, start=1):
-        alpha = alpha_for_links(model, list(best_subset[:i]), gain_h)
-        iterations.append(PlanIteration(link=link, alpha_max_after=alpha, marginal_gain=prev_alpha - alpha))
-        prev_alpha = alpha
-    return PlanResult(baseline_alpha=baseline, iterations=tuple(iterations))
+    iterations = tuple(
+        PlanIteration(link=link, alpha_max_after=alpha_for_links(model, list(best_subset[:i]), gain_h))
+        for i, link in enumerate(best_subset, start=1)
+    )
+    return PlanResult(baseline_alpha=baseline, iterations=iterations)

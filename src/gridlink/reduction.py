@@ -9,7 +9,6 @@ angles.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,4 +160,4 @@ def reduce_case(case: PowerCase, pf: PowerFlowSolution) -> tuple[ReducedNetwork,
     y_g = kron_reduce(aug, retained)
     c, d = coupling_coefficients(y_g, e_mag)
     net = ReducedNetwork(y_g=y_g, e_mag=e_mag, c=c, d=d)
-    return net, equilibrium(delta_s, 2.0 * math.pi * case.f0, net)
+    return net, equilibrium(delta_s, case.omega_s, net)

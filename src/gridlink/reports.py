@@ -74,10 +74,13 @@ _PLAN_COLUMNS = ("iteration", "gen_i", "gen_k", "alpha_max", "marginal_gain")
 def _plan_rows(result: PlanResult) -> list[tuple]:
     # Iterations are numbered from 1 and link endpoints reported 1-based,
     # matching generator numbering in the human tables; row 0 is the
-    # uncontrolled baseline.
+    # uncontrolled baseline.  A row's marginal gain is the previous row's
+    # alpha_max minus its own, the subtraction the planners decide by.
     rows: list[tuple] = [(0, "", "", result.baseline_alpha, 0.0)]
+    before = result.baseline_alpha
     for index, it in enumerate(result.iterations, start=1):
-        rows.append((index, it.link[0] + 1, it.link[1] + 1, it.alpha_max_after, it.marginal_gain))
+        rows.append((index, it.link[0] + 1, it.link[1] + 1, it.alpha_max_after, before - it.alpha_max_after))
+        before = it.alpha_max_after
     return rows
 
 

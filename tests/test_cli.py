@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import gridlink
 from conftest import _per_value_table, _per_value_trajectory_document, _rows_on_one_line, two_bus_feeder
-from gridlink import cli, reports
+from gridlink import cli, planner, reports
 from gridlink.case import case_path
 from gridlink.cli import main, parse_perturb
 from gridlink.dynamics import ROWS_PER_BLOCK, Trajectory, row_blocks
@@ -556,7 +556,7 @@ def time_limit(seconds):
 @pytest.mark.parametrize("rows", [1, ROWS_PER_BLOCK, ROWS_PER_BLOCK + 1, 3 * ROWS_PER_BLOCK + 1])
 def test_trajectory_writer_pooled_and_inline_write_the_same_bytes(tmp_path, monkeypatch, forks, fmt, rows):
     # blocks handed on as simulate hands them on, each written to shared memory just before; a forked
-    # writer, started only for more than one block on more than one CPU, reads no row before it is final
+    # writer, started only for more than one block where os.fork exists, reads no row before it is final
     # (the rows after it hold NaN), into a real file, and writes the bytes the inline writer writes
     values = np.random.default_rng(rows).standard_normal((rows, 6)) * 10.0 ** np.arange(-3, 3)
     states = np.frombuffer(mmap.mmap(-1, values.nbytes)).reshape(values.shape)
@@ -570,11 +570,12 @@ def test_trajectory_writer_pooled_and_inline_write_the_same_bytes(tmp_path, monk
         write, closing = reports.write_document, reports.document_footer
         expected = _rows_on_one_line(reports.render_json(_per_value_trajectory_document(final, meta, footer)))
 
-    def written(cores):
-        monkeypatch.setattr(cli, "usable_cpu_count", lambda: cores)
+    def written(forked):
         states[:] = np.nan
-        path = tmp_path / f"traj-{cores}"
-        with time_limit(60), open(path, "w", encoding="utf-8") as out:
+        path = tmp_path / f"traj-{forked}"
+        with monkeypatch.context() as patch, time_limit(60), open(path, "w", encoding="utf-8") as out:
+            if not forked:
+                patch.delattr(os, "fork")
             with cli._TrajectoryWriter(out, write, meta) as writer:
                 for block in row_blocks(rows):
                     time.sleep(0.05)  # time for a writer that does not wait to read rows that are not final
@@ -583,18 +584,17 @@ def test_trajectory_writer_pooled_and_inline_write_the_same_bytes(tmp_path, monk
                 writer.finish(closing(footer))
         return path.read_text(encoding="utf-8")
 
-    inline = written(1)
+    inline = written(False)
     assert forks == []
-    pooled = written(2)
+    pooled = written(True)
     assert pooled == inline == expected
     assert len(forks) == (rows > ROWS_PER_BLOCK)
     for pid in forks:
         assert_reaped(pid)
 
 
-def test_trajectory_writer_reaps_its_child_when_the_run_fails(tmp_path, monkeypatch, forks):
+def test_trajectory_writer_reaps_its_child_when_the_run_fails(tmp_path, forks):
     # an exception after the first block closes the pipe: the child reads its end and exits, and is reaped
-    monkeypatch.setattr(cli, "usable_cpu_count", lambda: 2)
     states = np.zeros((3 * ROWS_PER_BLOCK, 4))
     traj = Trajectory(times=np.arange(3 * ROWS_PER_BLOCK) * 1e-3, delta=states[:, :2], omega=states[:, 2:], dt=1e-3)
     with time_limit(60), pytest.raises(ValueError, match="after the first block"):
@@ -615,9 +615,8 @@ def _write_case(tmp_path):
 
 
 @pytest.mark.parametrize("gain, code", [(-1.0, 0), (50.0, 1)])
-def test_simulate_leaves_no_worker_process_and_no_failed_output(tmp_path, monkeypatch, capsys, forks, gain, code):
+def test_simulate_leaves_no_worker_process_and_no_failed_output(tmp_path, capsys, forks, gain, code):
     # 3,701 rows, four blocks; at gain +50 the state blows up at 3.636 s, in the last block
-    monkeypatch.setattr(cli, "usable_cpu_count", lambda: 2)
     case, links = _write_case(tmp_path)
     out = tmp_path / "traj.csv"
     out.write_text("an earlier run\n")
@@ -634,17 +633,18 @@ def test_simulate_leaves_no_worker_process_and_no_failed_output(tmp_path, monkey
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
-@pytest.mark.parametrize("cores", [2, 1])
-def test_simulate_write_failure_is_input_error(monkeypatch, capsys, forks, cores):
+@pytest.mark.parametrize("writer", ["forked", "inline"])
+def test_simulate_write_failure_is_input_error(monkeypatch, capsys, forks, writer):
     # every write to /dev/full fails; a forked writer's failure is reported as the inline writer's is,
     # whether the parent finds it by a broken pipe or by the child's exit status
-    monkeypatch.setattr(cli, "usable_cpu_count", lambda: cores)
+    if writer == "inline":
+        monkeypatch.delattr(os, "fork")
     with time_limit(60):
         assert run(["simulate", "--case", case_path("toy3"), "--out", "/dev/full", "--tmax", 10.0]) == 2
     assert capsys.readouterr().err == (
         "gridlink: input error: cannot write output file /dev/full: No space left on device\n"
     )
-    assert len(forks) == (cores > 1)
+    assert len(forks) == (writer == "forked")
     for pid in forks:
         assert_reaped(pid)
 
@@ -656,7 +656,6 @@ def test_forked_writer_leaves_stdout_to_its_parent(tmp_path):
     code = (
         "import sys; from gridlink import cli; "
         "sys.stdout.write('a result line\\n'); "
-        "cli.usable_cpu_count = lambda: 2; "
         f"sys.exit(cli.main({argv!r}))"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
@@ -664,6 +663,35 @@ def test_forked_writer_leaves_stdout_to_its_parent(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "a result line\n"
     assert sum(not line.startswith("#") for line in (tmp_path / "traj.csv").read_text().splitlines()) == 1 + 3001
+
+
+def test_forked_writer_with_blas_threads_running(tmp_path):
+    # numpy's OpenBLAS at two threads, so the writer forks from a process with more than one OS thread,
+    # which Python 3.12 on warns about in the parent; with that warning an error, the run still exits 0,
+    # writes the inline writer's bytes and leaves no child unreaped
+    argv = ["simulate", "--case", str(case_path("toy3")), "--out", str(tmp_path / "forked.csv"), "--tmax", "3"]
+    inline = [*argv[:4], str(tmp_path / "inline.csv"), *argv[5:]]
+    code = f"""
+import os, sys
+from gridlink import cli
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+assert cli.main({argv!r}) == 0
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    pass
+else:
+    sys.exit("the forked writer was left unreaped")
+del os.fork
+assert cli.main({inline!r}) == 0
+print(threads)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "2"}
+    proc = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "None" or int(proc.stdout) > 1  # OS threads when the writer forked
+    assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "inline.csv").read_bytes()
 
 
 def test_failed_simulate_leaves_a_symlinked_output_in_place(tmp_path):
@@ -705,39 +733,48 @@ def test_failed_write_leaves_no_output_file(tmp_path):
 @pytest.mark.parametrize("fmt", ["table", "structured"])
 def test_simulate_pm_step_pooled_and_inline_bytes_agree(tmp_path, monkeypatch, forks, fmt):
     # a forked writer and the inline writer write the same document
-    def simulate_bytes(cores):
-        monkeypatch.setattr(cli, "usable_cpu_count", lambda: cores)
-        out = tmp_path / f"traj-{cores}"
-        assert run(["simulate", "--case", case_path("newengland39"), "--out", out, "--tmax", 3.0,
-                    "--perturb", "pm-step gen=3,dpm=0.2,at=0.5", "--format", fmt]) == 0
+    def simulate_bytes(forked):
+        out = tmp_path / f"traj-{forked}"
+        with monkeypatch.context() as patch:
+            if not forked:
+                patch.delattr(os, "fork")
+            assert run(["simulate", "--case", case_path("newengland39"), "--out", out, "--tmax", 3.0,
+                        "--perturb", "pm-step gen=3,dpm=0.2,at=0.5", "--format", fmt]) == 0
         return out.read_bytes()
 
-    assert simulate_bytes(2) == simulate_bytes(1)
+    assert simulate_bytes(True) == simulate_bytes(False)
     (pid,) = forks
     assert_reaped(pid)
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
-def test_one_usable_cpu_makes_no_pool(tmp_path, monkeypatch, toy4_model):
-    # under an affinity of one CPU, as taskset or a cpuset sets it, os.cpu_count() still counts every CPU
+def test_one_usable_cpu_makes_no_pool(tmp_path, monkeypatch, forks, toy4_model):
+    # under an affinity of one CPU, as taskset or a cpuset sets it, os.cpu_count() still counts every CPU;
+    # the planner starts no pool there, while simulate still forks its writer, which writes the same bytes
     made = []
 
     def no_pool(*args, **kwargs):
         made.append(args)
-        raise AssertionError("a process was started with one usable CPU")
+        raise AssertionError("a pool was started with one usable CPU")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(os, "fork", no_pool)
+    argv = ["simulate", "--case", case_path("toy3"), "--out", tmp_path / "forked.csv", "--tmax", 3.0]
     allowed = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(allowed)})
     try:
-        assert cli.usable_cpu_count() == 1
-        assert run(["simulate", "--case", case_path("toy3"), "--out", tmp_path / "traj.csv", "--tmax", 3.0]) == 0
+        assert planner.usable_cpu_count() == 1
+        with time_limit(60):
+            assert run(argv) == 0
         plan = gridlink.greedy_plan(toy4_model, budget=2, gain_h=-1.0, workers=2)
     finally:
         os.sched_setaffinity(0, allowed)
     assert made == []
     assert plan == gridlink.greedy_plan(toy4_model, budget=2, gain_h=-1.0)
+    (pid,) = forks
+    assert_reaped(pid)
+    monkeypatch.delattr(os, "fork")
+    assert run(argv[:4] + [tmp_path / "inline.csv"] + argv[5:]) == 0
+    assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "inline.csv").read_bytes()
 
 
 def test_perturb_parsing_errors():
@@ -811,3 +848,24 @@ def test_validate_decay_default_horizon_covers_slowest_mode(capsys):
     assert main(["--case", "toy4", "--budget", "1", "--tmax", "5"]) == 1
     err = capsys.readouterr().err
     assert err.splitlines() == [err.strip()] and "exceeds 15%" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [
+        (["--gain", "1.0"], 2, "--gain must be negative"),
+        (["--budget", "-1"], 2, "--budget must be nonnegative"),
+        (["--case", "nosuch"], 2, "cannot read case nosuch: No such file or directory"),
+        (["--dt", "0"], 2, "--dt must be positive"),
+        (["--tmax", "0.0001"], 2, "--tmax must be at least --dt"),
+        (["--ddelta", "nan"], 2, "--ddelta must be a finite number"),
+        (["--tmax", "1e9"], 2, "--tmax / --dt exceeds 1000000 steps"),
+        (["--dt", "1e-9"], 1, "t_max / dt exceeds 1000000 steps"),  # the default horizon, known only after the plan
+    ],
+)
+def test_validate_decay_failures_print_one_line(capsys, argv, code, line):
+    # a bad argument or case exits 2, a run that fails exits 1, each with one stderr line and no traceback
+    assert _validate_decay_main()(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == f"validate_decay: {line}\n"
+    assert captured.out == ""

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from gridlink.case import parse_case
 from gridlink.dynamics import ControlConfig, MachineState, control_matrix, swing_rhs
+from gridlink import linearization
 from gridlink.linearization import (
     alpha_for_links,
     coupling_matrix,
     jacobian,
     relative_angle_jacobian,
     spectral_abscissa,
+    uncontrolled_jacobian,
 )
 from gridlink.model import SystemModel, build_system
 from gridlink.planner import greedy_plan
@@ -312,7 +314,7 @@ def test_alpha_matches_independent_script(toy3_model):
         assert got == pytest.approx(expected, abs=1e-10)
 
 
-# --- the model's cached constant blocks ----------------------------------------------
+# --- the uncontrolled Jacobian cached per model ---------------------------------------
 
 NE39_LINK_SETS = ([], [(0, 8)], [(0, 8), (0, 2), (0, 1), (0, 5), (0, 7)])
 
@@ -322,7 +324,8 @@ def test_alpha_after_pickle_round_trip_is_bitwise_equal(ne39_model):
     expected = [alpha_for_links(ne39_model, links, -1.0) for links in NE39_LINK_SETS]
     copy = pickle.loads(pickle.dumps(ne39_model))
     assert [alpha_for_links(copy, links, -1.0) for links in NE39_LINK_SETS] == expected
-    assert not copy.uncontrolled_jacobian.flags.writeable
+    assert not uncontrolled_jacobian(copy).flags.writeable
+    assert uncontrolled_jacobian(copy) is not uncontrolled_jacobian(ne39_model)
 
 
 def test_replaced_model_does_not_reuse_cached_blocks(ne39_model):
@@ -345,16 +348,27 @@ def test_stored_coupling_coefficients_move_no_alpha(ne39_model):
 
 
 def test_cached_blocks_are_read_only_and_shared(ne39_model):
-    cached = ne39_model.uncontrolled_jacobian
+    cached = uncontrolled_jacobian(ne39_model)
     with pytest.raises(ValueError):
         cached[0, 0] = 1.0
-    assert ne39_model.uncontrolled_jacobian is cached
+    assert uncontrolled_jacobian(ne39_model) is cached
     # the projection of the full uncontrolled Jacobian: drop delta_n, subtract its row from the other angle rows
     n = ne39_model.n
     full = np.delete(jacobian(ne39_model, ControlConfig()), n - 1, axis=1)
     full[: n - 1] -= full[n - 1]
     assert np.array_equal(cached, np.delete(full, n - 1, axis=0))
 
+
+
+def test_cached_jacobian_lives_as_long_as_its_model(ne39_model):
+    # models hash and compare by identity, so equal arrays in two models are two cache entries
+    model = replace(ne39_model)
+    assert model != ne39_model and len({model, ne39_model}) == 2
+    alpha_for_links(model, [], -1.0)
+    assert model in linearization._UNCONTROLLED
+    entries = len(linearization._UNCONTROLLED)
+    del model
+    assert len(linearization._UNCONTROLLED) == entries - 1
 
 # --- physics invariants ---------------------------------------------------------------
 

@@ -1,5 +1,6 @@
 import argparse
 import io
+import os
 import tracemalloc
 from types import SimpleNamespace
 
@@ -24,8 +25,8 @@ from gridlink.reports import render_json
 
 
 def _written_inline(monkeypatch, traj, fmt, meta, footer):
-    """The document the CLI's writer writes for traj, its blocks handed over as simulate hands them, one usable CPU."""
-    monkeypatch.setattr(cli, "usable_cpu_count", lambda: 1)
+    """The document the CLI's writer writes for traj, its blocks handed over as simulate hands them, inline."""
+    monkeypatch.delattr(os, "fork", raising=False)
     if fmt == "table":
         write, closing = reports.write_table, reports.table_footer
     else:
@@ -84,7 +85,7 @@ def test_structured_document_matches_per_value_renderer(tmp_path, monkeypatch, b
     # the CLI document for ne39, byte for byte, against the per-value builder on the same inputs; the CLI
     # writes a trajectory document by write_document(out, traj, meta, ready) and document_footer(footer),
     # here inline, so that the calls are seen in this process
-    monkeypatch.setattr(cli, "usable_cpu_count", lambda: 1)
+    monkeypatch.delattr(os, "fork")
     names = ["write_document", "document_footer"] if builder == "trajectory_document" else [builder]
     seen = {name: [] for name in names}
     for name in names:
@@ -140,7 +141,7 @@ def test_trajectory_blocks_join_to_per_row_documents(monkeypatch, rows):
 
 def test_trajectory_table_is_written_one_block_at_a_time(tmp_path, monkeypatch, ne39_model):
     # the CLI's writer, rendering inline, holds about one block of ne39's 20 s table, not the document
-    monkeypatch.setattr(cli, "usable_cpu_count", lambda: 1)
+    monkeypatch.delattr(os, "fork")
     model = ne39_model
     init = MachineState(model.op.delta_s.copy(), np.full(model.n, model.op.omega_s))
     dist = DisturbanceSpec(kind="state-offset", target=0, d_delta=0.05)
@@ -172,4 +173,5 @@ def test_plan_documents_number_iterations_and_links_from_one(toy4_model, plan):
     doc = reports.plan_document(result, {})
     assert [(it["iteration"], it["gen_i"], it["gen_k"]) for it in doc["iterations"]] == expected
     assert [it["alpha_max"] for it in doc["iterations"]] == [it.alpha_max_after for it in result.iterations]
-    assert [it["marginal_gain"] for it in doc["iterations"]] == [it.marginal_gain for it in result.iterations]
+    alphas = [result.baseline_alpha] + [it.alpha_max_after for it in result.iterations]
+    assert [it["marginal_gain"] for it in doc["iterations"]] == [a - b for a, b in zip(alphas, alphas[1:])]
