@@ -5,10 +5,10 @@ Plans a few links, perturbs one rotor angle, integrates the controlled swing
 equations, and compares the fitted decay rate of the deviation norm with the
 predicted alpha_max.  Without --tmax the horizon is max(5, 4 / |alpha_max|) s,
 four time constants of the slowest mode, so the fit from tmax / 4 on sees that
-mode rather than the faster ones.  Exits as gridlink does, with one line on
-stderr for a failure: 2 for a bad argument or a case that cannot be read, 1
-for a run that fails, for alpha_max >= 0, or for a mismatch above
-MAX_MISMATCH.
+mode rather than the faster ones.  Exits as gridlink does, through its
+run_guarded, with one line on stderr for a failure or a warning: 2 for a bad
+argument or a case that cannot be read, 1 for a run that fails, for
+alpha_max >= 0, or for a mismatch above MAX_MISMATCH.
 """
 
 import argparse
@@ -17,12 +17,11 @@ import sys
 
 import numpy as np
 
-from gridlink.case import CaseError, load_case
-from gridlink.dynamics import MAX_STEPS, ControlConfig, MachineState, SimulationBlowUp, decay_rate, simulate
+from gridlink.case import load_case
+from gridlink.cli import InputError, run_guarded
+from gridlink.dynamics import MAX_STEPS, ControlConfig, MachineState, decay_rate, simulate
 from gridlink.model import build_system
 from gridlink.planner import greedy_plan
-from gridlink.powerflow import PowerFlowError
-from gridlink.reduction import KronReductionError
 
 # Relative mismatch allowed between fitted decay rate and alpha_max (acceptance criterion 6).
 MAX_MISMATCH = 0.15
@@ -37,45 +36,33 @@ def main(argv=None) -> int:
     parser.add_argument("--tmax", type=float, default=None, help="horizon, s (default max(5, 4 / |alpha_max|))")
     parser.add_argument("--dt", type=float, default=1e-3)
     args = parser.parse_args(argv)
-    problem = bad_argument(args)
-    if problem:
-        print(f"validate_decay: {problem}", file=sys.stderr)
-        return 2
-    try:
-        case = load_case(args.case)
-    except (OSError, CaseError, UnicodeDecodeError) as exc:
-        reason = getattr(exc, "strerror", None) or exc
-        print(f"validate_decay: cannot read case {args.case}: {reason}", file=sys.stderr)
-        return 2
-    try:
-        # Floating-point trouble no step expects is a failed run, as in gridlink.
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return validate(case, args)
-    except (PowerFlowError, KronReductionError, SimulationBlowUp, ValueError, ArithmeticError) as exc:
-        print(f"validate_decay: {exc}", file=sys.stderr)
-        return 1
+    return run_guarded("validate_decay", lambda: validate(args))
 
 
-def bad_argument(args) -> str | None:
-    """What is wrong with the numeric arguments, or None."""
+def check_arguments(args) -> None:
+    """Raise InputError for a bad numeric argument."""
     for name in ("gain", "ddelta", "dt", "tmax"):
         value = getattr(args, name)
         if value is not None and not math.isfinite(value):
-            return f"--{name} must be a finite number"
+            raise InputError(f"--{name} must be a finite number")
     if args.gain >= 0:
-        return "--gain must be negative"
+        raise InputError("--gain must be negative")
     if args.budget < 0:
-        return "--budget must be nonnegative"
+        raise InputError("--budget must be nonnegative")
     if args.dt <= 0:
-        return "--dt must be positive"
+        raise InputError("--dt must be positive")
     if args.tmax is not None and args.tmax < args.dt:
-        return "--tmax must be at least --dt"
+        raise InputError("--tmax must be at least --dt")
     if args.tmax is not None and args.tmax / args.dt > MAX_STEPS:
-        return f"--tmax / --dt exceeds {MAX_STEPS} steps"
-    return None
+        raise InputError(f"--tmax / --dt exceeds {MAX_STEPS} steps")
 
 
-def validate(case, args) -> int:
+def validate(args) -> int:
+    check_arguments(args)
+    try:
+        case = load_case(args.case)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read case {args.case}: {getattr(exc, 'strerror', None) or exc}") from exc
     model = build_system(case)
     plan = greedy_plan(model, budget=args.budget, gain_h=args.gain, allow_nonpositive=True)
     links = list(plan.links)

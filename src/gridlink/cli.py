@@ -296,11 +296,9 @@ def run_simulate(args: argparse.Namespace) -> int:
     model, meta = _load(args)
     links = read_links_file(args.links, model.n) if args.links else []
     ctl = ControlConfig(links, args.gain)
-    disturbance = args.perturb
-    if disturbance is not None:
-        problems = disturbance.validate(model.n)
-        if problems:
-            raise InputError("; ".join(problems))
+    disturbance = args.perturb  # parse_perturb has checked all but its generator's range
+    if disturbance is not None and disturbance.target >= model.n:
+        raise InputError(f"perturbation generator {disturbance.target + 1} out of range for {model.n} generators")
     initial = MachineState(delta=model.op.delta_s, omega=np.full(model.n, model.op.omega_s))
     meta.update(
         {
@@ -393,34 +391,35 @@ def check_args(args: argparse.Namespace) -> None:
             args.perturb = parse_perturb(args.perturb)
 
 
-def _warning_line(message, category, filename, lineno, line=None) -> str:
-    return f"gridlink: warning: {message}\n"
+def run_guarded(prog: str, run: Callable[[], int]) -> int:
+    """run()'s exit code, or 2 for an input error and 1 for a failed computation, each with one stderr line.
 
-
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # A library warning (a clamped budget) prints as one plain line, like every other diagnostic.
-    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
+    Floating-point trouble no step expects (an extreme case value) is a computation error, and a
+    library warning (a clamped budget) prints as one `{prog}: warning: ...` line.
+    """
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_, line=None: f"{prog}: warning: {message}\n"
     try:
-        check_args(args)
-        # Floating-point trouble no step expects (an extreme case value) is a computation error.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return _RUNNERS[args.subcommand](args)
+            return run()
     except (InputError, CaseError) as exc:
-        print(f"gridlink: input error: {exc}", file=sys.stderr)
+        print(f"{prog}: input error: {exc}", file=sys.stderr)
         return 2
-    except (
-        PowerFlowError,
-        KronReductionError,
-        SimulationBlowUp,
-        ValueError,
-        ArithmeticError,
-    ) as exc:
-        print(f"gridlink: computation error: {exc}", file=sys.stderr)
+    except (PowerFlowError, KronReductionError, SimulationBlowUp, ValueError, ArithmeticError) as exc:
+        print(f"{prog}: computation error: {exc}", file=sys.stderr)
         return 1
     finally:
         warnings.formatwarning = formatwarning
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+
+    def run() -> int:
+        check_args(args)
+        return _RUNNERS[args.subcommand](args)
+
+    return run_guarded("gridlink", run)
 
 
 if __name__ == "__main__":

@@ -80,8 +80,9 @@ def usable_cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _plan_args(budget: int, gain_h: float, n: int, preinstalled=()) -> tuple[list[Link], int]:
-    """The planners' argument checks: (sorted preinstalled links, budget clamped with a warning)."""
+def _plan_args(budget: int, gain_h: float, n: int, preinstalled=()) -> tuple[list[Link], list[Link], int]:
+    """The planners' argument checks: (sorted preinstalled links, the candidate links they leave, in
+    candidate_links order, and the budget, clamped to their number with a warning)."""
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     if gain_h >= 0:
@@ -89,16 +90,11 @@ def _plan_args(budget: int, gain_h: float, n: int, preinstalled=()) -> tuple[lis
     installed = sorted(normalize_link(l) for l in preinstalled)
     if len(set(installed)) != len(installed):
         raise ValueError("duplicate links in preinstalled set")
-    available = len(candidate_links(n, installed))
-    if budget > available:
-        warnings.warn(f"budget {budget} exceeds the {available} available links; clamped", stacklevel=3)
-        budget = available
-    return installed, budget
-
-
-def _sweep(model: SystemModel, installed: list[Link], remaining: list[Link], gain_h: float):
-    """alpha_max after each candidate, in candidate order."""
-    return [alpha_for_links(model, installed + [link], gain_h) for link in remaining]
+    remaining = candidate_links(n, installed)
+    if budget > len(remaining):
+        warnings.warn(f"budget {budget} exceeds the {len(remaining)} available links; clamped", stacklevel=3)
+        budget = len(remaining)
+    return installed, remaining, budget
 
 
 # Set once in each sweep worker process by _init_worker.
@@ -141,13 +137,13 @@ def greedy_plan(
     whichever worker is free; the results come back in candidate order, so
     the plan is identical to the serial sweep.
     """
-    installed, budget = _plan_args(budget, gain_h, model.n, preinstalled)
+    installed, remaining, budget = _plan_args(budget, gain_h, model.n, preinstalled)
     alpha_before = alpha_for_links(model, installed, gain_h)
     baseline = alpha_before
     iterations: list[PlanIteration] = []
     stop_reason = None
 
-    pool_size = min(workers, usable_cpu_count(), len(candidate_links(model.n, installed)))
+    pool_size = min(workers, usable_cpu_count(), len(remaining))
     pool = None
     if budget and pool_size > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -155,12 +151,12 @@ def greedy_plan(
         pool = ProcessPoolExecutor(pool_size, initializer=_init_worker, initargs=(model, gain_h))
     try:
         for it in range(1, budget + 1):
-            remaining = candidate_links(model.n, installed)
+            candidates = [installed + [link] for link in remaining]
             if pool is None:
-                alphas = _sweep(model, installed, remaining, gain_h)
+                alphas = [alpha_for_links(model, links, gain_h) for links in candidates]
             else:
-                chunksize = math.ceil(len(remaining) / (CHUNKS_PER_WORKER * pool_size))
-                alphas = pool.map(_worker_alpha, [installed + [l] for l in remaining], chunksize=chunksize)
+                chunksize = math.ceil(len(candidates) / (CHUNKS_PER_WORKER * pool_size))
+                alphas = pool.map(_worker_alpha, candidates, chunksize=chunksize)
             best_link = None
             best_alpha = math.inf
             best_gain = -math.inf
@@ -169,10 +165,12 @@ def greedy_plan(
                 if gain > best_gain + TIE_TOL:
                     best_link, best_alpha, best_gain = link, alpha, gain
             if best_gain <= TIE_TOL and not allow_nonpositive:
-                stop_reason = f"best marginal gain {best_gain:.3e} is nonpositive at iteration {it}"
+                stop_reason = (f"best marginal gain {best_gain:.3e} counts as nonpositive"
+                               f" (not above TIE_TOL = {TIE_TOL:g}) at iteration {it}")
                 break
             installed.append(best_link)
             installed.sort()
+            remaining.remove(best_link)
             iterations.append(PlanIteration(link=best_link, alpha_max_after=best_alpha))
             alpha_before = best_alpha
     finally:
@@ -191,8 +189,7 @@ def exhaustive_plan(model: SystemModel, budget: int, gain_h: float) -> PlanResul
     matching the greedy tie-break.  Raises PlannerGuardError when the subset
     count exceeds EXHAUSTIVE_GUARD.
     """
-    _, budget = _plan_args(budget, gain_h, model.n)
-    pool = candidate_links(model.n)
+    _, pool, budget = _plan_args(budget, gain_h, model.n)
     count = sum(math.comb(len(pool), size) for size in range(budget + 1))
     if count > EXHAUSTIVE_GUARD:
         raise PlannerGuardError(f"{count} subsets exceed the exhaustive-search guard of {EXHAUSTIVE_GUARD}")

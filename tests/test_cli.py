@@ -209,6 +209,23 @@ def test_malformed_simulate_input_is_input_error(tmp_path, capsys, extra, links_
     assert len(err.splitlines()) == 1 and "input error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["plan", "--budget", "-1"], "budget must be nonnegative"),
+        (["plan", "--workers", "0"], "workers must be at least 1"),
+        (["simulate", "--dt", "0"], "require dt > 0 and tmax >= dt"),
+        (["simulate", "--tmax", "0.0005", "--dt", "0.001"], "require dt > 0 and tmax >= dt"),
+        (["simulate", "--perturb", "gen=4,ddelta=0.1"], "perturbation generator 4 out of range for 3 generators"),
+    ],
+    ids=["budget-negative", "workers-zero", "dt-zero", "tmax-below-dt", "gen-out-of-range"],
+)
+def test_flag_out_of_range_is_input_error(tmp_path, capsys, argv, line):
+    assert run([*argv, "--case", case_path("toy3"), "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"gridlink: input error: {line}"]
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("which", ["links-missing", "links-directory", "links-not-utf8", "case-not-utf8"])
 def test_unreadable_input_file_is_input_error(tmp_path, capsys, which):
     bad = tmp_path / "bad.json"
@@ -867,5 +884,23 @@ def test_validate_decay_failures_print_one_line(capsys, argv, code, line):
     # a bad argument or case exits 2, a run that fails exits 1, each with one stderr line and no traceback
     assert _validate_decay_main()(argv) == code
     captured = capsys.readouterr()
-    assert captured.err == f"validate_decay: {line}\n"
+    kind = "input error" if code == 2 else "computation error"
+    assert captured.err == f"validate_decay: {kind}: {line}\n"
     assert captured.out == ""
+
+
+def test_validate_decay_clamped_budget_warns_in_one_line(capfd):
+    # a subprocess, so the warning reaches stderr the way a user sees it
+    env = {**os.environ, "PYTHONPATH": str(Path(gridlink.__file__).parents[1])}
+    script = Path(__file__).parents[1] / "scripts" / "validate_decay.py"
+    proc = subprocess.run([sys.executable, str(script), "--case", "toy3", "--budget", "5"], env=env, timeout=60)
+    assert proc.returncode == 0
+    captured = capfd.readouterr()
+    assert captured.err.splitlines() == ["validate_decay: warning: budget 5 exceeds the 3 available links; clamped"]
+    assert captured.out == (
+        "links installed:   [(1, 2), (1, 3), (2, 3)]\n"
+        "horizon:           5 s\n"
+        "alpha_max:         -1.178097e+00\n"
+        "fitted decay rate: -1.193536e+00\n"
+        "relative mismatch: 1.31%\n"
+    )

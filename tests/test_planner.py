@@ -143,8 +143,8 @@ def test_pool_sweep_bitwise_equals_serial(ne39_model):
                 remaining = candidate_links(model.n, installed)
                 chunksize = math.ceil(len(remaining) / (planner.CHUNKS_PER_WORKER * 2))
                 assert chunksize > 1
-                serial = planner._sweep(model, installed, remaining, -1.0)
                 candidates = [installed + [l] for l in remaining]
+                serial = [alpha_for_links(model, links, -1.0) for links in candidates]
                 assert list(pool.map(planner._worker_alpha, candidates, chunksize=chunksize)) == serial
                 installed = sorted(installed + [link])
 

@@ -161,6 +161,20 @@ def test_trajectory_table_is_written_one_block_at_a_time(tmp_path, monkeypatch, 
     assert peak < out.stat().st_size / 4
 
 
+def test_early_stopped_plan_documents_carry_the_stop_reason(toy4_model):
+    # toy4's fourth link would raise alpha_max, so a budget of six stops after three
+    result = greedy_plan(toy4_model, budget=6, gain_h=-1.0)
+    reason = "best marginal gain -6.932e-03 counts as nonpositive (not above TIE_TOL = 1e-12) at iteration 4"
+    assert result.stop_reason == reason
+    table = reports.plan_table(result, {}).splitlines()
+    assert "# stopped_early: true" in table and f"# stop_reason: {reason}" in table
+    assert len([line for line in table if not line.startswith("#")]) == 1 + 1 + 3
+    doc = reports.plan_document(result, {})
+    assert doc["stopped_early"] is True and doc["stop_reason"] == reason
+    assert doc["meta"]["stopped_early"] == "true" and doc["meta"]["stop_reason"] == reason
+    assert len(doc["iterations"]) == 3
+
+
 @pytest.mark.parametrize("plan", [greedy_plan, exhaustive_plan])
 def test_plan_documents_number_iterations_and_links_from_one(toy4_model, plan):
     result = plan(toy4_model, budget=3, gain_h=-1.0)
