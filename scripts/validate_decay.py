@@ -7,8 +7,9 @@ predicted alpha_max.  Without --tmax the horizon is max(5, 4 / |alpha_max|) s,
 four time constants of the slowest mode, so the fit from tmax / 4 on sees that
 mode rather than the faster ones.  Exits as gridlink does, through its
 run_guarded, with one line on stderr for a failure or a warning: 2 for a bad
-argument or a case that cannot be read, 1 for a run that fails, for
-alpha_max >= 0, or for a mismatch above MAX_MISMATCH.
+argument (by the library's planning and horizon rules) or a case that cannot
+be read, 1 for a run that fails, for alpha_max >= 0, or for a mismatch above
+MAX_MISMATCH.
 """
 
 import argparse
@@ -18,13 +19,14 @@ import sys
 import numpy as np
 
 from gridlink.case import load_case
-from gridlink.cli import InputError, run_guarded
-from gridlink.dynamics import MAX_STEPS, ControlConfig, MachineState, decay_rate, simulate
+from gridlink.cli import InputError, check_input, run_guarded
+from gridlink.dynamics import ControlConfig, DisturbanceSpec, MachineState, decay_rate, horizon_steps, simulate
 from gridlink.model import build_system
-from gridlink.planner import greedy_plan
+from gridlink.planner import check_plan_args, greedy_plan
 
 # Relative mismatch allowed between fitted decay rate and alpha_max (acceptance criterion 6).
 MAX_MISMATCH = 0.15
+MIN_HORIZON = 5.0  # the shortest default horizon, s
 
 
 def main(argv=None) -> int:
@@ -40,21 +42,11 @@ def main(argv=None) -> int:
 
 
 def check_arguments(args) -> None:
-    """Raise InputError for a bad numeric argument."""
-    for name in ("gain", "ddelta", "dt", "tmax"):
-        value = getattr(args, name)
-        if value is not None and not math.isfinite(value):
-            raise InputError(f"--{name} must be a finite number")
-    if args.gain >= 0:
-        raise InputError("--gain must be negative")
-    if args.budget < 0:
-        raise InputError("--budget must be nonnegative")
-    if args.dt <= 0:
-        raise InputError("--dt must be positive")
-    if args.tmax is not None and args.tmax < args.dt:
-        raise InputError("--tmax must be at least --dt")
-    if args.tmax is not None and args.tmax / args.dt > MAX_STEPS:
-        raise InputError(f"--tmax / --dt exceeds {MAX_STEPS} steps")
+    """Raise InputError for a bad argument before any model work; a default horizon is at least max(MIN_HORIZON, dt)."""
+    if not math.isfinite(args.ddelta):
+        raise InputError("--ddelta must be a finite number")
+    check_input(check_plan_args, args.budget, args.gain)
+    check_input(horizon_steps, max(MIN_HORIZON, args.dt) if args.tmax is None else args.tmax, args.dt)
 
 
 def validate(args) -> int:
@@ -65,22 +57,21 @@ def validate(args) -> int:
         raise InputError(f"cannot read case {args.case}: {getattr(exc, 'strerror', None) or exc}") from exc
     model = build_system(case)
     plan = greedy_plan(model, budget=args.budget, gain_h=args.gain, allow_nonpositive=True)
-    links = list(plan.links)
-    ctl = ControlConfig(links, args.gain)
+    ctl = ControlConfig(plan.links, args.gain)
     alpha = plan.final_alpha
     if alpha >= 0:
         print(f"validate_decay: alpha_max = {alpha:.6e} >= 0, no decay to validate", file=sys.stderr)
         return 1
-    tmax = args.tmax if args.tmax is not None else max(5.0, 4.0 / abs(alpha))
+    tmax = args.tmax if args.tmax is not None else max(MIN_HORIZON, 4.0 / abs(alpha))
+    check_input(horizon_steps, tmax, args.dt)
 
-    offset = np.zeros(model.n)
-    offset[0] = args.ddelta
-    initial = MachineState(model.op.delta_s + offset, np.full(model.n, model.op.omega_s))
-    traj = simulate(initial, model, ctl, None, t_max=tmax, dt=args.dt)
+    initial = MachineState(model.op.delta_s, np.full(model.n, model.op.omega_s))
+    kick = DisturbanceSpec(kind="state-offset", target=0, d_delta=args.ddelta)
+    traj = simulate(initial, model, ctl, kick, t_max=tmax, dt=args.dt)
     fitted = decay_rate(traj, model.op, t_start=tmax / 4.0)
     mismatch = abs(fitted - alpha) / abs(alpha)
 
-    print(f"links installed:   {[(i + 1, k + 1) for i, k in links]}")
+    print(f"links installed:   {[(i + 1, k + 1) for i, k in plan.links]}")
     print(f"horizon:           {tmax:.6g} s")
     print(f"alpha_max:         {alpha:.6e}")
     print(f"fitted decay rate: {fitted:.6e}")

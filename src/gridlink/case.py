@@ -91,11 +91,9 @@ def _require(obj: dict, key: str, path: str):
 
 
 def _number(obj: dict, key: str, path: str, default: float | None = None) -> float:
-    if key not in obj:
-        if default is None:
-            raise CaseSchemaError(f"{path}: missing required field '{key}'")
+    if key not in obj and default is not None:
         return default
-    value = obj[key]
+    value = _require(obj, key, path)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise CaseSchemaError(f"{path}.{key}: expected a number, got {type(value).__name__}")
     try:
@@ -114,7 +112,10 @@ def _integer(obj: dict, key: str, path: str) -> int:
     return value
 
 
-def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
+def _check_object(obj, allowed: set[str], path: str) -> None:
+    """CaseSchemaError unless obj is a JSON object whose fields are all in allowed."""
+    if not isinstance(obj, dict):
+        raise CaseSchemaError(f"{path}: expected an object")
     unknown = sorted(set(obj) - allowed)
     if unknown:
         # quoted as JSON strings, so a name holding a line break stays on the diagnostic's one line
@@ -134,9 +135,7 @@ def parse_case(text: str) -> PowerCase:
         raise CaseSyntaxError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # an integer of too many digits, or nesting too deep
         raise CaseSyntaxError(str(exc)) from exc
-    if not isinstance(doc, dict):
-        raise CaseSchemaError("top level: expected an object")
-    _reject_unknown(doc, {"base_mva", "f0", "buses", "branches", "generators"}, "top level")
+    _check_object(doc, {"base_mva", "f0", "buses", "branches", "generators"}, "top level")
 
     base_mva = _number(doc, "base_mva", "top level")
     f0 = _number(doc, "f0", "top level")
@@ -148,9 +147,7 @@ def parse_case(text: str) -> PowerCase:
     buses = []
     for i, entry in enumerate(doc["buses"]):
         path = f"buses[{i}]"
-        if not isinstance(entry, dict):
-            raise CaseSchemaError(f"{path}: expected an object")
-        _reject_unknown(entry, {"id", "kind", "p_load", "q_load", "v_set", "shunt_g", "shunt_b"}, path)
+        _check_object(entry, {"id", "kind", "p_load", "q_load", "v_set", "shunt_g", "shunt_b"}, path)
         kind = _require(entry, "kind", path)
         if kind not in BUS_KINDS:
             raise CaseSchemaError(f"{path}.kind: expected one of {BUS_KINDS}, got {kind!r}")
@@ -169,9 +166,7 @@ def parse_case(text: str) -> PowerCase:
     branches = []
     for i, entry in enumerate(doc["branches"]):
         path = f"branches[{i}]"
-        if not isinstance(entry, dict):
-            raise CaseSchemaError(f"{path}: expected an object")
-        _reject_unknown(entry, {"from", "to", "r", "x", "b", "tap"}, path)
+        _check_object(entry, {"from", "to", "r", "x", "b", "tap"}, path)
         branches.append(
             BranchRecord(
                 from_bus=_integer(entry, "from", path),
@@ -186,9 +181,7 @@ def parse_case(text: str) -> PowerCase:
     generators = []
     for i, entry in enumerate(doc["generators"]):
         path = f"generators[{i}]"
-        if not isinstance(entry, dict):
-            raise CaseSchemaError(f"{path}: expected an object")
-        _reject_unknown(entry, {"bus", "p_gen", "h", "d", "xd_prime"}, path)
+        _check_object(entry, {"bus", "p_gen", "h", "d", "xd_prime"}, path)
         p_gen = _number(entry, "p_gen", path)
         generators.append(
             GeneratorRecord(

@@ -19,26 +19,26 @@ import sys
 import warnings
 from collections.abc import Callable, Iterator
 from pathlib import Path
-from typing import IO
+from typing import IO, Any
 
 import numpy as np
 
 import gridlink
 from gridlink.case import CaseError, parse_case
 from gridlink.dynamics import (
-    MAX_STEPS,
     ControlConfig,
     DisturbanceSpec,
     MachineState,
     SimulationBlowUp,
     Trajectory,
     decay_rate,
+    horizon_steps,
     normalize_link,
     simulate,
 )
 from gridlink.linearization import alpha_for_links, spectral_abscissa
 from gridlink.model import SystemModel, build_system
-from gridlink.planner import greedy_plan
+from gridlink.planner import check_plan_args, greedy_plan
 from gridlink.powerflow import PowerFlowError
 from gridlink.reduction import KronReductionError
 from gridlink import reports
@@ -46,6 +46,14 @@ from gridlink import reports
 
 class InputError(Exception):
     """Bad input file or configuration (exit code 2)."""
+
+
+def check_input(rule: Callable[..., Any], *args) -> Any:
+    """rule(*args), a library argument check, with its ValueError raised as an InputError."""
+    try:
+        return rule(*args)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def parse_perturb(spec: str) -> DisturbanceSpec:
@@ -118,15 +126,17 @@ def read_links_file(path: str, n: int) -> list[tuple[int, int]]:
         if not (isinstance(entry, list) and len(entry) == 2 and all(type(v) is int for v in entry)):
             raise InputError(f"links file {path}: each link must be a pair of integers, got {entry!r}")
         i, k = entry
-        if not (1 <= i <= n and 1 <= k <= n) or i == k:
-            raise InputError(f"links file {path}: link {entry} out of range for {n} generators")
+        if i == k or not (1 <= i <= n and 1 <= k <= n):
+            problem = "joins a generator to itself" if i == k else f"out of range for {n} generators"
+            raise InputError(f"links file {path}: link {entry} {problem}")
         links.append(normalize_link((i - 1, k - 1)))
     if len(set(links)) != len(links):
         raise InputError(f"links file {path}: duplicate links")
     return sorted(links)
 
 
-def _load(args: argparse.Namespace) -> tuple[SystemModel, dict]:
+def _load(args: argparse.Namespace) -> tuple[SystemModel, dict, list[tuple[int, int]]]:
+    """The case's model, the provenance meta and the --links file's links ([] without one)."""
     text = _read_text(args.case, "case file")
     case = parse_case(text)
     meta = {
@@ -135,7 +145,8 @@ def _load(args: argparse.Namespace) -> tuple[SystemModel, dict]:
         "case": args.case,
         "case_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
     }
-    return build_system(case), meta
+    model = build_system(case)
+    return model, meta, read_links_file(args.links, model.n) if getattr(args, "links", None) else []
 
 
 @contextlib.contextmanager
@@ -169,8 +180,7 @@ def _write(args: argparse.Namespace, text: str) -> None:
 
 
 def run_analyze(args: argparse.Namespace) -> int:
-    model, meta = _load(args)
-    links = read_links_file(args.links, model.n) if args.links else []
+    model, meta, links = _load(args)
     ctl = ControlConfig(links, args.gain)
     report = spectral_abscissa(model, ctl)
     meta.update({"gain": args.gain, "links": len(links)})
@@ -182,10 +192,9 @@ def run_analyze(args: argparse.Namespace) -> int:
 
 
 def run_plan(args: argparse.Namespace) -> int:
-    model, meta = _load(args)
+    model, meta, preinstalled = _load(args)
     if model.n < 2:
         raise InputError(f"plan needs at least two generators to form links; the case has {model.n}")
-    preinstalled = read_links_file(args.links, model.n) if args.links else []
     result = greedy_plan(
         model,
         budget=args.budget,
@@ -293,8 +302,7 @@ def run_simulate(args: argparse.Namespace) -> int:
     runs (see _TrajectoryWriter), and the footer is written once the decay
     fit is done.  A failed run, a blow-up say, leaves no output file.
     """
-    model, meta = _load(args)
-    links = read_links_file(args.links, model.n) if args.links else []
+    model, meta, links = _load(args)
     ctl = ControlConfig(links, args.gain)
     disturbance = args.perturb  # parse_perturb has checked all but its generator's range
     if disturbance is not None and disturbance.target >= model.n:
@@ -326,7 +334,7 @@ def run_simulate(args: argparse.Namespace) -> int:
 
 
 def run_reduce(args: argparse.Namespace) -> int:
-    model, meta = _load(args)
+    model, meta, _ = _load(args)
     _write(args, reports.render_json(reports.reduction_document(model.net, model.op, meta)))
     return 0
 
@@ -372,23 +380,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def check_args(args: argparse.Namespace) -> None:
     """Reject bad flag values before any model work; replaces --perturb by its DisturbanceSpec."""
-    for name in ("gain", "dt", "tmax"):
-        if not math.isfinite(getattr(args, name, 0.0)):
-            raise InputError(f"{name} must be a finite number")
     if args.subcommand == "plan":
-        if args.budget < 0:
-            raise InputError("budget must be nonnegative")
-        if args.workers < 1:
-            raise InputError("workers must be at least 1")
-        if args.gain >= 0:
-            raise InputError("plan requires a negative gain")
+        check_input(check_plan_args, args.budget, args.gain, args.workers)
+    elif args.subcommand in ("analyze", "simulate") and not math.isfinite(args.gain):
+        raise InputError("gain must be a finite number")
     if args.subcommand == "simulate":
-        if args.dt <= 0 or args.tmax < args.dt:
-            raise InputError("require dt > 0 and tmax >= dt")
-        if args.tmax / args.dt > MAX_STEPS:
-            raise InputError(f"tmax / dt exceeds {MAX_STEPS} steps")
+        steps = check_input(horizon_steps, args.tmax, args.dt)
         if args.perturb is not None:
             args.perturb = parse_perturb(args.perturb)
+            check_input(args.perturb.apply_index, args.dt, steps)
 
 
 def run_guarded(prog: str, run: Callable[[], int]) -> int:

@@ -12,6 +12,7 @@ deterministic for fixed inputs.
 
 from __future__ import annotations
 
+import math
 import mmap
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -58,12 +59,13 @@ class ControlConfig:
 
     The links are stored normalized (i < k) and sorted.  The gain is pu power
     per radian and must be negative for stabilizing feedback.  Nothing here
-    checks them: read_links_file and check_args reject bad ones at the CLI
-    boundary, link_laplacian a link outside 0..n-1, and the planner a
-    nonnegative gain.  The control adds L_h (delta - model.op.delta_s) to the
-    mechanical power, L_h being the gain-weighted link Laplacian (see
-    link_laplacian), so it vanishes at the operating point and (delta_s,
-    omega_s) stays a fixed point for every link set and gain.
+    checks them: cli.read_links_file rejects bad links, link_laplacian a link
+    outside 0..n-1, cli.check_args a non-finite gain and, for every plan,
+    planner.check_plan_args one that is not finite and negative.  The control
+    adds L_h (delta - model.op.delta_s) to the mechanical power, L_h being the
+    gain-weighted link Laplacian (see link_laplacian), so it vanishes at the
+    operating point and (delta_s, omega_s) stays a fixed point for every link
+    set and gain.
     """
 
     links: tuple[Link, ...] = ()
@@ -82,17 +84,23 @@ class DisturbanceSpec:
     d_pm: float = 0.0  # pu power
     t_apply: float = 0.0  # s
 
-    def validate(self, n: int) -> list[str]:
-        report = []
+    def apply_index(self, dt: float, steps: int) -> int:
+        """The disturbance-time rule: the row of the first grid time >= t_apply, ValueError if not in the run."""
+        index = np.ceil(self.t_apply / dt - 1e-9)  # infinite or NaN for such a t_apply
+        if not (self.t_apply >= 0 and index <= steps):
+            raise ValueError(f"disturbance time {self.t_apply:.9g} s outside the run, 0 to {steps * dt:.9g} s")
+        return int(index)
+
+    def validate(self, n: int) -> None:
+        """ValueError unless the target is one of n machines and only the kind's own terms are nonzero."""
         if not 0 <= self.target < n:
-            report.append(f"target {self.target} out of range 0..{n - 1}")
+            raise ValueError(f"target {self.target} out of range 0..{n - 1}")
         if self.kind == "state-offset" and self.d_pm != 0.0:
-            report.append("state-offset disturbance must have d_pm = 0")
-        elif self.kind == "mechanical-step" and (self.d_delta != 0.0 or self.d_omega != 0.0):
-            report.append("mechanical-step disturbance must have d_delta = d_omega = 0")
-        elif self.kind not in ("state-offset", "mechanical-step"):
-            report.append(f"unknown disturbance kind {self.kind!r}")
-        return report
+            raise ValueError("state-offset disturbance must have d_pm = 0")
+        if self.kind == "mechanical-step" and (self.d_delta != 0.0 or self.d_omega != 0.0):
+            raise ValueError("mechanical-step disturbance must have d_delta = d_omega = 0")
+        if self.kind not in ("state-offset", "mechanical-step"):
+            raise ValueError(f"unknown disturbance kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -101,6 +109,15 @@ class Trajectory:
     delta: np.ndarray  # (T, n) rad
     omega: np.ndarray  # (T, n) rad/s
     dt: float
+
+
+def horizon_steps(t_max: float, dt: float) -> int:
+    """The horizon rule: the steps to the last grid time k dt <= t_max (within 1e-9 steps), or ValueError."""
+    if not 0 < dt <= t_max < math.inf:
+        raise ValueError("dt must be a finite number > 0 and tmax a finite number >= dt")
+    if t_max / dt > MAX_STEPS:
+        raise ValueError(f"tmax / dt exceeds {MAX_STEPS} steps")
+    return math.floor(t_max / dt + 1e-9)
 
 
 def row_blocks(rows: int) -> Iterator[slice]:
@@ -239,9 +256,7 @@ def simulate(
     dt: float = 1e-3,
     on_block: Callable[[Trajectory, int], None] | None = None,
 ) -> Trajectory:
-    """Integrate with classical RK4 at fixed step dt over [0, t_max].
-
-    The last sample is the last grid time k dt <= t_max (within 1e-9 steps).
+    """Integrate with classical RK4 at fixed step dt over [0, t_max], horizon_steps(t_max, dt) steps.
 
     The stacked state [delta, omega] is stepped by the rate of one
     SwingOperator, built once per call, with stage buffers reused across
@@ -254,14 +269,14 @@ def simulate(
     held in 0-d arrays, so the result equals RK4 driven by swing_rhs bit for
     bit: a step is 33 numpy calls.
 
-    A state-offset disturbance is added to the recorded state at the first
-    grid time >= t_apply; a mechanical-step is added to the operator's drive
-    from that grid time onward (set_drive); only the target entries are
-    written, so an infinite disturbance is a blow-up at t_apply, not a
-    warning.  Raises ValueError beyond MAX_STEPS steps.  The rows are checked
-    for finiteness ROWS_PER_BLOCK at a time, as each block of them is
-    complete; a non-finite row raises SimulationBlowUp at the time of the
-    first one, after at most one block of further steps.
+    A state-offset disturbance is added to the recorded state at its
+    apply_index, the first grid time >= t_apply; a mechanical-step is added
+    to the operator's drive from that grid time onward (set_drive); only the
+    target entries are written, so an infinite disturbance is a blow-up at
+    t_apply, not a warning.  The rows are checked for finiteness
+    ROWS_PER_BLOCK at a time, as each block of them is complete; a non-finite
+    row raises SimulationBlowUp at the time of the first one, after at most
+    one block of further steps.
 
     After each block has been checked, on_block(traj, stop) is called with
     the trajectory that will be returned: its times are all set, and rows
@@ -269,20 +284,12 @@ def simulate(
     not yet written.  A caller can hand those rows on (to be rendered, say)
     while the integration goes on; the last call has stop = times.size.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t_max < dt:
-        raise ValueError("t_max must be at least dt")
-    if t_max / dt > MAX_STEPS:
-        raise ValueError(f"t_max / dt exceeds {MAX_STEPS} steps")
     n = model.n
-    steps = int(np.floor(t_max / dt + 1e-9))
+    steps = horizon_steps(t_max, dt)
     # No disturbance is a zero state offset; validate() leaves zero the terms a kind does not use.
     dist = disturbance or DisturbanceSpec(kind="state-offset", target=0)
-    problems = dist.validate(n)
-    if problems:
-        raise ValueError("; ".join(problems))
-    apply_index = int(np.clip(np.ceil(dist.t_apply / dt - 1e-9), 0, steps + 1))
+    dist.validate(n)
+    apply_index = dist.apply_index(dt, steps)
 
     op = SwingOperator(model, ctl)
     z, rate = op.state, op.rate

@@ -80,13 +80,20 @@ def usable_cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _plan_args(budget: int, gain_h: float, n: int, preinstalled=()) -> tuple[list[Link], list[Link], int]:
-    """The planners' argument checks: (sorted preinstalled links, the candidate links they leave, in
-    candidate_links order, and the budget, clamped to their number with a warning)."""
+def check_plan_args(budget: int, gain_h: float, workers: int = 1) -> None:
+    """The planning rule: ValueError unless budget >= 0, gain_h is finite and negative, and workers >= 1."""
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    if gain_h >= 0:
-        raise ValueError("gain_h must be negative")
+    if not -math.inf < gain_h < 0:
+        raise ValueError("gain must be a finite number below zero")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+
+
+def _plan_args(budget: int, gain_h: float, n: int, preinstalled=(), workers=1) -> tuple[list[Link], list[Link], int]:
+    """The planners' argument checks: (sorted preinstalled links, the candidate links they leave, in
+    candidate_links order, and the budget, clamped to their number with a warning)."""
+    check_plan_args(budget, gain_h, workers)
     installed = sorted(normalize_link(l) for l in preinstalled)
     if len(set(installed)) != len(installed):
         raise ValueError("duplicate links in preinstalled set")
@@ -127,8 +134,9 @@ def greedy_plan(
     is nonpositive, unless ``allow_nonpositive`` is set; a gain within
     TIE_TOL of zero ties with installing nothing and counts as nonpositive.
     Ties within TIE_TOL go to the lexicographically smallest pair.  A budget
-    larger than the number of candidate links is clamped with a warning.  A
-    ``preinstalled`` link with an endpoint outside 0..n-1 raises ValueError.
+    larger than the number of candidate links is clamped with a warning.
+    Arguments that break check_plan_args's rule, or a ``preinstalled`` link
+    with an endpoint outside 0..n-1, raise ValueError.
 
     With ``workers`` > 1 each sweep runs in one pool of worker processes,
     min(workers, usable CPUs, candidates in the first sweep) of them, started
@@ -137,7 +145,7 @@ def greedy_plan(
     whichever worker is free; the results come back in candidate order, so
     the plan is identical to the serial sweep.
     """
-    installed, remaining, budget = _plan_args(budget, gain_h, model.n, preinstalled)
+    installed, remaining, budget = _plan_args(budget, gain_h, model.n, preinstalled, workers)
     alpha_before = alpha_for_links(model, installed, gain_h)
     baseline = alpha_before
     iterations: list[PlanIteration] = []

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,17 @@ def test_parse_rejects_unknown_fields():
     doc = json.loads(MINIMAL)
     doc["buses"][0]["voltage"] = 1.0
     with pytest.raises(CaseSchemaError, match=r"buses\[0\].*unknown"):
+        parse_case(json.dumps(doc))
+
+
+@pytest.mark.parametrize("where", ["top level", "buses[0]", "branches[0]", "generators[0]"])
+def test_parse_rejects_non_object_with_location(where):
+    doc = json.loads(MINIMAL)
+    if where == "top level":
+        doc = [doc]
+    else:
+        doc[where.removesuffix("[0]")] = [[]]
+    with pytest.raises(CaseSchemaError, match=rf"^{re.escape(where)}: expected an object$"):
         parse_case(json.dumps(doc))
 
 

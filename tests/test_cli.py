@@ -23,7 +23,7 @@ from conftest import _per_value_table, _per_value_trajectory_document, _rows_on_
 from gridlink import cli, planner, reports
 from gridlink.case import case_path
 from gridlink.cli import main, parse_perturb
-from gridlink.dynamics import ROWS_PER_BLOCK, Trajectory, row_blocks
+from gridlink.dynamics import ROWS_PER_BLOCK, Trajectory, horizon_steps, row_blocks
 
 SINGLE_MACHINE = """{
   "base_mva": 100.0, "f0": 60.0,
@@ -44,6 +44,11 @@ UNSTABLE_PAIR = """{
     {"bus": 2, "p_gen": 0.0, "h": 0.5, "d": 0.0, "xd_prime": 0.1}
   ]
 }"""
+
+
+HORIZON_RULE = "dt must be a finite number > 0 and tmax a finite number >= dt"
+STEPS_RULE = "tmax / dt exceeds 1000000 steps"
+GAIN_RULE = "gain must be a finite number below zero"
 
 
 def run(args):
@@ -112,10 +117,12 @@ def test_analyze_with_links_file(tmp_path):
 
 def test_bad_links_file(tmp_path, capsys):
     links = tmp_path / "links.json"
-    links.write_text('{"links": [[1, 99]]}')
-    code = run(["analyze", "--case", case_path("toy3"), "--out", tmp_path / "o", "--links", links])
-    assert code == 2
-    assert "out of range" in capsys.readouterr().err
+    for pair, problem in [("[1, 99]", "out of range for 3 generators"), ("[1, 1]", "joins a generator to itself")]:
+        links.write_text(f'{{"links": [{pair}]}}')
+        code = run(["analyze", "--case", case_path("toy3"), "--out", tmp_path / "o", "--links", links])
+        assert code == 2
+        line = f"gridlink: input error: links file {links}: link {pair} {problem}"
+        assert capsys.readouterr().err.splitlines() == [line]
 
 
 def test_plan_full_budget(tmp_path):
@@ -162,7 +169,7 @@ def test_plan_budget_clamped(tmp_path, capsys):
 def test_plan_rejects_nonnegative_gain(tmp_path, capsys):
     code = run(["plan", "--case", case_path("toy4"), "--out", tmp_path / "o", "--gain", 1.0])
     assert code == 2
-    assert "negative gain" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [f"gridlink: input error: {GAIN_RULE}"]
 
 
 def test_plan_one_generator_is_input_error(tmp_path, capsys):
@@ -214,11 +221,19 @@ def test_malformed_simulate_input_is_input_error(tmp_path, capsys, extra, links_
     [
         (["plan", "--budget", "-1"], "budget must be nonnegative"),
         (["plan", "--workers", "0"], "workers must be at least 1"),
-        (["simulate", "--dt", "0"], "require dt > 0 and tmax >= dt"),
-        (["simulate", "--tmax", "0.0005", "--dt", "0.001"], "require dt > 0 and tmax >= dt"),
+        (["simulate", "--dt", "0"], HORIZON_RULE),
+        (["simulate", "--tmax", "0.0005", "--dt", "0.001"], HORIZON_RULE),
         (["simulate", "--perturb", "gen=4,ddelta=0.1"], "perturbation generator 4 out of range for 3 generators"),
+        # a disturbance time is rounded up to a grid time, which must be within the run
+        (["simulate", "--tmax", "2", "--perturb", "gen=1,ddelta=0.1,at=5"],
+         "disturbance time 5 s outside the run, 0 to 2 s"),
+        (["simulate", "--tmax", "2", "--perturb", "pm-step gen=1,dpm=0.1,at=2.5"],
+         "disturbance time 2.5 s outside the run, 0 to 2 s"),
+        (["simulate", "--tmax", "2", "--perturb", "gen=1,ddelta=0.1,at=-3"],
+         "disturbance time -3 s outside the run, 0 to 2 s"),
     ],
-    ids=["budget-negative", "workers-zero", "dt-zero", "tmax-below-dt", "gen-out-of-range"],
+    ids=["budget-negative", "workers-zero", "dt-zero", "tmax-below-dt", "gen-out-of-range",
+         "at-after-run", "pm-step-at-after-run", "at-negative"],
 )
 def test_flag_out_of_range_is_input_error(tmp_path, capsys, argv, line):
     assert run([*argv, "--case", case_path("toy3"), "--out", tmp_path / "o"]) == 2
@@ -870,14 +885,14 @@ def test_validate_decay_default_horizon_covers_slowest_mode(capsys):
 @pytest.mark.parametrize(
     "argv, code, line",
     [
-        (["--gain", "1.0"], 2, "--gain must be negative"),
-        (["--budget", "-1"], 2, "--budget must be nonnegative"),
+        (["--gain", "1.0"], 2, GAIN_RULE),
+        (["--budget", "-1"], 2, "budget must be nonnegative"),
         (["--case", "nosuch"], 2, "cannot read case nosuch: No such file or directory"),
-        (["--dt", "0"], 2, "--dt must be positive"),
-        (["--tmax", "0.0001"], 2, "--tmax must be at least --dt"),
+        (["--dt", "0"], 2, HORIZON_RULE),
+        (["--tmax", "0.0001"], 2, HORIZON_RULE),
         (["--ddelta", "nan"], 2, "--ddelta must be a finite number"),
-        (["--tmax", "1e9"], 2, "--tmax / --dt exceeds 1000000 steps"),
-        (["--dt", "1e-9"], 1, "t_max / dt exceeds 1000000 steps"),  # the default horizon, known only after the plan
+        (["--tmax", "1e9"], 2, STEPS_RULE),
+        (["--dt", "1e-9"], 2, STEPS_RULE),  # every default horizon has too many steps
     ],
 )
 def test_validate_decay_failures_print_one_line(capsys, argv, code, line):
@@ -887,6 +902,35 @@ def test_validate_decay_failures_print_one_line(capsys, argv, code, line):
     kind = "input error" if code == 2 else "computation error"
     assert captured.err == f"validate_decay: {kind}: {line}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "gridlink_argv, script_argv, check, rule",
+    [
+        (["simulate", "--dt", "0"], ["--dt", "0"], lambda: horizon_steps(20.0, 0.0), HORIZON_RULE),
+        (["simulate", "--tmax", "5e-4"], ["--tmax", "5e-4"], lambda: horizon_steps(5e-4, 1e-3), HORIZON_RULE),
+        (["simulate", "--tmax", "1e9"], ["--tmax", "1e9"], lambda: horizon_steps(1e9, 1e-3), STEPS_RULE),
+        # the script's default horizon on toy3 is 5 s
+        (["simulate", "--dt", "1e-9"], ["--dt", "1e-9"], lambda: horizon_steps(5.0, 1e-9), STEPS_RULE),
+        (["plan", "--budget", "-1"], ["--budget", "-1"], lambda: planner.check_plan_args(-1, -1.0),
+         "budget must be nonnegative"),
+        (["plan", "--gain", "0"], ["--gain", "0"], lambda: planner.check_plan_args(1, 0.0), GAIN_RULE),
+        (["plan", "--gain", "nan"], ["--gain", "nan"], lambda: planner.check_plan_args(1, float("nan")), GAIN_RULE),
+        (["plan", "--workers", "0"], None, lambda: planner.check_plan_args(1, -1.0, 0), "workers must be at least 1"),
+    ],
+    ids=["dt-zero", "tmax-below-dt", "step-cap", "dt-tiny", "budget-negative", "gain-zero", "gain-nan",
+         "workers-zero"],
+)
+def test_run_argument_rule_is_the_library_check(tmp_path, capsys, gridlink_argv, script_argv, check, rule):
+    # gridlink and validate_decay.py (which has no --workers) state each rule by the library check that holds it
+    with pytest.raises(ValueError) as exc_info:
+        check()
+    assert str(exc_info.value) == rule
+    assert run([*gridlink_argv, "--case", case_path("toy3"), "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"gridlink: input error: {rule}"]
+    if script_argv is not None:
+        assert _validate_decay_main()(script_argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"validate_decay: input error: {rule}"]
 
 
 def test_validate_decay_clamped_budget_warns_in_one_line(capfd):

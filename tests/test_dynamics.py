@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import TWO_MACHINE_OSCILLATOR, equilibrium_state
 from gridlink.case import parse_case
 from gridlink.dynamics import (
+    MAX_STEPS,
     ROWS_PER_BLOCK,
     ControlConfig,
     DisturbanceSpec,
@@ -21,6 +22,7 @@ from gridlink.dynamics import (
     decay_rate,
     deviation_norms,
     electrical_power,
+    horizon_steps,
     link_laplacian,
     simulate,
     swing_matrix,
@@ -516,9 +518,31 @@ def test_simulate_trajectory_shapes_and_halves(toy3_model):
 
 
 def test_simulate_disturbance_after_horizon_never_applies(toy3_model):
+    # simulate refuses the run rather than return an undisturbed trajectory
     dist = DisturbanceSpec(kind="state-offset", target=1, d_delta=0.02, t_apply=math.inf)
-    traj = simulate(equilibrium_state(toy3_model), toy3_model, ControlConfig(), dist, t_max=0.01, dt=1e-3)
-    assert np.abs(traj.delta - toy3_model.op.delta_s).max() <= 1e-12
+    with pytest.raises(ValueError, match=r"^disturbance time inf s outside the run, 0 to 0\.01 s$"):
+        simulate(equilibrium_state(toy3_model), toy3_model, ControlConfig(), dist, t_max=0.01, dt=1e-3)
+
+
+@pytest.mark.parametrize("t_apply", [math.nan, 0.0105, 0.0111, -1e-12, -3.0])
+def test_simulate_rejects_disturbance_time_outside_run(toy3_model, t_apply):
+    # the last grid time is 0.01 s; a time rounds up to the first grid time at or after it
+    dist = DisturbanceSpec(kind="state-offset", target=1, d_delta=0.02, t_apply=t_apply)
+    with pytest.raises(ValueError, match=r"^disturbance time .* s outside the run, 0 to 0\.01 s$"):
+        simulate(equilibrium_state(toy3_model), toy3_model, ControlConfig(), dist, t_max=0.0105, dt=1e-3)
+
+
+def test_simulate_applies_disturbance_at_last_grid_time(toy3_model):
+    dist = DisturbanceSpec(kind="state-offset", target=1, d_delta=0.02, t_apply=0.01)
+    traj = simulate(equilibrium_state(toy3_model), toy3_model, ControlConfig(), dist, t_max=0.0105, dt=1e-3)
+    assert np.abs(traj.delta[:-1] - toy3_model.op.delta_s).max() <= 1e-12
+    assert traj.delta[-1, 1] - toy3_model.op.delta_s[1] == pytest.approx(0.02)
+
+
+def test_horizon_steps_allows_exactly_max_steps():
+    assert horizon_steps(1e3, 1e-3) == MAX_STEPS
+    with pytest.raises(ValueError, match=f"^tmax / dt exceeds {MAX_STEPS} steps$"):
+        horizon_steps(1e3 + 1e-3, 1e-3)
 
 
 def test_simulate_rejects_step_count_above_cap(toy3_model):

@@ -106,11 +106,18 @@ def test_greedy_budget_clamped_with_warning(toy4_model):
     assert len(result.iterations) == 6  # C(4,2)
 
 
-def test_greedy_rejects_bad_arguments(toy4_model):
-    with pytest.raises(ValueError):
-        greedy_plan(toy4_model, budget=-1, gain_h=-1.0)
-    with pytest.raises(ValueError):
-        greedy_plan(toy4_model, budget=1, gain_h=0.0)
+def test_greedy_rejects_bad_arguments(toy4_model, monkeypatch):
+    # check_plan_args's rule holds before any alpha_max is computed
+    monkeypatch.setattr(planner, "alpha_for_links", lambda *args: pytest.fail("alpha_for_links called"))
+    for kwargs, rule in [
+        ({"budget": -1}, "budget must be nonnegative"),
+        ({"gain_h": 0.0}, "gain must be a finite number below zero"),
+        ({"gain_h": math.nan}, "gain must be a finite number below zero"),
+        ({"gain_h": -math.inf}, "gain must be a finite number below zero"),
+        ({"workers": 0}, "workers must be at least 1"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{rule}$"):
+            greedy_plan(toy4_model, **{"budget": 1, "gain_h": -1.0, **kwargs})
 
 
 def test_greedy_links_distinct_and_bounded(ne39_model):
