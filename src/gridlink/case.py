@@ -242,6 +242,24 @@ def validate(case: PowerCase) -> list[str]:
         if br.tap <= 0:
             report.append(f"{where}: tap must be positive")
 
+    if slack_count == 1:
+        # breadth-first search over the branches from the slack bus
+        neighbours: dict[int, list[int]] = {bus_id: [] for bus_id in kind_by_id}
+        for br in case.branches:
+            if br.from_bus in neighbours and br.to_bus in neighbours:
+                neighbours[br.from_bus].append(br.to_bus)
+                neighbours[br.to_bus].append(br.from_bus)
+        queue = [next(bus.id for bus in case.buses if bus.kind == "slack")]
+        reached = set(queue)
+        for bus_id in queue:  # the queue grows while it is read
+            for other in neighbours[bus_id]:
+                if other not in reached:
+                    reached.add(other)
+                    queue.append(other)
+        islanded = sorted(set(neighbours) - reached)
+        if islanded:
+            report.append(f"no branch path from slack bus {queue[0]} to bus(es) {', '.join(map(str, islanded))}")
+
     if not case.generators:
         report.append("case has no generators")
     for i, gen in enumerate(case.generators):

@@ -3,7 +3,10 @@
 Each iteration evaluates the marginal gain (drop in alpha_max) of every
 remaining candidate link, installs the best one, and repeats until the budget
 is spent or no link helps.  An exhaustive planner over all budget-sized
-subsets serves as a small-instance oracle.
+subsets serves as a small-instance oracle.  Both planners evaluate link sets
+only through ``sweep``; a greedy plan's sweeps share the one pool of
+min(workers, usable CPUs, first-sweep candidates) processes that ``plan_pool``
+starts, and run serially when that is 1.
 """
 
 from __future__ import annotations
@@ -11,8 +14,9 @@ from __future__ import annotations
 import math
 import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 from gridlink.dynamics import Link, normalize_link
 from gridlink.linearization import alpha_for_links
@@ -118,6 +122,35 @@ def _worker_alpha(links: list[Link]) -> float:
     return alpha_for_links(model, links, gain_h)
 
 
+@contextmanager
+def plan_pool(model: SystemModel, gain_h: float, workers: int, first_sweep: int):
+    """One plan's pool of min(workers, usable CPUs, first_sweep) processes, or None if that is at most 1."""
+    size = min(workers, usable_cpu_count(), first_sweep)
+    if size <= 1:
+        yield None
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(size, initializer=_init_worker, initargs=(model, gain_h))
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def sweep(model: SystemModel, link_sets: list[list[Link]], gain_h: float, pool=None) -> list[float]:
+    """alpha_for_links of each link set, in input order.
+
+    Without a pool, alpha_for_links is looked up here at each call.  With one,
+    it is one pool.map over the link sets in contiguous chunks, at most
+    CHUNKS_PER_WORKER per worker, each handed to whichever worker is free; the
+    alphas are bitwise those of the serial sweep.
+    """
+    if pool is None:
+        return [alpha_for_links(model, links, gain_h) for links in link_sets]
+    chunksize = math.ceil(len(link_sets) / (CHUNKS_PER_WORKER * pool._max_workers))
+    return list(pool.map(_worker_alpha, link_sets, chunksize=chunksize))
+
+
 def greedy_plan(
     model: SystemModel,
     budget: int,
@@ -136,38 +169,17 @@ def greedy_plan(
     Ties within TIE_TOL go to the lexicographically smallest pair.  A budget
     larger than the number of candidate links is clamped with a warning.
     Arguments that break check_plan_args's rule, or a ``preinstalled`` link
-    with an endpoint outside 0..n-1, raise ValueError.
-
-    With ``workers`` > 1 each sweep runs in one pool of worker processes,
-    min(workers, usable CPUs, candidates in the first sweep) of them, started
-    once per call.  Each sweep is one pool.map over the candidates in
-    contiguous chunks, at most CHUNKS_PER_WORKER per worker, each handed to
-    whichever worker is free; the results come back in candidate order, so
-    the plan is identical to the serial sweep.
+    with an endpoint outside 0..n-1, raise ValueError.  The sweeps run on
+    plan_pool's pool for ``workers``; the plan is the same for every value.
     """
     installed, remaining, budget = _plan_args(budget, gain_h, model.n, preinstalled, workers)
-    alpha_before = alpha_for_links(model, installed, gain_h)
-    baseline = alpha_before
+    alpha_before = baseline = sweep(model, [installed], gain_h)[0]
     iterations: list[PlanIteration] = []
     stop_reason = None
-
-    pool_size = min(workers, usable_cpu_count(), len(remaining))
-    pool = None
-    if budget and pool_size > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(pool_size, initializer=_init_worker, initargs=(model, gain_h))
-    try:
+    with plan_pool(model, gain_h, workers, len(remaining) if budget else 0) as pool:
         for it in range(1, budget + 1):
-            candidates = [installed + [link] for link in remaining]
-            if pool is None:
-                alphas = [alpha_for_links(model, links, gain_h) for links in candidates]
-            else:
-                chunksize = math.ceil(len(candidates) / (CHUNKS_PER_WORKER * pool_size))
-                alphas = pool.map(_worker_alpha, candidates, chunksize=chunksize)
-            best_link = None
-            best_alpha = math.inf
-            best_gain = -math.inf
+            alphas = sweep(model, [installed + [link] for link in remaining], gain_h, pool)
+            best_link, best_alpha, best_gain = None, math.inf, -math.inf
             for link, alpha in zip(remaining, alphas):
                 gain = alpha_before - alpha
                 if gain > best_gain + TIE_TOL:
@@ -181,9 +193,6 @@ def greedy_plan(
             remaining.remove(best_link)
             iterations.append(PlanIteration(link=best_link, alpha_max_after=best_alpha))
             alpha_before = best_alpha
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
     return PlanResult(baseline_alpha=baseline, iterations=tuple(iterations), stop_reason=stop_reason)
 
 
@@ -195,24 +204,21 @@ def exhaustive_plan(model: SystemModel, budget: int, gain_h: float) -> PlanResul
     outcome.  Strictly better means the final alpha_max drops by more than
     TIE_TOL; ties resolve to the smaller, lexicographically first subset,
     matching the greedy tie-break.  Raises PlannerGuardError when the subset
-    count exceeds EXHAUSTIVE_GUARD.
+    count exceeds EXHAUSTIVE_GUARD.  It sweeps serially, len(candidates)
+    subsets at a time, so no size's subsets are all held at once.
     """
-    _, pool, budget = _plan_args(budget, gain_h, model.n)
-    count = sum(math.comb(len(pool), size) for size in range(budget + 1))
+    _, candidates, budget = _plan_args(budget, gain_h, model.n)
+    count = sum(math.comb(len(candidates), size) for size in range(budget + 1))
     if count > EXHAUSTIVE_GUARD:
         raise PlannerGuardError(f"{count} subsets exceed the exhaustive-search guard of {EXHAUSTIVE_GUARD}")
 
-    baseline = alpha_for_links(model, [], gain_h)
-    best_subset: tuple[Link, ...] = ()
-    best_final = baseline
-    for size in range(1, budget + 1):
-        for subset in combinations(pool, size):
-            final = alpha_for_links(model, list(subset), gain_h)
+    baseline = sweep(model, [[]], gain_h)[0]
+    best_subset, best_final = [], baseline
+    subsets = chain.from_iterable(combinations(candidates, size) for size in range(1, budget + 1))
+    while batch := [list(subset) for subset in islice(subsets, len(candidates))]:
+        for subset, final in zip(batch, sweep(model, batch, gain_h)):
             if final < best_final - TIE_TOL:
                 best_subset, best_final = subset, final
 
-    iterations = tuple(
-        PlanIteration(link=link, alpha_max_after=alpha_for_links(model, list(best_subset[:i]), gain_h))
-        for i, link in enumerate(best_subset, start=1)
-    )
-    return PlanResult(baseline_alpha=baseline, iterations=iterations)
+    alphas = sweep(model, [best_subset[:i] for i in range(1, len(best_subset) + 1)], gain_h)
+    return PlanResult(baseline_alpha=baseline, iterations=tuple(map(PlanIteration, best_subset, alphas)))

@@ -117,6 +117,7 @@ def inline_pool(monkeypatch):
     class InlinePool:
         def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
+            self._max_workers = max_workers
             initializer(*initargs)
 
         def map(self, fn, *iterables, chunksize=1):

@@ -119,6 +119,15 @@ def test_validate_dangling_branch_reference():
     assert any("nonexistent bus 99" in entry for entry in validate(bad))
 
 
+def test_validate_islanded_buses():
+    # buses 3 and 4 are tied to each other, but no branch path joins them to the slack bus
+    buses = [BusRecord(id=1, kind="slack", p_load=0.0, q_load=0.0, v_set=1.0)]
+    buses += [BusRecord(id=i, kind="pq", p_load=0.0, q_load=0.0) for i in (2, 3, 4)]
+    branches = [BranchRecord(from_bus=2, to_bus=1, r=0.0, x=0.1), BranchRecord(from_bus=4, to_bus=3, r=0.0, x=0.1)]
+    case = PowerCase(100.0, 60.0, buses, branches, [GeneratorRecord(bus=1, p_gen=0.0, inertia_h=4.0)])
+    assert validate(case) == ["no branch path from slack bus 1 to bus(es) 3, 4"]
+
+
 def test_validate_duplicate_ids_and_pq_generator():
     buses = [
         BusRecord(id=1, kind="slack", p_load=0.0, q_load=0.0, v_set=1.0),
@@ -211,23 +220,23 @@ def random_cases(draw):
                 shunt_b=draw(finite),
             )
         )
-    n_branch = draw(st.integers(min_value=0, max_value=8))
-    branches = []
-    for _ in range(n_branch):
+    # a chain through every bus keeps the case connected, as parse_case requires; random branches follow
+    chain = draw(st.permutations(ids))
+    ends = list(zip(chain, chain[1:]))
+    for _ in range(draw(st.integers(min_value=0, max_value=8)) if n_bus > 1 else 0):
         a = draw(st.sampled_from(ids))
-        b = draw(st.sampled_from([i for i in ids if i != a])) if n_bus > 1 else None
-        if b is None:
-            continue
-        branches.append(
-            BranchRecord(
-                from_bus=a,
-                to_bus=b,
-                r=draw(positive),
-                x=draw(positive),
-                b_charging=draw(st.floats(min_value=0.0, max_value=2.0)),
-                tap=1.0,
-            )
+        ends.append((a, draw(st.sampled_from([i for i in ids if i != a]))))
+    branches = [
+        BranchRecord(
+            from_bus=a,
+            to_bus=b,
+            r=draw(positive),
+            x=draw(positive),
+            b_charging=draw(st.floats(min_value=0.0, max_value=2.0)),
+            tap=1.0,
         )
+        for a, b in ends
+    ]
     gen_buses = [b.id for b in buses if b.kind in ("slack", "pv")]
     generators = [
         GeneratorRecord(

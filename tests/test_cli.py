@@ -296,6 +296,23 @@ def test_json_the_parser_refuses_is_input_error(tmp_path, capsys, reader, text, 
 
 
 @pytest.mark.parametrize(
+    "cut, islanded",
+    [((2, 30), [30]), ((16, 19), [19, 20, 33, 34]), ((6, 31), [b for b in range(1, 40) if b != 31])],
+    ids=["2-30", "16-19", "6-31"],
+)
+def test_islanded_case_is_input_error(tmp_path, capsys, cut, islanded):
+    # ne39 without one branch: before the connectivity check these failed the power flow (exit 1)
+    doc = json.loads(case_path("newengland39").read_text())
+    doc["branches"] = [br for br in doc["branches"] if {br["from"], br["to"]} != set(cut)]
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(doc))
+    assert run(["analyze", "--case", case, "--out", tmp_path / "o"]) == 2
+    line = f"gridlink: input error: no branch path from slack bus 31 to bus(es) {', '.join(map(str, islanded))}"
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
     "bus, values",
     [(2, {"p_load": 1e-160, "v_set": 5e-324}), (0, {"v_set": 6.7e185})],
     ids=["v_set-underflows", "v_set-overflows"],

@@ -1,9 +1,9 @@
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
 from pathlib import Path
 
@@ -141,19 +141,25 @@ def test_greedy_parallel_sweep_identical(ne39_model):
     assert parallel == serial
 
 
-def test_pool_sweep_bitwise_equals_serial(ne39_model):
+def test_pool_sweep_bitwise_equals_serial(monkeypatch, ne39_model):
     # the pool maps the candidates in chunks of several and returns them in candidate order
+    monkeypatch.setattr(planner, "usable_cpu_count", lambda: 2)
     for model, picks in [(ne39_model, [(0, 8), (0, 2), (0, 1)]), (_random_35_generator_model(seed=3), [(3, 17)])]:
         installed = []
-        with ProcessPoolExecutor(2, initializer=planner._init_worker, initargs=(model, -1.0)) as pool:
+        with planner.plan_pool(model, -1.0, workers=2, first_sweep=len(candidate_links(model.n))) as pool:
+            chunksizes = []
+            pool_map = pool.map
+
+            def recording_map(fn, items, chunksize):
+                chunksizes.append(chunksize)
+                return pool_map(fn, items, chunksize=chunksize)
+
+            pool.map = recording_map
             for link in picks:
-                remaining = candidate_links(model.n, installed)
-                chunksize = math.ceil(len(remaining) / (planner.CHUNKS_PER_WORKER * 2))
-                assert chunksize > 1
-                candidates = [installed + [l] for l in remaining]
-                serial = [alpha_for_links(model, links, -1.0) for links in candidates]
-                assert list(pool.map(planner._worker_alpha, candidates, chunksize=chunksize)) == serial
+                candidates = [installed + [l] for l in candidate_links(model.n, installed)]
+                assert planner.sweep(model, candidates, -1.0, pool) == planner.sweep(model, candidates, -1.0)
                 installed = sorted(installed + [link])
+            assert len(chunksizes) == len(picks) and min(chunksizes) > 1
 
 
 def test_worker_error_reaches_caller(ne39_model):
@@ -161,6 +167,7 @@ def test_worker_error_reaches_caller(ne39_model):
     # block overflows, so the error is raised inside the worker processes
     with pytest.raises(ValueError, match="non-finite"):
         greedy_plan(ne39_model, budget=2, gain_h=-1e308, workers=2)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize(
@@ -187,6 +194,9 @@ def test_import_loads_no_pool_modules():
     # the process pool is imported only when a plan asks for workers, and scipy never
     code = (
         "import sys, gridlink, gridlink.cli; "
+        "model = gridlink.build_system(gridlink.load_case('toy4')); "
+        "gridlink.greedy_plan(model, budget=2, gain_h=-1.0); "
+        "gridlink.exhaustive_plan(model, budget=2, gain_h=-1.0); "
         "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing', 'scipy'))))"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(planner.__file__).parents[1])}
@@ -309,6 +319,22 @@ def test_exhaustive_iterations_are_prefix_alphas(toy4_model):
     for i, it in enumerate(result.iterations, start=1):
         expected = alpha_for_links(toy4_model, list(result.links[:i]), -1.0)
         assert it.alpha_max_after == pytest.approx(expected, abs=1e-15)
+
+
+def test_exhaustive_evaluates_each_subset_once_through_the_planner_module(monkeypatch, toy4_model):
+    # like criterion 9: the serial sweep looks alpha_for_links up in the planner module at each call
+    calls = []
+
+    def counting(model, links, gain):
+        calls.append(tuple(links))
+        return alpha_for_links(model, links, gain)
+
+    monkeypatch.setattr(planner, "alpha_for_links", counting)
+    result = exhaustive_plan(toy4_model, budget=2, gain_h=-1.0)
+    pairs = candidate_links(4)
+    prefixes = [result.links[:i] for i in range(1, len(result.links) + 1)]
+    assert len(calls) == 1 + math.comb(6, 1) + math.comb(6, 2) + len(result.links)
+    assert calls == [()] + [(l,) for l in pairs] + list(combinations(pairs, 2)) + prefixes
 
 
 def test_exhaustive_guard(monkeypatch, toy4_model):
