@@ -7,8 +7,9 @@ predicted alpha_max.  Without --tmax the horizon is max(5, 4 / |alpha_max|) s,
 four time constants of the slowest mode, so the fit from tmax / 4 on sees that
 mode rather than the faster ones.  Exits as gridlink does, through its
 run_guarded, with one line on stderr for a failure or a warning: 2 for a bad
-argument (by the library's planning and horizon rules) or a case that cannot
-be read, 1 for a run that fails, for alpha_max >= 0, or for a mismatch above
+argument (by the library's planning and horizon rules), a case that cannot
+be read or one with fewer than two generators (by planner.candidate_links),
+1 for a run that fails, for alpha_max >= 0, or for a mismatch above
 MAX_MISMATCH.
 """
 
@@ -22,7 +23,7 @@ from gridlink.case import load_case
 from gridlink.cli import InputError, check_input, run_guarded
 from gridlink.dynamics import ControlConfig, DisturbanceSpec, MachineState, decay_rate, horizon_steps, simulate
 from gridlink.model import build_system
-from gridlink.planner import check_plan_args, greedy_plan
+from gridlink.planner import candidate_links, check_plan_args, greedy_plan
 
 # Relative mismatch allowed between fitted decay rate and alpha_max (acceptance criterion 6).
 MAX_MISMATCH = 0.15
@@ -56,6 +57,7 @@ def validate(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read case {args.case}: {getattr(exc, 'strerror', None) or exc}") from exc
     model = build_system(case)
+    check_input(candidate_links, model.n)
     plan = greedy_plan(model, budget=args.budget, gain_h=args.gain, allow_nonpositive=True)
     ctl = ControlConfig(plan.links, args.gain)
     alpha = plan.final_alpha
@@ -66,7 +68,7 @@ def validate(args) -> int:
     check_input(horizon_steps, tmax, args.dt)
 
     initial = MachineState(model.op.delta_s, np.full(model.n, model.op.omega_s))
-    kick = DisturbanceSpec(kind="state-offset", target=0, d_delta=args.ddelta)
+    kick = DisturbanceSpec(target=0, d_delta=args.ddelta)
     traj = simulate(initial, model, ctl, kick, t_max=tmax, dt=args.dt)
     fitted = decay_rate(traj, model.op, t_start=tmax / 4.0)
     mismatch = abs(fitted - alpha) / abs(alpha)

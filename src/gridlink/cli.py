@@ -38,7 +38,7 @@ from gridlink.dynamics import (
 )
 from gridlink.linearization import alpha_for_links, spectral_abscissa
 from gridlink.model import SystemModel, build_system
-from gridlink.planner import check_plan_args, greedy_plan
+from gridlink.planner import candidate_links, check_plan_args, greedy_plan
 from gridlink.powerflow import PowerFlowError
 from gridlink.reduction import KronReductionError
 from gridlink import reports
@@ -57,9 +57,9 @@ def check_input(rule: Callable[..., Any], *args) -> Any:
 
 
 def parse_perturb(spec: str) -> DisturbanceSpec:
-    """Parse '--perturb gen=I,ddelta=X,domega=Y[,at=T]' or 'pm-step gen=I,dpm=Z,at=T'.
+    """Parse '--perturb gen=I,ddelta=X,domega=Y[,at=T]' or 'pm-step gen=I,dpm=Z,at=T' into one DisturbanceSpec.
 
-    Generator numbers are 1-based on the command line.
+    Each form allows only its own fields.  Generator numbers are 1-based on the command line.
     """
     spec = spec.strip()
     kind = "state-offset"
@@ -92,7 +92,6 @@ def parse_perturb(spec: str) -> DisturbanceSpec:
     if fields["gen"] < 1:
         raise InputError("perturbation generator numbers are 1-based")
     return DisturbanceSpec(
-        kind=kind,
         target=fields["gen"] - 1,
         d_delta=fields.get("ddelta", 0.0),
         d_omega=fields.get("domega", 0.0),
@@ -193,8 +192,7 @@ def run_analyze(args: argparse.Namespace) -> int:
 
 def run_plan(args: argparse.Namespace) -> int:
     model, meta, preinstalled = _load(args)
-    if model.n < 2:
-        raise InputError(f"plan needs at least two generators to form links; the case has {model.n}")
+    check_input(candidate_links, model.n)
     result = greedy_plan(
         model,
         budget=args.budget,
@@ -314,7 +312,8 @@ def run_simulate(args: argparse.Namespace) -> int:
             "links": len(links),
             "dt": args.dt,
             "t_max": args.tmax,
-            "disturbance": disturbance.kind if disturbance else "none",
+            "disturbance": "none" if disturbance is None
+            else "mechanical-step" if disturbance.d_pm != 0.0 else "state-offset",
         }
     )
     if args.format == "structured":

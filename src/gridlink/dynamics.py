@@ -16,7 +16,6 @@ import math
 import mmap
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -77,7 +76,9 @@ class ControlConfig:
 
 @dataclass(frozen=True)
 class DisturbanceSpec:
-    kind: Literal["state-offset", "mechanical-step"]
+    """One event on one machine at t_apply: simulate adds the angle and speed offsets to its state
+    and the mechanical power step to its drive from then on."""
+
     target: int  # generator index, 0-based
     d_delta: float = 0.0  # rad
     d_omega: float = 0.0  # rad/s
@@ -90,17 +91,6 @@ class DisturbanceSpec:
         if not (self.t_apply >= 0 and index <= steps):
             raise ValueError(f"disturbance time {self.t_apply:.9g} s outside the run, 0 to {steps * dt:.9g} s")
         return int(index)
-
-    def validate(self, n: int) -> None:
-        """ValueError unless the target is one of n machines and only the kind's own terms are nonzero."""
-        if not 0 <= self.target < n:
-            raise ValueError(f"target {self.target} out of range 0..{n - 1}")
-        if self.kind == "state-offset" and self.d_pm != 0.0:
-            raise ValueError("state-offset disturbance must have d_pm = 0")
-        if self.kind == "mechanical-step" and (self.d_delta != 0.0 or self.d_omega != 0.0):
-            raise ValueError("mechanical-step disturbance must have d_delta = d_omega = 0")
-        if self.kind not in ("state-offset", "mechanical-step"):
-            raise ValueError(f"unknown disturbance kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -269,14 +259,14 @@ def simulate(
     held in 0-d arrays, so the result equals RK4 driven by swing_rhs bit for
     bit: a step is 33 numpy calls.
 
-    A state-offset disturbance is added to the recorded state at its
-    apply_index, the first grid time >= t_apply; a mechanical-step is added
-    to the operator's drive from that grid time onward (set_drive); only the
+    The disturbance's angle and speed offsets are added to the recorded state
+    at its apply_index, the first grid time >= t_apply, and its power step to
+    the operator's drive from that grid time onward (set_drive); only the
     target entries are written, so an infinite disturbance is a blow-up at
-    t_apply, not a warning.  The rows are checked for finiteness
-    ROWS_PER_BLOCK at a time, as each block of them is complete; a non-finite
-    row raises SimulationBlowUp at the time of the first one, after at most
-    one block of further steps.
+    t_apply, not a warning.  A target outside 0..n-1 raises ValueError.  The
+    rows are checked for finiteness ROWS_PER_BLOCK at a time, as each block of
+    them is complete; a non-finite row raises SimulationBlowUp at the time of
+    the first one, after at most one block of further steps.
 
     After each block has been checked, on_block(traj, stop) is called with
     the trajectory that will be returned: its times are all set, and rows
@@ -286,9 +276,9 @@ def simulate(
     """
     n = model.n
     steps = horizon_steps(t_max, dt)
-    # No disturbance is a zero state offset; validate() leaves zero the terms a kind does not use.
-    dist = disturbance or DisturbanceSpec(kind="state-offset", target=0)
-    dist.validate(n)
+    dist = disturbance or DisturbanceSpec(target=0)  # no disturbance is a zero one
+    if not 0 <= dist.target < n:
+        raise ValueError(f"target {dist.target} out of range 0..{n - 1}")
     apply_index = dist.apply_index(dt, steps)
 
     op = SwingOperator(model, ctl)

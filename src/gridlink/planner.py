@@ -68,9 +68,9 @@ class PlanResult:
 
 
 def candidate_links(n: int, installed=()) -> list[Link]:
-    """All unordered generator pairs over 0..n-1 minus the installed set, sorted."""
+    """All unordered generator pairs over 0..n-1 minus the installed set, sorted; ValueError if n < 2."""
     if n < 2:
-        raise ValueError("need at least two generators to form links")
+        raise ValueError(f"need at least two generators to form links, got {n}")
     taken = {normalize_link(l) for l in installed}
     return [(i, k) for i in range(n) for k in range(i + 1, n) if (i, k) not in taken]
 

@@ -144,8 +144,8 @@ def equilibrium(delta_s: np.ndarray, omega_s: float, net: ReducedNetwork) -> Ope
     """Operating point with constant mechanical power balancing electrical power.
 
     p_m_const is set to the reduced model's electrical power at delta_s, so
-    (delta_s, omega_s) is an exact fixed point of the swing dynamics with zero
-    control offset.
+    (delta_s, omega_s) is a fixed point of the swing dynamics up to rounding
+    (swing_rhs there is of order 1e-14 on ne39), with zero control offset.
     """
     from gridlink.dynamics import electrical_power
 

@@ -23,7 +23,7 @@ from conftest import _per_value_table, _per_value_trajectory_document, _rows_on_
 from gridlink import cli, planner, reports
 from gridlink.case import case_path
 from gridlink.cli import main, parse_perturb
-from gridlink.dynamics import ROWS_PER_BLOCK, Trajectory, horizon_steps, row_blocks
+from gridlink.dynamics import ROWS_PER_BLOCK, DisturbanceSpec, Trajectory, horizon_steps, row_blocks
 
 SINGLE_MACHINE = """{
   "base_mva": 100.0, "f0": 60.0,
@@ -173,13 +173,18 @@ def test_plan_rejects_nonnegative_gain(tmp_path, capsys):
 
 
 def test_plan_one_generator_is_input_error(tmp_path, capsys):
+    # gridlink plan and validate_decay.py both report planner.candidate_links's message
     case = tmp_path / "feeder.json"
     case.write_text(two_bus_feeder(0.5))
+    rule = "need at least two generators to form links, got 1"
+    with pytest.raises(ValueError, match=f"^{rule}$"):
+        planner.candidate_links(1)
     assert run(["plan", "--case", case, "--out", tmp_path / "o"]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "gridlink: input error: plan needs at least two generators to form links; the case has 1"
-    ]
+    assert capsys.readouterr().err.splitlines() == [f"gridlink: input error: {rule}"]
     assert not (tmp_path / "o").exists()
+    assert _validate_decay_main()(["--case", str(case)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"validate_decay: input error: {rule}"] and captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -836,7 +841,24 @@ def test_perturb_parsing_errors():
     with pytest.raises(InputError):
         parse_perturb("ddelta=0.1")  # missing gen
     spec = parse_perturb("pm-step gen=3,dpm=0.1,at=1.5")
-    assert spec.kind == "mechanical-step" and spec.target == 2 and spec.t_apply == 1.5
+    assert spec == DisturbanceSpec(target=2, d_pm=0.1, t_apply=1.5)
+    assert parse_perturb("gen=2,ddelta=0.1,domega=-0.2") == DisturbanceSpec(target=1, d_delta=0.1, d_omega=-0.2)
+
+
+@pytest.mark.parametrize(
+    "perturb, label",
+    [
+        (None, "none"),
+        ("gen=2,ddelta=0.05", "state-offset"),
+        ("pm-step gen=3,dpm=0.2,at=0.005", "mechanical-step"),
+        ("pm-step gen=2,at=0.005", "state-offset"),  # a zero step changes no drive, so it is labelled as an offset
+    ],
+)
+def test_simulate_header_names_the_disturbance(tmp_path, perturb, label):
+    out = tmp_path / "traj.csv"
+    extra = [] if perturb is None else ["--perturb", perturb]
+    assert run(["simulate", "--case", case_path("toy3"), "--out", out, "--tmax", "0.01"] + extra) == 0
+    assert [l for l in out.read_text().splitlines() if l.startswith("# disturbance:")] == [f"# disturbance: {label}"]
 
 
 def _reduced_y_g(doc):

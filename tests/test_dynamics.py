@@ -30,6 +30,7 @@ from gridlink.dynamics import (
 )
 from gridlink.linearization import jacobian
 from gridlink.model import build_system
+from gridlink.planner import candidate_links
 from gridlink.reduction import OperatingPoint, ReducedNetwork, coupling_coefficients
 
 
@@ -154,13 +155,15 @@ def test_electrical_power_matches_cos_sin_oracle(ne39_model, seed):
     assert np.all(np.abs(electrical_power(delta, net) - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
 
 
-def test_rhs_zero_at_equilibrium_any_control(toy3_model):
-    state = equilibrium_state(toy3_model)
-    for links in ([], [(0, 1)], [(0, 1), (1, 2), (0, 2)]):
-        ctl = ControlConfig(links, -1.0)
-        ddelta, domega = swing_rhs(state, toy3_model, ctl)
-        assert np.abs(ddelta).max() <= 1e-10
-        assert np.abs(domega).max() <= 1e-10
+def test_rhs_zero_at_equilibrium_any_control(toy3_model, toy4_model, ne39_model):
+    # the operating point is a fixed point up to rounding: about 3e-14 on toy4 and ne39
+    for model in (toy3_model, toy4_model, ne39_model):
+        state = equilibrium_state(model)
+        pairs = candidate_links(model.n)
+        for links in ([], pairs[:1], pairs[:3], pairs):
+            ddelta, domega = swing_rhs(state, model, ControlConfig(links, -1.0))
+            assert np.abs(ddelta).max() <= 1e-10
+            assert np.abs(domega).max() <= 1e-10
 
 
 def test_rhs_isolated_damping_response(toy3_model):
@@ -377,7 +380,7 @@ def test_simulate_bitwise_deterministic(toy3_model):
 
 def test_simulate_state_offset_applied_at_time(toy3_model):
     model = toy3_model
-    dist = DisturbanceSpec(kind="state-offset", target=1, d_delta=0.02, t_apply=0.5)
+    dist = DisturbanceSpec(target=1, d_delta=0.02, t_apply=0.5)
     traj = simulate(equilibrium_state(model), model, ControlConfig(), dist, t_max=1.0, dt=1e-3)
     k = int(round(0.5 / 1e-3))
     assert np.abs(traj.delta[k - 1] - model.op.delta_s).max() <= 1e-12
@@ -386,7 +389,7 @@ def test_simulate_state_offset_applied_at_time(toy3_model):
 
 def test_simulate_mechanical_step_shifts_equilibrium(toy3_model):
     model = toy3_model
-    dist = DisturbanceSpec(kind="mechanical-step", target=0, d_pm=0.05, t_apply=0.0)
+    dist = DisturbanceSpec(target=0, d_pm=0.05, t_apply=0.0)
     traj = simulate(equilibrium_state(model), model, ControlConfig(), dist, t_max=8.0, dt=1e-3)
     # extra drive on machine 0 must advance its angle relative to the others
     rel = (traj.delta[:, 0] - traj.delta[:, 2]) - (model.op.delta_s[0] - model.op.delta_s[2])
@@ -431,7 +434,7 @@ def test_simulate_mechanical_step_is_swing_rhs_plus_step(toy3_model):
     model = toy3_model
     ctl = ControlConfig([(0, 2)], -1.5)
     dt, apply_index, steps = 2.0**-7, 10, 40
-    dist = DisturbanceSpec(kind="mechanical-step", target=1, d_pm=0.05, t_apply=apply_index * dt)
+    dist = DisturbanceSpec(target=1, d_pm=0.05, t_apply=apply_index * dt)
     init = MachineState(model.op.delta_s + np.array([0.01, 0.0, -0.01]), np.full(3, model.op.omega_s))
     traj = simulate(init, model, ctl, dist, t_max=steps * dt, dt=dt)
     delta, omega = _swing_rhs_rk4(init, model, ctl, dist, dt, steps)
@@ -459,8 +462,8 @@ def test_swing_operator_and_jacobian_share_the_swing_matrix(ne39_model):
 @pytest.mark.parametrize(
     "dist",
     [
-        DisturbanceSpec(kind="state-offset", target=0, d_delta=0.05, d_omega=-0.1),
-        DisturbanceSpec(kind="mechanical-step", target=2, d_pm=0.2, t_apply=1.2),
+        DisturbanceSpec(target=0, d_delta=0.05, d_omega=-0.1),
+        DisturbanceSpec(target=2, d_pm=0.2, t_apply=1.2),
     ],
     ids=["state-offset", "pm-step"],
 )
@@ -484,7 +487,7 @@ def test_simulate_matches_two_array_rk4_loop(ne39_model):
     model = ne39_model
     ctl = ControlConfig([(i - 1, k - 1) for i, k in NE39_PLAN_15], -1.0)
     init = MachineState(model.op.delta_s.copy(), np.full(model.n, model.op.omega_s))
-    dist = DisturbanceSpec(kind="state-offset", target=0, d_delta=0.05)
+    dist = DisturbanceSpec(target=0, d_delta=0.05)
     dt, steps = 1e-3, 2000
     traj = simulate(init, model, ctl, dist, t_max=steps * dt, dt=dt)
 
@@ -519,7 +522,7 @@ def test_simulate_trajectory_shapes_and_halves(toy3_model):
 
 def test_simulate_disturbance_after_horizon_never_applies(toy3_model):
     # simulate refuses the run rather than return an undisturbed trajectory
-    dist = DisturbanceSpec(kind="state-offset", target=1, d_delta=0.02, t_apply=math.inf)
+    dist = DisturbanceSpec(target=1, d_delta=0.02, t_apply=math.inf)
     with pytest.raises(ValueError, match=r"^disturbance time inf s outside the run, 0 to 0\.01 s$"):
         simulate(equilibrium_state(toy3_model), toy3_model, ControlConfig(), dist, t_max=0.01, dt=1e-3)
 
@@ -527,13 +530,13 @@ def test_simulate_disturbance_after_horizon_never_applies(toy3_model):
 @pytest.mark.parametrize("t_apply", [math.nan, 0.0105, 0.0111, -1e-12, -3.0])
 def test_simulate_rejects_disturbance_time_outside_run(toy3_model, t_apply):
     # the last grid time is 0.01 s; a time rounds up to the first grid time at or after it
-    dist = DisturbanceSpec(kind="state-offset", target=1, d_delta=0.02, t_apply=t_apply)
+    dist = DisturbanceSpec(target=1, d_delta=0.02, t_apply=t_apply)
     with pytest.raises(ValueError, match=r"^disturbance time .* s outside the run, 0 to 0\.01 s$"):
         simulate(equilibrium_state(toy3_model), toy3_model, ControlConfig(), dist, t_max=0.0105, dt=1e-3)
 
 
 def test_simulate_applies_disturbance_at_last_grid_time(toy3_model):
-    dist = DisturbanceSpec(kind="state-offset", target=1, d_delta=0.02, t_apply=0.01)
+    dist = DisturbanceSpec(target=1, d_delta=0.02, t_apply=0.01)
     traj = simulate(equilibrium_state(toy3_model), toy3_model, ControlConfig(), dist, t_max=0.0105, dt=1e-3)
     assert np.abs(traj.delta[:-1] - toy3_model.op.delta_s).max() <= 1e-12
     assert traj.delta[-1, 1] - toy3_model.op.delta_s[1] == pytest.approx(0.02)
@@ -550,10 +553,25 @@ def test_simulate_rejects_step_count_above_cap(toy3_model):
         simulate(equilibrium_state(toy3_model), toy3_model, ControlConfig(), None, t_max=1e9, dt=1e-3)
 
 
-def test_simulate_rejects_mixed_disturbance(toy3_model):
-    dist = DisturbanceSpec(kind="state-offset", target=0, d_delta=0.1, d_pm=0.1)
-    with pytest.raises(ValueError, match="d_pm"):
-        simulate(equilibrium_state(toy3_model), toy3_model, ControlConfig(), dist, t_max=1.0, dt=1e-3)
+@pytest.mark.parametrize("target", [-1, 3])
+def test_simulate_rejects_target_outside_machines(toy3_model, target):
+    # without the check, -1 would index the last machine
+    dist = DisturbanceSpec(target=target, d_delta=0.1)
+    with pytest.raises(ValueError, match=rf"^target {target} out of range 0\.\.2$"):
+        simulate(equilibrium_state(toy3_model), toy3_model, ControlConfig(), dist, t_max=0.01, dt=1e-3)
+
+
+def test_simulate_applies_every_term_of_one_disturbance(toy3_model):
+    # one record may carry an angle and a speed offset and a power step, all at t_apply
+    both = DisturbanceSpec(target=1, d_delta=0.02, d_omega=-0.1, d_pm=0.05, t_apply=0.005)
+    parts = [DisturbanceSpec(target=1, d_delta=0.02, d_omega=-0.1, t_apply=0.005),
+             DisturbanceSpec(target=1, d_pm=0.05, t_apply=0.005)]
+    init = equilibrium_state(toy3_model)
+    traj, offset, step = (simulate(init, toy3_model, ControlConfig(), d, t_max=0.5) for d in [both] + parts)
+    assert traj.delta[5, 1] == offset.delta[5, 1] and traj.omega[5, 1] == offset.omega[5, 1]
+    assert not np.array_equal(traj.delta[6:], offset.delta[6:])
+    # the step's effect rides on the offset run to first order (1.3e-6 of 0.07 rad here)
+    assert np.abs(traj.delta - offset.delta - (step.delta - toy3_model.op.delta_s)).max() < 1e-5
 
 
 def test_simulate_blowup_reports_time():
@@ -595,10 +613,10 @@ def test_simulate_blowup_time_matches_per_step_loop(gain, t_max, time):
 @pytest.mark.parametrize(
     "disturbance, time",
     [
-        (DisturbanceSpec(kind="state-offset", target=1, d_omega=np.inf, t_apply=0.5), 0.5),
-        (DisturbanceSpec(kind="state-offset", target=0, d_delta=-np.inf, t_apply=0.5), 0.5),
+        (DisturbanceSpec(target=1, d_omega=np.inf, t_apply=0.5), 0.5),
+        (DisturbanceSpec(target=0, d_delta=-np.inf, t_apply=0.5), 0.5),
         # the stepped drive first shows in the row after t_apply
-        (DisturbanceSpec(kind="mechanical-step", target=1, d_pm=np.inf, t_apply=0.5), 0.501),
+        (DisturbanceSpec(target=1, d_pm=np.inf, t_apply=0.5), 0.501),
     ],
 )
 def test_simulate_infinite_disturbance_blows_up_without_warning(oscillator_model, disturbance, time):

@@ -144,7 +144,7 @@ def test_trajectory_table_is_written_one_block_at_a_time(tmp_path, monkeypatch, 
     monkeypatch.delattr(os, "fork")
     model = ne39_model
     init = MachineState(model.op.delta_s.copy(), np.full(model.n, model.op.omega_s))
-    dist = DisturbanceSpec(kind="state-offset", target=0, d_delta=0.05)
+    dist = DisturbanceSpec(target=0, d_delta=0.05)
     traj = simulate(init, model, ControlConfig(), dist, t_max=20.0, dt=1e-3)
     out = tmp_path / "traj.csv"
     tracemalloc.start()
