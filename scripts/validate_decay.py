@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from gridlink.case import load_case
-from gridlink.cli import InputError, check_input, run_guarded
+from gridlink.cli import InputError, check_input, reading, run_guarded
 from gridlink.dynamics import ControlConfig, DisturbanceSpec, MachineState, decay_rate, horizon_steps, simulate
 from gridlink.model import build_system
 from gridlink.planner import candidate_links, check_plan_args, greedy_plan
@@ -52,10 +52,8 @@ def check_arguments(args) -> None:
 
 def validate(args) -> int:
     check_arguments(args)
-    try:
+    with reading("case", args.case):
         case = load_case(args.case)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read case {args.case}: {getattr(exc, 'strerror', None) or exc}") from exc
     model = build_system(case)
     check_input(candidate_links, model.n)
     plan = greedy_plan(model, budget=args.budget, gain_h=args.gain, allow_nonpositive=True)

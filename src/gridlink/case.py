@@ -68,11 +68,19 @@ class GeneratorRecord:
 
 @dataclass(frozen=True)
 class PowerCase:
+    """A case that holds every ``validate`` rule: building or replacing one that breaks a rule raises
+    CaseSchemaError with the joined report.  Do not mutate its lists afterwards."""
+
     base_mva: float
     f0: float
     buses: list[BusRecord]
     branches: list[BranchRecord]
     generators: list[GeneratorRecord]
+
+    def __post_init__(self) -> None:
+        report = validate(self)
+        if report:
+            raise CaseSchemaError("; ".join(report))
 
     @property
     def omega_s(self) -> float:
@@ -123,11 +131,11 @@ def _check_object(obj, allowed: set[str], path: str) -> None:
 
 
 def parse_case(text: str) -> PowerCase:
-    """Parse and validate a JSON case document.
+    """Parse a JSON case document into a PowerCase, which validates itself.
 
     Raises CaseSyntaxError for malformed JSON and CaseSchemaError for
-    missing/ill-typed fields or violated case invariants, with the offending
-    location in the message.
+    missing/ill-typed fields (with the offending location in the message) or
+    violated case invariants (``validate``'s report).
     """
     try:
         doc = json.loads(text)
@@ -148,13 +156,10 @@ def parse_case(text: str) -> PowerCase:
     for i, entry in enumerate(doc["buses"]):
         path = f"buses[{i}]"
         _check_object(entry, {"id", "kind", "p_load", "q_load", "v_set", "shunt_g", "shunt_b"}, path)
-        kind = _require(entry, "kind", path)
-        if kind not in BUS_KINDS:
-            raise CaseSchemaError(f"{path}.kind: expected one of {BUS_KINDS}, got {kind!r}")
         buses.append(
             BusRecord(
                 id=_integer(entry, "id", path),
-                kind=kind,
+                kind=_require(entry, "kind", path),
                 p_load=_number(entry, "p_load", path),
                 q_load=_number(entry, "q_load", path),
                 v_set=_number(entry, "v_set", path) if "v_set" in entry else None,
@@ -193,11 +198,7 @@ def parse_case(text: str) -> PowerCase:
             )
         )
 
-    case = PowerCase(base_mva=base_mva, f0=f0, buses=buses, branches=branches, generators=generators)
-    report = validate(case)
-    if report:
-        raise CaseSchemaError("; ".join(report))
-    return case
+    return PowerCase(base_mva=base_mva, f0=f0, buses=buses, branches=branches, generators=generators)
 
 
 def validate(case: PowerCase) -> list[str]:

@@ -100,10 +100,11 @@ def parse_perturb(spec: str) -> DisturbanceSpec:
     )
 
 
-def _read_text(path: str, what: str) -> str:
-    """The UTF-8 text of an input file; any failure to read it is an InputError."""
+@contextlib.contextmanager
+def reading(what: str, path: str) -> Iterator[None]:
+    """Raise a failure to read the input file `path` (as UTF-8 text) inside the block as one InputError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        yield
     except OSError as exc:
         raise InputError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -112,8 +113,10 @@ def _read_text(path: str, what: str) -> str:
 
 def read_links_file(path: str, n: int) -> list[tuple[int, int]]:
     """Read a JSON links file {"links": [[i, k], ...]} with 1-based numbers."""
+    with reading("links file", path):
+        text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(_read_text(path, "links file"))
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"links file {path}: {exc.msg} at line {exc.lineno}") from exc
     except (ValueError, RecursionError) as exc:  # an integer of too many digits, or nesting too deep
@@ -136,7 +139,8 @@ def read_links_file(path: str, n: int) -> list[tuple[int, int]]:
 
 def _load(args: argparse.Namespace) -> tuple[SystemModel, dict, list[tuple[int, int]]]:
     """The case's model, the provenance meta and the --links file's links ([] without one)."""
-    text = _read_text(args.case, "case file")
+    with reading("case file", args.case):
+        text = Path(args.case).read_text(encoding="utf-8")
     case = parse_case(text)
     meta = {
         "tool": f"gridlink {gridlink.__version__}",

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gridlink.case import CaseSchemaError, PowerCase, build_ybus, validate
+from gridlink.case import PowerCase, build_ybus
 
 
 # solve_powerflow's mismatch tolerance (pu) and its cap on Newton iterations.
@@ -34,13 +34,11 @@ class PowerFlowSolution:
 
 
 def bus_partition(case: PowerCase) -> tuple[int, list[int], list[int]]:
-    """(slack index, pv indices, pq indices) in bus-list order."""
-    slack = [i for i, bus in enumerate(case.buses) if bus.kind == "slack"]
+    """(slack index, pv indices, pq indices) in bus-list order; a PowerCase has exactly one slack bus."""
+    slack = next(i for i, bus in enumerate(case.buses) if bus.kind == "slack")
     pv = [i for i, bus in enumerate(case.buses) if bus.kind == "pv"]
     pq = [i for i, bus in enumerate(case.buses) if bus.kind == "pq"]
-    if len(slack) != 1:
-        raise CaseSchemaError(f"expected exactly one slack bus, found {len(slack)}")
-    return slack[0], pv, pq
+    return slack, pv, pq
 
 
 def scheduled_injections(case: PowerCase) -> tuple[np.ndarray, np.ndarray]:
@@ -82,13 +80,9 @@ def solve_powerflow(case: PowerCase) -> PowerFlowSolution:
 
     Convergence means every pv/pq active and pq reactive mismatch is <= TOL
     within MAX_ITER Newton iterations; the slack bus absorbs the residual.
-    Raises PowerFlowError on non-convergence, divergence, or a singular
-    Jacobian iterate.
+    The case is valid by construction, so the only failure is PowerFlowError:
+    non-convergence, divergence, or a singular Jacobian iterate.
     """
-    report = validate(case)
-    if report:
-        raise CaseSchemaError("; ".join(report))
-
     ybus = build_ybus(case)
     slack, pv, pq = bus_partition(case)
     pvpq = pv + pq

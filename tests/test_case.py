@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,26 +98,26 @@ def test_validate_valid_case_is_empty(ne39_case, toy3_case, toy4_case):
 
 def test_validate_zero_inertia():
     case = parse_case(MINIMAL)
-    bad = PowerCase(
-        base_mva=case.base_mva,
-        f0=case.f0,
-        buses=case.buses,
-        branches=case.branches,
-        generators=[GeneratorRecord(bus=1, p_gen=1.0, inertia_h=0.0)],
-    )
-    assert any("inertia_h must be positive" in entry for entry in validate(bad))
+    with pytest.raises(CaseSchemaError, match="inertia_h must be positive"):
+        PowerCase(
+            base_mva=case.base_mva,
+            f0=case.f0,
+            buses=case.buses,
+            branches=case.branches,
+            generators=[GeneratorRecord(bus=1, p_gen=1.0, inertia_h=0.0)],
+        )
 
 
 def test_validate_dangling_branch_reference():
     case = parse_case(MINIMAL)
-    bad = PowerCase(
-        base_mva=case.base_mva,
-        f0=case.f0,
-        buses=case.buses,
-        branches=[BranchRecord(from_bus=1, to_bus=99, r=0.0, x=0.1)],
-        generators=case.generators,
-    )
-    assert any("nonexistent bus 99" in entry for entry in validate(bad))
+    with pytest.raises(CaseSchemaError, match="nonexistent bus 99"):
+        PowerCase(
+            base_mva=case.base_mva,
+            f0=case.f0,
+            buses=case.buses,
+            branches=[BranchRecord(from_bus=1, to_bus=99, r=0.0, x=0.1)],
+            generators=case.generators,
+        )
 
 
 def test_validate_islanded_buses():
@@ -124,8 +125,8 @@ def test_validate_islanded_buses():
     buses = [BusRecord(id=1, kind="slack", p_load=0.0, q_load=0.0, v_set=1.0)]
     buses += [BusRecord(id=i, kind="pq", p_load=0.0, q_load=0.0) for i in (2, 3, 4)]
     branches = [BranchRecord(from_bus=2, to_bus=1, r=0.0, x=0.1), BranchRecord(from_bus=4, to_bus=3, r=0.0, x=0.1)]
-    case = PowerCase(100.0, 60.0, buses, branches, [GeneratorRecord(bus=1, p_gen=0.0, inertia_h=4.0)])
-    assert validate(case) == ["no branch path from slack bus 1 to bus(es) 3, 4"]
+    with pytest.raises(CaseSchemaError, match=r"^no branch path from slack bus 1 to bus\(es\) 3, 4$"):
+        PowerCase(100.0, 60.0, buses, branches, [GeneratorRecord(bus=1, p_gen=0.0, inertia_h=4.0)])
 
 
 def test_validate_duplicate_ids_and_pq_generator():
@@ -133,15 +134,14 @@ def test_validate_duplicate_ids_and_pq_generator():
         BusRecord(id=1, kind="slack", p_load=0.0, q_load=0.0, v_set=1.0),
         BusRecord(id=1, kind="pq", p_load=0.0, q_load=0.0),
     ]
-    bad = PowerCase(
-        base_mva=100.0,
-        f0=60.0,
-        buses=buses,
-        branches=[],
-        generators=[GeneratorRecord(bus=1, p_gen=0.0, inertia_h=1.0)],
-    )
-    report = validate(bad)
-    assert any("duplicate bus id 1" in entry for entry in report)
+    with pytest.raises(CaseSchemaError, match="duplicate bus id 1"):
+        PowerCase(
+            base_mva=100.0,
+            f0=60.0,
+            buses=buses,
+            branches=[],
+            generators=[GeneratorRecord(bus=1, p_gen=0.0, inertia_h=1.0)],
+        )
 
 
 # --- build_ybus ---------------------------------------------------------------
@@ -164,10 +164,7 @@ def test_ybus_no_branches_is_zero():
     case = PowerCase(
         base_mva=100.0,
         f0=60.0,
-        buses=[
-            BusRecord(id=1, kind="slack", p_load=0.0, q_load=0.0, v_set=1.0),
-            BusRecord(id=2, kind="pq", p_load=0.0, q_load=0.0),
-        ],
+        buses=[BusRecord(id=1, kind="slack", p_load=0.0, q_load=0.0, v_set=1.0)],
         branches=[],
         generators=[GeneratorRecord(bus=1, p_gen=0.0, inertia_h=4.0)],
     )
@@ -220,7 +217,7 @@ def random_cases(draw):
                 shunt_b=draw(finite),
             )
         )
-    # a chain through every bus keeps the case connected, as parse_case requires; random branches follow
+    # a chain through every bus keeps the case connected, as a PowerCase requires; random branches follow
     chain = draw(st.permutations(ids))
     ends = list(zip(chain, chain[1:]))
     for _ in range(draw(st.integers(min_value=0, max_value=8)) if n_bus > 1 else 0):
@@ -273,6 +270,64 @@ def test_ybus_row_sums_equal_shunt_plus_charging(case):
         expected[index[br.to_bus]] += half
     scale = max(np.abs(y).max(), 1.0)
     assert np.abs(y.sum(axis=1) - expected).max() <= 1e-12 * scale
+
+
+@st.composite
+def one_broken_rule(draw):
+    """(a valid random case, fields that break one drawn rule in it, a pattern of that rule's report entry)."""
+    case = draw(random_cases())
+    slack = case.buses[0]  # random_cases puts the slack bus first
+    on = draw(st.sampled_from([bus.id for bus in case.buses]))
+    new = max(bus.id for bus in case.buses) + 1
+    pq_bus = BusRecord(id=new, kind="pq", p_load=0.0, q_load=0.0)
+    branch_to_new = BranchRecord(from_bus=on, to_bus=new, r=0.0, x=0.1)
+    gen_on_new = GeneratorRecord(bus=new, p_gen=0.0, inertia_h=1.0)
+    gen = len(case.generators)
+    first = case.generators[0]
+    inertia = draw(st.floats(min_value=-10.0, max_value=0.0))
+    mutations = {
+        "no slack bus": ({"buses": [replace(slack, kind="pv"), *case.buses[1:]]}, "no slack bus"),
+        "branch on a missing bus": (
+            {"branches": [*case.branches, branch_to_new]},
+            rf"branch {len(case.branches)} \({on}-{new}\): references nonexistent bus {new}",
+        ),
+        "generator on a missing bus": (
+            {"generators": [*case.generators, gen_on_new]},
+            rf"generator {gen} \(bus {new}\): references nonexistent bus {new}",
+        ),
+        "generator on a pq bus": (
+            {"buses": [*case.buses, pq_bus], "branches": [*case.branches, branch_to_new],
+             "generators": [*case.generators, gen_on_new]},
+            rf"generator {gen} \(bus {new}\): generator bus must be slack or pv",
+        ),
+        "inertia not positive": (
+            {"generators": [replace(first, inertia_h=inertia), *case.generators[1:]]},
+            rf"generator 0 \(bus {first.bus}\): inertia_h must be positive",
+        ),
+        "duplicate bus id": ({"buses": [*case.buses, replace(pq_bus, id=on)]}, f"duplicate bus id {on}"),
+        "bus with no branch": (
+            {"buses": [*case.buses, pq_bus]},
+            rf"no branch path from slack bus {slack.id} to bus\(es\) {new}",
+        ),
+    }
+    changes, rule = mutations[draw(st.sampled_from(sorted(mutations)))]
+    return case, changes, rule
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_broken_rule())
+def test_no_invalid_case_can_be_built(broken):
+    # dataclasses.replace re-runs the check: the drawn rule is named, never a KeyError or IndexError
+    case, changes, rule = broken
+    with pytest.raises(CaseSchemaError, match=rule):
+        replace(case, **changes)
+
+
+def test_outage_that_islands_a_bus_is_refused_at_replace(ne39_case):
+    branches = [br for br in ne39_case.branches if {br.from_bus, br.to_bus} != {2, 30}]
+    assert len(branches) == len(ne39_case.branches) - 1
+    with pytest.raises(CaseSchemaError, match=r"^no branch path from slack bus 31 to bus\(es\) 30$"):
+        replace(ne39_case, branches=branches)
 
 
 @settings(max_examples=60, deadline=None)

@@ -262,6 +262,21 @@ def test_unreadable_input_file_is_input_error(tmp_path, capsys, which):
     assert len(err.splitlines()) == 1 and "input error: cannot read" in err
 
 
+@pytest.mark.parametrize("kind", ["bogus", [1]], ids=["unknown-name", "not-a-string"])
+def test_unknown_bus_kind_is_input_error(tmp_path, capsys, kind):
+    # the case's own rule names the bus, from both front ends, in one line and without a traceback
+    doc = json.loads(case_path("toy3").read_text())
+    doc["buses"][1]["kind"] = kind
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(doc))
+    rule = f"bus 2: unknown kind {kind!r}"
+    assert run(["analyze", "--case", case, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"gridlink: input error: {rule}"]
+    assert _validate_decay_main()(["--case", str(case)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"validate_decay: input error: {rule}"] and captured.out == ""
+
+
 @pytest.mark.parametrize(
     "field, location",
     [(["base_mva"], "top level.base_mva"), (["generators", 1, "h"], "generators[1].h"),
@@ -932,10 +947,16 @@ def test_validate_decay_default_horizon_covers_slowest_mode(capsys):
         (["--ddelta", "nan"], 2, "--ddelta must be a finite number"),
         (["--tmax", "1e9"], 2, STEPS_RULE),
         (["--dt", "1e-9"], 2, STEPS_RULE),  # every default horizon has too many steps
+        # gridlink's wording for a case file that is not UTF-8; LATIN1 stands for the file's path
+        (["--case", "LATIN1"], 2, "cannot read case LATIN1: not UTF-8 text (invalid start byte)"),
     ],
 )
-def test_validate_decay_failures_print_one_line(capsys, argv, code, line):
+def test_validate_decay_failures_print_one_line(tmp_path, capsys, argv, code, line):
     # a bad argument or case exits 2, a run that fails exits 1, each with one stderr line and no traceback
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b"\xff")
+    argv = [str(latin1) if a == "LATIN1" else a for a in argv]
+    line = line.replace("LATIN1", str(latin1))
     assert _validate_decay_main()(argv) == code
     captured = capsys.readouterr()
     kind = "input error" if code == 2 else "computation error"
