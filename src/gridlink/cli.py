@@ -48,6 +48,10 @@ class InputError(Exception):
     """Bad input file or configuration (exit code 2)."""
 
 
+class WriterFailed(Exception):
+    """The forked trajectory writer ended other than by an OSError (exit code 1)."""
+
+
 def check_input(rule: Callable[..., Any], *args) -> Any:
     """rule(*args), a library argument check, with its ValueError raised as an InputError."""
     try:
@@ -81,7 +85,7 @@ def parse_perturb(spec: str) -> DisturbanceSpec:
             fields[key] = int(value) if key == "gen" else float(value)
         except ValueError as exc:
             raise InputError(f"perturbation term {part!r}: not {'an integer' if key == 'gen' else 'a number'}") from exc
-        if not math.isfinite(fields[key]):
+        if key != "gen" and not math.isfinite(fields[key]):  # gen is an int: its range is checked below
             raise InputError(f"perturbation term {part!r}: must be a finite number")
     allowed = {"gen", "ddelta", "domega", "at"} if kind == "state-offset" else {"gen", "dpm", "at"}
     unknown = sorted(set(fields) - allowed)
@@ -226,9 +230,11 @@ class _TrajectoryWriter(contextlib.AbstractContextManager):
 
     With more than one block and os.fork, the first on_block forks a child that runs write into the
     inherited out, reading simulate's shared rows once on_block has sent their stop down a pipe.  It
-    ends by os._exit, which flushes no other stream, with the errno of a failed write as its status.
-    Otherwise write runs here in finish.
+    ends by os._exit, which flushes no other stream, with the errno of a failed write as its status, or
+    _CRASHED if it failed otherwise (or the error has no errno).  Otherwise write runs here in finish.
     """
+
+    _CRASHED = 255  # no errno is this large
 
     def __init__(self, out: IO[str], write: Callable[..., None], meta: dict):
         self.out, self.write, self.meta = out, write, meta
@@ -261,14 +267,15 @@ class _TrajectoryWriter(contextlib.AbstractContextManager):
             return
         os.close(self.pipe)
         self.pipe, self.final = received, 0
+        status = self._CRASHED
         try:
             self.write(self.out, self.traj, self.meta, self._ready)
             self.out.flush()
-            os._exit(0)
+            status = 0
         except OSError as exc:
-            os._exit(exc.errno or 255)
+            status = exc.errno or self._CRASHED
         finally:
-            os._exit(255)
+            os._exit(status)
 
     def _ready(self, stop: int) -> None:
         """The child's ready: read stops from the pipe until one reaches stop."""
@@ -279,11 +286,15 @@ class _TrajectoryWriter(contextlib.AbstractContextManager):
             self.final = int.from_bytes(message, "little")
 
     def _reap(self) -> None:
-        """Close the pipe and wait for the child; raise the OSError it ended with, if any."""
+        """Close the pipe and wait for the child; raise the OSError it ended with, or WriterFailed."""
         os.close(self.pipe)
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
         code = os.waitstatus_to_exitcode(status)
+        if code < 0:
+            raise WriterFailed(f"trajectory writer killed by signal {-code}")
+        if code == self._CRASHED:
+            raise WriterFailed(f"trajectory writer failed with exit status {code}")
         if code:
             raise OSError(code, os.strerror(code))
 
@@ -397,8 +408,8 @@ def check_args(args: argparse.Namespace) -> None:
 def run_guarded(prog: str, run: Callable[[], int]) -> int:
     """run()'s exit code, or 2 for an input error and 1 for a failed computation, each with one stderr line.
 
-    Floating-point trouble no step expects (an extreme case value) is a computation error, and a
-    library warning (a clamped budget) prints as one `{prog}: warning: ...` line.
+    Floating-point trouble no step expects (an extreme case value) and a crashed trajectory writer are
+    computation errors, and a library warning (a clamped budget) prints as one `{prog}: warning: ...` line.
     """
     formatwarning = warnings.formatwarning
     warnings.formatwarning = lambda message, *_, line=None: f"{prog}: warning: {message}\n"
@@ -408,7 +419,7 @@ def run_guarded(prog: str, run: Callable[[], int]) -> int:
     except (InputError, CaseError) as exc:
         print(f"{prog}: input error: {exc}", file=sys.stderr)
         return 2
-    except (PowerFlowError, KronReductionError, SimulationBlowUp, ValueError, ArithmeticError) as exc:
+    except (PowerFlowError, KronReductionError, SimulationBlowUp, WriterFailed, ValueError, ArithmeticError) as exc:
         print(f"{prog}: computation error: {exc}", file=sys.stderr)
         return 1
     finally:

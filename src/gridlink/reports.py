@@ -25,6 +25,180 @@ def sig4(value: float) -> str:
     return f"{value:.4g}"
 
 
+# --- floats as repr writes them, a block at a time ----------------------------
+#
+# repr writes the shortest decimal that reads back as the same double, the nearest one when two are as short
+# (Gay, "Correctly rounded binary-decimal and decimal-binary conversions", 1990), positionally for
+# 1e-4 <= |x| < 1e16.  repr_rows decides those digits for a whole block with numpy, for every x in that range
+# whose significand is not a power of two; every other value (zeros, subnormals, huge values, powers of two,
+# inf and nan) is written by repr itself, and so is each value whose decision falls within _MARGIN below.
+#
+# With u = 4 + floor(log10|x|) (0..19) and j = 20 - u, P = |x| * 10**j lies in [1e16, 1e17).  10**j is a
+# double for j <= 22, so Dekker's product of |x| and 10**j (Veltkamp's split) gives P exactly as hi + err, and
+# its nearest integer N is a 17-digit decimal of x.  The decimals that read back as x are those within
+# H = ulp(x) / 2 * 10**j of P, a power of two times 10**j, also exact (the ones at exactly H depend on the
+# significand's parity, so they fall within the margin).  H is at most 11.2 and N is always within it.  A
+# candidate with two or more digits fewer is a multiple of 100 within H of P, so it can only be the multiple of
+# 100 nearest P; otherwise the nearest multiple of 10 is tried, then N.  Each test compares a distance below
+# 101 with H, computed with an error below 2**-46, and counts only when it clears _MARGIN = 2**-40; so does the
+# choice between two candidates that are nearly equally near.
+#
+# Each value gets a _FIELD-byte field: its sign, the digits of the chosen decimal with the point in place, zeros
+# for bytes not used, and from byte _SEP_AT its separator, right-aligned (a newline after a row's last value).
+# The digits are written twice, the second copy one byte later, and per-value masks over uint64 words keep the
+# integer part from the first copy and the fraction from the second, so the point fits between them; the zero
+# bytes are deleted at the end.  Every table is built from Python ints or bytes, with no byte-order assumption.
+
+_FIELD = 32
+_SEP_AT = 25  # a field's bytes before _SEP_AT hold the value's text, repr's too (at most 24 characters)
+_MARGIN = 2.0**-40
+_CHUNK = 2048  # values rendered at once: the temporaries of a larger chunk fall out of the CPU cache
+_BINADES = range(-14, 54)  # the binary exponents of 1e-4 <= x < 1e16
+# u = 4 + floor(log10 x) at the bottom of each binade; a binade holds at most one power of ten
+_BINADE_U = np.array([4 + (len(str(2**e)) - 1 if e >= 0 else len(str(5**-e)) - 1 + e) for e in _BINADES])
+_POW10 = np.array([float(10**e) if e >= 0 else 1 / 10**-e for e in range(-4, 17)])  # _POW10[u] = 10**(u - 4)
+
+
+def _halves(v: int) -> tuple[float, float]:
+    """The integer v as high + low, high its leading 26 bits: a split for Dekker's product, exact on ints."""
+    cut = max(v.bit_length() - 26, 0)
+    return float(v >> cut << cut), float(v - (v >> cut << cut))
+
+
+_SCALE = np.array([float(10 ** (20 - u)) for u in range(20)])
+_SCALE_HIGH, _SCALE_LOW = (np.array(half) for half in zip(*(_halves(10 ** (20 - u)) for u in range(20))))
+
+
+def _quads() -> np.ndarray:
+    """The 4-digit groups "0000" to "9999" in ASCII, one uint32 word each, built from the 100 digit pairs."""
+    pairs = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)
+    quads = np.empty((100, 100, 2), np.uint16)
+    quads[:, :, 0] = pairs[:, None]
+    quads[:, :, 1] = pairs
+    return quads.view(np.uint32).ravel()
+
+
+_QUADS = _quads()
+_ABS = np.uint64(2**63 - 1)
+_SIGNIFICAND = np.uint64(2**52 - 1)
+_LOW, _HIGH, _SAFE = np.array([1e-4, 1e16, 1.5]).view(np.uint64)
+
+
+def _layout() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The masks and marks of a field, as uint64 words, by u (integer part), u and end (fraction), sign and u.
+
+    The first copy of the digits has digit i of "0000" + the 17 digits at byte i + 3, the second at i + 4; the
+    point goes at byte u + 4, and end is one past the last digit written.  For |x| < 1 the marks hold the zero
+    before the point and the zeros after it, so neither copy needs the leading "0000".
+    """
+    keep_int = np.zeros((20, _FIELD), np.uint8)
+    keep_frac = np.zeros((20, 22, _FIELD), np.uint8)
+    marks = np.zeros((2, 20, _FIELD), np.uint8)
+    marks[1, :, 0] = ord("-")
+    for u in range(20):
+        keep_int[u, 7 : u + 4] = 0xFF
+        marks[:, u, u + 4] = ord(".")
+        if u < 4:
+            marks[:, u, u + 3] = ord("0")
+            marks[:, u, u + 5 : 8] = ord("0")
+        for end in range(u + 2, 22):
+            keep_frac[u, end, max(u + 5, 8) : end + 4] = 0xFF
+    return tuple(table.reshape(-1, _FIELD).view(np.uint64) for table in (keep_int, keep_frac, marks))
+
+
+_KEEP_INT, _KEEP_FRAC, _MARKS = _layout()
+
+
+def repr_rows(block: np.ndarray, sep: str) -> str:
+    """The rows of the 2-D float64 block as text, each row sep.join(map(repr, row)) and a newline.
+
+    sep is ASCII, at most 7 characters, and the block has a column or more.  It is rendered _CHUNK values at a
+    time.
+    """
+    rows, cols = block.shape
+    if len(sep.encode("ascii")) > _FIELD - _SEP_AT:
+        raise ValueError(f"separator {sep!r} is longer than {_FIELD - _SEP_AT} characters")
+    step = max(1, _CHUNK // cols)
+    return "".join(_render(block[start : start + step], sep) for start in range(0, rows, step))
+
+
+def _render(block: np.ndarray, sep: str) -> str:
+    rows, cols = block.shape
+    a = np.ravel(block)
+    bits = a.view(np.uint64) & _ABS
+    fast = (bits >= _LOW) & (bits < _HIGH) & (bits & _SIGNIFICAND != 0)
+    x = np.where(fast, bits, _SAFE).view(np.float64)  # |a|, or 1.5 for a value repr writes
+    u = _BINADE_U[(x.view(np.uint64) >> np.uint64(52)).astype(np.intp) - (1023 + _BINADES.start)]
+    u += x >= _POW10[u + 1]
+
+    # P = hi + err exactly, N = round(P) and rem = P - N; half = H
+    scale = _SCALE[u]
+    hi = x * scale
+    big = x * 134217729.0  # 2**27 + 1
+    x_high = big - (big - x)
+    x_low = x - x_high
+    s_high, s_low = _SCALE_HIGH[u], _SCALE_LOW[u]
+    err = ((x_high * s_high - hi) + x_high * s_low + x_low * s_high) + x_low * s_low
+    carry = np.rint(err)
+    rem = err - carry
+    n = hi.astype(np.int64) + carry.astype(np.int64)
+    half = np.spacing(x) * 0.5 * scale
+
+    # the nearest multiple of 100, then of 10, each taken when within H of P
+    r100 = (n % 100).astype(np.float64)
+    r10 = r100 - 10.0 * np.floor(r100 * 0.1)
+    t100 = r100 + rem
+    up100 = np.where(t100 >= 50.0, 100.0, 0.0)
+    gap100 = half - np.abs(t100 - up100)
+    t10 = r10 + rem
+    up10 = np.where(t10 >= 5.0, 10.0, 0.0)
+    gap10 = half - np.abs(t10 - up10)
+    by100 = gap100 > _MARGIN
+    by10 = gap10 > _MARGIN
+    tie = np.abs(np.where(by10, t10 - 5.0, np.abs(rem) - 0.5))
+    unsure = (np.abs(gap100) <= _MARGIN) | (~by100 & ((np.abs(gap10) <= _MARGIN) | (tie <= _MARGIN)))
+    digits = n + np.where(by100, up100 - r100, np.where(by10, up10 - r10, 0.0)).astype(np.int64)
+
+    # the 17 digits at bytes 7..23: the first alone, then four groups of four
+    high = digits // 100000000  # the leading nine digits
+    eights = np.empty((a.size, 2), np.int64)
+    eights[:, 0] = high % 100000000
+    eights[:, 1] = digits - high * 100000000
+    upper = eights // 10000
+    quads = np.empty((a.size, 4), np.int64)
+    quads[:, 0::2] = upper
+    quads[:, 1::2] = eights - upper * 10000
+    field = np.empty((a.size, _FIELD), np.uint8)
+    field[:, 7] = high // 100000000 + ord("0")
+    np.take(_QUADS, quads, out=field[:, 8:24].view(np.uint32), mode="clip")
+
+    # trailing zeros: none for N, one for a multiple of 10 (it is not one of 100), counted for a multiple of 100
+    zeros = by10.astype(np.intp)
+    many = np.flatnonzero(by100)
+    if many.size:
+        zeros[many] = np.argmax(field[many, 23:6:-1] != ord("0"), axis=1)
+    end = np.maximum(21 - zeros, u + 2)
+
+    shifted = np.empty_like(field)
+    shifted[:, 8:25] = field[:, 7:24]
+    words = field.view(np.uint64)
+    words &= np.take(_KEEP_INT, u, axis=0)
+    fraction = shifted.view(np.uint64)
+    fraction &= np.take(_KEEP_FRAC, u * 22 + end, axis=0)
+    words |= fraction
+    words |= np.take(_MARKS, np.signbit(a) * 20 + u, axis=0)
+    tails = np.zeros((cols, _FIELD - 24), np.uint8)  # the word of bytes 24..31
+    tails[:-1, len(tails[0]) - len(sep) :] = np.frombuffer(sep.encode("ascii"), np.uint8)
+    tails[-1, -1] = ord("\n")
+    words.reshape(rows, cols, -1)[:, :, -1] |= tails.view(np.uint64)[:, 0]
+
+    slow = np.flatnonzero(~fast | unsure)
+    if slow.size:
+        texts = b"".join(repr(v).encode("ascii").ljust(_SEP_AT, b"\0") for v in a[slow].tolist())
+        field[slow, :_SEP_AT] = np.frombuffer(texts, np.uint8).reshape(-1, _SEP_AT)
+    return field.tobytes().translate(None, b"\0").decode("ascii")
+
+
 # tolist() gives the same Python floats as float() per value, without a numpy scalar each.
 def _complex_pairs(a: np.ndarray) -> list:
     return np.stack([a.real, a.imag], axis=-1).tolist()
@@ -147,9 +321,7 @@ def write_table(out: IO[str], traj: Trajectory, meta: dict[str, Any], ready: Cal
     out.write("\n".join(header_lines(meta) + [",".join(columns)]) + "\n")
     for rows in row_blocks(traj.times.size):
         ready(rows.stop)
-        # tolist() gives Python floats without a numpy scalar per value.
-        values = np.column_stack((traj.times[rows], traj.delta[rows], traj.omega[rows])).tolist()
-        out.write("".join(",".join(map(repr, row)) + "\n" for row in values))
+        out.write(repr_rows(np.column_stack((traj.times[rows], traj.delta[rows], traj.omega[rows])), ","))
 
 
 def table_footer(footer: dict[str, Any]) -> str:
@@ -166,15 +338,18 @@ def write_document(out: IO[str], traj: Trajectory, meta: dict[str, Any], ready: 
 
     The layout is render_json's, except that each row of times, delta and
     omega sits on one line.  Times are ready from the start; the rows of
-    delta and omega are rendered ROWS_PER_BLOCK at a time.
+    delta and omega are rendered ROWS_PER_BLOCK at a time.  JSON writes a
+    finite float as repr does, and every row simulate hands on is finite.
     """
     out.write("{\n" + _json_members({"meta": meta, "dt": float(traj.dt)}) + ",\n")
     for key, values, wait in (("times", traj.times, False), ("delta", traj.delta, True), ("omega", traj.omega, True)):
         out.write(f'  "{key}": [')
+        opening, closing = ("", "") if values.ndim == 1 else ("[", "]")
         for rows in row_blocks(values.shape[0]):
             ready(rows.stop if wait else 0)
+            lines = repr_rows(values[rows].reshape(rows.stop - rows.start, -1), ", ")
             prefix = ",\n    " if rows.start else "\n    "
-            out.write(prefix + ",\n    ".join(map(json.dumps, values[rows].tolist())))
+            out.write(prefix + opening + lines[:-1].replace("\n", closing + ",\n    " + opening) + closing)
         out.write("\n  ],\n")
 
 

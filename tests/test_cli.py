@@ -208,8 +208,10 @@ def test_non_finite_number_is_input_error(tmp_path, capsys, subcommand, flag, va
         ([], '{"links": [[true, 2]]}'),
         (["--tmax", "1e9", "--dt", "1e-3"], None),
         (["--perturb", "gen=1,gen=2,ddelta=0.1"], None),
+        (["--perturb", f"gen={10**400},ddelta=0.1"], None),
     ],
-    ids=["gen-fraction", "gen-inf", "at-inf", "gen-nan", "ddelta-nan", "bool-link", "step-cap", "gen-twice"],
+    ids=["gen-fraction", "gen-inf", "at-inf", "gen-nan", "ddelta-nan", "bool-link", "step-cap", "gen-twice",
+         "gen-huge"],
 )
 def test_malformed_simulate_input_is_input_error(tmp_path, capsys, extra, links_text):
     argv = ["simulate", "--case", case_path("toy3"), "--out", tmp_path / "o", *extra]
@@ -716,6 +718,29 @@ def test_simulate_write_failure_is_input_error(monkeypatch, capsys, forks, write
     assert len(forks) == (writer == "forked")
     for pid in forks:
         assert_reaped(pid)
+
+
+@pytest.mark.parametrize(
+    "fault, line",
+    [("raise", "failed with exit status 255"), ("kill", f"killed by signal {int(signal.SIGKILL)}")],
+)
+def test_crashed_writer_is_a_computation_error(tmp_path, monkeypatch, capsys, forks, fault, line):
+    # a forked writer that fails other than by an OSError, after it has read its first block, is a failed
+    # computation: one line naming the writer and its status, no output file, and the child reaped
+    def crashing(out, traj, meta, ready):
+        ready(ROWS_PER_BLOCK)
+        if fault == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise KeyError("a fault in the renderer")
+
+    monkeypatch.setattr(reports, "write_table", crashing)
+    out = tmp_path / "traj.csv"
+    with time_limit(60):
+        assert run(["simulate", "--case", case_path("newengland39"), "--out", out, "--tmax", 3.0]) == 1
+    assert capsys.readouterr().err == f"gridlink: computation error: trajectory writer {line}\n"
+    assert not out.exists()
+    (pid,) = forks
+    assert_reaped(pid)
 
 
 def test_forked_writer_leaves_stdout_to_its_parent(tmp_path):

@@ -205,6 +205,20 @@ def test_import_loads_no_pool_modules():
     assert proc.stdout.strip() == "[]"
 
 
+def test_model_set_up_loads_no_report_or_cli_module():
+    # the path the benchmark's set-up probe times, from import to a model, leaves out gridlink.reports (whose
+    # float formatter builds its tables on import) and gridlink.cli, which imports it
+    code = (
+        "import sys, gridlink; "
+        "gridlink.build_system(gridlink.load_case('newengland39')); "
+        "print(sorted(m for m in sys.modules if m in ('gridlink.reports', 'gridlink.cli')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(planner.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_greedy_plan_follows_generator_relabelling(ne39_model, seed):
     # generator j of the relabelled model is generator order[j] of ne39

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import _per_value_table, _per_value_trajectory_document, _rows_on_one_line
 from gridlink import cli, reports
@@ -189,3 +191,76 @@ def test_plan_documents_number_iterations_and_links_from_one(toy4_model, plan):
     assert [it["alpha_max"] for it in doc["iterations"]] == [it.alpha_max_after for it in result.iterations]
     alphas = [result.baseline_alpha] + [it.alpha_max_after for it in result.iterations]
     assert [it["marginal_gain"] for it in doc["iterations"]] == [a - b for a, b in zip(alphas, alphas[1:])]
+
+
+# --- repr_rows against repr ---------------------------------------------------
+
+
+def per_value_rows(block, sep):
+    return "".join(sep.join(map(repr, row)) + "\n" for row in block.tolist())
+
+
+def _from_bits(bits):
+    values = np.asarray(bits, dtype=np.uint64).view(np.float64)
+    return values[np.isfinite(values)]
+
+
+def _bulk_values():
+    """About 1.1 million seeded doubles by kind, each kind half negative, for the bulk check against repr."""
+    rng = np.random.default_rng(20240601)
+    low, high = np.array([1e-4, 1e16]).view(np.uint64)
+    trajectory = rng.standard_normal((10_000, 21)) * np.array([3e-1] * 10 + [1e-3] * 10 + [20.0])
+    trajectory += np.array([0.0] * 10 + [376.99111843077515] * 10 + [10.0])
+    powers = np.concatenate([2.0 ** np.arange(-1074, 1024), [float(f"1e{k}") for k in range(-323, 309)]])
+    steps = np.concatenate([np.arange(-2_000, 2_000)] * 2)
+    kinds = {
+        "positional bit patterns": rng.integers(low, high, 250_000, dtype=np.uint64).view(np.float64),
+        "finite bit patterns": _from_bits(rng.integers(0, 2**64, 150_000, dtype=np.uint64, endpoint=False)),
+        "trajectory-like": trajectory.ravel(),
+        "short decimals": np.concatenate([np.round(rng.uniform(-1e4, 1e4, 20_000), d) for d in range(8)]),
+        "1e-3 time grid": np.arange(200_001) * 1e-3,
+        "2**-7 time grid": np.arange(100_001) * 2.0**-7,
+        "powers of 2 and 10 with neighbours": np.concatenate(
+            [powers, np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf)]
+        ),
+        "the 1e-4 and 1e16 edges": (np.repeat([1e-4, 1e16], 4_000).view(np.int64) + steps).view(np.float64),
+    }
+    return {kind: np.where(np.arange(v.size) % 2, -v, v) for kind, v in kinds.items()}
+
+
+def test_repr_rows_matches_repr_in_bulk():
+    # each kind of value in rows of 21 with one separator and of 3 with the other, under the floating-point
+    # error settings the CLI runs with (a forked writer inherits them)
+    checked = 0
+    for index, (kind, values) in enumerate(_bulk_values().items()):
+        cols, sep = (21, ",") if index % 2 else (3, ", ")
+        block = values[: values.size // cols * cols].reshape(-1, cols)
+        with np.errstate(all="raise"):
+            text = reports.repr_rows(block, sep)
+        assert text == per_value_rows(block, sep), kind
+        checked += block.size
+    assert checked >= 10**6
+
+
+_finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.array(bits, np.uint64).view(np.float64))).filter(np.isfinite),
+)
+
+
+@given(st.lists(_finite, min_size=1, max_size=8), st.sampled_from([",", ", "]))
+@example([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308], ",")
+@example([1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0, 0.1, 0.5, 376.99111843077515], ", ")
+def test_repr_rows_matches_repr_on_any_finite_row(row, sep):
+    block = np.array([row, row[::-1]])
+    with np.errstate(all="raise"):
+        text = reports.repr_rows(block, sep)
+    assert text == per_value_rows(block, sep)
+
+
+def test_repr_rows_renders_empty_and_non_finite_blocks():
+    assert reports.repr_rows(np.zeros((0, 3)), ",") == ""
+    block = np.array([[np.inf, -np.inf, np.nan, 1.5]])
+    assert reports.repr_rows(block, ", ") == "inf, -inf, nan, 1.5\n"
+    with pytest.raises(ValueError, match="longer than"):
+        reports.repr_rows(block, " ; " * 3)
