@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+import reprlib
 import stat
 import sys
 import warnings
@@ -33,7 +34,6 @@ from gridlink.dynamics import (
     Trajectory,
     decay_rate,
     horizon_steps,
-    normalize_link,
     simulate,
 )
 from gridlink.linearization import alpha_for_links, spectral_abscissa
@@ -81,6 +81,9 @@ def parse_perturb(spec: str) -> DisturbanceSpec:
         key = key.strip()
         if key in fields:
             raise InputError(f"perturbation field {key!r} given more than once")
+        # No case has 10**20 generators, and int() refuses more than 4300 digits; the message abridges them.
+        if key == "gen" and len(digits := value.strip().lstrip("+-").lstrip("0")) > 20 and digits.isdecimal():
+            raise InputError(f"perturbation generator {reprlib.repr(value.strip())} out of range")
         try:
             fields[key] = int(value) if key == "gen" else float(value)
         except ValueError as exc:
@@ -115,34 +118,32 @@ def reading(what: str, path: str) -> Iterator[None]:
         raise InputError(f"cannot read {what} {path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def read_links_file(path: str, n: int) -> list[tuple[int, int]]:
-    """Read a JSON links file {"links": [[i, k], ...]} with 1-based numbers."""
+def read_links_file(path: str, n: int) -> tuple[tuple[int, int], ...]:
+    """Read a JSON links file {"links": [[i, k], ...]} of 1-based pairs into ControlConfig's 0-based links."""
     with reading("links file", path):
         text = Path(path).read_text(encoding="utf-8")
     try:
         doc = json.loads(text)
+        if not (isinstance(doc, dict) and isinstance(doc.get("links"), list)):
+            raise ValueError("expected an object with a 'links' array")
+        links = []
+        for entry in doc["links"]:
+            if not (isinstance(entry, list) and len(entry) == 2 and all(type(v) is int for v in entry)):
+                raise ValueError(f"each link must be a pair of integers, got {reprlib.repr(entry)}")
+            i, k = entry
+            if i == k or not (1 <= i <= n and 1 <= k <= n):
+                problem = "joins a generator to itself" if i == k else f"out of range for {n} generators"
+                raise ValueError(f"link {reprlib.repr(entry)} {problem}")  # a long number abridged
+            links.append((i - 1, k - 1))
+        return ControlConfig(links).links  # ValueError for a pair given twice
     except json.JSONDecodeError as exc:
         raise InputError(f"links file {path}: {exc.msg} at line {exc.lineno}") from exc
-    except (ValueError, RecursionError) as exc:  # an integer of too many digits, or nesting too deep
+    except (ValueError, RecursionError) as exc:  # also an integer of too many digits, or nesting too deep
         raise InputError(f"links file {path}: {exc}") from exc
-    if not isinstance(doc, dict) or "links" not in doc or not isinstance(doc["links"], list):
-        raise InputError(f"links file {path}: expected an object with a 'links' array")
-    links = []
-    for entry in doc["links"]:
-        if not (isinstance(entry, list) and len(entry) == 2 and all(type(v) is int for v in entry)):
-            raise InputError(f"links file {path}: each link must be a pair of integers, got {entry!r}")
-        i, k = entry
-        if i == k or not (1 <= i <= n and 1 <= k <= n):
-            problem = "joins a generator to itself" if i == k else f"out of range for {n} generators"
-            raise InputError(f"links file {path}: link {entry} {problem}")
-        links.append(normalize_link((i - 1, k - 1)))
-    if len(set(links)) != len(links):
-        raise InputError(f"links file {path}: duplicate links")
-    return sorted(links)
 
 
-def _load(args: argparse.Namespace) -> tuple[SystemModel, dict, list[tuple[int, int]]]:
-    """The case's model, the provenance meta and the --links file's links ([] without one)."""
+def _load(args: argparse.Namespace) -> tuple[SystemModel, dict, tuple[tuple[int, int], ...]]:
+    """The case's model, the provenance meta and the --links file's links (() without one)."""
     with reading("case file", args.case):
         text = Path(args.case).read_text(encoding="utf-8")
     case = parse_case(text)
@@ -153,7 +154,7 @@ def _load(args: argparse.Namespace) -> tuple[SystemModel, dict, list[tuple[int, 
         "case_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
     }
     model = build_system(case)
-    return model, meta, read_links_file(args.links, model.n) if getattr(args, "links", None) else []
+    return model, meta, read_links_file(args.links, model.n) if getattr(args, "links", None) else ()
 
 
 @contextlib.contextmanager

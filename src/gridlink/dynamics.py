@@ -56,22 +56,23 @@ class MachineState:
 class ControlConfig:
     """Communication links with one common feedback gain, acting about the operating point.
 
-    The links are stored normalized (i < k) and sorted.  The gain is pu power
-    per radian and must be negative for stabilizing feedback.  Nothing here
-    checks them: cli.read_links_file rejects bad links, link_laplacian a link
-    outside 0..n-1, cli.check_args a non-finite gain and, for every plan,
-    planner.check_plan_args one that is not finite and negative.  The control
-    adds L_h (delta - model.op.delta_s) to the mechanical power, L_h being the
-    gain-weighted link Laplacian (see link_laplacian), so it vanishes at the
-    operating point and (delta_s, omega_s) stays a fixed point for every link
-    set and gain.
+    The links are stored normalized (i < k) and sorted; a self-link or a pair
+    given twice, in either orientation, raises ValueError, and link_laplacian
+    checks the endpoints against n.  The gain is pu power per radian, negative
+    for stabilizing feedback.  The control adds L_h (delta - model.op.delta_s)
+    to the mechanical power, L_h being the gain-weighted link Laplacian (see
+    link_laplacian), so it vanishes at the operating point and
+    (delta_s, omega_s) stays a fixed point for every link set and gain.
     """
 
     links: tuple[Link, ...] = ()
     gain: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "links", tuple(sorted(normalize_link(l) for l in self.links)))
+        links = tuple(sorted(normalize_link(l) for l in self.links))
+        if len(set(links)) != len(links):
+            raise ValueError("duplicate links")
+        object.__setattr__(self, "links", links)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 
-from gridlink.dynamics import Link, normalize_link
+from gridlink.dynamics import ControlConfig, Link, normalize_link
 from gridlink.linearization import alpha_for_links
 from gridlink.model import SystemModel
 
@@ -95,12 +95,10 @@ def check_plan_args(budget: int, gain_h: float, workers: int = 1) -> None:
 
 
 def _plan_args(budget: int, gain_h: float, n: int, preinstalled=(), workers=1) -> tuple[list[Link], list[Link], int]:
-    """The planners' argument checks: (sorted preinstalled links, the candidate links they leave, in
-    candidate_links order, and the budget, clamped to their number with a warning)."""
+    """The planners' argument checks: (the preinstalled links as ControlConfig stores them, the candidate
+    links they leave, in candidate_links order, and the budget, clamped to their number with a warning)."""
     check_plan_args(budget, gain_h, workers)
-    installed = sorted(normalize_link(l) for l in preinstalled)
-    if len(set(installed)) != len(installed):
-        raise ValueError("duplicate links in preinstalled set")
+    installed = list(ControlConfig(preinstalled).links)
     remaining = candidate_links(n, installed)
     if budget > len(remaining):
         warnings.warn(f"budget {budget} exceeds the {len(remaining)} available links; clamped", stacklevel=3)
@@ -168,9 +166,9 @@ def greedy_plan(
     TIE_TOL of zero ties with installing nothing and counts as nonpositive.
     Ties within TIE_TOL go to the lexicographically smallest pair.  A budget
     larger than the number of candidate links is clamped with a warning.
-    Arguments that break check_plan_args's rule, or a ``preinstalled`` link
-    with an endpoint outside 0..n-1, raise ValueError.  The sweeps run on
-    plan_pool's pool for ``workers``; the plan is the same for every value.
+    Arguments that break check_plan_args's rule, or ``preinstalled`` links
+    that ControlConfig or link_laplacian refuses, raise ValueError.  The sweeps
+    run on plan_pool's pool for ``workers``; the plan is the same for every value.
     """
     installed, remaining, budget = _plan_args(budget, gain_h, model.n, preinstalled, workers)
     alpha_before = baseline = sweep(model, [installed], gain_h)[0]
@@ -188,8 +186,7 @@ def greedy_plan(
                 stop_reason = (f"best marginal gain {best_gain:.3e} counts as nonpositive"
                                f" (not above TIE_TOL = {TIE_TOL:g}) at iteration {it}")
                 break
-            installed.append(best_link)
-            installed.sort()
+            installed.append(best_link)  # unsorted: ControlConfig sorts each link set a sweep evaluates
             remaining.remove(best_link)
             iterations.append(PlanIteration(link=best_link, alpha_max_after=best_alpha))
             alpha_before = best_alpha

@@ -125,6 +125,17 @@ def test_bad_links_file(tmp_path, capsys):
         assert capsys.readouterr().err.splitlines() == [line]
 
 
+@pytest.mark.parametrize("subcommand", ["analyze", "plan", "simulate"])
+@pytest.mark.parametrize("pairs", ["[1, 2], [1, 2]", "[1, 2], [2, 1]"], ids=["same", "reversed"])
+def test_links_file_with_a_repeated_link_is_input_error(tmp_path, capsys, subcommand, pairs):
+    links = tmp_path / "links.json"
+    links.write_text(f'{{"links": [{pairs}]}}')
+    code = run([subcommand, "--case", case_path("toy3"), "--out", tmp_path / "o", "--links", links])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"gridlink: input error: links file {links}: duplicate links"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_plan_full_budget(tmp_path):
     out = tmp_path / "plan.json"
     code = run(["plan", "--case", case_path("newengland39"), "--out", out, "--budget", 15, "--gain", -1.0, "--format", "structured"])
@@ -198,29 +209,37 @@ def test_non_finite_number_is_input_error(tmp_path, capsys, subcommand, flag, va
 
 
 @pytest.mark.parametrize(
-    "extra, links_text",
+    "extra, links_text, problem",
     [
-        (["--perturb", "gen=1.7,ddelta=0.1"], None),
-        (["--perturb", "gen=inf,ddelta=0.1"], None),
-        (["--perturb", "gen=1,ddelta=0.1,at=inf"], None),
-        (["--perturb", "gen=nan,ddelta=0.1"], None),
-        (["--perturb", "gen=1,ddelta=nan"], None),
-        ([], '{"links": [[true, 2]]}'),
-        (["--tmax", "1e9", "--dt", "1e-3"], None),
-        (["--perturb", "gen=1,gen=2,ddelta=0.1"], None),
-        (["--perturb", f"gen={10**400},ddelta=0.1"], None),
+        (["--perturb", "gen=1.7,ddelta=0.1"], None, "not an integer"),
+        (["--perturb", "gen=inf,ddelta=0.1"], None, "not an integer"),
+        (["--perturb", "gen=1,ddelta=0.1,at=inf"], None, "must be a finite number"),
+        (["--perturb", "gen=nan,ddelta=0.1"], None, "not an integer"),
+        (["--perturb", "gen=1,ddelta=nan"], None, "must be a finite number"),
+        ([], '{"links": [[true, 2]]}', "must be a pair of integers"),
+        (["--tmax", "1e9", "--dt", "1e-3"], None, "steps"),
+        (["--perturb", "gen=1,gen=2,ddelta=0.1"], None, "given more than once"),
+        (["--perturb", f"gen={10**400},ddelta=0.1"], None, "generator '100000000000...0000000000000' out of range"),
+        # more digits than int() converts
+        (["--perturb", f"gen=1{'0' * 5000},ddelta=0.1"], None, "generator '100000000000...0000000000000' out of range"),
+        (["--perturb", f"gen=-{10**400},ddelta=0.1"], None, "generator '-10000000000...0000000000000' out of range"),
+        ([], f'{{"links": [[{10**400}, 2]]}}',
+         "link [100000000000000000...0000000000000000000, 2] out of range for 3 generators"),
+        ([], f'{{"links": [[1, 2, {10**400}]]}}', "got [1, 2, 100000000000000000...0000000000000000000]"),
     ],
     ids=["gen-fraction", "gen-inf", "at-inf", "gen-nan", "ddelta-nan", "bool-link", "step-cap", "gen-twice",
-         "gen-huge"],
+         "gen-huge", "gen-beyond-int-digits", "gen-huge-negative", "link-huge", "link-long"],
 )
-def test_malformed_simulate_input_is_input_error(tmp_path, capsys, extra, links_text):
+def test_malformed_simulate_input_is_input_error(tmp_path, capsys, extra, links_text, problem):
     argv = ["simulate", "--case", case_path("toy3"), "--out", tmp_path / "o", *extra]
     if links_text is not None:
         (tmp_path / "links.json").write_text(links_text)
         argv += ["--links", tmp_path / "links.json"]
     assert run(argv) == 2
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "input error" in err
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("gridlink: input error: ") and problem in line
+    # one short line: a long input is not echoed whole
+    assert len(line.replace(str(tmp_path / "links.json"), "")) <= 160
 
 
 @pytest.mark.parametrize(

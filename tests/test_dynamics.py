@@ -28,9 +28,9 @@ from gridlink.dynamics import (
     swing_matrix,
     swing_rhs,
 )
-from gridlink.linearization import jacobian
+from gridlink.linearization import alpha_for_links, jacobian, spectral_abscissa
 from gridlink.model import build_system
-from gridlink.planner import candidate_links
+from gridlink.planner import candidate_links, greedy_plan
 from gridlink.reduction import OperatingPoint, ReducedNetwork, coupling_coefficients
 
 
@@ -73,6 +73,26 @@ def test_link_laplacian_single_link_hand_value():
     ctl = ControlConfig([(2, 0)], -1.0)
     assert ctl.links == ((0, 2),)
     assert np.array_equal(link_laplacian(ctl, 3), [[-1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, -1.0]])
+
+
+@pytest.mark.parametrize("links", [[(0, 1), (1, 2), (0, 1)], [(0, 1), (1, 2), (1, 0)]], ids=["same", "reversed"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda model, links: ControlConfig(links, -1.0),
+        lambda model, links: alpha_for_links(model, links, -1.0),
+        lambda model, links: jacobian(model, ControlConfig(links, -1.0)),
+        lambda model, links: spectral_abscissa(model, ControlConfig(links, -1.0)),
+        lambda model, links: swing_rhs(equilibrium_state(model), model, ControlConfig(links, -1.0)),
+        lambda model, links: simulate(equilibrium_state(model), model, ControlConfig(links, -1.0), None, t_max=0.01),
+        lambda model, links: greedy_plan(model, budget=1, gain_h=-1.0, preinstalled=links),
+    ],
+    ids=["ControlConfig", "alpha_for_links", "jacobian", "spectral_abscissa", "swing_rhs", "simulate", "greedy_plan"],
+)
+def test_repeated_link_is_refused(toy3_model, call, links):
+    # a repeated link would count its gain twice
+    with pytest.raises(ValueError, match="^duplicate links$"):
+        call(toy3_model, links)
 
 
 def test_mechanical_power_zero_at_reference(toy3_model):

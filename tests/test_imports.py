@@ -1,4 +1,5 @@
-"""Every module of the package, and the validation script, uses each name it imports."""
+"""Every module of the package, and the validation script, uses each name it imports, and each
+module of the package reads each private name it defines."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,34 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(source: str) -> list[str]:
+    """The module-level names with one leading underscore that source binds and no expression of it reads."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        bound[name.id] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    private = (name for name in bound if name.startswith("_") and not name.startswith("__"))
+    return [f"{name} (line {bound[name]})" for name in private if name not in read]
+
+
+def test_unread_private_names_are_found():
+    # _x is only written, _b is read, and __version__ and x are not private
+    source = ("__version__ = '1'\nx = 0\n_x = 1\n_y: int = 2\n_a, _b = 3, 4\n_c = _b\n"
+              "def _f():\n    global _x\n    _x = 5\nclass _K:\n    pass\n")
+    assert unread_private_names(source) == [
+        "_x (line 3)", "_y (line 4)", "_a (line 5)", "_c (line 6)", "_f (line 7)", "_K (line 10)"
+    ]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "gridlink").glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_private_names(path):
+    assert unread_private_names(path.read_text(encoding="utf-8")) == []
