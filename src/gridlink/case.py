@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import reprlib
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -36,6 +39,10 @@ class CaseSchemaError(CaseError):
     """The case document violates the schema or a case invariant."""
 
 
+# A field is read from the JSON key of its name, or from metadata["key"]; a field with a default may be
+# omitted, and each value is checked against the field's annotation (see _record).
+
+
 @dataclass(frozen=True)
 class BusRecord:
     id: int
@@ -49,11 +56,11 @@ class BusRecord:
 
 @dataclass(frozen=True)
 class BranchRecord:
-    from_bus: int
-    to_bus: int
+    from_bus: int = field(metadata={"key": "from"})
+    to_bus: int = field(metadata={"key": "to"})
     r: float
     x: float
-    b_charging: float = 0.0  # total line charging, split half per end
+    b_charging: float = field(default=0.0, metadata={"key": "b"})  # total line charging, split half per end
     tap: float = 1.0  # off-nominal turns ratio on the from side
 
 
@@ -61,9 +68,14 @@ class BranchRecord:
 class GeneratorRecord:
     bus: int
     p_gen: float
-    inertia_h: float  # seconds, on the system base
-    damping_d: float = DEFAULT_DAMPING  # pu power per rad/s
+    # seconds, on the system base; None (omitted) stores DEFAULT_H_PER_PU * p_gen
+    inertia_h: float | None = field(default=None, metadata={"key": "h"})
+    damping_d: float = field(default=DEFAULT_DAMPING, metadata={"key": "d"})  # pu power per rad/s
     xd_prime: float = DEFAULT_XD_PRIME
+
+    def __post_init__(self) -> None:
+        if self.inertia_h is None:
+            object.__setattr__(self, "inertia_h", DEFAULT_H_PER_PU * self.p_gen)
 
 
 @dataclass(frozen=True)
@@ -92,18 +104,40 @@ class PowerCase:
         return {bus.id: i for i, bus in enumerate(self.buses)}
 
 
-def _require(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise CaseSchemaError(f"{path}: missing required field '{key}'")
-    return obj[key]
+def _field_table(cls: type) -> dict[str, tuple[str, type, bool]]:
+    """JSON key -> (field name, value type, required) for each field of cls, in field order."""
+    hints = typing.get_type_hints(cls)
+    table = {}
+    for f in fields(cls):
+        kind = hints[f.name]
+        if isinstance(kind, types.UnionType):  # float | None: None only as the default
+            kind = typing.get_args(kind)[0]
+        elif typing.get_origin(kind) is list:  # list[BusRecord], say: kept as the record type
+            [kind] = typing.get_args(kind)
+        table[f.metadata.get("key", f.name)] = (f.name, kind, f.default is MISSING)
+    return table
 
 
-def _number(obj: dict, key: str, path: str, default: float | None = None) -> float:
-    if key not in obj and default is not None:
-        return default
-    value = _require(obj, key, path)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise CaseSchemaError(f"{path}.{key}: expected a number, got {type(value).__name__}")
+_FIELDS = {cls: _field_table(cls) for cls in (PowerCase, BusRecord, BranchRecord, GeneratorRecord)}
+_EXPECTED = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _quoted(names: list[str]) -> str:
+    """Field names as JSON strings, so a line break stays on the diagnostic's one line; long ones abridged."""
+    shown = [json.dumps(name if len(name) <= 30 else f"{name[:13]}...{name[-14:]}") for name in names[:6]]
+    return ", ".join(shown + ["..."] * (len(names) > 6))
+
+
+def _value(value, kind, key: str, path: str):
+    """value checked against kind: a finite float, an int, a str, or (kind a record) an array of records."""
+    if kind in _FIELDS:
+        if not isinstance(value, list):
+            raise CaseSchemaError(f"{path}.{key}: expected an array")
+        return [_record(kind, entry, f"{key}[{i}]") for i, entry in enumerate(value)]
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise CaseSchemaError(f"{path}.{key}: expected {_EXPECTED[kind]}, got {type(value).__name__}")
+    if kind is not float:
+        return value
     try:
         value = float(value)
     except OverflowError:  # an integer beyond the largest float
@@ -113,21 +147,21 @@ def _number(obj: dict, key: str, path: str, default: float | None = None) -> flo
     return value
 
 
-def _integer(obj: dict, key: str, path: str) -> int:
-    value = _require(obj, key, path)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise CaseSchemaError(f"{path}.{key}: expected an integer, got {type(value).__name__}")
-    return value
-
-
-def _check_object(obj, allowed: set[str], path: str) -> None:
-    """CaseSchemaError unless obj is a JSON object whose fields are all in allowed."""
-    if not isinstance(obj, dict):
+def _record(cls: type, entry, path: str):
+    """cls built from the JSON object entry, its fields read in field order; CaseSchemaError names path."""
+    table = _FIELDS[cls]
+    if not isinstance(entry, dict):
         raise CaseSchemaError(f"{path}: expected an object")
-    unknown = sorted(set(obj) - allowed)
+    unknown = sorted(set(entry) - table.keys())
     if unknown:
-        # quoted as JSON strings, so a name holding a line break stays on the diagnostic's one line
-        raise CaseSchemaError(f"{path}: unknown field(s) {', '.join(map(json.dumps, unknown))}")
+        raise CaseSchemaError(f"{path}: unknown field(s) {_quoted(unknown)}")
+    values = {}
+    for key, (name, kind, required) in table.items():
+        if key in entry:
+            values[name] = _value(entry[key], kind, key, path)
+        elif required:
+            raise CaseSchemaError(f"{path}: missing required field '{key}'")
+    return cls(**values)
 
 
 def parse_case(text: str) -> PowerCase:
@@ -143,62 +177,7 @@ def parse_case(text: str) -> PowerCase:
         raise CaseSyntaxError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # an integer of too many digits, or nesting too deep
         raise CaseSyntaxError(str(exc)) from exc
-    _check_object(doc, {"base_mva", "f0", "buses", "branches", "generators"}, "top level")
-
-    base_mva = _number(doc, "base_mva", "top level")
-    f0 = _number(doc, "f0", "top level")
-
-    for key in ("buses", "branches", "generators"):
-        if not isinstance(_require(doc, key, "top level"), list):
-            raise CaseSchemaError(f"top level.{key}: expected an array")
-
-    buses = []
-    for i, entry in enumerate(doc["buses"]):
-        path = f"buses[{i}]"
-        _check_object(entry, {"id", "kind", "p_load", "q_load", "v_set", "shunt_g", "shunt_b"}, path)
-        buses.append(
-            BusRecord(
-                id=_integer(entry, "id", path),
-                kind=_require(entry, "kind", path),
-                p_load=_number(entry, "p_load", path),
-                q_load=_number(entry, "q_load", path),
-                v_set=_number(entry, "v_set", path) if "v_set" in entry else None,
-                shunt_g=_number(entry, "shunt_g", path, default=0.0),
-                shunt_b=_number(entry, "shunt_b", path, default=0.0),
-            )
-        )
-
-    branches = []
-    for i, entry in enumerate(doc["branches"]):
-        path = f"branches[{i}]"
-        _check_object(entry, {"from", "to", "r", "x", "b", "tap"}, path)
-        branches.append(
-            BranchRecord(
-                from_bus=_integer(entry, "from", path),
-                to_bus=_integer(entry, "to", path),
-                r=_number(entry, "r", path),
-                x=_number(entry, "x", path),
-                b_charging=_number(entry, "b", path, default=0.0),
-                tap=_number(entry, "tap", path, default=1.0),
-            )
-        )
-
-    generators = []
-    for i, entry in enumerate(doc["generators"]):
-        path = f"generators[{i}]"
-        _check_object(entry, {"bus", "p_gen", "h", "d", "xd_prime"}, path)
-        p_gen = _number(entry, "p_gen", path)
-        generators.append(
-            GeneratorRecord(
-                bus=_integer(entry, "bus", path),
-                p_gen=p_gen,
-                inertia_h=_number(entry, "h", path, default=DEFAULT_H_PER_PU * p_gen),
-                damping_d=_number(entry, "d", path, default=DEFAULT_DAMPING),
-                xd_prime=_number(entry, "xd_prime", path, default=DEFAULT_XD_PRIME),
-            )
-        )
-
-    return PowerCase(base_mva=base_mva, f0=f0, buses=buses, branches=branches, generators=generators)
+    return _record(PowerCase, doc, "top level")
 
 
 def validate(case: PowerCase) -> list[str]:
@@ -225,7 +204,7 @@ def validate(case: PowerCase) -> list[str]:
     kind_by_id = {bus.id: bus.kind for bus in case.buses}
     for bus in case.buses:
         if bus.kind not in BUS_KINDS:
-            report.append(f"bus {bus.id}: unknown kind {bus.kind!r}")
+            report.append(f"bus {bus.id}: unknown kind {reprlib.repr(bus.kind)}")
         if bus.kind in ("slack", "pv") and bus.v_set is None:
             report.append(f"bus {bus.id}: {bus.kind} bus requires v_set")
         if bus.v_set is not None and bus.v_set <= 0:

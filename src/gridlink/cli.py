@@ -76,24 +76,25 @@ def parse_perturb(spec: str) -> DisturbanceSpec:
         if not part:
             continue
         if "=" not in part:
-            raise InputError(f"malformed perturbation term {part!r}; expected key=value")
+            raise InputError(f"malformed perturbation term {reprlib.repr(part)}; expected key=value")
         key, _, value = part.partition("=")
         key = key.strip()
         if key in fields:
-            raise InputError(f"perturbation field {key!r} given more than once")
+            raise InputError(f"perturbation field {reprlib.repr(key)} given more than once")
         # No case has 10**20 generators, and int() refuses more than 4300 digits; the message abridges them.
         if key == "gen" and len(digits := value.strip().lstrip("+-").lstrip("0")) > 20 and digits.isdecimal():
             raise InputError(f"perturbation generator {reprlib.repr(value.strip())} out of range")
         try:
             fields[key] = int(value) if key == "gen" else float(value)
         except ValueError as exc:
-            raise InputError(f"perturbation term {part!r}: not {'an integer' if key == 'gen' else 'a number'}") from exc
+            problem = "an integer" if key == "gen" else "a number"
+            raise InputError(f"perturbation term {reprlib.repr(part)}: not {problem}") from exc
         if key != "gen" and not math.isfinite(fields[key]):  # gen is an int: its range is checked below
-            raise InputError(f"perturbation term {part!r}: must be a finite number")
+            raise InputError(f"perturbation term {reprlib.repr(part)}: must be a finite number")
     allowed = {"gen", "ddelta", "domega", "at"} if kind == "state-offset" else {"gen", "dpm", "at"}
     unknown = sorted(set(fields) - allowed)
     if unknown:
-        raise InputError(f"perturbation fields {unknown} not valid for kind {kind}")
+        raise InputError(f"perturbation fields {reprlib.repr(unknown)} not valid for kind {kind}")
     if "gen" not in fields:
         raise InputError("perturbation requires gen=I")
     if fields["gen"] < 1:

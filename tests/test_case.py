@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import serialize_case
 from gridlink.case import (
+    DEFAULT_H_PER_PU,
     BranchRecord,
     BusRecord,
     CaseSchemaError,
@@ -16,6 +17,7 @@ from gridlink.case import (
     GeneratorRecord,
     PowerCase,
     build_ybus,
+    case_path,
     parse_case,
     validate,
 )
@@ -81,6 +83,66 @@ def test_parse_wrong_type_with_location():
     doc["generators"][0]["p_gen"] = "big"
     with pytest.raises(CaseSchemaError, match=r"generators\[0\].p_gen: expected a number"):
         parse_case(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "table, key, value, message",
+    [
+        ("branches", "from", None, ": missing required field 'from'"),
+        ("branches", "to", None, ": missing required field 'to'"),
+        ("branches", "from", 1.5, ".from: expected an integer, got float"),
+        ("branches", "to", "2", ".to: expected an integer, got str"),
+        ("branches", "b", "0.1", ".b: expected a number, got str"),
+        ("generators", "h", [4.0], ".h: expected a number, got list"),
+        ("generators", "d", True, ".d: expected a number, got bool"),
+    ],
+)
+def test_renamed_field_is_named_by_its_json_key(table, key, value, message):
+    # a record field stored under another name (from_bus, b_charging, inertia_h, ...) is reported by its key;
+    # value None drops the key
+    doc = json.loads(case_path("toy3").read_text())
+    if value is None:
+        del doc[table][0][key]
+    else:
+        doc[table][0][key] = value
+    with pytest.raises(CaseSchemaError) as exc:
+        parse_case(json.dumps(doc))
+    assert str(exc.value) == f"{table}[0]{message}"
+
+
+def test_omitted_inertia_is_four_seconds_per_pu_of_dispatch():
+    doc = json.loads(MINIMAL)
+    doc["generators"][0]["p_gen"] = 0.37
+    assert parse_case(json.dumps(doc)).generators[0].inertia_h == 4 * 0.37 == DEFAULT_H_PER_PU * 0.37
+    # the record fills it in, so a generator built by hand gets the same value
+    assert GeneratorRecord(bus=1, p_gen=0.5).inertia_h == 4 * 0.5
+    assert GeneratorRecord(bus=1, p_gen=0.5, inertia_h=3.0).inertia_h == 3.0
+
+
+@pytest.mark.parametrize("kind", [[1], None, 3, {"slack": 1}, True])
+def test_parse_refuses_a_kind_that_is_no_string(kind):
+    doc = json.loads(MINIMAL)
+    doc["buses"][0]["kind"] = kind
+    with pytest.raises(CaseSchemaError, match=rf"^buses\[0\]\.kind: expected a string, got {type(kind).__name__}$"):
+        parse_case(json.dumps(doc))
+
+
+@pytest.mark.parametrize("where", ["top level", "buses[0]"])
+def test_unknown_field_names_are_quoted_and_long_ones_abridged(where):
+    def refused(*names):
+        doc = json.loads(MINIMAL)
+        entry = doc if where == "top level" else doc["buses"][0]
+        entry.update(dict.fromkeys(names, 1))
+        with pytest.raises(CaseSchemaError) as exc:
+            parse_case(json.dumps(doc))
+        return str(exc.value)
+
+    # short names keep their JSON-string form, so a line break stays on the one line
+    assert refused("voltage", "a\nb") == f'{where}: unknown field(s) "a\\nb", "voltage"'
+    assert refused("z" * 400) == f'{where}: unknown field(s) "{"z" * 13}...{"z" * 14}"'
+    assert refused(*(f"u{i}" for i in range(9))) == (
+        f'{where}: unknown field(s) "u0", "u1", "u2", "u3", "u4", "u5", ...'
+    )
 
 
 def test_parse_new_england(ne39_case):

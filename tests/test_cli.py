@@ -226,9 +226,17 @@ def test_non_finite_number_is_input_error(tmp_path, capsys, subcommand, flag, va
         ([], f'{{"links": [[{10**400}, 2]]}}',
          "link [100000000000000000...0000000000000000000, 2] out of range for 3 generators"),
         ([], f'{{"links": [[1, 2, {10**400}]]}}', "got [1, 2, 100000000000000000...0000000000000000000]"),
+        # a long term or key is abridged in every message that echoes it
+        (["--perturb", f"gen=1,ddelta=1{'0' * 400}"], None, "term 'ddelta=10000...0000000000000': must be a finite"),
+        (["--perturb", f"gen=1,ddelta=x{'0' * 400}"], None, "term 'ddelta=x0000...0000000000000': not a number"),
+        (["--perturb", f"gen=1,{'k' * 400}=0.1"], None, "fields ['kkkkkkkkkkkk...kkkkkkkkkkkkk'] not valid"),
+        (["--perturb", f"gen=1,at={'9' * 400}"], None, "term 'at=999999999...9999999999999': must be a finite"),
+        (["--perturb", f"gen=1,{'k' * 400}"], None, "malformed perturbation term 'kkkkkkkkkkkk...kkkkkkkkkkkkk'"),
+        (["--perturb", f"gen=1,{'k' * 400}=1,{'k' * 400}=2"], None, "field 'kkkkkkkkkkkk...kkkkkkkkkkkkk' given"),
     ],
     ids=["gen-fraction", "gen-inf", "at-inf", "gen-nan", "ddelta-nan", "bool-link", "step-cap", "gen-twice",
-         "gen-huge", "gen-beyond-int-digits", "gen-huge-negative", "link-huge", "link-long"],
+         "gen-huge", "gen-beyond-int-digits", "gen-huge-negative", "link-huge", "link-long", "ddelta-long",
+         "ddelta-long-text", "key-long", "at-long", "term-long", "key-long-twice"],
 )
 def test_malformed_simulate_input_is_input_error(tmp_path, capsys, extra, links_text, problem):
     argv = ["simulate", "--case", case_path("toy3"), "--out", tmp_path / "o", *extra]
@@ -283,14 +291,22 @@ def test_unreadable_input_file_is_input_error(tmp_path, capsys, which):
     assert len(err.splitlines()) == 1 and "input error: cannot read" in err
 
 
-@pytest.mark.parametrize("kind", ["bogus", [1]], ids=["unknown-name", "not-a-string"])
-def test_unknown_bus_kind_is_input_error(tmp_path, capsys, kind):
-    # the case's own rule names the bus, from both front ends, in one line and without a traceback
+@pytest.mark.parametrize(
+    "kind, rule",
+    [
+        ("bogus", "bus 2: unknown kind 'bogus'"),
+        ([1], "buses[1].kind: expected a string, got list"),
+        ("k" * 400, f"bus 2: unknown kind '{'k' * 12}...{'k' * 13}'"),
+    ],
+    ids=["unknown-name", "not-a-string", "long-name"],
+)
+def test_unknown_bus_kind_is_input_error(tmp_path, capsys, kind, rule):
+    # the case's own rule names the bus, and the reader a kind that is no string, from both front ends,
+    # in one line and without a traceback
     doc = json.loads(case_path("toy3").read_text())
     doc["buses"][1]["kind"] = kind
     case = tmp_path / "case.json"
     case.write_text(json.dumps(doc))
-    rule = f"bus 2: unknown kind {kind!r}"
     assert run(["analyze", "--case", case, "--out", tmp_path / "o"]) == 2
     assert capsys.readouterr().err.splitlines() == [f"gridlink: input error: {rule}"]
     assert _validate_decay_main()(["--case", str(case)]) == 2
