@@ -122,12 +122,6 @@ _FIELDS = {cls: _field_table(cls) for cls in (PowerCase, BusRecord, BranchRecord
 _EXPECTED = {int: "an integer", float: "a number", str: "a string"}
 
 
-def _quoted(names: list[str]) -> str:
-    """Field names as JSON strings, so a line break stays on the diagnostic's one line; long ones abridged."""
-    shown = [json.dumps(name if len(name) <= 30 else f"{name[:13]}...{name[-14:]}") for name in names[:6]]
-    return ", ".join(shown + ["..."] * (len(names) > 6))
-
-
 def _value(value, kind, key: str, path: str):
     """value checked against kind: a finite float, an int, a str, or (kind a record) an array of records."""
     if kind in _FIELDS:
@@ -152,9 +146,8 @@ def _record(cls: type, entry, path: str):
     table = _FIELDS[cls]
     if not isinstance(entry, dict):
         raise CaseSchemaError(f"{path}: expected an object")
-    unknown = sorted(set(entry) - table.keys())
-    if unknown:
-        raise CaseSchemaError(f"{path}: unknown field(s) {_quoted(unknown)}")
+    if unknown := sorted(set(entry) - table.keys()):
+        raise CaseSchemaError(f"{path}: unknown field(s) {reprlib.repr(unknown)[1:-1]}")  # without the brackets
     values = {}
     for key, (name, kind, required) in table.items():
         if key in entry:
@@ -192,7 +185,7 @@ def validate(case: PowerCase) -> list[str]:
     seen: set[int] = set()
     for bus_id in ids:
         if bus_id in seen:
-            report.append(f"duplicate bus id {bus_id}")
+            report.append(f"duplicate bus id {reprlib.repr(bus_id)}")
         seen.add(bus_id)
 
     slack_count = sum(1 for bus in case.buses if bus.kind == "slack")
@@ -203,20 +196,21 @@ def validate(case: PowerCase) -> list[str]:
 
     kind_by_id = {bus.id: bus.kind for bus in case.buses}
     for bus in case.buses:
+        where = f"bus {reprlib.repr(bus.id)}"
         if bus.kind not in BUS_KINDS:
-            report.append(f"bus {bus.id}: unknown kind {reprlib.repr(bus.kind)}")
+            report.append(f"{where}: unknown kind {reprlib.repr(bus.kind)}")
         if bus.kind in ("slack", "pv") and bus.v_set is None:
-            report.append(f"bus {bus.id}: {bus.kind} bus requires v_set")
+            report.append(f"{where}: {bus.kind} bus requires v_set")
         if bus.v_set is not None and bus.v_set <= 0:
-            report.append(f"bus {bus.id}: v_set must be positive")
+            report.append(f"{where}: v_set must be positive")
 
     for i, br in enumerate(case.branches):
-        where = f"branch {i} ({br.from_bus}-{br.to_bus})"
+        where = f"branch {i} ({reprlib.repr(br.from_bus)}-{reprlib.repr(br.to_bus)})"
         if br.from_bus == br.to_bus:
             report.append(f"{where}: from_bus equals to_bus")
         for end in (br.from_bus, br.to_bus):
             if end not in kind_by_id:
-                report.append(f"{where}: references nonexistent bus {end}")
+                report.append(f"{where}: references nonexistent bus {reprlib.repr(end)}")
         if br.r == 0.0 and br.x == 0.0:
             report.append(f"{where}: r and x are both zero")
         if br.tap <= 0:
@@ -238,15 +232,16 @@ def validate(case: PowerCase) -> list[str]:
                     queue.append(other)
         islanded = sorted(set(neighbours) - reached)
         if islanded:
-            report.append(f"no branch path from slack bus {queue[0]} to bus(es) {', '.join(map(str, islanded))}")
+            slack = reprlib.repr(queue[0])
+            report.append(f"no branch path from slack bus {slack} to bus(es) {reprlib.repr(islanded)[1:-1]}")
 
     if not case.generators:
         report.append("case has no generators")
     for i, gen in enumerate(case.generators):
-        where = f"generator {i} (bus {gen.bus})"
+        where = f"generator {i} (bus {reprlib.repr(gen.bus)})"
         kind = kind_by_id.get(gen.bus)
         if kind is None:
-            report.append(f"{where}: references nonexistent bus {gen.bus}")
+            report.append(f"{where}: references nonexistent bus {reprlib.repr(gen.bus)}")
         elif kind == "pq":
             report.append(f"{where}: generator bus must be slack or pv")
         if gen.inertia_h <= 0:

@@ -127,6 +127,8 @@ def read_links_file(path: str, n: int) -> tuple[tuple[int, int], ...]:
         doc = json.loads(text)
         if not (isinstance(doc, dict) and isinstance(doc.get("links"), list)):
             raise ValueError("expected an object with a 'links' array")
+        if unknown := sorted(set(doc) - {"links"}):
+            raise ValueError(f"unknown field(s) {reprlib.repr(unknown)[1:-1]}")  # as the case reader names them
         links = []
         for entry in doc["links"]:
             if not (isinstance(entry, list) and len(entry) == 2 and all(type(v) is int for v in entry)):

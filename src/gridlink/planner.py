@@ -122,7 +122,7 @@ def _worker_alpha(links: list[Link]) -> float:
 
 @contextmanager
 def plan_pool(model: SystemModel, gain_h: float, workers: int, first_sweep: int):
-    """One plan's pool of min(workers, usable CPUs, first_sweep) processes, or None if that is at most 1."""
+    """One plan's (pool, size) of size = min(workers, usable CPUs, first_sweep) processes, or None if size <= 1."""
     size = min(workers, usable_cpu_count(), first_sweep)
     if size <= 1:
         yield None
@@ -130,7 +130,7 @@ def plan_pool(model: SystemModel, gain_h: float, workers: int, first_sweep: int)
     from concurrent.futures import ProcessPoolExecutor
     pool = ProcessPoolExecutor(size, initializer=_init_worker, initargs=(model, gain_h))
     try:
-        yield pool
+        yield pool, size
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -138,15 +138,16 @@ def plan_pool(model: SystemModel, gain_h: float, workers: int, first_sweep: int)
 def sweep(model: SystemModel, link_sets: list[list[Link]], gain_h: float, pool=None) -> list[float]:
     """alpha_for_links of each link set, in input order.
 
-    Without a pool, alpha_for_links is looked up here at each call.  With one,
-    it is one pool.map over the link sets in contiguous chunks, at most
-    CHUNKS_PER_WORKER per worker, each handed to whichever worker is free; the
-    alphas are bitwise those of the serial sweep.
+    Without a pool, alpha_for_links is looked up here at each call.  With
+    plan_pool's (pool, size), it is one pool.map over the link sets in
+    contiguous chunks, at most CHUNKS_PER_WORKER per worker, each handed to
+    whichever worker is free; the alphas are bitwise those of the serial sweep.
     """
     if pool is None:
         return [alpha_for_links(model, links, gain_h) for links in link_sets]
-    chunksize = math.ceil(len(link_sets) / (CHUNKS_PER_WORKER * pool._max_workers))
-    return list(pool.map(_worker_alpha, link_sets, chunksize=chunksize))
+    executor, size = pool
+    chunksize = math.ceil(len(link_sets) / (CHUNKS_PER_WORKER * size))
+    return list(executor.map(_worker_alpha, link_sets, chunksize=chunksize))
 
 
 def greedy_plan(

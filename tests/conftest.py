@@ -117,7 +117,6 @@ def inline_pool(monkeypatch):
     class InlinePool:
         def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
-            self._max_workers = max_workers
             initializer(*initargs)
 
         def map(self, fn, *iterables, chunksize=1):
@@ -129,6 +128,17 @@ def inline_pool(monkeypatch):
     monkeypatch.setattr(planner, "_worker_args", None)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return sizes
+
+
+def one_short_line(err, *paths):
+    """The one line of the diagnostic err, checked to hold at most 160 characters besides the file paths it
+    names: a long input is not echoed whole."""
+    [line] = err.splitlines()
+    rest = line
+    for path in paths:
+        rest = rest.replace(str(path), "")
+    assert len(rest) <= 160, line
+    return line
 
 
 # Independent oracles of the trajectory documents: one numpy scalar -> float -> repr per value.

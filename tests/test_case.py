@@ -137,11 +137,11 @@ def test_unknown_field_names_are_quoted_and_long_ones_abridged(where):
             parse_case(json.dumps(doc))
         return str(exc.value)
 
-    # short names keep their JSON-string form, so a line break stays on the one line
-    assert refused("voltage", "a\nb") == f'{where}: unknown field(s) "a\\nb", "voltage"'
-    assert refused("z" * 400) == f'{where}: unknown field(s) "{"z" * 13}...{"z" * 14}"'
+    # names are quoted as reprlib.repr quotes them, so a line break stays on the one line
+    assert refused("voltage", "a\nb") == f"{where}: unknown field(s) 'a\\nb', 'voltage'"
+    assert refused("z" * 400) == f"{where}: unknown field(s) '{'z' * 12}...{'z' * 13}'"
     assert refused(*(f"u{i}" for i in range(9))) == (
-        f'{where}: unknown field(s) "u0", "u1", "u2", "u3", "u4", "u5", ...'
+        f"{where}: unknown field(s) 'u0', 'u1', 'u2', 'u3', 'u4', 'u5', ..."
     )
 
 
@@ -189,6 +189,16 @@ def test_validate_islanded_buses():
     branches = [BranchRecord(from_bus=2, to_bus=1, r=0.0, x=0.1), BranchRecord(from_bus=4, to_bus=3, r=0.0, x=0.1)]
     with pytest.raises(CaseSchemaError, match=r"^no branch path from slack bus 1 to bus\(es\) 3, 4$"):
         PowerCase(100.0, 60.0, buses, branches, [GeneratorRecord(bus=1, p_gen=0.0, inertia_h=4.0)])
+
+
+@pytest.mark.parametrize("digits, shown", [(40, str(10**39)), (41, f"1{'0' * 17}...{'0' * 19}")])
+def test_validate_writes_bus_ids_of_up_to_40_digits_whole(digits, shown):
+    # a longer id is abridged by reprlib.repr wherever the report names it
+    case = parse_case(MINIMAL)
+    bus = 10 ** (digits - 1)
+    with pytest.raises(CaseSchemaError) as exc:
+        PowerCase(100.0, 60.0, case.buses, [BranchRecord(from_bus=1, to_bus=bus, r=0.0, x=0.1)], case.generators)
+    assert str(exc.value) == f"branch 0 (1-{shown}): references nonexistent bus {shown}"
 
 
 def test_validate_duplicate_ids_and_pq_generator():

@@ -148,13 +148,14 @@ def test_pool_sweep_bitwise_equals_serial(monkeypatch, ne39_model):
         installed = []
         with planner.plan_pool(model, -1.0, workers=2, first_sweep=len(candidate_links(model.n))) as pool:
             chunksizes = []
-            pool_map = pool.map
+            executor, _ = pool
+            pool_map = executor.map
 
             def recording_map(fn, items, chunksize):
                 chunksizes.append(chunksize)
                 return pool_map(fn, items, chunksize=chunksize)
 
-            pool.map = recording_map
+            executor.map = recording_map
             for link in picks:
                 candidates = [installed + [l] for l in candidate_links(model.n, installed)]
                 assert planner.sweep(model, candidates, -1.0, pool) == planner.sweep(model, candidates, -1.0)
