@@ -8,7 +8,7 @@ four time constants of the slowest mode, so the fit from tmax / 4 on sees that
 mode rather than the faster ones.  Exits as gridlink does, through its
 run_guarded, with one line on stderr for a failure or a warning: 2 for a bad
 argument (by the library's planning and horizon rules), a case that cannot
-be read or one with fewer than two generators (by planner.candidate_links),
+be read or one with fewer than two generators (by greedy_plan's own check),
 1 for a run that fails, for alpha_max >= 0, or for a mismatch above
 MAX_MISMATCH.
 """
@@ -19,11 +19,11 @@ import sys
 
 import numpy as np
 
-from gridlink.case import load_case
-from gridlink.cli import InputError, check_input, reading, run_guarded
+from gridlink.case import InputError, load_case
+from gridlink.cli import number, reading, run_guarded
 from gridlink.dynamics import ControlConfig, DisturbanceSpec, MachineState, decay_rate, horizon_steps, simulate
 from gridlink.model import build_system
-from gridlink.planner import candidate_links, check_plan_args, greedy_plan
+from gridlink.planner import check_plan_args, greedy_plan
 
 # Relative mismatch allowed between fitted decay rate and alpha_max (acceptance criterion 6).
 MAX_MISMATCH = 0.15
@@ -33,11 +33,11 @@ MIN_HORIZON = 5.0  # the shortest default horizon, s
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--case", default="toy3", help="bundled case name or path")
-    parser.add_argument("--budget", type=int, default=1)
-    parser.add_argument("--gain", type=float, default=-1.0)
-    parser.add_argument("--ddelta", type=float, default=0.01, help="angle offset on generator 1, rad")
-    parser.add_argument("--tmax", type=float, default=None, help="horizon, s (default max(5, 4 / |alpha_max|))")
-    parser.add_argument("--dt", type=float, default=1e-3)
+    parser.add_argument("--budget", type=number(int), default=1)
+    parser.add_argument("--gain", type=number(float), default=-1.0)
+    parser.add_argument("--ddelta", type=number(float), default=0.01, help="angle offset on generator 1, rad")
+    parser.add_argument("--tmax", type=number(float), default=None, help="horizon, s (default max(5, 4 / |alpha_max|))")
+    parser.add_argument("--dt", type=number(float), default=1e-3)
     args = parser.parse_args(argv)
     return run_guarded("validate_decay", lambda: validate(args))
 
@@ -46,8 +46,8 @@ def check_arguments(args) -> None:
     """Raise InputError for a bad argument before any model work; a default horizon is at least max(MIN_HORIZON, dt)."""
     if not math.isfinite(args.ddelta):
         raise InputError("--ddelta must be a finite number")
-    check_input(check_plan_args, args.budget, args.gain)
-    check_input(horizon_steps, max(MIN_HORIZON, args.dt) if args.tmax is None else args.tmax, args.dt)
+    check_plan_args(args.budget, args.gain)
+    horizon_steps(max(MIN_HORIZON, args.dt) if args.tmax is None else args.tmax, args.dt)
 
 
 def validate(args) -> int:
@@ -55,7 +55,6 @@ def validate(args) -> int:
     with reading("case", args.case):
         case = load_case(args.case)
     model = build_system(case)
-    check_input(candidate_links, model.n)
     plan = greedy_plan(model, budget=args.budget, gain_h=args.gain, allow_nonpositive=True)
     ctl = ControlConfig(plan.links, args.gain)
     alpha = plan.final_alpha
@@ -63,7 +62,7 @@ def validate(args) -> int:
         print(f"validate_decay: alpha_max = {alpha:.6e} >= 0, no decay to validate", file=sys.stderr)
         return 1
     tmax = args.tmax if args.tmax is not None else max(MIN_HORIZON, 4.0 / abs(alpha))
-    check_input(horizon_steps, tmax, args.dt)
+    horizon_steps(tmax, args.dt)
 
     initial = MachineState(model.op.delta_s, np.full(model.n, model.op.omega_s))
     kick = DisturbanceSpec(target=0, d_delta=args.ddelta)

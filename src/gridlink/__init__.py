@@ -17,6 +17,7 @@ from gridlink.case import (
     CaseSchemaError,
     CaseSyntaxError,
     GeneratorRecord,
+    InputError,
     PowerCase,
     build_ybus,
     case_path,

@@ -27,7 +27,11 @@ DEFAULT_XD_PRIME = 0.1
 DEFAULT_H_PER_PU = 4.0  # seconds of inertia per pu of scheduled output
 
 
-class CaseError(ValueError):
+class InputError(ValueError):
+    """A caller's argument or input document breaks a rule (the CLI's exit code 2)."""
+
+
+class CaseError(InputError):
     """Base class for case-document failures."""
 
 
@@ -81,7 +85,8 @@ class GeneratorRecord:
 @dataclass(frozen=True)
 class PowerCase:
     """A case that holds every ``validate`` rule: building or replacing one that breaks a rule raises
-    CaseSchemaError with the joined report.  Do not mutate its lists afterwards."""
+    CaseSchemaError with the joined report, its first two entries and a count of the rest.  Do not
+    mutate its lists afterwards."""
 
     base_mva: float
     f0: float
@@ -92,7 +97,8 @@ class PowerCase:
     def __post_init__(self) -> None:
         report = validate(self)
         if report:
-            raise CaseSchemaError("; ".join(report))
+            shown = report if len(report) <= 2 else [*report[:2], f"... and {len(report) - 2} more"]
+            raise CaseSchemaError("; ".join(shown))
 
     @property
     def omega_s(self) -> float:

@@ -20,12 +20,12 @@ import sys
 import warnings
 from collections.abc import Callable, Iterator
 from pathlib import Path
-from typing import IO, Any
+from typing import IO
 
 import numpy as np
 
 import gridlink
-from gridlink.case import CaseError, parse_case
+from gridlink.case import InputError, parse_case
 from gridlink.dynamics import (
     ControlConfig,
     DisturbanceSpec,
@@ -38,26 +38,26 @@ from gridlink.dynamics import (
 )
 from gridlink.linearization import alpha_for_links, spectral_abscissa
 from gridlink.model import SystemModel, build_system
-from gridlink.planner import candidate_links, check_plan_args, greedy_plan
+from gridlink.planner import check_plan_args, greedy_plan
 from gridlink.powerflow import PowerFlowError
 from gridlink.reduction import KronReductionError
 from gridlink import reports
-
-
-class InputError(Exception):
-    """Bad input file or configuration (exit code 2)."""
 
 
 class WriterFailed(Exception):
     """The forked trajectory writer ended other than by an OSError (exit code 1)."""
 
 
-def check_input(rule: Callable[..., Any], *args) -> Any:
-    """rule(*args), a library argument check, with its ValueError raised as an InputError."""
-    try:
-        return rule(*args)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+def number(kind: type[int] | type[float]) -> Callable[[str], int | float]:
+    """The argparse type of an int or float flag: argparse's own check, with a bad value echoed through reprlib.repr."""
+
+    def convert(text: str) -> int | float:
+        try:
+            return kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {reprlib.repr(text)}") from None
+
+    return convert
 
 
 def parse_perturb(spec: str) -> DisturbanceSpec:
@@ -138,7 +138,7 @@ def read_links_file(path: str, n: int) -> tuple[tuple[int, int], ...]:
                 problem = "joins a generator to itself" if i == k else f"out of range for {n} generators"
                 raise ValueError(f"link {reprlib.repr(entry)} {problem}")  # a long number abridged
             links.append((i - 1, k - 1))
-        return ControlConfig(links).links  # ValueError for a pair given twice
+        return ControlConfig(links).links  # an InputError, so a ValueError, for a pair given twice
     except json.JSONDecodeError as exc:
         raise InputError(f"links file {path}: {exc.msg} at line {exc.lineno}") from exc
     except (ValueError, RecursionError) as exc:  # also an integer of too many digits, or nesting too deep
@@ -204,7 +204,6 @@ def run_analyze(args: argparse.Namespace) -> int:
 
 def run_plan(args: argparse.Namespace) -> int:
     model, meta, preinstalled = _load(args)
-    check_input(candidate_links, model.n)
     result = greedy_plan(
         model,
         budget=args.budget,
@@ -379,15 +378,15 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "reduce":
             continue
         p.add_argument("--links", default=None, help="JSON file with pre-installed links (1-based pairs)")
-        p.add_argument("--gain", type=float, default=-1.0, help="common link gain h (pu power per rad)")
+        p.add_argument("--gain", type=number(float), default=-1.0, help="common link gain h (pu power per rad)")
         p.add_argument("--format", choices=("table", "structured"), default="table")
         if name == "plan":
-            p.add_argument("--budget", type=int, default=15, help="number of links to install")
+            p.add_argument("--budget", type=number(int), default=15, help="number of links to install")
             p.add_argument("--allow-nonpositive", action="store_true", help="keep installing when no link helps")
-            p.add_argument("--workers", type=int, default=1, help="worker processes for the candidate sweep")
+            p.add_argument("--workers", type=number(int), default=1, help="worker processes for the candidate sweep")
         if name == "simulate":
-            p.add_argument("--dt", type=float, default=1e-3, help="integration step, seconds")
-            p.add_argument("--tmax", type=float, default=20.0, help="horizon, seconds")
+            p.add_argument("--dt", type=number(float), default=1e-3, help="integration step, seconds")
+            p.add_argument("--tmax", type=number(float), default=20.0, help="horizon, seconds")
             p.add_argument(
                 "--perturb",
                 default=None,
@@ -399,18 +398,18 @@ def build_parser() -> argparse.ArgumentParser:
 def check_args(args: argparse.Namespace) -> None:
     """Reject bad flag values before any model work; replaces --perturb by its DisturbanceSpec."""
     if args.subcommand == "plan":
-        check_input(check_plan_args, args.budget, args.gain, args.workers)
+        check_plan_args(args.budget, args.gain, args.workers)
     elif args.subcommand in ("analyze", "simulate") and not math.isfinite(args.gain):
         raise InputError("gain must be a finite number")
     if args.subcommand == "simulate":
-        steps = check_input(horizon_steps, args.tmax, args.dt)
+        steps = horizon_steps(args.tmax, args.dt)
         if args.perturb is not None:
             args.perturb = parse_perturb(args.perturb)
-            check_input(args.perturb.apply_index, args.dt, steps)
+            args.perturb.apply_index(args.dt, steps)
 
 
 def run_guarded(prog: str, run: Callable[[], int]) -> int:
-    """run()'s exit code, or 2 for an input error and 1 for a failed computation, each with one stderr line.
+    """run()'s exit code, or 2 for an InputError and 1 for a failed computation, each with one stderr line.
 
     Floating-point trouble no step expects (an extreme case value) and a crashed trajectory writer are
     computation errors, and a library warning (a clamped budget) prints as one `{prog}: warning: ...` line.
@@ -420,7 +419,7 @@ def run_guarded(prog: str, run: Callable[[], int]) -> int:
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return run()
-    except (InputError, CaseError) as exc:
+    except InputError as exc:
         print(f"{prog}: input error: {exc}", file=sys.stderr)
         return 2
     except (PowerFlowError, KronReductionError, SimulationBlowUp, WriterFailed, ValueError, ArithmeticError) as exc:

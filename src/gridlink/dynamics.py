@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from gridlink.case import InputError
 from gridlink.model import SystemModel
 from gridlink.reduction import OperatingPoint, ReducedNetwork
 
@@ -42,7 +43,7 @@ class SimulationBlowUp(RuntimeError):
 def normalize_link(link: Link) -> Link:
     i, k = int(link[0]), int(link[1])
     if i == k:
-        raise ValueError(f"self-link {link}")
+        raise InputError(f"self-link {link}")
     return (i, k) if i < k else (k, i)
 
 
@@ -57,12 +58,13 @@ class ControlConfig:
     """Communication links with one common feedback gain, acting about the operating point.
 
     The links are stored normalized (i < k) and sorted; a self-link or a pair
-    given twice, in either orientation, raises ValueError, and link_laplacian
-    checks the endpoints against n.  The gain is pu power per radian, negative
-    for stabilizing feedback.  The control adds L_h (delta - model.op.delta_s)
-    to the mechanical power, L_h being the gain-weighted link Laplacian (see
-    link_laplacian), so it vanishes at the operating point and
-    (delta_s, omega_s) stays a fixed point for every link set and gain.
+    given twice, in either orientation, raises InputError (a ValueError), and
+    link_laplacian checks the endpoints against n.  The gain is pu power per
+    radian, negative for stabilizing feedback.  The control adds
+    L_h (delta - model.op.delta_s) to the mechanical power, L_h being the
+    gain-weighted link Laplacian (see link_laplacian), so it vanishes at the
+    operating point and (delta_s, omega_s) stays a fixed point for every link
+    set and gain.
     """
 
     links: tuple[Link, ...] = ()
@@ -71,7 +73,7 @@ class ControlConfig:
     def __post_init__(self):
         links = tuple(sorted(normalize_link(l) for l in self.links))
         if len(set(links)) != len(links):
-            raise ValueError("duplicate links")
+            raise InputError("duplicate links")
         object.__setattr__(self, "links", links)
 
 
@@ -87,10 +89,10 @@ class DisturbanceSpec:
     t_apply: float = 0.0  # s
 
     def apply_index(self, dt: float, steps: int) -> int:
-        """The disturbance-time rule: the row of the first grid time >= t_apply, ValueError if not in the run."""
+        """The disturbance-time rule: the row of the first grid time >= t_apply, InputError if not in the run."""
         index = np.ceil(self.t_apply / dt - 1e-9)  # infinite or NaN for such a t_apply
         if not (self.t_apply >= 0 and index <= steps):
-            raise ValueError(f"disturbance time {self.t_apply:.9g} s outside the run, 0 to {steps * dt:.9g} s")
+            raise InputError(f"disturbance time {self.t_apply:.9g} s outside the run, 0 to {steps * dt:.9g} s")
         return int(index)
 
 
@@ -103,11 +105,11 @@ class Trajectory:
 
 
 def horizon_steps(t_max: float, dt: float) -> int:
-    """The horizon rule: the steps to the last grid time k dt <= t_max (within 1e-9 steps), or ValueError."""
+    """The horizon rule: the steps to the last grid time k dt <= t_max (within 1e-9 steps), or InputError."""
     if not 0 < dt <= t_max < math.inf:
-        raise ValueError("dt must be a finite number > 0 and tmax a finite number >= dt")
+        raise InputError("dt must be a finite number > 0 and tmax a finite number >= dt")
     if t_max / dt > MAX_STEPS:
-        raise ValueError(f"tmax / dt exceeds {MAX_STEPS} steps")
+        raise InputError(f"tmax / dt exceeds {MAX_STEPS} steps")
     return math.floor(t_max / dt + 1e-9)
 
 
@@ -123,7 +125,7 @@ def link_laplacian(ctl: ControlConfig, n: int) -> np.ndarray:
     L_h[i, k] = -h for each link (i, k), so the control adds
     L_h (delta - model.op.delta_s) to the mechanical power and L_h / m is the
     Jacobian's control block.  A link with an endpoint outside 0..n-1 raises
-    ValueError.  An overflowing gain is left as an infinite entry without a
+    InputError.  An overflowing gain is left as an infinite entry without a
     warning; callers check finiteness.
     """
     lap = np.zeros((n, n))
@@ -131,7 +133,7 @@ def link_laplacian(ctl: ControlConfig, n: int) -> np.ndarray:
     with np.errstate(over="ignore"):
         for i, k in ctl.links:  # i < k
             if i < 0 or k >= n:
-                raise ValueError(f"link {(i, k)} has an endpoint outside 0..{n - 1}")
+                raise InputError(f"link {(i, k)} has an endpoint outside 0..{n - 1}")
             lap[i, i] += h
             lap[k, k] += h
             lap[i, k] -= h
@@ -264,7 +266,7 @@ def simulate(
     at its apply_index, the first grid time >= t_apply, and its power step to
     the operator's drive from that grid time onward (set_drive); only the
     target entries are written, so an infinite disturbance is a blow-up at
-    t_apply, not a warning.  A target outside 0..n-1 raises ValueError.  The
+    t_apply, not a warning.  A target outside 0..n-1 raises InputError.  The
     rows are checked for finiteness ROWS_PER_BLOCK at a time, as each block of
     them is complete; a non-finite row raises SimulationBlowUp at the time of
     the first one, after at most one block of further steps.
@@ -279,7 +281,7 @@ def simulate(
     steps = horizon_steps(t_max, dt)
     dist = disturbance or DisturbanceSpec(target=0)  # no disturbance is a zero one
     if not 0 <= dist.target < n:
-        raise ValueError(f"target {dist.target} out of range 0..{n - 1}")
+        raise InputError(f"target {dist.target} out of range 0..{n - 1}")
     apply_index = dist.apply_index(dt, steps)
 
     op = SwingOperator(model, ctl)

@@ -18,6 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 
+from gridlink.case import InputError
 from gridlink.dynamics import ControlConfig, Link, normalize_link
 from gridlink.linearization import alpha_for_links
 from gridlink.model import SystemModel
@@ -68,9 +69,9 @@ class PlanResult:
 
 
 def candidate_links(n: int, installed=()) -> list[Link]:
-    """All unordered generator pairs over 0..n-1 minus the installed set, sorted; ValueError if n < 2."""
+    """All unordered generator pairs over 0..n-1 minus the installed set, sorted; InputError if n < 2."""
     if n < 2:
-        raise ValueError(f"need at least two generators to form links, got {n}")
+        raise InputError(f"need at least two generators to form links, got {n}")
     taken = {normalize_link(l) for l in installed}
     return [(i, k) for i in range(n) for k in range(i + 1, n) if (i, k) not in taken]
 
@@ -85,13 +86,13 @@ def usable_cpu_count() -> int:
 
 
 def check_plan_args(budget: int, gain_h: float, workers: int = 1) -> None:
-    """The planning rule: ValueError unless budget >= 0, gain_h is finite and negative, and workers >= 1."""
+    """The planning rule: InputError unless budget >= 0, gain_h is finite and negative, and workers >= 1."""
     if budget < 0:
-        raise ValueError("budget must be nonnegative")
+        raise InputError("budget must be nonnegative")
     if not -math.inf < gain_h < 0:
-        raise ValueError("gain must be a finite number below zero")
+        raise InputError("gain must be a finite number below zero")
     if workers < 1:
-        raise ValueError("workers must be at least 1")
+        raise InputError("workers must be at least 1")
 
 
 def _plan_args(budget: int, gain_h: float, n: int, preinstalled=(), workers=1) -> tuple[list[Link], list[Link], int]:
@@ -167,9 +168,10 @@ def greedy_plan(
     TIE_TOL of zero ties with installing nothing and counts as nonpositive.
     Ties within TIE_TOL go to the lexicographically smallest pair.  A budget
     larger than the number of candidate links is clamped with a warning.
-    Arguments that break check_plan_args's rule, or ``preinstalled`` links
-    that ControlConfig or link_laplacian refuses, raise ValueError.  The sweeps
-    run on plan_pool's pool for ``workers``; the plan is the same for every value.
+    Arguments that break check_plan_args's rule, a model with fewer than two
+    generators, or ``preinstalled`` links that ControlConfig or link_laplacian
+    refuses raise InputError (a ValueError).  The sweeps run on plan_pool's
+    pool for ``workers``; the plan is the same for every value.
     """
     installed, remaining, budget = _plan_args(budget, gain_h, model.n, preinstalled, workers)
     alpha_before = baseline = sweep(model, [installed], gain_h)[0]

@@ -395,6 +395,14 @@ def test_no_invalid_case_can_be_built(broken):
         replace(case, **changes)
 
 
+@pytest.mark.parametrize("broken, rest", [(2, ""), (3, "; ... and 1 more")])
+def test_report_names_two_violations_and_counts_the_rest(ne39_case, broken, rest):
+    branches = [replace(br, r=0.0, x=0.0) if i < broken else br for i, br in enumerate(ne39_case.branches)]
+    with pytest.raises(CaseSchemaError) as exc:
+        replace(ne39_case, branches=branches)
+    assert str(exc.value) == f"branch 0 (1-2): r and x are both zero; branch 1 (1-39): r and x are both zero{rest}"
+
+
 def test_outage_that_islands_a_bus_is_refused_at_replace(ne39_case):
     branches = [br for br in ne39_case.branches if {br.from_bus, br.to_bus} != {2, 30}]
     assert len(branches) == len(ne39_case.branches) - 1

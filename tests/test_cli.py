@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,13 +24,25 @@ from conftest import (
     _per_value_table,
     _per_value_trajectory_document,
     _rows_on_one_line,
+    equilibrium_state,
     one_short_line,
     two_bus_feeder,
 )
 from gridlink import cli, planner, reports
-from gridlink.case import case_path
+from gridlink.case import case_path, parse_case, validate
 from gridlink.cli import main, parse_perturb
-from gridlink.dynamics import ROWS_PER_BLOCK, DisturbanceSpec, Trajectory, horizon_steps, row_blocks
+from gridlink.dynamics import (
+    ROWS_PER_BLOCK,
+    ControlConfig,
+    DisturbanceSpec,
+    Trajectory,
+    horizon_steps,
+    link_laplacian,
+    normalize_link,
+    row_blocks,
+    simulate,
+)
+from gridlink.linearization import alpha_for_links
 
 SINGLE_MACHINE = """{
   "base_mva": 100.0, "f0": 60.0,
@@ -411,6 +424,24 @@ def test_islanded_case_is_input_error(tmp_path, capsys, cut, islanded):
     assert not (tmp_path / "o").exists()
 
 
+def test_case_with_many_broken_rules_is_one_short_input_error(tmp_path, capsys):
+    # ne39 with every branch's r and x zero breaks 47 rules: the line names two and counts the rest
+    doc = json.loads(case_path("newengland39").read_text())
+    for branch in doc["branches"]:
+        branch["r"] = branch["x"] = 0
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(doc))
+    assert run(["analyze", "--case", case, "--out", tmp_path / "o"]) == 2
+    assert one_short_line(capsys.readouterr().err) == (
+        "gridlink: input error: branch 0 (1-2): r and x are both zero; branch 1 (1-39): r and x are both zero;"
+        " ... and 45 more"
+    )
+    assert not (tmp_path / "o").exists()
+    full = parse_case(case_path("newengland39").read_text())
+    full.branches[:] = [replace(branch, r=0.0, x=0.0) for branch in full.branches]
+    assert len(validate(full)) == 47  # validate still reports every entry
+
+
 @pytest.mark.parametrize(
     "bus, values",
     [(2, {"p_load": 1e-160, "v_set": 5e-324}), (0, {"v_set": 6.7e185})],
@@ -633,6 +664,50 @@ def test_undeclared_flag_is_usage_error(tmp_path, capsys, subcommand, extra):
         run([subcommand, "--case", case_path("toy3"), "--out", tmp_path / "o", *extra])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+LONG_INT, LONG_FLOAT = "1" + "0" * 5000, "x" + "0" * 5000
+
+
+@pytest.mark.parametrize(
+    "subcommand, flag, kind, value, shown",
+    [
+        ("plan", "--budget", "int", LONG_INT, "'100000000000...0000000000000'"),
+        ("plan", "--workers", "int", LONG_INT, "'100000000000...0000000000000'"),
+        ("analyze", "--gain", "float", LONG_FLOAT, "'x00000000000...0000000000000'"),
+        ("simulate", "--dt", "float", LONG_FLOAT, "'x00000000000...0000000000000'"),
+        ("simulate", "--tmax", "float", LONG_FLOAT, "'x00000000000...0000000000000'"),
+        # a value of up to 28 characters is echoed whole, as argparse echoes it
+        ("plan", "--budget", "int", "12x", "'12x'"),
+        ("plan", "--workers", "int", "2.5", "'2.5'"),
+        ("analyze", "--gain", "float", "1,5", "'1,5'"),
+        ("simulate", "--dt", "float", "1e-3s", "'1e-3s'"),
+        ("simulate", "--tmax", "float", "abcdefghijklmnopqrstuvwxyz01", "'abcdefghijklmnopqrstuvwxyz01'"),
+    ],
+    ids=["budget-long", "workers-long", "gain-long", "dt-long", "tmax-long", "budget", "workers", "gain", "dt",
+         "tmax-28"],
+)
+def test_bad_flag_value_is_one_short_usage_error(tmp_path, capsys, subcommand, flag, kind, value, shown):
+    with pytest.raises(SystemExit) as exc:
+        run([subcommand, "--case", case_path("toy3"), "--out", tmp_path / "o", flag, value])
+    assert exc.value.code == 2
+    line = capsys.readouterr().err.splitlines()[-1]
+    assert line == f"gridlink {subcommand}: error: argument {flag}: invalid {kind} value: {shown}"
+    assert len(line) <= 160
+
+
+@pytest.mark.parametrize(
+    "flag, kind, value, shown",
+    [("--budget", "int", LONG_INT, "'100000000000...0000000000000'"), ("--budget", "int", "1.5", "'1.5'"),
+     ("--ddelta", "float", LONG_FLOAT, "'x00000000000...0000000000000'"), ("--tmax", "float", "5s", "'5s'")],
+    ids=["budget-long", "budget", "ddelta-long", "tmax"],
+)
+def test_validate_decay_bad_flag_value_is_one_short_usage_error(capsys, flag, kind, value, shown):
+    with pytest.raises(SystemExit) as exc:
+        _validate_decay_main()([flag, value])
+    assert exc.value.code == 2
+    line = capsys.readouterr().err.splitlines()[-1]
+    assert line.endswith(f": error: argument {flag}: invalid {kind} value: {shown}") and len(line) <= 160
 
 
 def test_simulate_structured_document(tmp_path):
@@ -1093,6 +1168,48 @@ def test_run_argument_rule_is_the_library_check(tmp_path, capsys, gridlink_argv,
     if script_argv is not None:
         assert _validate_decay_main()(script_argv) == 2
         assert capsys.readouterr().err.splitlines() == [f"validate_decay: input error: {rule}"]
+
+
+def _simulate_toy3(target):
+    """A 10 ms toy3 run from equilibrium with a zero disturbance on generator target (0-based)."""
+    def run_it(model):
+        return simulate(equilibrium_state(model), model, ControlConfig(), DisturbanceSpec(target), t_max=0.01, dt=1e-3)
+    return run_it
+
+
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        (lambda model: normalize_link((1, 1)), "self-link (1, 1)"),
+        (lambda model: ControlConfig(((0, 1), (1, 0))), "duplicate links"),
+        (lambda model: DisturbanceSpec(0, t_apply=5.0).apply_index(1.0, 2),
+         "disturbance time 5 s outside the run, 0 to 2 s"),
+        (lambda model: horizon_steps(1.0, 0.0), HORIZON_RULE),
+        (lambda model: horizon_steps(1e9, 1e-3), STEPS_RULE),
+        (lambda model: link_laplacian(ControlConfig(((0, 3),), -1.0), 3), "link (0, 3) has an endpoint outside 0..2"),
+        (_simulate_toy3(3), "target 3 out of range 0..2"),
+        (lambda model: planner.candidate_links(1), "need at least two generators to form links, got 1"),
+        (lambda model: planner.check_plan_args(-1, -1.0), "budget must be nonnegative"),
+        (lambda model: planner.check_plan_args(1, 0.0), GAIN_RULE),
+        (lambda model: planner.check_plan_args(1, -1.0, 0), "workers must be at least 1"),
+    ],
+    ids=["self-link", "duplicate-links", "disturbance-time", "horizon", "step-cap", "link-endpoint",
+         "simulate-target", "one-generator", "budget", "gain", "workers"],
+)
+def test_library_argument_rule_raises_input_error(toy3_model, rule, message):
+    # the type says it is a caller's error (exit 2); it is still a ValueError, and a CaseError is one too
+    with pytest.raises(gridlink.InputError) as exc_info:
+        rule(toy3_model)
+    assert str(exc_info.value) == message
+    assert issubclass(gridlink.InputError, ValueError) and issubclass(gridlink.CaseError, gridlink.InputError)
+
+
+def test_run_guarded_decides_the_exit_code_by_the_error_type(capsys, toy3_model):
+    # an InputError raised deep in the library exits 2; a failed computation's ValueError still exits 1
+    assert cli.run_guarded("gridlink", lambda: _simulate_toy3(3)(toy3_model)) == 2
+    assert capsys.readouterr().err == "gridlink: input error: target 3 out of range 0..2\n"
+    assert cli.run_guarded("gridlink", lambda: alpha_for_links(toy3_model, [(0, 1)], -1e308)) == 1
+    assert capsys.readouterr().err == "gridlink: computation error: Jacobian has non-finite entries\n"
 
 
 def test_validate_decay_clamped_budget_warns_in_one_line(capfd):

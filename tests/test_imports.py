@@ -1,15 +1,18 @@
-"""Every module of the package, and the validation script, uses each name it imports, and each
-module of the package reads each private name it defines."""
+"""Every module of the package, and the validation script, uses each name it imports and imports only
+the standard library, numpy and gridlink, and each module of the package reads each private name it
+defines."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).parents[1]
+PACKAGE = sorted((ROOT / "src" / "gridlink").glob("*.py"))
+SCRIPT = ROOT / "scripts" / "validate_decay.py"
 # The package's __init__ imports names to re-export them, not to use them.
-SOURCES = sorted(p for p in (ROOT / "src" / "gridlink").glob("*.py") if p.name != "__init__.py")
-SOURCES.append(ROOT / "scripts" / "validate_decay.py")
+SOURCES = [*(p for p in PACKAGE if p.name != "__init__.py"), SCRIPT]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -64,6 +67,32 @@ def test_unread_private_names_are_found():
     ]
 
 
-@pytest.mark.parametrize("path", sorted((ROOT / "src" / "gridlink").glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_unread_private_names(path):
     assert unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def undeclared_imports(source: str) -> list[str]:
+    """The modules source imports that are neither in the standard library, numpy nor gridlink: numpy is the
+    one declared dependency, so nothing may start to rely on another installed package, scipy say."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "gridlink"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:  # a relative import stays in the package
+            modules = [node.module]
+        else:
+            continue
+        found += [f"{m} (line {node.lineno})" for m in modules if m.split(".")[0] not in allowed]
+    return found
+
+
+def test_undeclared_imports_are_found():
+    source = "import os.path\nimport numpy as np\nimport scipy\nfrom scipy.linalg import eigvals\nfrom . import case\n"
+    assert undeclared_imports(source) == ["scipy (line 3)", "scipy.linalg (line 4)"]
+
+
+@pytest.mark.parametrize("path", [*PACKAGE, SCRIPT], ids=lambda p: p.name)
+def test_imports_only_declared_dependencies(path):
+    assert undeclared_imports(path.read_text(encoding="utf-8")) == []
