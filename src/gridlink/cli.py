@@ -60,18 +60,17 @@ def number(kind: type[int] | type[float]) -> Callable[[str], int | float]:
     return convert
 
 
-def parse_perturb(spec: str) -> DisturbanceSpec:
-    """Parse '--perturb gen=I,ddelta=X,domega=Y[,at=T]' or 'pm-step gen=I,dpm=Z,at=T' into one DisturbanceSpec.
+# The --perturb value keys and the DisturbanceSpec fields they set; gen=I, 1-based, sets the target.
+PERTURB_KEYS = {"ddelta": "d_delta", "domega": "d_omega", "dpm": "d_pm", "at": "t_apply"}
 
-    Each form allows only its own fields.  Generator numbers are 1-based on the command line.
+
+def parse_perturb(spec: str) -> DisturbanceSpec:
+    """Parse '--perturb [pm-step] gen=I[,ddelta=X][,domega=Y][,dpm=Z][,at=T]' into one DisturbanceSpec.
+
+    The terms combine, an omitted one is zero, and the prefix 'pm-step' sets nothing.
     """
-    spec = spec.strip()
-    kind = "state-offset"
-    if spec.startswith("pm-step"):
-        kind = "mechanical-step"
-        spec = spec[len("pm-step") :].strip()
     fields: dict[str, float] = {}
-    for part in spec.split(","):
+    for part in spec.strip().removeprefix("pm-step").split(","):
         part = part.strip()
         if not part:
             continue
@@ -91,21 +90,14 @@ def parse_perturb(spec: str) -> DisturbanceSpec:
             raise InputError(f"perturbation term {reprlib.repr(part)}: not {problem}") from exc
         if key != "gen" and not math.isfinite(fields[key]):  # gen is an int: its range is checked below
             raise InputError(f"perturbation term {reprlib.repr(part)}: must be a finite number")
-    allowed = {"gen", "ddelta", "domega", "at"} if kind == "state-offset" else {"gen", "dpm", "at"}
-    unknown = sorted(set(fields) - allowed)
-    if unknown:
-        raise InputError(f"perturbation fields {reprlib.repr(unknown)} not valid for kind {kind}")
+    if unknown := sorted(set(fields) - {"gen", *PERTURB_KEYS}):
+        keys = ", ".join(["gen", *PERTURB_KEYS])
+        raise InputError(f"perturbation fields {reprlib.repr(unknown)} not valid; the keys are {keys}")
     if "gen" not in fields:
         raise InputError("perturbation requires gen=I")
     if fields["gen"] < 1:
         raise InputError("perturbation generator numbers are 1-based")
-    return DisturbanceSpec(
-        target=fields["gen"] - 1,
-        d_delta=fields.get("ddelta", 0.0),
-        d_omega=fields.get("domega", 0.0),
-        d_pm=fields.get("dpm", 0.0),
-        t_apply=fields.get("at", 0.0),
-    )
+    return DisturbanceSpec(fields.pop("gen") - 1, **{PERTURB_KEYS[key]: value for key, value in fields.items()})
 
 
 @contextlib.contextmanager
@@ -264,7 +256,11 @@ class _TrajectoryWriter(contextlib.AbstractContextManager):
     def _fork(self) -> None:
         self.out.flush()
         received, self.pipe = os.pipe()
-        self.pid = os.fork()
+        with warnings.catch_warnings():
+            # Python 3.12 on warns in the parent when it forks with threads running (numpy's BLAS); this
+            # child starts no thread and makes no BLAS call, and the warning raised as an error loses its pid
+            warnings.simplefilter("ignore", DeprecationWarning)
+            self.pid = os.fork()
         if self.pid:
             os.close(received)
             return
@@ -321,6 +317,7 @@ def run_simulate(args: argparse.Namespace) -> int:
     model, meta, links = _load(args)
     ctl = ControlConfig(links, args.gain)
     disturbance = args.perturb  # parse_perturb has checked all but its generator's range
+    # checked here, not left to simulate, so that a bad gen fails before --out is opened and truncated
     if disturbance is not None and disturbance.target >= model.n:
         raise InputError(f"perturbation generator {disturbance.target + 1} out of range for {model.n} generators")
     initial = MachineState(delta=model.op.delta_s, omega=np.full(model.n, model.op.omega_s))
@@ -390,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--perturb",
                 default=None,
-                help="'gen=I,ddelta=X,domega=Y[,at=T]' or 'pm-step gen=I,dpm=Z,at=T' (1-based generators)",
+                help="'[pm-step] gen=I[,ddelta=X][,domega=Y][,dpm=Z][,at=T]', terms combined (1-based generators)",
             )
     return parser
 

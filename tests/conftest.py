@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import numpy as np
@@ -54,6 +55,18 @@ def serialize_case(case) -> str:
             {"bus": gen.bus, "p_gen": gen.p_gen, "h": gen.inertia_h, "d": gen.damping_d, "xd_prime": gen.xd_prime}
         )
     return json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process behind, running or unreaped: a forked trajectory writer,
+    say, or a worker of the planner's pool."""
+    yield
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("the test left a child process")
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -266,10 +267,11 @@ def test_non_finite_number_is_input_error(tmp_path, capsys, subcommand, flag, va
         (["--perturb", f"gen=1,at={'9' * 400}"], None, "term 'at=999999999...9999999999999': must be a finite"),
         (["--perturb", f"gen=1,{'k' * 400}"], None, "malformed perturbation term 'kkkkkkkkkkkk...kkkkkkkkkkkkk'"),
         (["--perturb", f"gen=1,{'k' * 400}=1,{'k' * 400}=2"], None, "field 'kkkkkkkkkkkk...kkkkkkkkkkkkk' given"),
+        (["--perturb", "gen=1,dp=0.1"], None, "fields ['dp'] not valid; the keys are gen, ddelta, domega, dpm, at"),
     ],
     ids=["gen-fraction", "gen-inf", "at-inf", "gen-nan", "ddelta-nan", "bool-link", "step-cap", "gen-twice",
          "gen-huge", "gen-beyond-int-digits", "gen-huge-negative", "link-huge", "link-long", "ddelta-long",
-         "ddelta-long-text", "key-long", "at-long", "term-long", "key-long-twice"],
+         "ddelta-long-text", "key-long", "at-long", "term-long", "key-long-twice", "key-unknown"],
 )
 def test_malformed_simulate_input_is_input_error(tmp_path, capsys, extra, links_text, problem):
     argv = ["simulate", "--case", case_path("toy3"), "--out", tmp_path / "o", *extra]
@@ -301,9 +303,12 @@ def test_malformed_simulate_input_is_input_error(tmp_path, capsys, extra, links_
          "at-after-run", "pm-step-at-after-run", "at-negative"],
 )
 def test_flag_out_of_range_is_input_error(tmp_path, capsys, argv, line):
-    assert run([*argv, "--case", case_path("toy3"), "--out", tmp_path / "o"]) == 2
+    # each rule is checked before --out is opened, so an earlier file there is left as it was
+    earlier = tmp_path / "o"
+    earlier.write_bytes(b"an earlier document\n")
+    assert run([*argv, "--case", case_path("toy3"), "--out", earlier]) == 2
     assert capsys.readouterr().err.splitlines() == [f"gridlink: input error: {line}"]
-    assert not (tmp_path / "o").exists()
+    assert earlier.read_bytes() == b"an earlier document\n"
 
 
 @pytest.mark.parametrize("which", ["links-missing", "links-directory", "links-not-utf8", "case-not-utf8"])
@@ -940,6 +945,30 @@ print(threads)
     assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "inline.csv").read_bytes()
 
 
+def test_forked_writer_survives_the_fork_deprecation_warning(tmp_path, monkeypatch, forks):
+    # os.fork as Python 3.12 on has it in a multi-threaded process: the child starts, then the parent is
+    # warned; with warnings as errors, the run still exits 0 with the bytes of an unwarned run, and every
+    # writer child is reaped
+    argv = ["simulate", "--case", case_path("toy3"), "--out", tmp_path / "plain.csv", "--tmax", 3.0]
+    assert run(argv) == 0
+    recorded_fork = os.fork
+
+    def warning_fork():
+        pid = recorded_fork()
+        if pid:
+            message = f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to deadlocks"
+            warnings.warn(message, DeprecationWarning, stacklevel=2)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    with time_limit(60):
+        assert run([*argv[:4], tmp_path / "warned.csv", *argv[5:]]) == 0
+    assert (tmp_path / "warned.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    assert len(forks) == 2
+    for pid in forks:
+        assert_reaped(pid)
+
+
 def test_failed_simulate_leaves_a_symlinked_output_in_place(tmp_path):
     # only a regular file at --out is removed; a symlink (or a device such as /dev/null) is not
     case, links = _write_case(tmp_path)
@@ -1026,15 +1055,59 @@ def test_one_usable_cpu_makes_no_pool(tmp_path, monkeypatch, forks, toy4_model):
 def test_perturb_parsing_errors():
     from gridlink.cli import InputError
 
-    with pytest.raises(InputError):
-        parse_perturb("gen=1,dpm=0.5")  # dpm not valid for state-offset
-    with pytest.raises(InputError):
-        parse_perturb("pm-step gen=1,ddelta=0.1")
+    # every key may appear with or without the prefix: a dpm without it, a ddelta after it
+    assert parse_perturb("gen=1,dpm=0.5") == DisturbanceSpec(target=0, d_pm=0.5)
+    assert parse_perturb("pm-step gen=1,ddelta=0.1") == DisturbanceSpec(target=0, d_delta=0.1)
+    with pytest.raises(InputError, match=r"fields \['kick'\] not valid"):
+        parse_perturb("gen=1,kick=0.5")
+    with pytest.raises(InputError, match=r"fields \['pm-step gen'\] not valid"):
+        parse_perturb("gen=1,pm-step gen=1")  # the prefix may only lead the spec
     with pytest.raises(InputError):
         parse_perturb("ddelta=0.1")  # missing gen
     spec = parse_perturb("pm-step gen=3,dpm=0.1,at=1.5")
     assert spec == DisturbanceSpec(target=2, d_pm=0.1, t_apply=1.5)
     assert parse_perturb("gen=2,ddelta=0.1,domega=-0.2") == DisturbanceSpec(target=1, d_delta=0.1, d_omega=-0.2)
+
+
+@pytest.mark.parametrize(
+    "perturb, spec",
+    [
+        ("gen=1,ddelta=0.001", DisturbanceSpec(0, d_delta=0.001)),
+        ("gen=1,ddelta=0.05", DisturbanceSpec(0, d_delta=0.05)),
+        ("gen=2,ddelta=0.05", DisturbanceSpec(1, d_delta=0.05)),
+        ("gen=1,domega=0.05", DisturbanceSpec(0, d_omega=0.05)),
+        ("gen=2,ddelta=0.01,domega=0", DisturbanceSpec(1, d_delta=0.01)),
+        ("gen=2,ddelta=0.1,domega=-0.2", DisturbanceSpec(1, d_delta=0.1, d_omega=-0.2)),
+        ("gen=1,ddelta=0.1,at=5", DisturbanceSpec(0, d_delta=0.1, t_apply=5.0)),
+        ("pm-step gen=1,dpm=0.05,at=0.2", DisturbanceSpec(0, d_pm=0.05, t_apply=0.2)),
+        ("pm-step gen=3,dpm=0.1,at=1.5", DisturbanceSpec(2, d_pm=0.1, t_apply=1.5)),
+        ("pm-step gen=3,dpm=0.2,at=0.5", DisturbanceSpec(2, d_pm=0.2, t_apply=0.5)),
+        ("pm-step gen=2,at=0.005", DisturbanceSpec(1, t_apply=0.005)),
+        (" pm-step  gen = 2 , at = 0.005 ", DisturbanceSpec(1, t_apply=0.005)),
+        ("pm-stepgen=2,dpm=1e-3", DisturbanceSpec(1, d_pm=0.001)),
+        ("gen=+02,domega=-0,at=0", DisturbanceSpec(1, d_omega=-0.0)),
+        # the terms combine: an angle kick and a power step on one generator, with or without the prefix
+        ("gen=2,ddelta=0.05,dpm=0.1,at=0.5", DisturbanceSpec(1, 0.05, 0.0, 0.1, 0.5)),
+        ("pm-step gen=2,ddelta=0.05,dpm=0.1,at=0.5", DisturbanceSpec(1, 0.05, 0.0, 0.1, 0.5)),
+    ],
+)
+def test_perturb_spec_builds_its_record(perturb, spec):
+    # the rows above the combined ones are specs of the two earlier forms, state offset and pm-step, each
+    # with the record it built then; the reprs compare each field's type and a zero's sign too
+    assert repr(parse_perturb(perturb)) == repr(spec)
+
+
+def test_simulate_combined_perturbation_writes_simulates_rows(tmp_path, toy3_model):
+    # a spec of both kinds of term writes the rows of simulate() given its record, named by its nonzero dpm
+    out = tmp_path / "traj.json"
+    assert run(["simulate", "--case", case_path("toy3"), "--out", out, "--tmax", 3.0,
+                "--perturb", "gen=2,ddelta=0.05,dpm=0.1,at=0.5", "--format", "structured"]) == 0
+    doc = json.loads(out.read_text())
+    traj = simulate(equilibrium_state(toy3_model), toy3_model, ControlConfig((), -1.0),
+                    DisturbanceSpec(1, 0.05, 0.0, 0.1, 0.5), t_max=3.0, dt=1e-3)
+    assert doc["meta"]["disturbance"] == "mechanical-step"
+    assert np.array_equal(doc["times"], traj.times)
+    assert np.array_equal(doc["delta"], traj.delta) and np.array_equal(doc["omega"], traj.omega)
 
 
 @pytest.mark.parametrize(
@@ -1044,6 +1117,7 @@ def test_perturb_parsing_errors():
         ("gen=2,ddelta=0.05", "state-offset"),
         ("pm-step gen=3,dpm=0.2,at=0.005", "mechanical-step"),
         ("pm-step gen=2,at=0.005", "state-offset"),  # a zero step changes no drive, so it is labelled as an offset
+        ("gen=2,ddelta=0.05,dpm=0.2,at=0.005", "mechanical-step"),  # a nonzero dpm names a combined spec
     ],
 )
 def test_simulate_header_names_the_disturbance(tmp_path, perturb, label):

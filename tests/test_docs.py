@@ -1,5 +1,6 @@
 """The README states what the code accepts: the case example names exactly the keys the case reader
-reads, and the command-line synopsis lists exactly the flags each subcommand declares."""
+reads, the command-line synopsis lists exactly the flags each subcommand declares, and the --perturb form
+names exactly the keys its parser takes."""
 
 import argparse
 import json
@@ -38,3 +39,11 @@ def test_command_line_synopsis_lists_every_declared_flag():
         for name, parser in subparsers.choices.items()
     }
     assert synopsis == {name: [flag for flag in flags if flag != "--help"] for name, flags in declared.items()}
+
+
+def test_perturb_form_names_exactly_the_parser_keys():
+    [form] = re.findall(r'`--perturb "([^"]*)"`', README)
+    assert re.findall(r"(\w+)=", form) == ["gen", *cli.PERTURB_KEYS]
+    [subparsers] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    [perturb] = [a for a in subparsers.choices["simulate"]._actions if "--perturb" in a.option_strings]
+    assert perturb.help.startswith(f"'{form}'")
