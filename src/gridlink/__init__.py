@@ -45,7 +45,7 @@ from gridlink.linearization import (
     jacobian,
     spectral_abscissa,
 )
-from gridlink.model import SystemModel, build_system, machine_constants
+from gridlink.model import SystemModel, build_system
 from gridlink.planner import (
     PlanIteration,
     PlanResult,

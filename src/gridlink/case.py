@@ -14,7 +14,6 @@ import reprlib
 import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -285,7 +284,7 @@ def build_ybus(case: PowerCase) -> np.ndarray:
 
 def case_path(name: str) -> Path:
     """Filesystem path of a bundled case ('toy3', 'toy4', 'newengland39')."""
-    return Path(str(resources.files("gridlink").joinpath("cases", f"{name}.json")))
+    return Path(__file__).with_name("cases") / f"{name}.json"
 
 
 def load_case(name_or_path: str | Path) -> PowerCase:

@@ -38,7 +38,7 @@ from gridlink.dynamics import (
 )
 from gridlink.linearization import alpha_for_links, spectral_abscissa
 from gridlink.model import SystemModel, build_system
-from gridlink.planner import check_plan_args, greedy_plan
+from gridlink.planner import check_plan_args, fork_warning_ignored, greedy_plan
 from gridlink.powerflow import PowerFlowError
 from gridlink.reduction import KronReductionError
 from gridlink import reports
@@ -256,10 +256,7 @@ class _TrajectoryWriter(contextlib.AbstractContextManager):
     def _fork(self) -> None:
         self.out.flush()
         received, self.pipe = os.pipe()
-        with warnings.catch_warnings():
-            # Python 3.12 on warns in the parent when it forks with threads running (numpy's BLAS); this
-            # child starts no thread and makes no BLAS call, and the warning raised as an error loses its pid
-            warnings.simplefilter("ignore", DeprecationWarning)
+        with fork_warning_ignored():
             self.pid = os.fork()
         if self.pid:
             os.close(received)

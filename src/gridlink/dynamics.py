@@ -225,18 +225,15 @@ class SwingOperator:
         """Make p_m (n floats) the constant mechanical power: H's last column becomes c - G x_ref."""
         self.h[:, -1] = np.concatenate([np.zeros(self.n), p_m / self.m]) - self._g_x_ref
 
-    def __call__(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write dx/dt at x into out (2n floats) and return it."""
-        np.copyto(self.state, x)
-        return self.rate(out)
-
 
 def swing_rhs(
     state: MachineState, model: SystemModel, ctl: ControlConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(d delta/dt, d omega/dt) of the controlled swing equations, by the SwingOperator simulate uses."""
+    """(d delta/dt, d omega/dt) of the controlled swing equations, by a SwingOperator entered as simulate
+    enters it for each k1: the stacked state copied into ``state``, then ``rate``."""
     op = SwingOperator(model, ctl)
-    rate = op(np.concatenate([state.delta, state.omega], dtype=float), np.empty(2 * model.n))
+    np.copyto(op.state, np.concatenate([state.delta, state.omega]))
+    rate = op.rate(np.empty(2 * model.n))
     return rate[: model.n], rate[model.n :]
 
 

@@ -31,17 +31,9 @@ class SystemModel:
         return self.m.size
 
 
-def machine_constants(case: PowerCase) -> tuple[np.ndarray, np.ndarray]:
-    """(m, d) arrays in generator-list order; m = 2*inertia_h/omega_s."""
-    omega_s = case.omega_s
-    m = np.array([2.0 * gen.inertia_h / omega_s for gen in case.generators])
-    d = np.array([gen.damping_d for gen in case.generators])
-    return m, d
-
-
 def build_system(case: PowerCase) -> SystemModel:
-    """Case -> power flow (default tolerance) -> reduction -> SystemModel."""
-    pf = solve_powerflow(case)
-    net, op = reduce_case(case, pf)
-    m, d = machine_constants(case)
+    """Case -> power flow (default tolerance) -> reduction -> SystemModel, m and d in generator-list order."""
+    net, op = reduce_case(case, solve_powerflow(case))
+    m = np.array([2.0 * gen.inertia_h / case.omega_s for gen in case.generators])
+    d = np.array([gen.damping_d for gen in case.generators])
     return SystemModel(net=net, op=op, m=m, d=d)

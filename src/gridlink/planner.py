@@ -122,6 +122,22 @@ def _worker_alpha(links: list[Link]) -> float:
 
 
 @contextmanager
+def fork_warning_ignored():
+    """The fork rule: this process forks (the pool's workers in sweep, the CLI's trajectory writer) in here.
+
+    Python 3.12 on warns in the parent when it forks with threads running, as numpy's BLAS threads are once
+    started.  Raised as an error, that warning comes after the child has started and loses its pid, so
+    nothing would reap or stop the child; it is ignored.  What it warns of, a lock held by another thread
+    at the fork, holds up neither child: the writer starts no thread and makes no BLAS call, and numpy's
+    OpenBLAS stops its threads in a fork handler and starts new ones in a child that calls it, as the
+    pool's workers do.  Other BLAS builds are unverified.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        yield
+
+
+@contextmanager
 def plan_pool(model: SystemModel, gain_h: float, workers: int, first_sweep: int):
     """One plan's (pool, size) of size = min(workers, usable CPUs, first_sweep) processes, or None if size <= 1."""
     size = min(workers, usable_cpu_count(), first_sweep)
@@ -148,7 +164,9 @@ def sweep(model: SystemModel, link_sets: list[list[Link]], gain_h: float, pool=N
         return [alpha_for_links(model, links, gain_h) for links in link_sets]
     executor, size = pool
     chunksize = math.ceil(len(link_sets) / (CHUNKS_PER_WORKER * size))
-    return list(executor.map(_worker_alpha, link_sets, chunksize=chunksize))
+    with fork_warning_ignored():  # the first map starts the workers
+        alphas = executor.map(_worker_alpha, link_sets, chunksize=chunksize)
+    return list(alphas)
 
 
 def greedy_plan(

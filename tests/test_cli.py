@@ -759,6 +759,21 @@ def forks(monkeypatch):
     return pids
 
 
+def warn_at_fork(monkeypatch):
+    """Make os.fork act as Python 3.12 on has it in a multi-threaded process: the child starts, then the
+    parent is warned."""
+    recorded_fork = os.fork
+
+    def warning_fork():
+        pid = recorded_fork()
+        if pid:
+            message = f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to deadlocks"
+            warnings.warn(message, DeprecationWarning, stacklevel=2)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+
+
 def assert_reaped(pid):
     # waitpid of a child that was reaped, or of no child, raises ChildProcessError
     with pytest.raises(ChildProcessError):
@@ -782,7 +797,7 @@ def time_limit(seconds):
 
 @pytest.mark.parametrize("fmt", ["table", "structured"])
 @pytest.mark.parametrize("rows", [1, ROWS_PER_BLOCK, ROWS_PER_BLOCK + 1, 3 * ROWS_PER_BLOCK + 1])
-def test_trajectory_writer_pooled_and_inline_write_the_same_bytes(tmp_path, monkeypatch, forks, fmt, rows):
+def test_trajectory_writer_forked_and_inline_write_the_same_bytes(tmp_path, monkeypatch, forks, fmt, rows):
     # blocks handed on as simulate hands them on, each written to shared memory just before; a forked
     # writer, started only for more than one block where os.fork exists, reads no row before it is final
     # (the rows after it hold NaN), into a real file, and writes the bytes the inline writer writes
@@ -814,8 +829,8 @@ def test_trajectory_writer_pooled_and_inline_write_the_same_bytes(tmp_path, monk
 
     inline = written(False)
     assert forks == []
-    pooled = written(True)
-    assert pooled == inline == expected
+    forked = written(True)
+    assert forked == inline == expected
     assert len(forks) == (rows > ROWS_PER_BLOCK)
     for pid in forks:
         assert_reaped(pid)
@@ -901,7 +916,7 @@ def test_crashed_writer_is_a_computation_error(tmp_path, monkeypatch, capsys, fo
 
 
 def test_forked_writer_leaves_stdout_to_its_parent(tmp_path):
-    # a line buffered on stdout before a pooled simulate is written once: the forked writer ends by
+    # a line buffered on stdout before a forked simulate is written once: the forked writer ends by
     # os._exit, not through interpreter shutdown, which would flush its copy of the buffer too
     argv = ["simulate", "--case", str(case_path("toy3")), "--out", str(tmp_path / "traj.csv"), "--tmax", "3"]
     code = (
@@ -946,27 +961,67 @@ print(threads)
 
 
 def test_forked_writer_survives_the_fork_deprecation_warning(tmp_path, monkeypatch, forks):
-    # os.fork as Python 3.12 on has it in a multi-threaded process: the child starts, then the parent is
-    # warned; with warnings as errors, the run still exits 0 with the bytes of an unwarned run, and every
-    # writer child is reaped
+    # with os.fork warning as Python 3.12 on does in a multi-threaded process, and warnings as errors, the
+    # run still exits 0 with the bytes of an unwarned run, and every writer child is reaped
     argv = ["simulate", "--case", case_path("toy3"), "--out", tmp_path / "plain.csv", "--tmax", 3.0]
     assert run(argv) == 0
-    recorded_fork = os.fork
-
-    def warning_fork():
-        pid = recorded_fork()
-        if pid:
-            message = f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to deadlocks"
-            warnings.warn(message, DeprecationWarning, stacklevel=2)
-        return pid
-
-    monkeypatch.setattr(os, "fork", warning_fork)
+    warn_at_fork(monkeypatch)
     with time_limit(60):
         assert run([*argv[:4], tmp_path / "warned.csv", *argv[5:]]) == 0
     assert (tmp_path / "warned.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
     assert len(forks) == 2
     for pid in forks:
         assert_reaped(pid)
+
+
+def test_forked_pool_survives_the_fork_deprecation_warning(ne39_model, monkeypatch, forks):
+    # the planner's pool forks its workers in the first sweep; with os.fork warning as the writer's test
+    # has it, and warnings as errors, the pooled plan is the serial one and every worker is reaped.  A
+    # worker forked before the warning broke the pool never exits: it is killed here, and the test fails
+    serial = gridlink.greedy_plan(ne39_model, budget=2, gain_h=-1.0)
+    monkeypatch.setattr(planner, "usable_cpu_count", lambda: 2)
+    warn_at_fork(monkeypatch)
+    orphans = []
+    try:
+        with time_limit(60):
+            pooled = gridlink.greedy_plan(ne39_model, budget=2, gain_h=-1.0, workers=2)
+    finally:
+        for pid in forks:
+            with contextlib.suppress(ChildProcessError):  # the pool reaped it
+                if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                orphans.append(pid)
+    assert pooled == serial
+    assert len(forks) == 2 and orphans == []
+
+
+def test_forked_pool_with_blas_threads_running():
+    # numpy's OpenBLAS at two threads, so the pool forks its workers from a process with more than one OS
+    # thread, and each worker then calls eigvals; with the fork warning an error, the pooled plan is the
+    # serial one and no worker is left unreaped
+    code = """
+import os, sys
+import gridlink
+from gridlink import planner
+planner.usable_cpu_count = lambda: 2
+model = gridlink.build_system(gridlink.load_case("newengland39"))
+serial = gridlink.greedy_plan(model, budget=2, gain_h=-1.0)
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+assert gridlink.greedy_plan(model, budget=2, gain_h=-1.0, workers=2) == serial
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    pass
+else:
+    sys.exit("a pool worker was left unreaped")
+print(threads)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "2"}
+    proc = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "None" or int(proc.stdout) > 1  # OS threads when the pool forked
 
 
 def test_failed_simulate_leaves_a_symlinked_output_in_place(tmp_path):
@@ -1006,7 +1061,7 @@ def test_failed_write_leaves_no_output_file(tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["table", "structured"])
-def test_simulate_pm_step_pooled_and_inline_bytes_agree(tmp_path, monkeypatch, forks, fmt):
+def test_simulate_pm_step_forked_and_inline_bytes_agree(tmp_path, monkeypatch, forks, fmt):
     # a forked writer and the inline writer write the same document
     def simulate_bytes(forked):
         out = tmp_path / f"traj-{forked}"

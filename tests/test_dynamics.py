@@ -307,7 +307,8 @@ def test_swing_operator_power_term_is_electrical_power(ne39_model, seed):
     delta = model.op.delta_s if seed is None else np.random.default_rng(seed).uniform(-math.pi, math.pi, n)
     op = SwingOperator(model, ControlConfig())
     op.set_drive(np.zeros(n))
-    rate = op(np.concatenate([delta, np.full(n, model.op.omega_s)]), np.empty(2 * n))
+    op.state[:] = np.concatenate([delta, np.full(n, model.op.omega_s)])
+    rate = op.rate(np.empty(2 * n))
     expected = electrical_power(delta, model.net)
     assert np.all(rate[:n] == 0.0)
     assert np.all(np.abs(-model.m * rate[n:] - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
@@ -328,7 +329,10 @@ def test_swing_operator_finite_differences_match_jacobian(ne39_model):
         xp, xm = x0.copy(), x0.copy()
         xp[col] += h
         xm[col] -= h
-        fd[:, col] = (op(xp, np.empty(2 * n)) - op(xm, np.empty(2 * n))) / (2 * h)
+        op.state[:] = xp
+        plus = op.rate(np.empty(2 * n))
+        op.state[:] = xm
+        fd[:, col] = (plus - op.rate(np.empty(2 * n))) / (2 * h)
     assert np.all(np.abs(fd - j) <= 1e-6 * np.abs(j) + 1e-9 * np.abs(j).max())
 
 
@@ -621,10 +625,14 @@ def test_simulate_blowup_time_matches_per_step_loop(gain, t_max, time):
         for k in range(round(t_max / dt) + 1):
             if not np.isfinite(x).all():
                 break
-            k1 = op(x, rate[0])
-            k2 = op(x + 0.5 * dt * k1, rate[1])
-            k3 = op(x + 0.5 * dt * k2, rate[2])
-            k4 = op(x + dt * k3, rate[3])
+            op.state[:] = x
+            k1 = op.rate(rate[0])
+            op.state[:] = x + 0.5 * dt * k1
+            k2 = op.rate(rate[1])
+            op.state[:] = x + 0.5 * dt * k2
+            k3 = op.rate(rate[2])
+            op.state[:] = x + dt * k3
+            k4 = op.rate(rate[3])
             x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     assert exc_info.value.time == k * dt
     assert round(k * dt, 9) == time
