@@ -1,9 +1,10 @@
 """Command-line front end: case -> power flow -> reduction -> analysis.
 
 Subcommands: analyze (spectrum report), plan (greedy link planning), simulate
-(time-domain validation), reduce (reduced network + operating point).  Exit
-codes: 0 success, 1 computation failure, 2 input or configuration failure;
-failures print a single-line diagnostic on stderr.
+(nonlinear swing trajectory), validate (planned alpha_max against the fitted
+decay rate), reduce (reduced network + operating point).  Exit codes: 0
+success, 1 computation failure, 2 input or configuration failure; failures
+print a single-line diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -38,10 +39,14 @@ from gridlink.dynamics import (
 )
 from gridlink.linearization import alpha_for_links, spectral_abscissa
 from gridlink.model import SystemModel, build_system
-from gridlink.planner import check_plan_args, fork_warning_ignored, greedy_plan
+from gridlink.planner import PlanResult, check_plan_args, fork_warning_ignored, greedy_plan
 from gridlink.powerflow import PowerFlowError
 from gridlink.reduction import KronReductionError
 from gridlink import reports
+
+# Relative mismatch validate allows between the fitted decay rate and alpha_max (acceptance criterion 6).
+MAX_MISMATCH = 0.15
+MIN_HORIZON = 5.0  # validate's shortest default horizon, s
 
 
 class WriterFailed(Exception):
@@ -194,6 +199,14 @@ def run_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_plan(args: argparse.Namespace, result: PlanResult, meta: dict) -> None:
+    """Write the plan document, in --format, to --out."""
+    if args.format == "structured":
+        _write(args, reports.render_json(reports.plan_document(result, meta)))
+    else:
+        _write(args, reports.plan_table(result, meta))
+
+
 def run_plan(args: argparse.Namespace) -> int:
     model, meta, preinstalled = _load(args)
     result = greedy_plan(
@@ -213,10 +226,7 @@ def run_plan(args: argparse.Namespace) -> int:
             "workers": args.workers,
         }
     )
-    if args.format == "structured":
-        _write(args, reports.render_json(reports.plan_document(result, meta)))
-    else:
-        _write(args, reports.plan_table(result, meta))
+    _write_plan(args, result, meta)
     return 0
 
 
@@ -344,13 +354,48 @@ def run_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def run_validate(args: argparse.Namespace) -> int:
+    """Plan, kick generator 1 by --ddelta, simulate, and gate the fitted decay rate against alpha_max.
+
+    Without --tmax the horizon is max(MIN_HORIZON, 4 / |alpha_max|) s, four time constants of the
+    slowest mode, so the fit from tmax / 4 on sees that mode rather than the faster ones.  The plan runs
+    with allow_nonpositive, and the simulated control is the --links links plus the planned ones.
+    alpha_max >= 0 and a mismatch above MAX_MISMATCH are computation errors; on success the plan
+    document is written, its meta holding the run and the fit.
+    """
+    model, meta, preinstalled = _load(args)
+    result = greedy_plan(model, args.budget, args.gain, allow_nonpositive=True, preinstalled=preinstalled)
+    alpha = result.final_alpha
+    if alpha >= 0:
+        raise ValueError(f"alpha_max = {alpha:.6e} >= 0, no decay to validate")
+    tmax = args.tmax if args.tmax is not None else max(MIN_HORIZON, 4.0 / abs(alpha))
+    horizon_steps(tmax, args.dt)
+    initial = MachineState(model.op.delta_s, np.full(model.n, model.op.omega_s))
+    ctl = ControlConfig(preinstalled + result.links, args.gain)
+    traj = simulate(initial, model, ctl, DisturbanceSpec(target=0, d_delta=args.ddelta), t_max=tmax, dt=args.dt)
+    fitted = decay_rate(traj, model.op, t_start=tmax / 4.0)
+    mismatch = abs(fitted - alpha) / abs(alpha)
+    if mismatch > MAX_MISMATCH:
+        raise ValueError(f"mismatch {mismatch:.2%} exceeds {MAX_MISMATCH:.0%}")
+    meta.update(budget=args.budget, gain=args.gain, preinstalled=len(preinstalled), ddelta=args.ddelta, dt=args.dt,
+                t_max=tmax, fitted_decay_rate=repr(fitted), mismatch=repr(mismatch))
+    _write_plan(args, result, meta)
+    return 0
+
+
 def run_reduce(args: argparse.Namespace) -> int:
     model, meta, _ = _load(args)
     _write(args, reports.render_json(reports.reduction_document(model.net, model.op, meta)))
     return 0
 
 
-_RUNNERS = {"analyze": run_analyze, "plan": run_plan, "simulate": run_simulate, "reduce": run_reduce}
+_RUNNERS = {
+    "analyze": run_analyze,
+    "plan": run_plan,
+    "simulate": run_simulate,
+    "validate": run_validate,
+    "reduce": run_reduce,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,6 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze": "eigenvalue spectrum and alpha_max of the linearized system",
         "plan": "greedily place budgeted communication links to minimize alpha_max",
         "simulate": "integrate the nonlinear swing dynamics and fit the decay rate",
+        "validate": "plan links, then check alpha_max against the decay rate of a kicked simulation",
         "reduce": "emit the Kron-reduced network and operating point",
     }
     for name, help_text in specs.items():
@@ -374,12 +420,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--links", default=None, help="JSON file with pre-installed links (1-based pairs)")
         p.add_argument("--gain", type=number(float), default=-1.0, help="common link gain h (pu power per rad)")
         p.add_argument("--format", choices=("table", "structured"), default="table")
-        if name == "plan":
+        if name in ("plan", "validate"):
             p.add_argument("--budget", type=number(int), default=15, help="number of links to install")
+        if name == "plan":
             p.add_argument("--allow-nonpositive", action="store_true", help="keep installing when no link helps")
             p.add_argument("--workers", type=number(int), default=1, help="worker processes for the candidate sweep")
-        if name == "simulate":
+        if name in ("simulate", "validate"):
             p.add_argument("--dt", type=number(float), default=1e-3, help="integration step, seconds")
+        if name == "validate":
+            p.add_argument("--tmax", type=number(float), default=None,
+                           help="horizon, seconds (default max(5, 4 / |alpha_max|))")
+            p.add_argument("--ddelta", type=number(float), default=0.01, help="angle kick on generator 1, rad")
+        if name == "simulate":
             p.add_argument("--tmax", type=number(float), default=20.0, help="horizon, seconds")
             p.add_argument(
                 "--perturb",
@@ -393,6 +445,12 @@ def check_args(args: argparse.Namespace) -> None:
     """Reject bad flag values before any model work; replaces --perturb by its DisturbanceSpec."""
     if args.subcommand == "plan":
         check_plan_args(args.budget, args.gain, args.workers)
+    elif args.subcommand == "validate":
+        if not math.isfinite(args.ddelta):
+            raise InputError("--ddelta must be a finite number")
+        check_plan_args(args.budget, args.gain)
+        # a default horizon is at least max(MIN_HORIZON, dt); run_validate checks the one the plan gives
+        horizon_steps(max(MIN_HORIZON, args.dt) if args.tmax is None else args.tmax, args.dt)
     elif args.subcommand in ("analyze", "simulate") and not math.isfinite(args.gain):
         raise InputError("gain must be a finite number")
     if args.subcommand == "simulate":
@@ -402,22 +460,22 @@ def check_args(args: argparse.Namespace) -> None:
             args.perturb.apply_index(args.dt, steps)
 
 
-def run_guarded(prog: str, run: Callable[[], int]) -> int:
+def run_guarded(run: Callable[[], int]) -> int:
     """run()'s exit code, or 2 for an InputError and 1 for a failed computation, each with one stderr line.
 
     Floating-point trouble no step expects (an extreme case value) and a crashed trajectory writer are
-    computation errors, and a library warning (a clamped budget) prints as one `{prog}: warning: ...` line.
+    computation errors, and a library warning (a clamped budget) prints as one `gridlink: warning: ...` line.
     """
     formatwarning = warnings.formatwarning
-    warnings.formatwarning = lambda message, *_, line=None: f"{prog}: warning: {message}\n"
+    warnings.formatwarning = lambda message, *_, line=None: f"gridlink: warning: {message}\n"
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return run()
     except InputError as exc:
-        print(f"{prog}: input error: {exc}", file=sys.stderr)
+        print(f"gridlink: input error: {exc}", file=sys.stderr)
         return 2
     except (PowerFlowError, KronReductionError, SimulationBlowUp, WriterFailed, ValueError, ArithmeticError) as exc:
-        print(f"{prog}: computation error: {exc}", file=sys.stderr)
+        print(f"gridlink: computation error: {exc}", file=sys.stderr)
         return 1
     finally:
         warnings.formatwarning = formatwarning
@@ -430,7 +488,7 @@ def main(argv: list[str] | None = None) -> int:
         check_args(args)
         return _RUNNERS[args.subcommand](args)
 
-    return run_guarded("gridlink", run)
+    return run_guarded(run)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,6 @@ import argparse
 import concurrent.futures
 import contextlib
 import copy
-import importlib.util
 import io
 import json
 import mmap
@@ -218,18 +217,17 @@ def test_plan_rejects_nonnegative_gain(tmp_path, capsys):
 
 
 def test_plan_one_generator_is_input_error(tmp_path, capsys):
-    # gridlink plan and validate_decay.py both report planner.candidate_links's message
+    # gridlink plan and validate both report planner.candidate_links's message
     case = tmp_path / "feeder.json"
     case.write_text(two_bus_feeder(0.5))
     rule = "need at least two generators to form links, got 1"
     with pytest.raises(ValueError, match=f"^{rule}$"):
         planner.candidate_links(1)
-    assert run(["plan", "--case", case, "--out", tmp_path / "o"]) == 2
-    assert capsys.readouterr().err.splitlines() == [f"gridlink: input error: {rule}"]
-    assert not (tmp_path / "o").exists()
-    assert _validate_decay_main()(["--case", str(case)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.splitlines() == [f"validate_decay: input error: {rule}"] and captured.out == ""
+    for subcommand in ("plan", "validate"):
+        assert run([subcommand, "--case", case, "--out", tmp_path / "o"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"gridlink: input error: {rule}"] and captured.out == ""
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -337,17 +335,16 @@ def test_unreadable_input_file_is_input_error(tmp_path, capsys, which):
     ids=["unknown-name", "not-a-string", "long-name"],
 )
 def test_unknown_bus_kind_is_input_error(tmp_path, capsys, kind, rule):
-    # the case's own rule names the bus, and the reader a kind that is no string, from both front ends,
-    # in one line and without a traceback
+    # the case's own rule names the bus, and the reader a kind that is no string, from analyze and
+    # validate, in one line and without a traceback
     doc = json.loads(case_path("toy3").read_text())
     doc["buses"][1]["kind"] = kind
     case = tmp_path / "case.json"
     case.write_text(json.dumps(doc))
-    assert run(["analyze", "--case", case, "--out", tmp_path / "o"]) == 2
-    assert capsys.readouterr().err.splitlines() == [f"gridlink: input error: {rule}"]
-    assert _validate_decay_main()(["--case", str(case)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.splitlines() == [f"validate_decay: input error: {rule}"] and captured.out == ""
+    for subcommand in ("analyze", "validate"):
+        assert run([subcommand, "--case", case, "--out", tmp_path / "o"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"gridlink: input error: {rule}"] and captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -707,12 +704,13 @@ def test_bad_flag_value_is_one_short_usage_error(tmp_path, capsys, subcommand, f
      ("--ddelta", "float", LONG_FLOAT, "'x00000000000...0000000000000'"), ("--tmax", "float", "5s", "'5s'")],
     ids=["budget-long", "budget", "ddelta-long", "tmax"],
 )
-def test_validate_decay_bad_flag_value_is_one_short_usage_error(capsys, flag, kind, value, shown):
+def test_validate_decay_bad_flag_value_is_one_short_usage_error(tmp_path, capsys, flag, kind, value, shown):
     with pytest.raises(SystemExit) as exc:
-        _validate_decay_main()([flag, value])
+        run(["validate", "--case", case_path("toy3"), "--out", tmp_path / "o", flag, value])
     assert exc.value.code == 2
     line = capsys.readouterr().err.splitlines()[-1]
-    assert line.endswith(f": error: argument {flag}: invalid {kind} value: {shown}") and len(line) <= 160
+    assert line == f"gridlink validate: error: argument {flag}: invalid {kind} value: {shown}"
+    assert len(line) <= 160
 
 
 def test_simulate_structured_document(tmp_path):
@@ -1224,22 +1222,15 @@ def test_analyze_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def _validate_decay_main():
-    path = Path(__file__).parents[1] / "scripts" / "validate_decay.py"
-    spec = importlib.util.spec_from_file_location("validate_decay", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.main
-
-
-def test_validate_decay_default_horizon_covers_slowest_mode(capsys):
+def test_validate_decay_default_horizon_covers_slowest_mode(tmp_path, capsys):
     # toy4's slowest mode decays at about 0.11 /s; a 5 s horizon fits the faster ones
-    main = _validate_decay_main()
-    assert main(["--case", "toy4", "--budget", "1"]) == 0
-    assert "horizon:           36.8404 s" in capsys.readouterr().out
-    assert main(["--case", "toy4", "--budget", "1", "--tmax", "5"]) == 1
-    err = capsys.readouterr().err
-    assert err.splitlines() == [err.strip()] and "exceeds 15%" in err
+    out = tmp_path / "validate.txt"
+    assert run(["validate", "--case", case_path("toy4"), "--out", out, "--budget", 1]) == 0
+    assert "# t_max: 36.8404094720145" in out.read_text().splitlines()
+    out.unlink()
+    assert run(["validate", "--case", case_path("toy4"), "--out", out, "--budget", 1, "--tmax", 5]) == 1
+    assert capsys.readouterr().err == "gridlink: computation error: mismatch 91.91% exceeds 15%\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -1247,14 +1238,14 @@ def test_validate_decay_default_horizon_covers_slowest_mode(capsys):
     [
         (["--gain", "1.0"], 2, GAIN_RULE),
         (["--budget", "-1"], 2, "budget must be nonnegative"),
-        (["--case", "nosuch"], 2, "cannot read case nosuch: No such file or directory"),
+        (["--case", "nosuch"], 2, "cannot read case file nosuch: No such file or directory"),
         (["--dt", "0"], 2, HORIZON_RULE),
         (["--tmax", "0.0001"], 2, HORIZON_RULE),
         (["--ddelta", "nan"], 2, "--ddelta must be a finite number"),
         (["--tmax", "1e9"], 2, STEPS_RULE),
         (["--dt", "1e-9"], 2, STEPS_RULE),  # every default horizon has too many steps
-        # gridlink's wording for a case file that is not UTF-8; LATIN1 stands for the file's path
-        (["--case", "LATIN1"], 2, "cannot read case LATIN1: not UTF-8 text (invalid start byte)"),
+        # a case file that is not UTF-8; LATIN1 stands for the file's path
+        (["--case", "LATIN1"], 2, "cannot read case file LATIN1: not UTF-8 text (invalid start byte)"),
     ],
 )
 def test_validate_decay_failures_print_one_line(tmp_path, capsys, argv, code, line):
@@ -1263,20 +1254,22 @@ def test_validate_decay_failures_print_one_line(tmp_path, capsys, argv, code, li
     latin1.write_bytes(b"\xff")
     argv = [str(latin1) if a == "LATIN1" else a for a in argv]
     line = line.replace("LATIN1", str(latin1))
-    assert _validate_decay_main()(argv) == code
+    # a later --case takes the place of toy3
+    assert run(["validate", "--case", case_path("toy3"), "--out", tmp_path / "o", *argv]) == code
     captured = capsys.readouterr()
     kind = "input error" if code == 2 else "computation error"
-    assert captured.err == f"validate_decay: {kind}: {line}\n"
+    assert captured.err == f"gridlink: {kind}: {line}\n"
     assert captured.out == ""
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
-    "gridlink_argv, script_argv, check, rule",
+    "gridlink_argv, validate_argv, check, rule",
     [
         (["simulate", "--dt", "0"], ["--dt", "0"], lambda: horizon_steps(20.0, 0.0), HORIZON_RULE),
         (["simulate", "--tmax", "5e-4"], ["--tmax", "5e-4"], lambda: horizon_steps(5e-4, 1e-3), HORIZON_RULE),
         (["simulate", "--tmax", "1e9"], ["--tmax", "1e9"], lambda: horizon_steps(1e9, 1e-3), STEPS_RULE),
-        # the script's default horizon on toy3 is 5 s
+        # validate's default horizon on toy3 is 5 s
         (["simulate", "--dt", "1e-9"], ["--dt", "1e-9"], lambda: horizon_steps(5.0, 1e-9), STEPS_RULE),
         (["plan", "--budget", "-1"], ["--budget", "-1"], lambda: planner.check_plan_args(-1, -1.0),
          "budget must be nonnegative"),
@@ -1287,16 +1280,16 @@ def test_validate_decay_failures_print_one_line(tmp_path, capsys, argv, code, li
     ids=["dt-zero", "tmax-below-dt", "step-cap", "dt-tiny", "budget-negative", "gain-zero", "gain-nan",
          "workers-zero"],
 )
-def test_run_argument_rule_is_the_library_check(tmp_path, capsys, gridlink_argv, script_argv, check, rule):
-    # gridlink and validate_decay.py (which has no --workers) state each rule by the library check that holds it
+def test_run_argument_rule_is_the_library_check(tmp_path, capsys, gridlink_argv, validate_argv, check, rule):
+    # plan or simulate, and validate (which has no --workers), state each rule by the library check that holds it
     with pytest.raises(ValueError) as exc_info:
         check()
     assert str(exc_info.value) == rule
     assert run([*gridlink_argv, "--case", case_path("toy3"), "--out", tmp_path / "o"]) == 2
     assert capsys.readouterr().err.splitlines() == [f"gridlink: input error: {rule}"]
-    if script_argv is not None:
-        assert _validate_decay_main()(script_argv) == 2
-        assert capsys.readouterr().err.splitlines() == [f"validate_decay: input error: {rule}"]
+    if validate_argv is not None:
+        assert run(["validate", *validate_argv, "--case", case_path("toy3"), "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"gridlink: input error: {rule}"]
 
 
 def _simulate_toy3(target):
@@ -1335,24 +1328,64 @@ def test_library_argument_rule_raises_input_error(toy3_model, rule, message):
 
 def test_run_guarded_decides_the_exit_code_by_the_error_type(capsys, toy3_model):
     # an InputError raised deep in the library exits 2; a failed computation's ValueError still exits 1
-    assert cli.run_guarded("gridlink", lambda: _simulate_toy3(3)(toy3_model)) == 2
+    assert cli.run_guarded(lambda: _simulate_toy3(3)(toy3_model)) == 2
     assert capsys.readouterr().err == "gridlink: input error: target 3 out of range 0..2\n"
-    assert cli.run_guarded("gridlink", lambda: alpha_for_links(toy3_model, [(0, 1)], -1e308)) == 1
+    assert cli.run_guarded(lambda: alpha_for_links(toy3_model, [(0, 1)], -1e308)) == 1
     assert capsys.readouterr().err == "gridlink: computation error: Jacobian has non-finite entries\n"
 
 
-def test_validate_decay_clamped_budget_warns_in_one_line(capfd):
+def test_validate_decay_clamped_budget_warns_in_one_line(tmp_path, capfd):
     # a subprocess, so the warning reaches stderr the way a user sees it
     env = {**os.environ, "PYTHONPATH": str(Path(gridlink.__file__).parents[1])}
-    script = Path(__file__).parents[1] / "scripts" / "validate_decay.py"
-    proc = subprocess.run([sys.executable, str(script), "--case", "toy3", "--budget", "5"], env=env, timeout=60)
+    out = tmp_path / "validate.txt"
+    argv = ["validate", "--case", str(case_path("toy3")), "--out", str(out), "--budget", "5"]
+    proc = subprocess.run([sys.executable, "-m", "gridlink", *argv], env=env, timeout=60)
     assert proc.returncode == 0
     captured = capfd.readouterr()
-    assert captured.err.splitlines() == ["validate_decay: warning: budget 5 exceeds the 3 available links; clamped"]
-    assert captured.out == (
-        "links installed:   [(1, 2), (1, 3), (2, 3)]\n"
-        "horizon:           5 s\n"
-        "alpha_max:         -1.178097e+00\n"
-        "fitted decay rate: -1.193536e+00\n"
-        "relative mismatch: 1.31%\n"
-    )
+    assert captured.err.splitlines() == ["gridlink: warning: budget 5 exceeds the 3 available links; clamped"]
+    assert captured.out == ""
+    meta = dict(line[2:].split(": ", 1) for line in out.read_text().splitlines() if line.startswith("# "))
+    assert (meta["links_installed"], meta["t_max"], meta["final_alpha"][:9]) == ("3", "5.0", "-1.178097")
+    assert f"{float(meta['fitted_decay_rate']):.6e}" == "-1.193536e+00"
+    assert f"{float(meta['mismatch']):.2%}" == "1.31%"
+    rows = [line.split(",")[1:3] for line in out.read_text().splitlines()[-3:]]
+    assert rows == [["1", "2"], ["1", "3"], ["2", "3"]]
+
+
+def test_validate_without_decay_is_one_line_computation_error(tmp_path, capsys):
+    # undamped, toy3's alpha_max is zero up to rounding, of either sign on another host
+    doc = json.loads(case_path("toy3").read_text())
+    for gen in doc["generators"]:
+        gen["d"] = 0.0
+    case = tmp_path / "undamped.json"
+    case.write_text(json.dumps(doc))
+    assert run(["validate", "--case", case, "--out", tmp_path / "o", "--budget", 0]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("gridlink: computation error: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_validate_simulates_the_links_file_and_the_planned_links(tmp_path):
+    # greedy picks (1, 3) on toy4, so preinstalling it with no budget must validate the same system
+    def validate_meta(*extra):
+        out = tmp_path / "validate.json"
+        assert run(["validate", "--case", case_path("toy4"), "--out", out, "--format", "structured", *extra]) == 0
+        return json.loads(out.read_text())["meta"]
+
+    links = tmp_path / "links.json"
+    links.write_text('{"links": [[1, 3]]}')
+    planned, preinstalled = validate_meta("--budget", 1), validate_meta("--budget", 0, "--links", links)
+    assert preinstalled["final_alpha"] == planned["final_alpha"]
+    assert preinstalled["fitted_decay_rate"] == planned["fitted_decay_rate"]
+
+
+def test_validate_document_is_the_plan_document(tmp_path):
+    def document(subcommand):
+        out = tmp_path / f"{subcommand}.json"
+        assert run([subcommand, "--case", case_path("newengland39"), "--out", out, "--budget", 3,
+                    "--format", "structured"]) == 0
+        return json.loads(out.read_text())
+
+    plan, validate = document("plan"), document("validate")
+    for key in ("iterations", "baseline_alpha", "final_alpha"):
+        assert validate[key] == plan[key], key
