@@ -369,7 +369,10 @@ def run_validate(args: argparse.Namespace) -> int:
     if alpha >= 0:
         raise ValueError(f"alpha_max = {alpha:.6e} >= 0, no decay to validate")
     tmax = args.tmax if args.tmax is not None else max(MIN_HORIZON, 4.0 / abs(alpha))
-    horizon_steps(tmax, args.dt)
+    try:
+        horizon_steps(tmax, args.dt)  # check_args has checked a given --tmax
+    except InputError as exc:  # not the user's flag: the horizon the plan gives
+        raise ValueError(f"derived horizon {tmax:.6g} s: {exc}; --tmax sets the horizon") from None
     initial = MachineState(model.op.delta_s, np.full(model.n, model.op.omega_s))
     ctl = ControlConfig(preinstalled + result.links, args.gain)
     traj = simulate(initial, model, ctl, DisturbanceSpec(target=0, d_delta=args.ddelta), t_max=tmax, dt=args.dt)

@@ -4,19 +4,23 @@ Each iteration evaluates the marginal gain (drop in alpha_max) of every
 remaining candidate link, installs the best one, and repeats until the budget
 is spent or no link helps.  An exhaustive planner over all budget-sized
 subsets serves as a small-instance oracle.  Both planners evaluate link sets
-only through ``sweep``; a greedy plan's sweeps share the one pool of
-min(workers, usable CPUs, first-sweep candidates) processes that ``plan_pool``
-starts, and run serially when that is 1.
+only through ``sweep``, which forks min(workers, usable CPUs, link sets)
+worker processes for each sweep of a greedy plan, and runs serially when that
+is 1 or the platform has no os.fork.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
+import select
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
+
+import numpy as np
 
 from gridlink.case import InputError
 from gridlink.dynamics import ControlConfig, Link, normalize_link
@@ -28,7 +32,7 @@ from gridlink.model import SystemModel
 # evaluation order.
 TIE_TOL = 1e-12
 
-# A pool sweep hands each worker at most this many contiguous chunks of the
+# A forked sweep hands each worker at most this many contiguous chunks of the
 # candidates, so a worker slowed by the host does not hold up the sweep by a
 # whole half of it.
 CHUNKS_PER_WORKER = 8
@@ -107,66 +111,60 @@ def _plan_args(budget: int, gain_h: float, n: int, preinstalled=(), workers=1) -
     return installed, remaining, budget
 
 
-# Set once in each sweep worker process by _init_worker.
-_worker_args: tuple[SystemModel, float] | None = None
-
-
-def _init_worker(model: SystemModel, gain_h: float) -> None:
-    global _worker_args
-    _worker_args = (model, gain_h)
-
-
-def _worker_alpha(links: list[Link]) -> float:
-    model, gain_h = _worker_args
-    return alpha_for_links(model, links, gain_h)
-
-
 @contextmanager
 def fork_warning_ignored():
-    """The fork rule: this process forks (the pool's workers in sweep, the CLI's trajectory writer) in here.
+    """The fork rule: this process forks (sweep's workers, the CLI's trajectory writer) in here.
 
     Python 3.12 on warns in the parent when it forks with threads running, as numpy's BLAS threads are once
     started.  Raised as an error, that warning comes after the child has started and loses its pid, so
     nothing would reap or stop the child; it is ignored.  What it warns of, a lock held by another thread
     at the fork, holds up neither child: the writer starts no thread and makes no BLAS call, and numpy's
-    OpenBLAS stops its threads in a fork handler and starts new ones in a child that calls it, as the
-    pool's workers do.  Other BLAS builds are unverified.
+    OpenBLAS stops its threads in a fork handler and starts new ones in a child that calls it, as sweep's
+    workers do.  Other BLAS builds are unverified.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)
         yield
 
 
-@contextmanager
-def plan_pool(model: SystemModel, gain_h: float, workers: int, first_sweep: int):
-    """One plan's (pool, size) of size = min(workers, usable CPUs, first_sweep) processes, or None if size <= 1."""
-    size = min(workers, usable_cpu_count(), first_sweep)
-    if size <= 1:
-        yield None
-        return
-    from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(size, initializer=_init_worker, initargs=(model, gain_h))
-    try:
-        yield pool, size
-    finally:
-        pool.shutdown(cancel_futures=True)
+def sweep(model: SystemModel, link_sets: list[list[Link]], gain_h: float, workers: int = 1) -> list[float]:
+    """alpha_for_links of each link set, in input order, bitwise the same for every ``workers``.
 
-
-def sweep(model: SystemModel, link_sets: list[list[Link]], gain_h: float, pool=None) -> list[float]:
-    """alpha_for_links of each link set, in input order.
-
-    Without a pool, alpha_for_links is looked up here at each call.  With
-    plan_pool's (pool, size), it is one pool.map over the link sets in
-    contiguous chunks, at most CHUNKS_PER_WORKER per worker, each handed to
-    whichever worker is free; the alphas are bitwise those of the serial sweep.
+    alpha_for_links is looked up here at each call.  With size = min(workers, usable CPUs, link sets) above 1
+    and os.fork, size forked children read the starts of contiguous chunks, at most CHUNKS_PER_WORKER per
+    child, from a pipe filled by one atomic write, and write the alphas into an anonymous shared mapping.  A
+    slot a child left unwritten (it raised or was killed) is evaluated here in input order, so an error is
+    the serial sweep's.  Otherwise the sweep is serial.
     """
-    if pool is None:
+    size = min(workers, usable_cpu_count(), len(link_sets))
+    if size <= 1 or not hasattr(os, "fork"):
         return [alpha_for_links(model, links, gain_h) for links in link_sets]
-    executor, size = pool
-    chunksize = math.ceil(len(link_sets) / (CHUNKS_PER_WORKER * size))
-    with fork_warning_ignored():  # the first map starts the workers
-        alphas = executor.map(_worker_alpha, link_sets, chunksize=chunksize)
-    return list(alphas)
+    alphas = np.frombuffer(mmap.mmap(-1, len(link_sets) * 8))
+    alphas.fill(math.nan)
+    # fewer, larger chunks where their starts would not fit in one atomic write
+    chunk = math.ceil(len(link_sets) / min(CHUNKS_PER_WORKER * size, select.PIPE_BUF // 8))
+    received, sent = os.pipe()
+    with open(sent, "wb", buffering=0) as pipe:  # closed before the fork, so each child reads to EOF
+        pipe.write(b"".join(start.to_bytes(8, "little") for start in range(0, len(link_sets), chunk)))
+    pids = []
+    try:
+        with fork_warning_ignored():
+            for _ in range(size):
+                if not (pid := os.fork()):
+                    try:
+                        while message := os.read(received, 8):
+                            start = int.from_bytes(message, "little")
+                            for i in range(start, min(start + chunk, len(link_sets))):
+                                alphas[i] = alpha_for_links(model, link_sets[i], gain_h)
+                    finally:
+                        os._exit(0)
+                pids.append(pid)
+    finally:
+        os.close(received)
+        for pid in pids:
+            os.waitpid(pid, 0)
+    return [alpha_for_links(model, links, gain_h) if math.isnan(alpha) else alpha
+            for links, alpha in zip(link_sets, alphas.tolist())]
 
 
 def greedy_plan(
@@ -188,29 +186,28 @@ def greedy_plan(
     larger than the number of candidate links is clamped with a warning.
     Arguments that break check_plan_args's rule, a model with fewer than two
     generators, or ``preinstalled`` links that ControlConfig or link_laplacian
-    refuses raise InputError (a ValueError).  The sweeps run on plan_pool's
-    pool for ``workers``; the plan is the same for every value.
+    refuses raise InputError (a ValueError).  Each sweep of the candidates
+    forks up to ``workers`` processes; the plan is the same for every value.
     """
     installed, remaining, budget = _plan_args(budget, gain_h, model.n, preinstalled, workers)
     alpha_before = baseline = sweep(model, [installed], gain_h)[0]
     iterations: list[PlanIteration] = []
     stop_reason = None
-    with plan_pool(model, gain_h, workers, len(remaining) if budget else 0) as pool:
-        for it in range(1, budget + 1):
-            alphas = sweep(model, [installed + [link] for link in remaining], gain_h, pool)
-            best_link, best_alpha, best_gain = None, math.inf, -math.inf
-            for link, alpha in zip(remaining, alphas):
-                gain = alpha_before - alpha
-                if gain > best_gain + TIE_TOL:
-                    best_link, best_alpha, best_gain = link, alpha, gain
-            if best_gain <= TIE_TOL and not allow_nonpositive:
-                stop_reason = (f"best marginal gain {best_gain:.3e} counts as nonpositive"
-                               f" (not above TIE_TOL = {TIE_TOL:g}) at iteration {it}")
-                break
-            installed.append(best_link)  # unsorted: ControlConfig sorts each link set a sweep evaluates
-            remaining.remove(best_link)
-            iterations.append(PlanIteration(link=best_link, alpha_max_after=best_alpha))
-            alpha_before = best_alpha
+    for it in range(1, budget + 1):
+        alphas = sweep(model, [installed + [link] for link in remaining], gain_h, workers)
+        best_link, best_alpha, best_gain = None, math.inf, -math.inf
+        for link, alpha in zip(remaining, alphas):
+            gain = alpha_before - alpha
+            if gain > best_gain + TIE_TOL:
+                best_link, best_alpha, best_gain = link, alpha, gain
+        if best_gain <= TIE_TOL and not allow_nonpositive:
+            stop_reason = (f"best marginal gain {best_gain:.3e} counts as nonpositive"
+                           f" (not above TIE_TOL = {TIE_TOL:g}) at iteration {it}")
+            break
+        installed.append(best_link)  # unsorted: ControlConfig sorts each link set a sweep evaluates
+        remaining.remove(best_link)
+        iterations.append(PlanIteration(link=best_link, alpha_max_after=best_alpha))
+        alpha_before = best_alpha
     return PlanResult(baseline_alpha=baseline, iterations=tuple(iterations), stop_reason=stop_reason)
 
 

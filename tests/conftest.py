@@ -60,7 +60,7 @@ def serialize_case(case) -> str:
 @pytest.fixture(autouse=True)
 def no_child_left():
     """Fail a test that leaves a child process behind, running or unreaped: a forked trajectory writer,
-    say, or a worker of the planner's pool."""
+    say, or a worker that planner.sweep forked."""
     yield
     try:
         os.waitpid(-1, os.WNOHANG)
@@ -116,31 +116,36 @@ def equilibrium_state(model):
 
 
 @pytest.fixture
-def inline_pool(monkeypatch):
-    """Run the planner's worker pool in this process; returns the pool sizes requested.
+def forks(monkeypatch):
+    """Record the pid of every process os.fork starts from this one."""
+    pids, real_fork = [], os.fork
 
-    No process is started, so a test can ask for any worker count.
-    """
-    import concurrent.futures
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+@pytest.fixture
+def sweep_forks(monkeypatch, forks):
+    """The number of processes each call of planner.sweep forks, in call order."""
     from gridlink import planner
 
-    sizes = []
+    counts, real_sweep = [], planner.sweep
 
-    class InlinePool:
-        def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
-            initializer(*initargs)
+    def sweep(*args, **kwargs):
+        before = len(forks)
+        try:
+            return real_sweep(*args, **kwargs)
+        finally:
+            counts.append(len(forks) - before)
 
-        def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
-
-        def shutdown(self, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(planner, "_worker_args", None)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    return sizes
+    monkeypatch.setattr(planner, "sweep", sweep)
+    return counts
 
 
 def one_short_line(err, *paths):

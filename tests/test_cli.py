@@ -1,5 +1,4 @@
 import argparse
-import concurrent.futures
 import contextlib
 import copy
 import io
@@ -567,13 +566,13 @@ def test_plan_worker_error_exit_code(tmp_path, capsys):
     assert "computation error: Jacobian has non-finite entries" in capsys.readouterr().err
 
 
-def test_plan_echoes_requested_workers(tmp_path, monkeypatch, inline_pool):
+def test_plan_echoes_requested_workers(tmp_path, monkeypatch, sweep_forks):
     monkeypatch.setattr("gridlink.planner.usable_cpu_count", lambda: 4)
     out = tmp_path / "plan.json"
     assert run(["plan", "--case", case_path("toy4"), "--out", out, "--budget", 2, "--workers", 64,
                 "--format", "structured"]) == 0
     assert json.loads(out.read_text())["meta"]["workers"] == 64
-    assert inline_pool == [4]
+    assert sweep_forks == [0, 4, 4]  # the baseline, then each sweep of the candidates
 
 
 def test_plan_final_alpha_equals_analyze(tmp_path):
@@ -740,21 +739,6 @@ def test_simulate_pm_step(tmp_path):
     code = run(["simulate", "--case", case_path("toy3"), "--out", out, "--tmax", 1.0,
                 "--perturb", "pm-step gen=1,dpm=0.05,at=0.2"])
     assert code == 0
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """Record the pid of every process os.fork starts from this one."""
-    pids, real_fork = [], os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
 
 
 def warn_at_fork(monkeypatch):
@@ -973,9 +957,9 @@ def test_forked_writer_survives_the_fork_deprecation_warning(tmp_path, monkeypat
 
 
 def test_forked_pool_survives_the_fork_deprecation_warning(ne39_model, monkeypatch, forks):
-    # the planner's pool forks its workers in the first sweep; with os.fork warning as the writer's test
-    # has it, and warnings as errors, the pooled plan is the serial one and every worker is reaped.  A
-    # worker forked before the warning broke the pool never exits: it is killed here, and the test fails
+    # each sweep of the candidates forks its workers; with os.fork warning as the writer's test has it,
+    # and warnings as errors, the pooled plan is the serial one and every worker is reaped.  A worker
+    # forked before the warning broke the sweep would not be reaped: it is killed here, and the test fails
     serial = gridlink.greedy_plan(ne39_model, budget=2, gain_h=-1.0)
     monkeypatch.setattr(planner, "usable_cpu_count", lambda: 2)
     warn_at_fork(monkeypatch)
@@ -985,17 +969,17 @@ def test_forked_pool_survives_the_fork_deprecation_warning(ne39_model, monkeypat
             pooled = gridlink.greedy_plan(ne39_model, budget=2, gain_h=-1.0, workers=2)
     finally:
         for pid in forks:
-            with contextlib.suppress(ChildProcessError):  # the pool reaped it
+            with contextlib.suppress(ChildProcessError):  # the sweep reaped it
                 if os.waitpid(pid, os.WNOHANG) == (0, 0):
                     os.kill(pid, signal.SIGKILL)
                     os.waitpid(pid, 0)
                 orphans.append(pid)
     assert pooled == serial
-    assert len(forks) == 2 and orphans == []
+    assert len(forks) == 2 * 2 and orphans == []  # two workers for each of the two sweeps
 
 
 def test_forked_pool_with_blas_threads_running():
-    # numpy's OpenBLAS at two threads, so the pool forks its workers from a process with more than one OS
+    # numpy's OpenBLAS at two threads, so each sweep forks its workers from a process with more than one OS
     # thread, and each worker then calls eigvals; with the fork warning an error, the pooled plan is the
     # serial one and no worker is left unreaped
     code = """
@@ -1012,14 +996,14 @@ try:
 except ChildProcessError:
     pass
 else:
-    sys.exit("a pool worker was left unreaped")
+    sys.exit("a sweep worker was left unreaped")
 print(threads)
 """
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "2"}
     proc = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "None" or int(proc.stdout) > 1  # OS threads when the pool forked
+    assert proc.stdout.strip() == "None" or int(proc.stdout) > 1  # OS threads when the sweeps forked
 
 
 def test_failed_simulate_leaves_a_symlinked_output_in_place(tmp_path):
@@ -1078,14 +1062,8 @@ def test_simulate_pm_step_forked_and_inline_bytes_agree(tmp_path, monkeypatch, f
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
 def test_one_usable_cpu_makes_no_pool(tmp_path, monkeypatch, forks, toy4_model):
     # under an affinity of one CPU, as taskset or a cpuset sets it, os.cpu_count() still counts every CPU;
-    # the planner starts no pool there, while simulate still forks its writer, which writes the same bytes
-    made = []
-
-    def no_pool(*args, **kwargs):
-        made.append(args)
-        raise AssertionError("a pool was started with one usable CPU")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    # the planner's sweeps fork nothing there, while simulate still forks its writer, which writes the same
+    # bytes
     argv = ["simulate", "--case", case_path("toy3"), "--out", tmp_path / "forked.csv", "--tmax", 3.0]
     allowed = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(allowed)})
@@ -1096,9 +1074,8 @@ def test_one_usable_cpu_makes_no_pool(tmp_path, monkeypatch, forks, toy4_model):
         plan = gridlink.greedy_plan(toy4_model, budget=2, gain_h=-1.0, workers=2)
     finally:
         os.sched_setaffinity(0, allowed)
-    assert made == []
     assert plan == gridlink.greedy_plan(toy4_model, budget=2, gain_h=-1.0)
-    (pid,) = forks
+    (pid,) = forks  # the writer's: the plan forked nothing
     assert_reaped(pid)
     monkeypatch.delattr(os, "fork")
     assert run(argv[:4] + [tmp_path / "inline.csv"] + argv[5:]) == 0
@@ -1246,13 +1223,21 @@ def test_validate_decay_default_horizon_covers_slowest_mode(tmp_path, capsys):
         (["--dt", "1e-9"], 2, STEPS_RULE),  # every default horizon has too many steps
         # a case file that is not UTF-8; LATIN1 stands for the file's path
         (["--case", "LATIN1"], 2, "cannot read case file LATIN1: not UTF-8 text (invalid start byte)"),
+        # toy3 with every d = 1e-4: stable, alpha_max -0.002356, so the default horizon is 4 / |alpha_max|
+        (["--case", "LIGHT", "--budget", "1"], 1,
+         "derived horizon 1697.65 s: tmax / dt exceeds 1000000 steps; --tmax sets the horizon"),
     ],
 )
 def test_validate_decay_failures_print_one_line(tmp_path, capsys, argv, code, line):
     # a bad argument or case exits 2, a run that fails exits 1, each with one stderr line and no traceback
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(b"\xff")
-    argv = [str(latin1) if a == "LATIN1" else a for a in argv]
+    light = tmp_path / "light.json"
+    doc = json.loads(case_path("toy3").read_text())
+    for gen in doc["generators"]:
+        gen["d"] = 1e-4
+    light.write_text(json.dumps(doc))
+    argv = [{"LATIN1": str(latin1), "LIGHT": str(light)}.get(a, a) for a in argv]
     line = line.replace("LATIN1", str(latin1))
     # a later --case takes the place of toy3
     assert run(["validate", "--case", case_path("toy3"), "--out", tmp_path / "o", *argv]) == code

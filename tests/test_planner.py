@@ -1,7 +1,7 @@
 import json
 import math
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from itertools import combinations
@@ -141,62 +141,95 @@ def test_greedy_parallel_sweep_identical(ne39_model):
     assert parallel == serial
 
 
-def test_pool_sweep_bitwise_equals_serial(monkeypatch, ne39_model):
-    # the pool maps the candidates in chunks of several and returns them in candidate order
+def test_pool_sweep_bitwise_equals_serial(monkeypatch, sweep_forks, ne39_model):
+    # two forked workers fill the candidates' alphas in chunks of several, in candidate order
     monkeypatch.setattr(planner, "usable_cpu_count", lambda: 2)
-    for model, picks in [(ne39_model, [(0, 8), (0, 2), (0, 1)]), (_random_35_generator_model(seed=3), [(3, 17)])]:
+    synth35 = [(_random_35_generator_model(seed), [(0, 1)]) for seed in range(4)]
+    for model, picks in [(ne39_model, [(0, 8), (0, 2), (0, 1)]), *synth35]:
         installed = []
-        with planner.plan_pool(model, -1.0, workers=2, first_sweep=len(candidate_links(model.n))) as pool:
-            chunksizes = []
-            executor, _ = pool
-            pool_map = executor.map
-
-            def recording_map(fn, items, chunksize):
-                chunksizes.append(chunksize)
-                return pool_map(fn, items, chunksize=chunksize)
-
-            executor.map = recording_map
-            for link in picks:
-                candidates = [installed + [l] for l in candidate_links(model.n, installed)]
-                assert planner.sweep(model, candidates, -1.0, pool) == planner.sweep(model, candidates, -1.0)
-                installed = sorted(installed + [link])
-            assert len(chunksizes) == len(picks) and min(chunksizes) > 1
+        for link in picks:
+            candidates = [installed + [l] for l in candidate_links(model.n, installed)]
+            pooled, serial = planner.sweep(model, candidates, -1.0, 2), planner.sweep(model, candidates, -1.0)
+            assert np.array(pooled).tobytes() == np.array(serial).tobytes()
+            assert sweep_forks[-2:] == [2, 0]
+            installed = sorted(installed + [link])
 
 
-def test_worker_error_reaches_caller(ne39_model):
-    # the baseline has no links and is finite; every candidate's control
-    # block overflows, so the error is raised inside the worker processes
+def test_killed_worker_costs_time_not_the_plan(monkeypatch, forks, ne39_model):
+    # a worker killed part way through its chunk leaves its slots to the parent, which evaluates them
+    # serially: the alphas are the serial sweep's, and both workers are reaped
+    candidates = [[link] for link in candidate_links(ne39_model.n)]
+    serial = planner.sweep(ne39_model, candidates, -1.0)
+    parent = os.getpid()
+
+    def killed_on_one_link_set(model, links, gain):
+        if os.getpid() != parent and links == candidates[17]:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return alpha_for_links(model, links, gain)
+
+    monkeypatch.setattr(planner, "usable_cpu_count", lambda: 2)
+    monkeypatch.setattr(planner, "alpha_for_links", killed_on_one_link_set)
+    pooled = planner.sweep(ne39_model, candidates, -1.0, workers=2)
+    assert np.array(pooled).tobytes() == np.array(serial).tobytes()
+    assert len(forks) == 2
+    for pid in forks:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_worker_error_reaches_caller(monkeypatch, forks, ne39_model):
+    # the baseline has no links and is finite; every candidate's control block overflows, so the error is
+    # raised inside the worker processes, and the parent raises the serial sweep's error
+    monkeypatch.setattr(planner, "usable_cpu_count", lambda: 2)
+    with pytest.raises(ValueError) as serial:
+        greedy_plan(ne39_model, budget=2, gain_h=-1e308)
+    with pytest.raises(ValueError) as pooled:
+        greedy_plan(ne39_model, budget=2, gain_h=-1e308, workers=2)
+    assert (type(pooled.value), str(pooled.value)) == (type(serial.value), "Jacobian has non-finite entries")
+    assert len(forks) == 2
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to count descriptors in")
+def test_pooled_plan_leaves_no_descriptor_open(monkeypatch, ne39_model):
+    monkeypatch.setattr(planner, "usable_cpu_count", lambda: 2)
+    before = len(os.listdir("/proc/self/fd"))
+    greedy_plan(ne39_model, budget=2, gain_h=-1.0, workers=2)
+    assert len(os.listdir("/proc/self/fd")) == before
     with pytest.raises(ValueError, match="non-finite"):
         greedy_plan(ne39_model, budget=2, gain_h=-1e308, workers=2)
-    assert multiprocessing.active_children() == []
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 @pytest.mark.parametrize(
     "workers, cores, budget, preinstalled, expected",
     [
-        (64, 3, 2, [], [3]),  # clamped to the core count
-        (64, 16, 2, [], [6]),  # clamped to the C(4,2) candidates
-        (64, 16, 1, [(0, 1), (0, 2), (0, 3)], [3]),  # candidates left after preinstalled links
-        (2, 16, 2, [], [2]),  # as asked
-        (64, 1, 2, [], []),  # one core: serial sweep, no pool
-        (1, 16, 2, [], []),
-        (64, 16, 0, [], []),  # nothing to sweep
+        (64, 3, 2, [], [0, 3, 3]),  # clamped to the core count
+        (64, 16, 2, [], [0, 6, 5]),  # clamped to each sweep's C(4,2) - i candidates
+        (64, 16, 1, [(0, 1), (0, 2), (0, 3)], [0, 3]),  # candidates left after preinstalled links
+        (2, 16, 2, [], [0, 2, 2]),  # as asked
+        (64, 1, 2, [], [0, 0, 0]),  # one core: serial sweeps
+        (1, 16, 2, [], [0, 0, 0]),
+        (64, 16, 0, [], [0]),  # nothing to sweep but the baseline
     ],
 )
-def test_pool_size_clamped(monkeypatch, inline_pool, toy4_model, workers, cores, budget, preinstalled, expected):
+def test_pool_size_clamped(monkeypatch, sweep_forks, toy4_model, workers, cores, budget, preinstalled, expected):
+    # the forks of each sweep, the baseline's first
     monkeypatch.setattr(planner, "usable_cpu_count", lambda: cores)
     kwargs = dict(budget=budget, gain_h=-1.0, allow_nonpositive=True, preinstalled=preinstalled)
     result = greedy_plan(toy4_model, workers=workers, **kwargs)
-    assert inline_pool == expected
+    assert sweep_forks == expected
     assert result == greedy_plan(toy4_model, **kwargs)
 
 
 def test_import_loads_no_pool_modules():
-    # the process pool is imported only when a plan asks for workers, and scipy never
+    # a plan that forks its sweeps' workers imports neither concurrent.futures nor multiprocessing, and no
+    # plan imports scipy
     code = (
         "import sys, gridlink, gridlink.cli; "
+        "gridlink.planner.usable_cpu_count = lambda: 2; "
         "model = gridlink.build_system(gridlink.load_case('toy4')); "
         "gridlink.greedy_plan(model, budget=2, gain_h=-1.0); "
+        "gridlink.greedy_plan(model, budget=2, gain_h=-1.0, workers=2); "
         "gridlink.exhaustive_plan(model, budget=2, gain_h=-1.0); "
         "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing', 'scipy'))))"
     )
