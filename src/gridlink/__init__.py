@@ -34,6 +34,7 @@ from gridlink.dynamics import (
     control_matrix,
     decay_rate,
     electrical_power,
+    integrate,
     link_laplacian,
     simulate,
     swing_rhs,

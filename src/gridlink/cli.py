@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -28,13 +29,18 @@ import numpy as np
 import gridlink
 from gridlink.case import InputError, parse_case
 from gridlink.dynamics import (
+    ROWS_PER_BLOCK,
     ControlConfig,
     DisturbanceSpec,
     MachineState,
     SimulationBlowUp,
     Trajectory,
     decay_rate,
+    deviation_norms,
+    fit_decay_rate,
     horizon_steps,
+    integrate,
+    row_blocks,
     simulate,
 )
 from gridlink.linearization import alpha_for_links, spectral_abscissa
@@ -231,19 +237,21 @@ def run_plan(args: argparse.Namespace) -> int:
 
 
 class _TrajectoryWriter(contextlib.AbstractContextManager):
-    """Writes a trajectory document to out as simulate runs; write is reports.write_table or write_document.
+    """Writes a trajectory document to out as its blocks are integrated: write(out, blocks, times, meta) is
+    reports.write_table or write_document, over the (rows, block) pairs that write_blocks is given.
 
-    With more than one block and os.fork, the first on_block forks a child that runs write into the
-    inherited out, reading simulate's shared rows once on_block has sent their stop down a pipe.  It
-    ends by os._exit, which flushes no other stream, with the errno of a failed write as its status, or
-    _CRASHED if it failed otherwise (or the error has no errno).  Otherwise write runs here in finish.
+    With more than one block and os.fork, the first block forks a child that runs write into the inherited
+    out, over blocks it reads from a pipe: the parent writes each block's bytes there as it comes and keeps
+    none of them.  A child that reads the end of the pipe before a whole block ends with no partial row
+    written.  It ends by os._exit, which flushes no other stream, with the errno of a failed write as its
+    status, or _CRASHED if it failed otherwise (or the error has no errno).  Otherwise write runs here, over
+    the blocks as they come.
     """
 
     _CRASHED = 255  # no errno is this large
 
-    def __init__(self, out: IO[str], write: Callable[..., None], meta: dict):
-        self.out, self.write, self.meta = out, write, meta
-        self.traj: Trajectory | None = None
+    def __init__(self, out: IO[str], write: Callable[..., None], times: np.ndarray, meta: dict):
+        self.out, self.write, self.times, self.meta = out, write, times, meta
         self.pid: int | None = None  # the forked writer, until it is reaped
         self.pipe = -1  # the parent's end of the pipe; in the child, its end
 
@@ -252,18 +260,22 @@ class _TrajectoryWriter(contextlib.AbstractContextManager):
             os.close(self.pipe)
             os.waitpid(self.pid, 0)
 
-    def on_block(self, traj: Trajectory, stop: int) -> None:
-        if self.traj is None:
-            self.traj = traj
-            if stop < traj.times.size and hasattr(os, "fork"):
-                self._fork()
-        if self.pid is not None:
+    def write_blocks(self, blocks: Iterator[tuple[slice, np.ndarray]]) -> None:
+        """Write the rows of blocks, which yields (rows, block) for consecutive slices of the times."""
+        if self.times.size <= ROWS_PER_BLOCK or not hasattr(os, "fork"):
+            self.write(self.out, blocks, self.times, self.meta)
+            return
+        for _, block in blocks:
+            if self.pid is None:
+                self._fork(block.shape[1])
+            data = memoryview(block).cast("B")
             try:
-                os.write(self.pipe, stop.to_bytes(8, "little"))
+                while data:
+                    data = data[os.write(self.pipe, data) :]
             except BrokenPipeError:
                 self._reap()  # the child failed first: raise its error, not this one
 
-    def _fork(self) -> None:
+    def _fork(self, width: int) -> None:
         self.out.flush()
         received, self.pipe = os.pipe()
         with fork_warning_ignored():
@@ -272,10 +284,10 @@ class _TrajectoryWriter(contextlib.AbstractContextManager):
             os.close(received)
             return
         os.close(self.pipe)
-        self.pipe, self.final = received, 0
+        self.pipe = received
         status = self._CRASHED
         try:
-            self.write(self.out, self.traj, self.meta, self._ready)
+            self.write(self.out, self._received(width), self.times, self.meta)
             self.out.flush()
             status = 0
         except OSError as exc:
@@ -283,13 +295,18 @@ class _TrajectoryWriter(contextlib.AbstractContextManager):
         finally:
             os._exit(status)
 
-    def _ready(self, stop: int) -> None:
-        """The child's ready: read stops from the pipe until one reaches stop."""
-        while self.final < stop:
-            message = os.read(self.pipe, 8)
-            if not message:
-                raise EOFError("the run ended before every row was final")
-            self.final = int.from_bytes(message, "little")
+    def _received(self, width: int) -> Iterator[tuple[slice, np.ndarray]]:
+        """The child's blocks: each read whole from the pipe into one reused buffer of width columns."""
+        buffer = np.empty((ROWS_PER_BLOCK, width))
+        for rows in row_blocks(self.times.size):
+            block = buffer[: rows.stop - rows.start]
+            data = memoryview(block).cast("B")
+            while data:
+                got = os.readv(self.pipe, [data])
+                if not got:
+                    raise EOFError("the run ended before every row was final")
+                data = data[got:]
+            yield rows, block
 
     def _reap(self) -> None:
         """Close the pipe and wait for the child; raise the OSError it ended with, or WriterFailed."""
@@ -305,10 +322,8 @@ class _TrajectoryWriter(contextlib.AbstractContextManager):
             raise OSError(code, os.strerror(code))
 
     def finish(self, footer: str) -> None:
-        """Write the rest of the document, then the footer; simulate's last on_block reported every row."""
-        if self.pid is None:
-            self.write(self.out, self.traj, self.meta, lambda stop: None)
-        else:
+        """Wait for a forked writer to write every row, then write the footer."""
+        if self.pid is not None:
             self._reap()
         self.out.write(footer)
 
@@ -316,15 +331,17 @@ class _TrajectoryWriter(contextlib.AbstractContextManager):
 def run_simulate(args: argparse.Namespace) -> int:
     """Integrate, fit the decay rate and write the trajectory document to --out.
 
-    --out is opened before the integration, so an unwritable path fails
-    without integrating.  The document is rendered while the integration
-    runs (see _TrajectoryWriter), and the footer is written once the decay
-    fit is done.  A failed run, a blow-up say, leaves no output file.
+    The arguments are checked, and --out is opened, before the integration,
+    so a bad one fails without integrating.  Each block of rows is rendered
+    as it is integrated (see _TrajectoryWriter) and its deviation norms are
+    kept for the decay fit; no process holds the whole trajectory.  The
+    footer is written once the fit is done.  A failed run, a blow-up say,
+    leaves no output file.
     """
     model, meta, links = _load(args)
     ctl = ControlConfig(links, args.gain)
     disturbance = args.perturb  # parse_perturb has checked all but its generator's range
-    # checked here, not left to simulate, so that a bad gen fails before --out is opened and truncated
+    # checked here, not left to integrate, so that the message names the 1-based --perturb generator
     if disturbance is not None and disturbance.target >= model.n:
         raise InputError(f"perturbation generator {disturbance.target + 1} out of range for {model.n} generators")
     initial = MachineState(delta=model.op.delta_s, omega=np.full(model.n, model.op.omega_s))
@@ -339,15 +356,31 @@ def run_simulate(args: argparse.Namespace) -> int:
         }
     )
     if args.format == "structured":
-        write, footer_text = reports.write_document, reports.document_footer
+        write, footer_text = functools.partial(reports.write_document, dt=args.dt), reports.document_footer
     else:
         write, footer_text = reports.write_table, reports.table_footer
-    with _output(args) as out, _TrajectoryWriter(out, write, meta) as writer:
-        traj = simulate(initial, model, ctl, disturbance, t_max=args.tmax, dt=args.dt, on_block=writer.on_block)
+    blocks = integrate(initial, model, ctl, disturbance, t_max=args.tmax, dt=args.dt)
+    times = np.arange(horizon_steps(args.tmax, args.dt) + 1) * args.dt
+    norms = np.empty(times.size)
+    # A norm that overflows is an error only if no later block blows up: it is raised before the fit.
+    overflow: list[FloatingPointError] = []
+
+    def normed(blocks: Iterator[tuple[slice, np.ndarray]]) -> Iterator[tuple[slice, np.ndarray]]:
+        for rows, block in blocks:
+            view = Trajectory(times[rows], block[:, : model.n], block[:, model.n :], args.dt)
+            try:
+                norms[rows] = deviation_norms(view, model.op)
+            except FloatingPointError as exc:
+                overflow.append(exc)
+            yield rows, block
+
+    with _output(args) as out, _TrajectoryWriter(out, write, times, meta) as writer:
+        writer.write_blocks(normed(blocks))
         alpha = alpha_for_links(model, ctl.links, ctl.gain)
+        if overflow:
+            raise overflow[0]
         try:
-            fitted = decay_rate(traj, model.op, t_start=args.tmax / 4.0)
-            fitted_text = repr(fitted)
+            fitted_text = repr(fit_decay_rate(times, norms, t_start=args.tmax / 4.0))
         except ValueError as exc:
             fitted_text = f"unavailable ({exc})"
         writer.finish(footer_text({"fitted_decay_rate": fitted_text, "alpha_max": repr(alpha)}))

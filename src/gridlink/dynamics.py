@@ -7,14 +7,16 @@ state x = [delta, omega] as dx/dt = H z: one matrix-vector product with a
 vector z that holds x, the electrical power terms w * (W w) with
 w = [cos delta, sin delta], and a constant 1, whose column of H holds the
 constant drive.  Integration is classical fixed-step RK4, bitwise
-deterministic for fixed inputs.
+deterministic for fixed inputs, in one loop: integrate yields the stacked
+rows a block at a time from one reused buffer, so a caller that streams
+them (the CLI's writer and decay fit) never holds the whole trajectory, and
+simulate copies them into one Trajectory.
 """
 
 from __future__ import annotations
 
 import math
-import mmap
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +27,10 @@ from gridlink.reduction import OperatingPoint, ReducedNetwork
 
 Link = tuple[int, int]
 
-# Cap on the RK4 steps of one simulate call, which stores one (steps + 1) x 2n array.
+# Cap on the RK4 steps of one run.  Only the library's simulate stores the whole (steps + 1) x 2n array; the
+# CLI keeps 16 bytes a row (the times and the deviation norms).
 MAX_STEPS = 10**6
-# Trajectory rows per block: simulate checks its rows for a blow-up a block at a time, the
+# Trajectory rows per block: integrate checks its rows for a blow-up and yields them a block at a time, the
 # trajectory documents render a block per text block, and deviation_norms works a block at a time.
 ROWS_PER_BLOCK = 1024
 
@@ -237,42 +240,41 @@ def swing_rhs(
     return rate[: model.n], rate[model.n :]
 
 
-def simulate(
+def integrate(
     initial: MachineState,
     model: SystemModel,
     ctl: ControlConfig,
     disturbance: DisturbanceSpec | None,
     t_max: float,
     dt: float = 1e-3,
-    on_block: Callable[[Trajectory, int], None] | None = None,
-) -> Trajectory:
-    """Integrate with classical RK4 at fixed step dt over [0, t_max], horizon_steps(t_max, dt) steps.
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Integrate with classical RK4 at fixed step dt over [0, t_max], horizon_steps(t_max, dt) steps,
+    and yield the rows a block at a time.
 
-    The stacked state [delta, omega] is stepped by the rate of one
-    SwingOperator, built once per call, with stage buffers reused across
-    steps; each step is written straight into one (steps + 1, 2n) array, of
-    which the returned delta and omega are views, in an anonymous shared
-    mapping that a process forked meanwhile reads.  Stage inputs
-    x + (0.5 dt) k are written straight into the operator's state, and the
-    update is x + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4), with k1..k4 the rows
-    of one array (k2 and k3 doubled by one multiply) and the scalar factors
-    held in 0-d arrays, so the result equals RK4 driven by swing_rhs bit for
-    bit: a step is 33 numpy calls.
+    The horizon, the target and the disturbance time are checked here, before
+    the first block is asked for.  The returned iterator then yields
+    (rows, block) for each slice of row_blocks(steps + 1): block[i] is the
+    stacked state [delta, omega] at time (rows.start + i) dt, finite, and a
+    view of one (ROWS_PER_BLOCK + 1, 2n) buffer that the next block
+    overwrites, whose row 0 carries the previous block's last row.
+
+    The stacked state is stepped by the rate of one SwingOperator, built once
+    per call, with stage buffers reused across steps, and each step is
+    written straight into the buffer.  Stage inputs x + (0.5 dt) k are
+    written straight into the operator's state, and the update is
+    x + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4), with k1..k4 the rows of one
+    array (k2 and k3 doubled by one multiply) and the scalar factors held in
+    0-d arrays, so the result equals RK4 driven by swing_rhs bit for bit: a
+    step is 33 numpy calls.
 
     The disturbance's angle and speed offsets are added to the recorded state
     at its apply_index, the first grid time >= t_apply, and its power step to
     the operator's drive from that grid time onward (set_drive); only the
     target entries are written, so an infinite disturbance is a blow-up at
-    t_apply, not a warning.  A target outside 0..n-1 raises InputError.  The
-    rows are checked for finiteness ROWS_PER_BLOCK at a time, as each block of
-    them is complete; a non-finite row raises SimulationBlowUp at the time of
-    the first one, after at most one block of further steps.
-
-    After each block has been checked, on_block(traj, stop) is called with
-    the trajectory that will be returned: its times are all set, and rows
-    [0, stop) of delta and omega are final and finite, while later rows are
-    not yet written.  A caller can hand those rows on (to be rendered, say)
-    while the integration goes on; the last call has stop = times.size.
+    t_apply, not a warning.  A target outside 0..n-1 raises InputError.  Each
+    block is checked for finiteness once it is complete; a non-finite row
+    raises SimulationBlowUp at the time of the first one, after at most one
+    block of further steps, and that block is not yielded.
     """
     n = model.n
     steps = horizon_steps(t_max, dt)
@@ -280,54 +282,73 @@ def simulate(
     if not 0 <= dist.target < n:
         raise InputError(f"target {dist.target} out of range 0..{n - 1}")
     apply_index = dist.apply_index(dt, steps)
-
     op = SwingOperator(model, ctl)
-    z, rate = op.state, op.rate
     stepped_p_m = model.op.p_m_const.copy()
     stepped_p_m[dist.target] += dist.d_pm
-    times = np.arange(steps + 1) * dt
-    states = np.frombuffer(mmap.mmap(-1, (steps + 1) * 2 * n * 8)).reshape(steps + 1, 2 * n)
-    states[0, :n] = initial.delta
-    states[0, n:] = initial.omega
-    traj = Trajectory(times=times, delta=states[:, :n], omega=states[:, n:], dt=dt)
-    ks, stage, total = np.empty((4, 2 * n)), np.empty(2 * n), np.empty(2 * n)
-    (k1, k2, k3, k4), k2_k3 = ks, ks[1:3]
-    # 0-d arrays: numpy converts a Python float operand on every call.
-    half, full, two, sixth = (np.array(f) for f in (0.5 * dt, dt, 2.0, dt / 6.0))
-    copyto, multiply, add = np.copyto, np.multiply, np.add
-    # Overflow here is the blow-up signal, not a numerics bug to warn about.
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def blocks() -> Iterator[tuple[slice, np.ndarray]]:
+        z, rate = op.state, op.rate
+        states = np.empty((ROWS_PER_BLOCK + 1, 2 * n))  # row j holds the state at time (rows.start + j - 1) dt
+        states[1, :n] = initial.delta
+        states[1, n:] = initial.omega
+        ks, stage, total = np.empty((4, 2 * n)), np.empty(2 * n), np.empty(2 * n)
+        (k1, k2, k3, k4), k2_k3 = ks, ks[1:3]
+        # 0-d arrays: numpy converts a Python float operand on every call.
+        half, full, two, sixth = (np.array(f) for f in (0.5 * dt, dt, 2.0, dt / 6.0))
+        copyto, multiply, add = np.copyto, np.multiply, np.add
         for rows in row_blocks(steps + 1):
-            for k in range(rows.start, rows.stop):
-                if k:
-                    x = states[k - 1]
-                    copyto(z, x)
-                    rate(k1)
-                    multiply(k1, half, stage)
-                    add(x, stage, z)
-                    rate(k2)
-                    multiply(k2, half, stage)
-                    add(x, stage, z)
-                    rate(k3)
-                    multiply(k3, full, stage)
-                    add(x, stage, z)
-                    rate(k4)
-                    multiply(k2_k3, two, k2_k3)
-                    add(k1, k2, total)
-                    add(total, k3, total)
-                    add(total, k4, total)
-                    multiply(total, sixth, total)
-                    add(x, total, states[k])
-                if k == apply_index:
-                    states[k, dist.target] += dist.d_delta
-                    states[k, n + dist.target] += dist.d_omega
-                    op.set_drive(stepped_p_m)
-            finite = np.isfinite(states[rows]).all(axis=1)
+            # Overflow here is the blow-up signal, not a numerics bug to warn about.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j, k in enumerate(range(rows.start, rows.stop), start=1):
+                    if k:
+                        x = states[j - 1]
+                        copyto(z, x)
+                        rate(k1)
+                        multiply(k1, half, stage)
+                        add(x, stage, z)
+                        rate(k2)
+                        multiply(k2, half, stage)
+                        add(x, stage, z)
+                        rate(k3)
+                        multiply(k3, full, stage)
+                        add(x, stage, z)
+                        rate(k4)
+                        multiply(k2_k3, two, k2_k3)
+                        add(k1, k2, total)
+                        add(total, k3, total)
+                        add(total, k4, total)
+                        multiply(total, sixth, total)
+                        add(x, total, states[j])
+                    if k == apply_index:
+                        states[j, dist.target] += dist.d_delta
+                        states[j, n + dist.target] += dist.d_omega
+                        op.set_drive(stepped_p_m)
+            block = states[1 : rows.stop - rows.start + 1]
+            finite = np.isfinite(block).all(axis=1)
             if not finite.all():
-                raise SimulationBlowUp(times[rows.start + finite.argmin()])
-            if on_block is not None:
-                on_block(traj, rows.stop)
-    return traj
+                raise SimulationBlowUp((rows.start + int(finite.argmin())) * dt)
+            yield rows, block
+            states[0] = block[-1]
+
+    return blocks()
+
+
+def simulate(
+    initial: MachineState,
+    model: SystemModel,
+    ctl: ControlConfig,
+    disturbance: DisturbanceSpec | None,
+    t_max: float,
+    dt: float = 1e-3,
+) -> Trajectory:
+    """The trajectory of integrate(...), its blocks copied into one (steps + 1, 2n) array of which the
+    returned delta and omega are views; the same checks, rows and blow-up."""
+    blocks = integrate(initial, model, ctl, disturbance, t_max, dt)
+    times = np.arange(horizon_steps(t_max, dt) + 1) * dt
+    states = np.empty((times.size, 2 * model.n))
+    for rows, block in blocks:
+        states[rows] = block
+    return Trajectory(times=times, delta=states[:, : model.n], omega=states[:, model.n :], dt=dt)
 
 
 def deviation_norms(traj: Trajectory, op: OperatingPoint) -> np.ndarray:
@@ -348,20 +369,24 @@ def deviation_norms(traj: Trajectory, op: OperatingPoint) -> np.ndarray:
 
 
 def decay_rate(traj: Trajectory, op: OperatingPoint, t_start: float) -> float:
-    """Least-squares slope of log of the deviation norm over [t_start, end], 1/s.
+    """Least-squares slope of log of the deviation norm over [t_start, end], 1/s: fit_decay_rate of the
+    trajectory's deviation_norms."""
+    return fit_decay_rate(traj.times, deviation_norms(traj, op), t_start)
+
+
+def fit_decay_rate(times: np.ndarray, norms: np.ndarray, t_start: float) -> float:
+    """Least-squares slope of log(norms) against times over [t_start, end], 1/s.
 
     Samples whose norm is below 1e-13 are dropped; if every sample in the
     window is below that, there is nothing to fit and a ValueError is raised.
     """
-    if t_start > traj.times[-1]:
-        raise ValueError(f"t_start {t_start} beyond trajectory end {traj.times[-1]}")
-    norms = deviation_norms(traj, op)
-    window = traj.times >= t_start - 1e-12
+    if t_start > times[-1]:
+        raise ValueError(f"t_start {t_start} beyond trajectory end {times[-1]}")
+    window = times >= t_start - 1e-12
     usable = window & (norms >= 1e-13)
     if not np.any(usable):
         raise ValueError("deviation underflow: all norms in the fit window are below 1e-13")
     if np.count_nonzero(usable) < 2:
         raise ValueError("fewer than two usable samples in the fit window")
-    t_sel = traj.times[usable]
-    slope, _ = np.polyfit(t_sel, np.log(norms[usable]), 1)
+    slope, _ = np.polyfit(times[usable], np.log(norms[usable]), 1)
     return float(slope)

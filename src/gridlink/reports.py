@@ -10,12 +10,12 @@ inputs.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
+from collections.abc import Iterable, Iterator
 from typing import IO, Any
 
 import numpy as np
 
-from gridlink.dynamics import Trajectory, row_blocks
+from gridlink.dynamics import row_blocks
 from gridlink.linearization import SpectrumReport
 from gridlink.planner import PlanResult
 from gridlink.reduction import OperatingPoint, ReducedNetwork
@@ -309,19 +309,22 @@ def reduction_document(net: ReducedNetwork, op: OperatingPoint, meta: dict[str, 
 
 # --- trajectory -------------------------------------------------------------
 #
-# write_table and write_document write a trajectory document up to its footer, which is rendered
-# once the decay fit is done.  They call ready(stop) before they read rows [0, stop), and it returns
-# once those rows are final.  The CLI's _TrajectoryWriter runs them, in a forked process or inline.
+# write_table and write_document write a trajectory document up to its footer, which is rendered once the
+# decay fit is done.  They take the trajectory as it is integrated: blocks yields (rows, block) for
+# consecutive row slices from 0, block[i] holding the stacked state [delta, omega] at times[rows][i], as
+# dynamics.integrate yields them; a block is read only before the next one is asked for.  The CLI's
+# _TrajectoryWriter runs them, in a forked process that reads the blocks from a pipe, or inline.
 
 
-def write_table(out: IO[str], traj: Trajectory, meta: dict[str, Any], ready: Callable[[int], None]) -> None:
-    """Write the delimited table to out: the header, the column line, then the rows, a block at a time."""
-    n = traj.delta.shape[1]
-    columns = ["time"] + [f"delta_{i + 1}" for i in range(n)] + [f"omega_{i + 1}" for i in range(n)]
-    out.write("\n".join(header_lines(meta) + [",".join(columns)]) + "\n")
-    for rows in row_blocks(traj.times.size):
-        ready(rows.stop)
-        out.write(repr_rows(np.column_stack((traj.times[rows], traj.delta[rows], traj.omega[rows])), ","))
+def write_table(out: IO[str], blocks: Iterator[tuple[slice, np.ndarray]], times: np.ndarray,
+                meta: dict[str, Any]) -> None:
+    """Write the delimited table to out: the header and the column line, then each block's rows as it comes."""
+    for rows, block in blocks:
+        if not rows.start:
+            n = block.shape[1] // 2
+            columns = ["time"] + [f"delta_{i + 1}" for i in range(n)] + [f"omega_{i + 1}" for i in range(n)]
+            out.write("\n".join(header_lines(meta) + [",".join(columns)]) + "\n")
+        out.write(repr_rows(np.column_stack((times[rows], block)), ","))
 
 
 def table_footer(footer: dict[str, Any]) -> str:
@@ -333,24 +336,39 @@ def _json_members(doc: dict[str, Any]) -> str:
     return json.dumps(doc, indent=2)[2:-2]
 
 
-def write_document(out: IO[str], traj: Trajectory, meta: dict[str, Any], ready: Callable[[int], None]) -> None:
+def write_document(out: IO[str], blocks: Iterator[tuple[slice, np.ndarray]], times: np.ndarray,
+                   meta: dict[str, Any], dt: float) -> None:
     """Write the structured trajectory to out: meta, dt, times, delta and omega, up to the summary.
 
     The layout is render_json's, except that each row of times, delta and
-    omega sits on one line.  Times are ready from the start; the rows of
-    delta and omega are rendered ROWS_PER_BLOCK at a time.  JSON writes a
-    finite float as repr does, and every row simulate hands on is finite.
+    omega sits on one line.  The times are written first, then each block's
+    delta rows as it comes; its omega rows are kept until the last delta row
+    is written, then rendered a block at a time.  JSON writes a finite float
+    as repr does, and every row integrate yields is finite.
     """
-    out.write("{\n" + _json_members({"meta": meta, "dt": float(traj.dt)}) + ",\n")
-    for key, values, wait in (("times", traj.times, False), ("delta", traj.delta, True), ("omega", traj.omega, True)):
-        out.write(f'  "{key}": [')
+    out.write("{\n" + _json_members({"meta": meta, "dt": float(dt)}) + ",\n")
+    _write_array(out, "times", ((rows, times[rows]) for rows in row_blocks(times.size)))
+    omega = []  # each block's omega rows, copied: the next block may overwrite the block
+
+    def delta_rows() -> Iterator[tuple[slice, np.ndarray]]:
+        for rows, block in blocks:
+            n = block.shape[1] // 2
+            omega.append((rows, block[:, n:].copy()))
+            yield rows, block[:, :n]
+
+    _write_array(out, "delta", delta_rows())
+    _write_array(out, "omega", omega)
+
+
+def _write_array(out: IO[str], key: str, blocks: Iterable[tuple[slice, np.ndarray]]) -> None:
+    """Write the member key of write_document, a list of rows or of numbers, from its blocks in row order."""
+    out.write(f'  "{key}": [')
+    for rows, values in blocks:
         opening, closing = ("", "") if values.ndim == 1 else ("[", "]")
-        for rows in row_blocks(values.shape[0]):
-            ready(rows.stop if wait else 0)
-            lines = repr_rows(values[rows].reshape(rows.stop - rows.start, -1), ", ")
-            prefix = ",\n    " if rows.start else "\n    "
-            out.write(prefix + opening + lines[:-1].replace("\n", closing + ",\n    " + opening) + closing)
-        out.write("\n  ],\n")
+        lines = repr_rows(values.reshape(rows.stop - rows.start, -1), ", ")
+        prefix = ",\n    " if rows.start else "\n    "
+        out.write(prefix + opening + lines[:-1].replace("\n", closing + ",\n    " + opening) + closing)
+    out.write("\n  ],\n")
 
 
 def document_footer(footer: dict[str, Any]) -> str:

@@ -1,9 +1,9 @@
 import argparse
 import contextlib
 import copy
+import functools
 import io
 import json
-import mmap
 import os
 import signal
 import subprocess
@@ -35,6 +35,7 @@ from gridlink.dynamics import (
     ControlConfig,
     DisturbanceSpec,
     Trajectory,
+    decay_rate,
     horizon_steps,
     link_laplacian,
     normalize_link,
@@ -651,6 +652,20 @@ def test_simulate_fit_matches_alpha(tmp_path):
     assert fitted == pytest.approx(alpha, rel=0.15)
 
 
+@pytest.mark.parametrize("fmt", ["table", "structured"])
+def test_simulate_fit_is_the_library_decay_rate_bit_for_bit(tmp_path, ne39_model, fmt):
+    # the CLI takes each block's deviation norms as it passes and fits them once the run ends; the footer
+    # holds the repr of decay_rate on simulate's trajectory, with the fit from tmax / 4 on
+    out = tmp_path / "traj"
+    assert run(["simulate", "--case", case_path("newengland39"), "--out", out, "--tmax", 3.0,
+                "--perturb", "gen=1,ddelta=0.05", "--format", fmt]) == 0
+    traj = simulate(equilibrium_state(ne39_model), ne39_model, ControlConfig((), -1.0),
+                    DisturbanceSpec(target=0, d_delta=0.05), t_max=3.0)
+    fitted = repr(decay_rate(traj, ne39_model.op, 0.75))
+    line = f'"fitted_decay_rate": "{fitted}"' if fmt == "structured" else f"# fitted_decay_rate: {fitted}\n"
+    assert line in out.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize(
     "subcommand, extra",
     [
@@ -777,35 +792,50 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+def streamed(values, before_each=None):
+    """(rows, block) for each row_blocks slice of values, as integrate yields them: from one reused buffer,
+    filled with NaN once the next block is asked for, so a writer that reads a block late reads NaN."""
+    buffer = np.empty((ROWS_PER_BLOCK, values.shape[1]))
+    for rows in row_blocks(len(values)):
+        if before_each is not None:
+            before_each()
+        block = buffer[: rows.stop - rows.start]
+        block[:] = values[rows]
+        yield rows, block
+        buffer[:] = np.nan
+
+
+def trajectory_writer(fmt):
+    """The write and footer functions run_simulate hands _TrajectoryWriter for --format fmt, with dt 1e-3."""
+    if fmt == "table":
+        return reports.write_table, reports.table_footer
+    return functools.partial(reports.write_document, dt=1e-3), reports.document_footer
+
+
 @pytest.mark.parametrize("fmt", ["table", "structured"])
 @pytest.mark.parametrize("rows", [1, ROWS_PER_BLOCK, ROWS_PER_BLOCK + 1, 3 * ROWS_PER_BLOCK + 1])
 def test_trajectory_writer_forked_and_inline_write_the_same_bytes(tmp_path, monkeypatch, forks, fmt, rows):
-    # blocks handed on as simulate hands them on, each written to shared memory just before; a forked
-    # writer, started only for more than one block where os.fork exists, reads no row before it is final
-    # (the rows after it hold NaN), into a real file, and writes the bytes the inline writer writes
+    # blocks handed on as integrate hands them on, from a buffer that the next block overwrites; a forked
+    # writer, started only for more than one block where os.fork exists, reads each block from the pipe into
+    # a real file, and writes the bytes the inline writer writes
     values = np.random.default_rng(rows).standard_normal((rows, 6)) * 10.0 ** np.arange(-3, 3)
-    states = np.frombuffer(mmap.mmap(-1, values.nbytes)).reshape(values.shape)
-    traj = Trajectory(times=np.arange(rows) * 1e-3, delta=states[:, :3], omega=states[:, 3:], dt=1e-3)
+    times = np.arange(rows) * 1e-3
     meta, footer = {"tool": "gridlink", "links": 2}, {"fitted_decay_rate": "-0.5", "alpha_max": "-0.4"}
-    final = Trajectory(times=traj.times, delta=values[:, :3], omega=values[:, 3:], dt=1e-3)
+    final = Trajectory(times=times, delta=values[:, :3], omega=values[:, 3:], dt=1e-3)
+    write, closing = trajectory_writer(fmt)
     if fmt == "table":
-        write, closing = reports.write_table, reports.table_footer
         expected = _per_value_table(final, meta, footer)
     else:
-        write, closing = reports.write_document, reports.document_footer
         expected = _rows_on_one_line(reports.render_json(_per_value_trajectory_document(final, meta, footer)))
 
     def written(forked):
-        states[:] = np.nan
         path = tmp_path / f"traj-{forked}"
         with monkeypatch.context() as patch, time_limit(60), open(path, "w", encoding="utf-8") as out:
             if not forked:
                 patch.delattr(os, "fork")
-            with cli._TrajectoryWriter(out, write, meta) as writer:
-                for block in row_blocks(rows):
-                    time.sleep(0.05)  # time for a writer that does not wait to read rows that are not final
-                    states[block] = values[block]
-                    writer.on_block(traj, block.stop)
+            with cli._TrajectoryWriter(out, write, times, meta) as writer:
+                # a pause before each block, so that the forked writer waits on an empty pipe
+                writer.write_blocks(streamed(values, lambda: time.sleep(0.05)))
                 writer.finish(closing(footer))
         return path.read_text(encoding="utf-8")
 
@@ -820,13 +850,45 @@ def test_trajectory_writer_forked_and_inline_write_the_same_bytes(tmp_path, monk
 
 def test_trajectory_writer_reaps_its_child_when_the_run_fails(tmp_path, forks):
     # an exception after the first block closes the pipe: the child reads its end and exits, and is reaped
-    states = np.zeros((3 * ROWS_PER_BLOCK, 4))
-    traj = Trajectory(times=np.arange(3 * ROWS_PER_BLOCK) * 1e-3, delta=states[:, :2], omega=states[:, 2:], dt=1e-3)
+    times = np.arange(3 * ROWS_PER_BLOCK) * 1e-3
+
+    def failing():
+        yield slice(0, ROWS_PER_BLOCK), np.zeros((ROWS_PER_BLOCK, 4))
+        raise ValueError("after the first block")
+
     with time_limit(60), pytest.raises(ValueError, match="after the first block"):
         with open(tmp_path / "traj.csv", "w", encoding="utf-8") as out:
-            with cli._TrajectoryWriter(out, reports.write_table, {"tool": "gridlink"}) as writer:
-                writer.on_block(traj, ROWS_PER_BLOCK)
-                raise ValueError("after the first block")
+            with cli._TrajectoryWriter(out, reports.write_table, times, {"tool": "gridlink"}) as writer:
+                writer.write_blocks(failing())
+    (pid,) = forks
+    assert_reaped(pid)
+
+
+@pytest.mark.parametrize("fmt", ["table", "structured"])
+def test_forked_writer_cut_off_inside_a_block_writes_no_partial_row(tmp_path, forks, fmt):
+    # the pipe ends half way through the second block: the child exits by _CRASHED, having written the
+    # first block's rows whole (its file is line buffered, so they are on disk) and none of the second's
+    values = np.random.default_rng(7).standard_normal((3 * ROWS_PER_BLOCK, 4))
+    times = np.arange(len(values)) * 1e-3
+    meta = {"tool": "gridlink"}
+    write, _ = trajectory_writer(fmt)
+    path = tmp_path / "traj"
+    with time_limit(60), open(path, "w", encoding="utf-8", buffering=1) as out:
+        writer = cli._TrajectoryWriter(out, write, times, meta)
+        writer.write_blocks(streamed(values[:ROWS_PER_BLOCK]))
+        half = values[ROWS_PER_BLOCK : ROWS_PER_BLOCK + ROWS_PER_BLOCK // 2]
+        os.write(writer.pipe, np.ascontiguousarray(half).tobytes()[:-4])  # and not even the last row whole
+        with pytest.raises(cli.WriterFailed, match="exit status 255"):
+            writer.finish("")
+    text = path.read_text(encoding="utf-8")
+    if fmt == "table":
+        expected = "".join(f"# {key}: {value}\n" for key, value in meta.items())
+        expected += "time,delta_1,delta_2,omega_1,omega_2\n"
+        expected += reports.repr_rows(np.column_stack((times[:ROWS_PER_BLOCK], values[:ROWS_PER_BLOCK])), ",")
+        assert text == expected
+    else:
+        # the delta member stops after the first block's rows, each row whole
+        assert text.endswith("]") and text.count("\n    [") == ROWS_PER_BLOCK
     (pid,) = forks
     assert_reaped(pid)
 
@@ -857,6 +919,46 @@ def test_simulate_leaves_no_worker_process_and_no_failed_output(tmp_path, capsys
         assert sum(not line.startswith("#") for line in out.read_text().splitlines()) == 1 + 3701
 
 
+@pytest.mark.parametrize("tmax, line", [(3.6, "overflow encountered in square"),
+                                         (3.7, "state became non-finite at t = 3.636000 s")])
+def test_norm_overflow_is_reported_only_if_no_later_block_blows_up(tmp_path, capsys, forks, tmax, line):
+    # at gain +50 the state passes 1e154 before 3.6 s, where a deviation norm overflows, and is non-finite at
+    # 3.636 s, in the same (fourth) block: a run that ends first fails on the overflow, once the integration
+    # is done, a run that does not fails on the blow-up; either leaves one line, no output and no child
+    case, links = _write_case(tmp_path)
+    out = tmp_path / "traj.csv"
+    with time_limit(60):
+        assert run(["simulate", "--case", case, "--out", out, "--links", links, "--gain", 50.0,
+                    "--perturb", "gen=1,ddelta=0.001", "--tmax", tmax]) == 1
+    assert capsys.readouterr().err == f"gridlink: computation error: {line}\n"
+    assert not out.exists()
+    (pid,) = forks
+    assert_reaped(pid)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kibibytes on Linux")
+@pytest.mark.parametrize("fmt", ["table", "structured"])
+def test_simulate_holds_no_trajectory_in_the_parent(tmp_path, fmt):
+    # in a fresh interpreter, after a 2 s run that loads and warms everything, a 40 s ne39 run raises the
+    # peak resident size by less than half of its (steps + 1) x 2n floats: the parent keeps the times and
+    # the deviation norms, 16 bytes a row, and the fit's temporaries, not the rows
+    argv = ["simulate", "--case", str(case_path("newengland39")), "--out", str(tmp_path / "traj"),
+            "--perturb", "gen=1,ddelta=0.05", "--format", fmt]
+    code = f"""
+import resource
+from gridlink import cli
+assert cli.main({argv!r} + ["--tmax", "2"]) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert cli.main({argv!r} + ["--tmax", "40"]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    trajectory_bytes = 40001 * 2 * 10 * 8
+    assert int(proc.stdout) * 1024 < trajectory_bytes / 2
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
 @pytest.mark.parametrize("writer", ["forked", "inline"])
 def test_simulate_write_failure_is_input_error(monkeypatch, capsys, forks, writer):
@@ -881,8 +983,8 @@ def test_simulate_write_failure_is_input_error(monkeypatch, capsys, forks, write
 def test_crashed_writer_is_a_computation_error(tmp_path, monkeypatch, capsys, forks, fault, line):
     # a forked writer that fails other than by an OSError, after it has read its first block, is a failed
     # computation: one line naming the writer and its status, no output file, and the child reaped
-    def crashing(out, traj, meta, ready):
-        ready(ROWS_PER_BLOCK)
+    def crashing(out, blocks, times, meta):
+        next(blocks)
         if fault == "kill":
             os.kill(os.getpid(), signal.SIGKILL)
         raise KeyError("a fault in the renderer")

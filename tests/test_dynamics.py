@@ -23,7 +23,9 @@ from gridlink.dynamics import (
     deviation_norms,
     electrical_power,
     horizon_steps,
+    integrate,
     link_laplacian,
+    row_blocks,
     simulate,
     swing_matrix,
     swing_rhs,
@@ -492,19 +494,18 @@ def test_swing_operator_and_jacobian_share_the_swing_matrix(ne39_model):
     ids=["state-offset", "pm-step"],
 )
 def test_simulate_ne39_is_swing_rhs_rk4_across_blocks(ne39_model, dist):
-    # 1,501 rows run into a second block, with on_block passed and the pm-step applied in that block;
-    # the trajectory, and every row handed on, is RK4 driven by swing_rhs bit for bit
+    # 1,501 rows run into a second block, with the pm-step applied in that block; the trajectory, and
+    # every block integrate yields, is RK4 driven by swing_rhs bit for bit
     model = ne39_model
     ctl = ControlConfig([(i - 1, k - 1) for i, k in NE39_PLAN_15], -1.0)
     init, dt, steps = equilibrium_state(model), 1e-3, 1500
-    handed_on = []
-    traj = simulate(init, model, ctl, dist, t_max=steps * dt, dt=dt,
-                    on_block=lambda t, stop: handed_on.append((stop, t.delta[:stop].copy(), t.omega[:stop].copy())))
+    traj = simulate(init, model, ctl, dist, t_max=steps * dt, dt=dt)
     delta, omega = _swing_rhs_rk4(init, model, ctl, dist, dt, steps)
     assert np.array_equal(traj.delta, delta) and np.array_equal(traj.omega, omega)
-    assert [stop for stop, _, _ in handed_on] == [ROWS_PER_BLOCK, steps + 1]
-    for stop, d, w in handed_on:
-        assert np.array_equal(d, delta[:stop]) and np.array_equal(w, omega[:stop])
+    blocks = [(rows, block.copy()) for rows, block in integrate(init, model, ctl, dist, steps * dt, dt)]
+    assert [rows for rows, _ in blocks] == [slice(0, ROWS_PER_BLOCK), slice(ROWS_PER_BLOCK, steps + 1)]
+    for rows, block in blocks:
+        assert np.array_equal(block, np.hstack([delta[rows], omega[rows]]))
 
 
 def test_simulate_matches_two_array_rk4_loop(ne39_model):
@@ -618,6 +619,10 @@ def test_simulate_blowup_time_matches_per_step_loop(gain, t_max, time):
     init = MachineState(model.op.delta_s + np.array([1e-3, 0.0]), np.full(2, model.op.omega_s))
     with pytest.raises(SimulationBlowUp) as exc_info:
         simulate(init, model, ctl, None, t_max=t_max, dt=1e-3)
+    with pytest.raises(SimulationBlowUp) as streamed:
+        for _ in integrate(init, model, ctl, None, t_max=t_max, dt=1e-3):
+            pass
+    assert streamed.value.time == exc_info.value.time
 
     op, dt = SwingOperator(model, ctl), 1e-3
     x, rate = np.concatenate([init.delta, init.omega]), np.empty((4, 4))
@@ -658,34 +663,69 @@ def test_simulate_infinite_disturbance_blows_up_without_warning(oscillator_model
 
 @pytest.mark.parametrize("t_max", [0.001, 1.023, 1.024, 3.073])
 def test_simulate_hands_on_each_checked_block(oscillator_model, t_max):
-    # on_block sees the trajectory simulate returns, once per block, with rows [0, stop) already final
+    # integrate yields each block once, in order, as row_blocks slices the run, from one reused buffer:
+    # a yielded block is a view that the next block overwrites
     model = oscillator_model
     init = MachineState(model.op.delta_s + np.array([0.25, -0.25]), np.full(2, model.op.omega_s))
-    calls = []
-    traj = simulate(init, model, ControlConfig(), None, t_max=t_max,
-                    on_block=lambda t, stop: calls.append((t, stop, t.delta[:stop].copy(), t.omega[:stop].copy())))
+    traj = simulate(init, model, ControlConfig(), None, t_max=t_max)
     rows = traj.times.size
-    expected = [min(stop, rows) for stop in range(ROWS_PER_BLOCK, rows + ROWS_PER_BLOCK, ROWS_PER_BLOCK)]
-    assert [stop for _, stop, _, _ in calls] == expected
-    for seen, stop, delta, omega in calls:
-        assert seen is traj
-        assert np.array_equal(delta, traj.delta[:stop]) and np.array_equal(omega, traj.omega[:stop])
+    seen = [(rows, block, block.copy()) for rows, block in integrate(init, model, ControlConfig(), None, t_max)]
+    assert [block_rows for block_rows, _, _ in seen] == list(row_blocks(rows))
+    assert len({block.base.__array_interface__["data"][0] for _, block, _ in seen}) == 1
+    for block_rows, _, block in seen:
+        assert np.array_equal(block, np.hstack([traj.delta[block_rows], traj.omega[block_rows]]))
 
 
 def test_simulate_hands_on_no_block_with_a_blowup():
-    # the blow-up at 3.636 s lies in the fourth block: the first three are handed on, it is not
+    # the blow-up at 3.636 s lies in the fourth block: integrate yields the first three, finite, then raises
     model = build_system(parse_case(TWO_MACHINE_OSCILLATOR.replace('"h": 4.0', '"h": 0.5')))
     init = MachineState(model.op.delta_s + np.array([1e-3, 0.0]), np.full(2, model.op.omega_s))
     stops = []
-
-    def on_block(traj, stop):
-        assert np.isfinite(traj.delta[:stop]).all() and np.isfinite(traj.omega[:stop]).all()
-        stops.append(stop)
-
     with pytest.raises(SimulationBlowUp) as exc_info:
-        simulate(init, model, ControlConfig([(0, 1)], 50.0), None, t_max=3.7, on_block=on_block)
+        for rows, block in integrate(init, model, ControlConfig([(0, 1)], 50.0), None, t_max=3.7):
+            assert np.isfinite(block).all()
+            stops.append(rows.stop)
     assert round(exc_info.value.time, 9) == 3.636
     assert stops == [ROWS_PER_BLOCK, 2 * ROWS_PER_BLOCK, 3 * ROWS_PER_BLOCK]
+
+
+B = ROWS_PER_BLOCK
+
+
+@pytest.mark.parametrize("steps", [1, B - 1, B, 3 * B], ids=["2-rows", "B-rows", "B+1-rows", "3B+1-rows"])
+@pytest.mark.parametrize(
+    "dist",
+    [None, DisturbanceSpec(target=0, d_delta=0.05), DisturbanceSpec(target=2, d_pm=0.2, t_apply=1.2)],
+    ids=["none", "ddelta", "pm-step"],
+)
+def test_integrate_blocks_join_to_simulate_bit_for_bit(ne39_model, steps, dist):
+    # the blocks integrate yields, joined, are simulate's arrays bit for bit at 2 (the fewest: one step), B,
+    # B + 1 and 3B + 1 rows, with no disturbance, a ddelta at 0 and a pm-step inside the second block
+    if dist is not None and dist.t_apply > steps * 1e-3:
+        dist = replace(dist, t_apply=0.0)
+    model = ne39_model
+    ctl = ControlConfig([(i - 1, k - 1) for i, k in NE39_PLAN_15], -1.0)
+    init = equilibrium_state(model)
+    traj = simulate(init, model, ctl, dist, t_max=steps * 1e-3)
+    joined = np.vstack([block.copy() for _, block in integrate(init, model, ctl, dist, t_max=steps * 1e-3)])
+    assert joined.shape == (steps + 1, 2 * model.n)
+    assert joined.tobytes() == np.hstack([traj.delta, traj.omega]).tobytes()
+    assert traj.times.tobytes() == (np.arange(steps + 1) * 1e-3).tobytes()
+
+
+@pytest.mark.parametrize(
+    "t_max, dist, message",
+    [
+        (1e9, None, "steps"),
+        (1.0, DisturbanceSpec(target=3, d_delta=0.1), "target 3 out of range"),
+        (1.0, DisturbanceSpec(target=0, d_delta=0.1, t_apply=2.0), "outside the run"),
+    ],
+    ids=["horizon", "target", "disturbance-time"],
+)
+def test_integrate_checks_its_arguments_before_the_first_block(toy3_model, t_max, dist, message):
+    # the call raises, not the first next(): the CLI checks before it forks or truncates --out
+    with pytest.raises(ValueError, match=message):
+        integrate(equilibrium_state(toy3_model), toy3_model, ControlConfig(), dist, t_max=t_max)
 
 
 def test_deviation_norms_in_blocks_equal_whole_array_norms(ne39_model):

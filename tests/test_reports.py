@@ -1,4 +1,5 @@
 import argparse
+import functools
 import io
 import os
 import tracemalloc
@@ -19,24 +20,29 @@ from gridlink.dynamics import (
     DisturbanceSpec,
     MachineState,
     Trajectory,
+    integrate,
     row_blocks,
-    simulate,
 )
 from gridlink.planner import exhaustive_plan, greedy_plan
 from gridlink.reports import render_json
 
 
+def _blocks(traj):
+    """(rows, block) of traj's stacked [delta, omega] rows, as integrate yields them."""
+    states = np.hstack([traj.delta, traj.omega])
+    return ((rows, states[rows]) for rows in row_blocks(traj.times.size))
+
+
 def _written_inline(monkeypatch, traj, fmt, meta, footer):
-    """The document the CLI's writer writes for traj, its blocks handed over as simulate hands them, inline."""
+    """The document the CLI's writer writes for traj, its blocks handed over as integrate yields them, inline."""
     monkeypatch.delattr(os, "fork", raising=False)
     if fmt == "table":
         write, closing = reports.write_table, reports.table_footer
     else:
-        write, closing = reports.write_document, reports.document_footer
+        write, closing = functools.partial(reports.write_document, dt=traj.dt), reports.document_footer
     out = io.StringIO()
-    with cli._TrajectoryWriter(out, write, meta) as writer:
-        for rows in row_blocks(traj.times.size):
-            writer.on_block(traj, rows.stop)
+    with cli._TrajectoryWriter(out, write, traj.times, meta) as writer:
+        writer.write_blocks(_blocks(traj))
         writer.finish(closing(footer))
     return out.getvalue()
 
@@ -85,16 +91,23 @@ def _per_value_reduction_document(net, op, meta):
 )
 def test_structured_document_matches_per_value_renderer(tmp_path, monkeypatch, builder, argv, oracle):
     # the CLI document for ne39, byte for byte, against the per-value builder on the same inputs; the CLI
-    # writes a trajectory document by write_document(out, traj, meta, ready) and document_footer(footer),
-    # here inline, so that the calls are seen in this process
+    # writes a trajectory document by write_document(out, blocks, times, meta, dt=dt) and
+    # document_footer(footer), here inline, so that the calls are seen in this process
     monkeypatch.delattr(os, "fork")
     names = ["write_document", "document_footer"] if builder == "trajectory_document" else [builder]
     seen = {name: [] for name in names}
     for name in names:
 
-        def spy(*args, name=name, real=getattr(reports, name)):
-            seen[name].append(args[1:3] if name == "write_document" else args)  # (traj, meta) of write_document
-            return real(*args)
+        def spy(*args, name=name, real=getattr(reports, name), **kwargs):
+            if name != "write_document":
+                seen[name].append(args)
+                return real(*args, **kwargs)
+            out, blocks, times, meta = args
+            passed = []  # a copy of each block as it passes: the trajectory that was written
+            real(out, ((rows, passed.append(block.copy()) or block) for rows, block in blocks), times, meta, **kwargs)
+            states = np.vstack(passed)
+            n = states.shape[1] // 2
+            seen[name].append((Trajectory(times, states[:, :n], states[:, n:], kwargs["dt"]), meta))
 
         monkeypatch.setattr(reports, name, spy)
     out = tmp_path / "doc.json"
@@ -108,59 +121,63 @@ def test_structured_document_matches_per_value_renderer(tmp_path, monkeypatch, b
 
 @pytest.mark.parametrize("rows", [1, ROWS_PER_BLOCK - 1, ROWS_PER_BLOCK, ROWS_PER_BLOCK + 1, 2 * ROWS_PER_BLOCK + 1])
 def test_trajectory_blocks_join_to_per_row_documents(monkeypatch, rows):
-    # each writer asks for rows [0, stop) to be final before it reads them: the table a block at a time, the
-    # structured document its times at once and delta and omega a block at a time; rows that are not final
-    # hold NaN, so a row read early shows.  Each write holds at most ROWS_PER_BLOCK rows.  The footer is
-    # rendered apart, once the decay fit is done
+    # each writer reads a block before it asks for the next, which overwrites it with NaN, so a block read
+    # late shows; it asks for each block once, in order.  The table is written a block at a time, the
+    # structured document its times at once, then the delta rows a block at a time, then the omega rows it
+    # kept.  Each write holds at most ROWS_PER_BLOCK rows.  The footer is rendered apart, once the decay
+    # fit is done
     values = np.random.default_rng(rows).standard_normal((rows, 4)) * 10.0 ** np.arange(-2, 2)
-    states = np.full_like(values, np.nan)
-    traj = Trajectory(times=np.arange(rows) * 1e-3, delta=states[:, :2], omega=states[:, 2:], dt=1e-3)
+    times = np.arange(rows) * 1e-3
     meta, footer = {"tool": "gridlink", "links": 1}, {"fitted_decay_rate": "-0.5", "alpha_max": "-0.4"}
-    final = Trajectory(times=traj.times, delta=values[:, :2], omega=values[:, 2:], dt=1e-3)
-    stops = [block.stop for block in row_blocks(rows)]
+    final = Trajectory(times=times, delta=values[:, :2], omega=values[:, 2:], dt=1e-3)
 
-    def ready(stop):
-        asked.append(stop)
-        states[:stop] = values[:stop]
+    def blocks():
+        buffer = np.empty((ROWS_PER_BLOCK, 4))
+        for block_rows in row_blocks(rows):
+            asked.append(block_rows.stop)
+            block = buffer[: block_rows.stop - block_rows.start]
+            block[:] = values[block_rows]
+            yield block_rows, block
+            buffer[:] = np.nan
 
-    for write, closing, expected_stops, expected in (
-        (reports.write_table, reports.table_footer, stops, _per_value_table(final, meta, footer)),
+    for write, closing, expected in (
+        (reports.write_table, reports.table_footer, _per_value_table(final, meta, footer)),
         (
-            reports.write_document,
+            functools.partial(reports.write_document, dt=1e-3),
             reports.document_footer,
-            [0] * len(stops) + 2 * stops,
             _rows_on_one_line(render_json(_per_value_trajectory_document(final, meta, footer))),
         ),
     ):
-        states[:] = np.nan
         writes, asked = [], []
-        write(SimpleNamespace(write=writes.append), traj, meta, ready)
-        assert asked == expected_stops
+        write(SimpleNamespace(write=writes.append), blocks(), times, meta)
+        assert asked == [block.stop for block in row_blocks(rows)]
         assert max(text.count("\n") for text in writes) <= ROWS_PER_BLOCK
         assert "".join(writes) + closing(footer) == expected
     assert _written_inline(monkeypatch, final, "table", meta, footer) == _per_value_table(final, meta, footer)
+    assert _written_inline(monkeypatch, final, "structured", meta, footer) == expected
 
 
 def test_trajectory_table_is_written_one_block_at_a_time(tmp_path, monkeypatch, ne39_model):
-    # the CLI's writer, rendering inline, holds about one block of ne39's 20 s table, not the document
+    # the CLI's writer, rendering inline the blocks integrate yields, holds about one block of ne39's 20 s
+    # table, not the document, nor the trajectory
     monkeypatch.delattr(os, "fork")
     model = ne39_model
     init = MachineState(model.op.delta_s.copy(), np.full(model.n, model.op.omega_s))
     dist = DisturbanceSpec(target=0, d_delta=0.05)
-    traj = simulate(init, model, ControlConfig(), dist, t_max=20.0, dt=1e-3)
+    times = np.arange(20001) * 1e-3
     out = tmp_path / "traj.csv"
     tracemalloc.start()
     try:
         with cli._output(argparse.Namespace(out=str(out))) as f:
-            with cli._TrajectoryWriter(f, reports.write_table, {"tool": "gridlink"}) as writer:
-                for rows in row_blocks(traj.times.size):
-                    writer.on_block(traj, rows.stop)
+            with cli._TrajectoryWriter(f, reports.write_table, times, {"tool": "gridlink"}) as writer:
+                writer.write_blocks(integrate(init, model, ControlConfig(), dist, t_max=20.0, dt=1e-3))
                 writer.finish(reports.table_footer({"alpha_max": "-0.09"}))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert out.read_text(encoding="utf-8").count("\n") == 20001 + 3
     assert peak < out.stat().st_size / 4
+    assert peak < times.size * 2 * model.n * 8 / 2  # half the trajectory's floats
 
 
 def test_early_stopped_plan_documents_carry_the_stop_reason(toy4_model):
