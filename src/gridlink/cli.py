@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import hashlib
 import json
 import math
@@ -31,13 +30,14 @@ from gridlink.case import InputError, parse_case
 from gridlink.dynamics import (
     ROWS_PER_BLOCK,
     ControlConfig,
+    DecayFit,
     DisturbanceSpec,
     MachineState,
     SimulationBlowUp,
     Trajectory,
     decay_rate,
     deviation_norms,
-    fit_decay_rate,
+    grid_times,
     horizon_steps,
     integrate,
     row_blocks,
@@ -237,8 +237,9 @@ def run_plan(args: argparse.Namespace) -> int:
 
 
 class _TrajectoryWriter(contextlib.AbstractContextManager):
-    """Writes a trajectory document to out as its blocks are integrated: write(out, blocks, times, meta) is
-    reports.write_table or write_document, over the (rows, block) pairs that write_blocks is given.
+    """Writes a trajectory document of count rows, dt apart, to out as its blocks are integrated:
+    write(out, blocks, count, dt, meta) is reports.write_table or write_document, over the (rows, block) pairs
+    that write_blocks is given.
 
     With more than one block and os.fork, the first block forks a child that runs write into the inherited
     out, over blocks it reads from a pipe: the parent writes each block's bytes there as it comes and keeps
@@ -250,8 +251,8 @@ class _TrajectoryWriter(contextlib.AbstractContextManager):
 
     _CRASHED = 255  # no errno is this large
 
-    def __init__(self, out: IO[str], write: Callable[..., None], times: np.ndarray, meta: dict):
-        self.out, self.write, self.times, self.meta = out, write, times, meta
+    def __init__(self, out: IO[str], write: Callable[..., None], count: int, dt: float, meta: dict):
+        self.out, self.write, self.count, self.dt, self.meta = out, write, count, dt, meta
         self.pid: int | None = None  # the forked writer, until it is reaped
         self.pipe = -1  # the parent's end of the pipe; in the child, its end
 
@@ -261,9 +262,9 @@ class _TrajectoryWriter(contextlib.AbstractContextManager):
             os.waitpid(self.pid, 0)
 
     def write_blocks(self, blocks: Iterator[tuple[slice, np.ndarray]]) -> None:
-        """Write the rows of blocks, which yields (rows, block) for consecutive slices of the times."""
-        if self.times.size <= ROWS_PER_BLOCK or not hasattr(os, "fork"):
-            self.write(self.out, blocks, self.times, self.meta)
+        """Write the rows of blocks, which yields (rows, block) for consecutive slices of range(count)."""
+        if self.count <= ROWS_PER_BLOCK or not hasattr(os, "fork"):
+            self.write(self.out, blocks, self.count, self.dt, self.meta)
             return
         for _, block in blocks:
             if self.pid is None:
@@ -287,7 +288,7 @@ class _TrajectoryWriter(contextlib.AbstractContextManager):
         self.pipe = received
         status = self._CRASHED
         try:
-            self.write(self.out, self._received(width), self.times, self.meta)
+            self.write(self.out, self._received(width), self.count, self.dt, self.meta)
             self.out.flush()
             status = 0
         except OSError as exc:
@@ -298,7 +299,7 @@ class _TrajectoryWriter(contextlib.AbstractContextManager):
     def _received(self, width: int) -> Iterator[tuple[slice, np.ndarray]]:
         """The child's blocks: each read whole from the pipe into one reused buffer of width columns."""
         buffer = np.empty((ROWS_PER_BLOCK, width))
-        for rows in row_blocks(self.times.size):
+        for rows in row_blocks(self.count):
             block = buffer[: rows.stop - rows.start]
             data = memoryview(block).cast("B")
             while data:
@@ -334,9 +335,10 @@ def run_simulate(args: argparse.Namespace) -> int:
     The arguments are checked, and --out is opened, before the integration,
     so a bad one fails without integrating.  Each block of rows is rendered
     as it is integrated (see _TrajectoryWriter) and its deviation norms are
-    kept for the decay fit; no process holds the whole trajectory.  The
-    footer is written once the fit is done.  A failed run, a blow-up say,
-    leaves no output file.
+    added to the decay fit (DecayFit), with its times made for it
+    (grid_times); no process holds the whole trajectory, and this one keeps
+    no array that grows with the rows.  The footer is written once the fit is
+    done.  A failed run, a blow-up say, leaves no output file.
     """
     model, meta, links = _load(args)
     ctl = ControlConfig(links, args.gain)
@@ -356,31 +358,31 @@ def run_simulate(args: argparse.Namespace) -> int:
         }
     )
     if args.format == "structured":
-        write, footer_text = functools.partial(reports.write_document, dt=args.dt), reports.document_footer
+        write, footer_text = reports.write_document, reports.document_footer
     else:
         write, footer_text = reports.write_table, reports.table_footer
     blocks = integrate(initial, model, ctl, disturbance, t_max=args.tmax, dt=args.dt)
-    times = np.arange(horizon_steps(args.tmax, args.dt) + 1) * args.dt
-    norms = np.empty(times.size)
+    count = horizon_steps(args.tmax, args.dt) + 1
+    fit = DecayFit(t_start=args.tmax / 4.0)
     # A norm that overflows is an error only if no later block blows up: it is raised before the fit.
     overflow: list[FloatingPointError] = []
 
-    def normed(blocks: Iterator[tuple[slice, np.ndarray]]) -> Iterator[tuple[slice, np.ndarray]]:
+    def fitted(blocks: Iterator[tuple[slice, np.ndarray]]) -> Iterator[tuple[slice, np.ndarray]]:
         for rows, block in blocks:
-            view = Trajectory(times[rows], block[:, : model.n], block[:, model.n :], args.dt)
+            view = Trajectory(grid_times(rows, args.dt), block[:, : model.n], block[:, model.n :], args.dt)
             try:
-                norms[rows] = deviation_norms(view, model.op)
+                fit.add(view.times, deviation_norms(view, model.op))
             except FloatingPointError as exc:
                 overflow.append(exc)
             yield rows, block
 
-    with _output(args) as out, _TrajectoryWriter(out, write, times, meta) as writer:
-        writer.write_blocks(normed(blocks))
+    with _output(args) as out, _TrajectoryWriter(out, write, count, args.dt, meta) as writer:
+        writer.write_blocks(fitted(blocks))
         alpha = alpha_for_links(model, ctl.links, ctl.gain)
         if overflow:
             raise overflow[0]
         try:
-            fitted_text = repr(fit_decay_rate(times, norms, t_start=args.tmax / 4.0))
+            fitted_text = repr(fit.rate())
         except ValueError as exc:
             fitted_text = f"unavailable ({exc})"
         writer.finish(footer_text({"fitted_decay_rate": fitted_text, "alpha_max": repr(alpha)}))

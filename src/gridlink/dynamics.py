@@ -8,9 +8,11 @@ vector z that holds x, the electrical power terms w * (W w) with
 w = [cos delta, sin delta], and a constant 1, whose column of H holds the
 constant drive.  Integration is classical fixed-step RK4, bitwise
 deterministic for fixed inputs, in one loop: integrate yields the stacked
-rows a block at a time from one reused buffer, so a caller that streams
-them (the CLI's writer and decay fit) never holds the whole trajectory, and
-simulate copies them into one Trajectory.
+rows a block at a time from one reused buffer, and simulate copies them
+into one Trajectory.  A caller that streams them (the CLI's writer and
+decay fit) keeps no array that grows with the rows: grid_times makes a
+block's times, and DecayFit folds a block's deviation norms into a few
+running sums.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from gridlink.reduction import OperatingPoint, ReducedNetwork
 Link = tuple[int, int]
 
 # Cap on the RK4 steps of one run.  Only the library's simulate stores the whole (steps + 1) x 2n array; the
-# CLI keeps 16 bytes a row (the times and the deviation norms).
+# CLI keeps no array that grows with the rows.
 MAX_STEPS = 10**6
 # Trajectory rows per block: integrate checks its rows for a blow-up and yields them a block at a time, the
 # trajectory documents render a block per text block, and deviation_norms works a block at a time.
@@ -119,6 +121,12 @@ def horizon_steps(t_max: float, dt: float) -> int:
 def row_blocks(rows: int) -> Iterator[slice]:
     """Slices of ROWS_PER_BLOCK consecutive rows covering range(rows); the last may be shorter."""
     return (slice(start, min(start + ROWS_PER_BLOCK, rows)) for start in range(0, rows, ROWS_PER_BLOCK))
+
+
+def grid_times(rows: slice, dt: float) -> np.ndarray:
+    """The times k dt of the rows k in rows (a slice with a start and a stop), s: for any number of rows N,
+    bit for bit (np.arange(N) * dt)[rows], the time grid of every trajectory."""
+    return np.arange(rows.start, rows.stop) * dt
 
 
 def link_laplacian(ctl: ControlConfig, n: int) -> np.ndarray:
@@ -344,7 +352,7 @@ def simulate(
     """The trajectory of integrate(...), its blocks copied into one (steps + 1, 2n) array of which the
     returned delta and omega are views; the same checks, rows and blow-up."""
     blocks = integrate(initial, model, ctl, disturbance, t_max, dt)
-    times = np.arange(horizon_steps(t_max, dt) + 1) * dt
+    times = grid_times(slice(0, horizon_steps(t_max, dt) + 1), dt)
     states = np.empty((times.size, 2 * model.n))
     for rows, block in blocks:
         states[rows] = block
@@ -369,24 +377,83 @@ def deviation_norms(traj: Trajectory, op: OperatingPoint) -> np.ndarray:
 
 
 def decay_rate(traj: Trajectory, op: OperatingPoint, t_start: float) -> float:
-    """Least-squares slope of log of the deviation norm over [t_start, end], 1/s: fit_decay_rate of the
-    trajectory's deviation_norms."""
-    return fit_decay_rate(traj.times, deviation_norms(traj, op), t_start)
+    """Least-squares slope of log of the deviation norm over [t_start, end], 1/s: the DecayFit of the
+    trajectory's deviation_norms, fed a row_blocks block at a time, as the CLI feeds it."""
+    norms = deviation_norms(traj, op)
+    fit = DecayFit(t_start)
+    for rows in row_blocks(norms.size):
+        fit.add(traj.times[rows], norms[rows])
+    return fit.rate()
 
 
-def fit_decay_rate(times: np.ndarray, norms: np.ndarray, t_start: float) -> float:
-    """Least-squares slope of log(norms) against times over [t_start, end], 1/s.
+# The centred sums of a run of samples (t, y): count, mean t, mean y, S_tt and S_ty.
+_Sums = tuple[int, float, float, float, float]
 
-    Samples whose norm is below 1e-13 are dropped; if every sample in the
-    window is below that, there is nothing to fit and a ValueError is raised.
+
+class DecayFit:
+    """Least-squares slope of log(norm) against time over [t_start, end], 1/s, fed a block of samples at a time.
+
+    add(times, norms) takes the next block, in time order; rate() is the slope
+    over every sample added so far.  A sample counts if its time is in the
+    window (time >= t_start - 1e-12) and its norm is 1e-13 or more.  Each
+    block's usable samples are reduced to their centred sums: the count, the
+    means of t and of y = log(norm), S_tt and S_ty.  Those of two runs of
+    samples merge by the pairwise update of Chan, Golub & LeVeque (1983), and
+    the runs merge as a binary tree: a run merges with the one before it
+    while that one holds as many blocks.  So the fit keeps the sums of about
+    log2(blocks) runs, not the samples, and its rounding grows with that
+    depth, not with the block count.  The slope is S_ty / S_tt.
     """
-    if t_start > times[-1]:
-        raise ValueError(f"t_start {t_start} beyond trajectory end {times[-1]}")
-    window = times >= t_start - 1e-12
-    usable = window & (norms >= 1e-13)
-    if not np.any(usable):
-        raise ValueError("deviation underflow: all norms in the fit window are below 1e-13")
-    if np.count_nonzero(usable) < 2:
-        raise ValueError("fewer than two usable samples in the fit window")
-    slope, _ = np.polyfit(times[usable], np.log(norms[usable]), 1)
-    return float(slope)
+
+    def __init__(self, t_start: float):
+        self.t_start = t_start
+        self.t_end = -math.inf  # the last time added
+        self._runs: list[tuple[int, _Sums]] = []  # (blocks, sums) of each run of blocks, oldest first
+
+    def add(self, times: np.ndarray, norms: np.ndarray) -> None:
+        """Fold in the samples (times[i], norms[i]), which follow every sample added before."""
+        if not times.size:
+            return
+        self.t_end = float(times[-1])
+        usable = (times >= self.t_start - 1e-12) & (norms >= 1e-13)
+        t, y = times[usable], np.log(norms[usable])
+        if not t.size:
+            return
+        mean_t, mean_y = float(t.mean()), float(y.mean())
+        t -= mean_t
+        y -= mean_y
+        blocks, sums = 1, (t.size, mean_t, mean_y, float(t @ t), float(t @ y))
+        while self._runs and self._runs[-1][0] == blocks:
+            blocks, sums = 2 * blocks, _merged(self._runs.pop()[1], sums)
+        self._runs.append((blocks, sums))
+
+    def rate(self) -> float:
+        """The fitted slope; a ValueError if t_start is past the last time added or fewer than two samples
+        count."""
+        if self.t_start > self.t_end:
+            raise ValueError(f"t_start {self.t_start} beyond trajectory end {self.t_end}")
+        if not self._runs:
+            raise ValueError("deviation underflow: all norms in the fit window are below 1e-13")
+        sums = self._runs[-1][1]
+        for _, earlier in reversed(self._runs[:-1]):
+            sums = _merged(earlier, sums)
+        count, _, _, s_tt, s_ty = sums
+        if count < 2:
+            raise ValueError("fewer than two usable samples in the fit window")
+        return s_ty / s_tt
+
+
+def _merged(a: _Sums, b: _Sums) -> _Sums:
+    """The centred sums (count, mean t, mean y, S_tt, S_ty) of two runs of samples, a's then b's."""
+    count_a, mean_t_a, mean_y_a, s_tt_a, s_ty_a = a
+    count_b, mean_t_b, mean_y_b, s_tt_b, s_ty_b = b
+    count = count_a + count_b
+    gap_t, gap_y = mean_t_b - mean_t_a, mean_y_b - mean_y_a
+    weight = count_a * count_b / count
+    return (
+        count,
+        mean_t_a + gap_t * count_b / count,
+        mean_y_a + gap_y * count_b / count,
+        s_tt_a + s_tt_b + gap_t * gap_t * weight,
+        s_ty_a + s_ty_b + gap_t * gap_y * weight,
+    )

@@ -15,7 +15,7 @@ from typing import IO, Any
 
 import numpy as np
 
-from gridlink.dynamics import row_blocks
+from gridlink.dynamics import grid_times, row_blocks
 from gridlink.linearization import SpectrumReport
 from gridlink.planner import PlanResult
 from gridlink.reduction import OperatingPoint, ReducedNetwork
@@ -309,22 +309,24 @@ def reduction_document(net: ReducedNetwork, op: OperatingPoint, meta: dict[str, 
 
 # --- trajectory -------------------------------------------------------------
 #
-# write_table and write_document write a trajectory document up to its footer, which is rendered once the
-# decay fit is done.  They take the trajectory as it is integrated: blocks yields (rows, block) for
-# consecutive row slices from 0, block[i] holding the stacked state [delta, omega] at times[rows][i], as
-# dynamics.integrate yields them; a block is read only before the next one is asked for.  The CLI's
-# _TrajectoryWriter runs them, in a forked process that reads the blocks from a pipe, or inline.
+# write_table and write_document write a trajectory document of count rows, dt apart, up to its footer, which
+# is rendered once the decay fit is done.  They take the trajectory as it is integrated: blocks yields
+# (rows, block) for consecutive row slices of range(count), block[i] holding the stacked state [delta, omega]
+# at time (rows.start + i) dt, as dynamics.integrate yields them; a block is read only before the next one is
+# asked for, and its times are made for it by dynamics.grid_times.  The CLI's _TrajectoryWriter runs them, in
+# a forked process that reads the blocks from a pipe, or inline.
 
 
-def write_table(out: IO[str], blocks: Iterator[tuple[slice, np.ndarray]], times: np.ndarray,
+def write_table(out: IO[str], blocks: Iterator[tuple[slice, np.ndarray]], count: int, dt: float,
                 meta: dict[str, Any]) -> None:
-    """Write the delimited table to out: the header and the column line, then each block's rows as it comes."""
+    """Write the delimited table to out: the header and the column line, then each block's rows as it comes;
+    no array that grows with count is kept."""
     for rows, block in blocks:
         if not rows.start:
             n = block.shape[1] // 2
             columns = ["time"] + [f"delta_{i + 1}" for i in range(n)] + [f"omega_{i + 1}" for i in range(n)]
             out.write("\n".join(header_lines(meta) + [",".join(columns)]) + "\n")
-        out.write(repr_rows(np.column_stack((times[rows], block)), ","))
+        out.write(repr_rows(np.column_stack((grid_times(rows, dt), block)), ","))
 
 
 def table_footer(footer: dict[str, Any]) -> str:
@@ -336,18 +338,19 @@ def _json_members(doc: dict[str, Any]) -> str:
     return json.dumps(doc, indent=2)[2:-2]
 
 
-def write_document(out: IO[str], blocks: Iterator[tuple[slice, np.ndarray]], times: np.ndarray,
-                   meta: dict[str, Any], dt: float) -> None:
+def write_document(out: IO[str], blocks: Iterator[tuple[slice, np.ndarray]], count: int, dt: float,
+                   meta: dict[str, Any]) -> None:
     """Write the structured trajectory to out: meta, dt, times, delta and omega, up to the summary.
 
     The layout is render_json's, except that each row of times, delta and
-    omega sits on one line.  The times are written first, then each block's
-    delta rows as it comes; its omega rows are kept until the last delta row
-    is written, then rendered a block at a time.  JSON writes a finite float
-    as repr does, and every row integrate yields is finite.
+    omega sits on one line.  The times are written first, made a block at a
+    time, then each block's delta rows as it comes; its omega rows are kept
+    until the last delta row is written, then rendered a block at a time, so
+    those are the only rows kept.  JSON writes a finite float as repr does,
+    and every row integrate yields is finite.
     """
     out.write("{\n" + _json_members({"meta": meta, "dt": float(dt)}) + ",\n")
-    _write_array(out, "times", ((rows, times[rows]) for rows in row_blocks(times.size)))
+    _write_array(out, "times", ((rows, grid_times(rows, dt)) for rows in row_blocks(count)))
     omega = []  # each block's omega rows, copied: the next block may overwrite the block
 
     def delta_rows() -> Iterator[tuple[slice, np.ndarray]]:

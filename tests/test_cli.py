@@ -1,7 +1,6 @@
 import argparse
 import contextlib
 import copy
-import functools
 import io
 import json
 import os
@@ -654,8 +653,8 @@ def test_simulate_fit_matches_alpha(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["table", "structured"])
 def test_simulate_fit_is_the_library_decay_rate_bit_for_bit(tmp_path, ne39_model, fmt):
-    # the CLI takes each block's deviation norms as it passes and fits them once the run ends; the footer
-    # holds the repr of decay_rate on simulate's trajectory, with the fit from tmax / 4 on
+    # the CLI adds each block's deviation norms to the fit as the block passes, as decay_rate adds them; the
+    # footer holds the repr of decay_rate on simulate's trajectory, with the fit from tmax / 4 on
     out = tmp_path / "traj"
     assert run(["simulate", "--case", case_path("newengland39"), "--out", out, "--tmax", 3.0,
                 "--perturb", "gen=1,ddelta=0.05", "--format", fmt]) == 0
@@ -664,6 +663,28 @@ def test_simulate_fit_is_the_library_decay_rate_bit_for_bit(tmp_path, ne39_model
     fitted = repr(decay_rate(traj, ne39_model.op, 0.75))
     line = f'"fitted_decay_rate": "{fitted}"' if fmt == "structured" else f"# fitted_decay_rate: {fitted}\n"
     assert line in out.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["table", "structured"])
+@pytest.mark.parametrize(
+    "extra, reason",
+    [
+        (["--tmax", 1.0], "deviation underflow: all norms in the fit window are below 1e-13"),
+        (["--tmax", 0.001, "--perturb", "gen=1,ddelta=0.01"], "fewer than two usable samples in the fit window"),
+    ],
+    ids=["at-rest", "one-sample"],
+)
+def test_simulate_footer_says_why_no_decay_rate_was_fitted(tmp_path, toy3_model, fmt, extra, reason):
+    # a run that stays at rest, or whose fit window holds one row, still succeeds; its footer gives the
+    # fit's reason in place of the rate
+    out = tmp_path / "traj"
+    assert run(["simulate", "--case", case_path("toy3"), "--out", out, "--format", fmt, *extra]) == 0
+    fitted, alpha = f"unavailable ({reason})", repr(alpha_for_links(toy3_model, (), -1.0))
+    if fmt == "table":
+        footer = f"# fitted_decay_rate: {fitted}\n# alpha_max: {alpha}\n"
+    else:
+        footer = f'  "summary": {{\n    "fitted_decay_rate": "{fitted}",\n    "alpha_max": "{alpha}"\n  }}\n}}\n'
+    assert out.read_text(encoding="utf-8").endswith(footer)
 
 
 @pytest.mark.parametrize(
@@ -806,10 +827,10 @@ def streamed(values, before_each=None):
 
 
 def trajectory_writer(fmt):
-    """The write and footer functions run_simulate hands _TrajectoryWriter for --format fmt, with dt 1e-3."""
+    """The write and footer functions run_simulate hands _TrajectoryWriter for --format fmt."""
     if fmt == "table":
         return reports.write_table, reports.table_footer
-    return functools.partial(reports.write_document, dt=1e-3), reports.document_footer
+    return reports.write_document, reports.document_footer
 
 
 @pytest.mark.parametrize("fmt", ["table", "structured"])
@@ -833,7 +854,7 @@ def test_trajectory_writer_forked_and_inline_write_the_same_bytes(tmp_path, monk
         with monkeypatch.context() as patch, time_limit(60), open(path, "w", encoding="utf-8") as out:
             if not forked:
                 patch.delattr(os, "fork")
-            with cli._TrajectoryWriter(out, write, times, meta) as writer:
+            with cli._TrajectoryWriter(out, write, rows, 1e-3, meta) as writer:
                 # a pause before each block, so that the forked writer waits on an empty pipe
                 writer.write_blocks(streamed(values, lambda: time.sleep(0.05)))
                 writer.finish(closing(footer))
@@ -850,15 +871,14 @@ def test_trajectory_writer_forked_and_inline_write_the_same_bytes(tmp_path, monk
 
 def test_trajectory_writer_reaps_its_child_when_the_run_fails(tmp_path, forks):
     # an exception after the first block closes the pipe: the child reads its end and exits, and is reaped
-    times = np.arange(3 * ROWS_PER_BLOCK) * 1e-3
-
     def failing():
         yield slice(0, ROWS_PER_BLOCK), np.zeros((ROWS_PER_BLOCK, 4))
         raise ValueError("after the first block")
 
     with time_limit(60), pytest.raises(ValueError, match="after the first block"):
         with open(tmp_path / "traj.csv", "w", encoding="utf-8") as out:
-            with cli._TrajectoryWriter(out, reports.write_table, times, {"tool": "gridlink"}) as writer:
+            writer = cli._TrajectoryWriter(out, reports.write_table, 3 * ROWS_PER_BLOCK, 1e-3, {"tool": "gridlink"})
+            with writer:
                 writer.write_blocks(failing())
     (pid,) = forks
     assert_reaped(pid)
@@ -874,7 +894,7 @@ def test_forked_writer_cut_off_inside_a_block_writes_no_partial_row(tmp_path, fo
     write, _ = trajectory_writer(fmt)
     path = tmp_path / "traj"
     with time_limit(60), open(path, "w", encoding="utf-8", buffering=1) as out:
-        writer = cli._TrajectoryWriter(out, write, times, meta)
+        writer = cli._TrajectoryWriter(out, write, len(values), 1e-3, meta)
         writer.write_blocks(streamed(values[:ROWS_PER_BLOCK]))
         half = values[ROWS_PER_BLOCK : ROWS_PER_BLOCK + ROWS_PER_BLOCK // 2]
         os.write(writer.pipe, np.ascontiguousarray(half).tobytes()[:-4])  # and not even the last row whole
@@ -936,27 +956,40 @@ def test_norm_overflow_is_reported_only_if_no_later_block_blows_up(tmp_path, cap
     assert_reaped(pid)
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kibibytes on Linux")
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is read from /proc/self/status")
 @pytest.mark.parametrize("fmt", ["table", "structured"])
-def test_simulate_holds_no_trajectory_in_the_parent(tmp_path, fmt):
+def test_simulate_holds_no_trajectory_in_the_parent(fmt):
     # in a fresh interpreter, after a 2 s run that loads and warms everything, a 40 s ne39 run raises the
-    # peak resident size by less than half of its (steps + 1) x 2n floats: the parent keeps the times and
-    # the deviation norms, 16 bytes a row, and the fit's temporaries, not the rows
-    argv = ["simulate", "--case", str(case_path("newengland39")), "--out", str(tmp_path / "traj"),
+    # peak resident size by less than half of its (steps + 1) x 2n floats, and a 160 s run by no more than
+    # the 40 s run, give or take 512 KiB: the parent keeps a block of rows, its times and norms and the
+    # fit's partial sums, nothing that grows with the rows.  The forked writer writes to os.devnull, so the
+    # 160 s documents take no disk.  The peak is VmHWM, which starts afresh at exec: ru_maxrss would start at
+    # the peak of this (pytest's) process, which a fork hands on and exec keeps, and read no growth at all
+    argv = ["simulate", "--case", str(case_path("newengland39")), "--out", os.devnull,
             "--perturb", "gen=1,ddelta=0.05", "--format", fmt]
-    code = f"""
-import resource
+
+    def growth_kib(tmax):
+        code = f"""
 from gridlink import cli
+
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
 assert cli.main({argv!r} + ["--tmax", "2"]) == 0
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-assert cli.main({argv!r} + ["--tmax", "40"]) == 0
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+before = peak_kib()
+assert cli.main({argv!r} + ["--tmax", "{tmax}"]) == 0
+print(peak_kib() - before)
 """
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout)
+
     trajectory_bytes = 40001 * 2 * 10 * 8
-    assert int(proc.stdout) * 1024 < trajectory_bytes / 2
+    growth_40 = growth_kib(40)
+    assert growth_40 * 1024 < trajectory_bytes / 2
+    assert growth_kib(160) <= growth_40 + 512
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
@@ -983,7 +1016,7 @@ def test_simulate_write_failure_is_input_error(monkeypatch, capsys, forks, write
 def test_crashed_writer_is_a_computation_error(tmp_path, monkeypatch, capsys, forks, fault, line):
     # a forked writer that fails other than by an OSError, after it has read its first block, is a failed
     # computation: one line naming the writer and its status, no output file, and the child reaped
-    def crashing(out, blocks, times, meta):
+    def crashing(out, blocks, count, dt, meta):
         next(blocks)
         if fault == "kill":
             os.kill(os.getpid(), signal.SIGKILL)

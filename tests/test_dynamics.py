@@ -13,6 +13,7 @@ from gridlink.dynamics import (
     MAX_STEPS,
     ROWS_PER_BLOCK,
     ControlConfig,
+    DecayFit,
     DisturbanceSpec,
     MachineState,
     SimulationBlowUp,
@@ -22,6 +23,7 @@ from gridlink.dynamics import (
     decay_rate,
     deviation_norms,
     electrical_power,
+    grid_times,
     horizon_steps,
     integrate,
     link_laplacian,
@@ -713,6 +715,15 @@ def test_integrate_blocks_join_to_simulate_bit_for_bit(ne39_model, steps, dist):
     assert traj.times.tobytes() == (np.arange(steps + 1) * 1e-3).tobytes()
 
 
+@pytest.mark.parametrize("dt", [1e-3, 2e-3, 0.1, 1 / 3])
+@pytest.mark.parametrize("count", [1, 2, B, B + 1, 3 * B + 1])
+def test_grid_times_of_each_block_are_the_whole_grid_bit_for_bit(dt, count):
+    # a block's times, made for it alone, are the rows of the whole run's times, bit for bit
+    whole = np.arange(count) * dt
+    for rows in row_blocks(count):
+        assert grid_times(rows, dt).tobytes() == whole[rows].tobytes()
+
+
 @pytest.mark.parametrize(
     "t_max, dist, message",
     [
@@ -783,5 +794,65 @@ def test_decay_rate_cross_module(toy3_model):
 
 def test_decay_rate_underflow_error(toy3_model):
     traj = simulate(equilibrium_state(toy3_model), toy3_model, ControlConfig(), None, t_max=1.0, dt=1e-3)
-    with pytest.raises(ValueError, match="underflow"):
+    with pytest.raises(ValueError) as exc_info:
         decay_rate(traj, toy3_model.op, t_start=0.0)
+    assert str(exc_info.value) == "deviation underflow: all norms in the fit window are below 1e-13"
+
+
+@pytest.mark.parametrize(
+    "t_max, t_start, message",
+    [
+        (1.0, 1.5, "t_start 1.5 beyond trajectory end 1.0"),
+        (0.001, 0.00025, "fewer than two usable samples in the fit window"),
+    ],
+    ids=["past-the-end", "one-sample"],
+)
+def test_decay_rate_errors_keep_their_messages(toy3_model, t_max, t_start, message):
+    # besides the underflow above, the reasons there is no rate to fit of a kicked run, each a ValueError
+    # with its own message: a window that starts after the run, and a window of one row
+    model = toy3_model
+    init = MachineState(model.op.delta_s + np.array([0.01, 0.0, 0.0]), np.full(3, model.op.omega_s))
+    traj = simulate(init, model, ControlConfig(), None, t_max=t_max)
+    with pytest.raises(ValueError) as exc_info:
+        decay_rate(traj, model.op, t_start=t_start)
+    assert str(exc_info.value) == message
+
+
+def _polyfit_rate(times, norms, t_start):
+    """The oracle: np.polyfit's line through log(norms) over the samples in the window of 1e-13 or more."""
+    usable = (times >= t_start - 1e-12) & (norms >= 1e-13)
+    return float(np.polyfit(times[usable], np.log(norms[usable]), 1)[0])
+
+
+def _fit_in_blocks(times, norms, t_start, size):
+    fit = DecayFit(t_start)
+    for start in range(0, times.size, size):
+        fit.add(times[start : start + size], norms[start : start + size])
+    return fit.rate()
+
+
+def _decay_case(name, ne39_model):
+    """(trajectory, operating point, t_start) of a named run: a synthetic envelope, fitted from 0, or a kicked
+    ne39 run under the 15-link plan, fitted from t_max / 4 as the CLI fits it."""
+    if name.startswith("synthetic"):
+        traj = _synthetic_trajectory(rate=-0.5, freq=0.0) if name == "synthetic" else _synthetic_trajectory(-0.3, 1.0)
+        return traj, OperatingPoint(delta_s=np.zeros(2), omega_s=377.0, p_m_const=np.zeros(2)), 0.0
+    t_max, kick = {"ne39-20s": (20.0, 0.05), "ne39-40s": (40.0, 0.05), "ne39-20s-large": (20.0, 0.3)}[name]
+    model = ne39_model
+    ctl = ControlConfig([(i - 1, k - 1) for i, k in NE39_PLAN_15], -1.0)
+    init = MachineState(model.op.delta_s + kick * np.eye(model.n)[0], np.full(model.n, model.op.omega_s))
+    return simulate(init, model, ctl, None, t_max=t_max), model.op, t_max / 4.0
+
+
+@pytest.mark.parametrize("name", ["synthetic", "synthetic-1hz", "ne39-20s", "ne39-40s", "ne39-20s-large"])
+def test_streamed_decay_fit_is_the_least_squares_line_in_any_blocks(ne39_model, name):
+    # the streamed fit is polyfit's slope to 1e-12 relative, whether its rows come one at a time, seven, a
+    # row_blocks block or all at once (to 1e-13 among them); decay_rate feeds it row_blocks blocks
+    traj, op, t_start = _decay_case(name, ne39_model)
+    norms = deviation_norms(traj, op)
+    rates = {size: _fit_in_blocks(traj.times, norms, t_start, size) for size in (1, 7, ROWS_PER_BLOCK, norms.size)}
+    assert decay_rate(traj, op, t_start) == rates[ROWS_PER_BLOCK]
+    expected = _polyfit_rate(traj.times, norms, t_start)
+    for rate in rates.values():
+        assert rate == pytest.approx(expected, rel=1e-12, abs=0)
+        assert rate == pytest.approx(rates[norms.size], rel=1e-13, abs=0)

@@ -1,5 +1,4 @@
 import argparse
-import functools
 import io
 import os
 import tracemalloc
@@ -39,9 +38,9 @@ def _written_inline(monkeypatch, traj, fmt, meta, footer):
     if fmt == "table":
         write, closing = reports.write_table, reports.table_footer
     else:
-        write, closing = functools.partial(reports.write_document, dt=traj.dt), reports.document_footer
+        write, closing = reports.write_document, reports.document_footer
     out = io.StringIO()
-    with cli._TrajectoryWriter(out, write, traj.times, meta) as writer:
+    with cli._TrajectoryWriter(out, write, traj.times.size, traj.dt, meta) as writer:
         writer.write_blocks(_blocks(traj))
         writer.finish(closing(footer))
     return out.getvalue()
@@ -91,7 +90,7 @@ def _per_value_reduction_document(net, op, meta):
 )
 def test_structured_document_matches_per_value_renderer(tmp_path, monkeypatch, builder, argv, oracle):
     # the CLI document for ne39, byte for byte, against the per-value builder on the same inputs; the CLI
-    # writes a trajectory document by write_document(out, blocks, times, meta, dt=dt) and
+    # writes a trajectory document by write_document(out, blocks, count, dt, meta) and
     # document_footer(footer), here inline, so that the calls are seen in this process
     monkeypatch.delattr(os, "fork")
     names = ["write_document", "document_footer"] if builder == "trajectory_document" else [builder]
@@ -102,12 +101,12 @@ def test_structured_document_matches_per_value_renderer(tmp_path, monkeypatch, b
             if name != "write_document":
                 seen[name].append(args)
                 return real(*args, **kwargs)
-            out, blocks, times, meta = args
+            out, blocks, count, dt, meta = args
             passed = []  # a copy of each block as it passes: the trajectory that was written
-            real(out, ((rows, passed.append(block.copy()) or block) for rows, block in blocks), times, meta, **kwargs)
+            real(out, ((rows, passed.append(block.copy()) or block) for rows, block in blocks), count, dt, meta)
             states = np.vstack(passed)
             n = states.shape[1] // 2
-            seen[name].append((Trajectory(times, states[:, :n], states[:, n:], kwargs["dt"]), meta))
+            seen[name].append((Trajectory(np.arange(count) * dt, states[:, :n], states[:, n:], dt), meta))
 
         monkeypatch.setattr(reports, name, spy)
     out = tmp_path / "doc.json"
@@ -123,8 +122,7 @@ def test_structured_document_matches_per_value_renderer(tmp_path, monkeypatch, b
 def test_trajectory_blocks_join_to_per_row_documents(monkeypatch, rows):
     # each writer reads a block before it asks for the next, which overwrites it with NaN, so a block read
     # late shows; it asks for each block once, in order.  The table is written a block at a time, the
-    # structured document its times at once, then the delta rows a block at a time, then the omega rows it
-    # kept.  Each write holds at most ROWS_PER_BLOCK rows.  The footer is rendered apart, once the decay
+    # structured document its times a block at a time, then the delta rows, then the omega rows it kept.  Each write holds at most ROWS_PER_BLOCK rows.  The footer is rendered apart, once the decay
     # fit is done
     values = np.random.default_rng(rows).standard_normal((rows, 4)) * 10.0 ** np.arange(-2, 2)
     times = np.arange(rows) * 1e-3
@@ -143,13 +141,13 @@ def test_trajectory_blocks_join_to_per_row_documents(monkeypatch, rows):
     for write, closing, expected in (
         (reports.write_table, reports.table_footer, _per_value_table(final, meta, footer)),
         (
-            functools.partial(reports.write_document, dt=1e-3),
+            reports.write_document,
             reports.document_footer,
             _rows_on_one_line(render_json(_per_value_trajectory_document(final, meta, footer))),
         ),
     ):
         writes, asked = [], []
-        write(SimpleNamespace(write=writes.append), blocks(), times, meta)
+        write(SimpleNamespace(write=writes.append), blocks(), rows, 1e-3, meta)
         assert asked == [block.stop for block in row_blocks(rows)]
         assert max(text.count("\n") for text in writes) <= ROWS_PER_BLOCK
         assert "".join(writes) + closing(footer) == expected
@@ -169,7 +167,7 @@ def test_trajectory_table_is_written_one_block_at_a_time(tmp_path, monkeypatch, 
     tracemalloc.start()
     try:
         with cli._output(argparse.Namespace(out=str(out))) as f:
-            with cli._TrajectoryWriter(f, reports.write_table, times, {"tool": "gridlink"}) as writer:
+            with cli._TrajectoryWriter(f, reports.write_table, times.size, 1e-3, {"tool": "gridlink"}) as writer:
                 writer.write_blocks(integrate(init, model, ControlConfig(), dist, t_max=20.0, dt=1e-3))
                 writer.finish(reports.table_footer({"alpha_max": "-0.09"}))
         peak = tracemalloc.get_traced_memory()[1]
