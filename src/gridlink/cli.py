@@ -34,14 +34,10 @@ from gridlink.dynamics import (
     DisturbanceSpec,
     MachineState,
     SimulationBlowUp,
-    Trajectory,
-    decay_rate,
-    deviation_norms,
-    grid_times,
     horizon_steps,
     integrate,
     row_blocks,
-    simulate,
+    streamed_decay_rate,
 )
 from gridlink.linearization import alpha_for_links, spectral_abscissa
 from gridlink.model import SystemModel, build_system
@@ -333,12 +329,12 @@ def run_simulate(args: argparse.Namespace) -> int:
     """Integrate, fit the decay rate and write the trajectory document to --out.
 
     The arguments are checked, and --out is opened, before the integration,
-    so a bad one fails without integrating.  Each block of rows is rendered
-    as it is integrated (see _TrajectoryWriter) and its deviation norms are
-    added to the decay fit (DecayFit), with its times made for it
-    (grid_times); no process holds the whole trajectory, and this one keeps
-    no array that grows with the rows.  The footer is written once the fit is
-    done.  A failed run, a blow-up say, leaves no output file.
+    so a bad one fails without integrating.  Each block of rows passes
+    through the decay fit (DecayFit.feed) to the writer, which renders it as
+    it is integrated (see _TrajectoryWriter); no process holds the whole
+    trajectory, and this one keeps no array that grows with the rows.  The
+    footer is written once the fit is done.  A failed run, a blow-up say,
+    leaves no output file.
     """
     model, meta, links = _load(args)
     ctl = ControlConfig(links, args.gain)
@@ -364,24 +360,10 @@ def run_simulate(args: argparse.Namespace) -> int:
     blocks = integrate(initial, model, ctl, disturbance, t_max=args.tmax, dt=args.dt)
     count = horizon_steps(args.tmax, args.dt) + 1
     fit = DecayFit(t_start=args.tmax / 4.0)
-    # A norm that overflows is an error only if no later block blows up: it is raised before the fit.
-    overflow: list[FloatingPointError] = []
-
-    def fitted(blocks: Iterator[tuple[slice, np.ndarray]]) -> Iterator[tuple[slice, np.ndarray]]:
-        for rows, block in blocks:
-            view = Trajectory(grid_times(rows, args.dt), block[:, : model.n], block[:, model.n :], args.dt)
-            try:
-                fit.add(view.times, deviation_norms(view, model.op))
-            except FloatingPointError as exc:
-                overflow.append(exc)
-            yield rows, block
-
     with _output(args) as out, _TrajectoryWriter(out, write, count, args.dt, meta) as writer:
-        writer.write_blocks(fitted(blocks))
+        writer.write_blocks(fit.feed(blocks, model.op, args.dt))
         alpha = alpha_for_links(model, ctl.links, ctl.gain)
-        if overflow:
-            raise overflow[0]
-        try:
+        try:  # a norm that overflowed is raised here, not caught
             fitted_text = repr(fit.rate())
         except ValueError as exc:
             fitted_text = f"unavailable ({exc})"
@@ -390,13 +372,14 @@ def run_simulate(args: argparse.Namespace) -> int:
 
 
 def run_validate(args: argparse.Namespace) -> int:
-    """Plan, kick generator 1 by --ddelta, simulate, and gate the fitted decay rate against alpha_max.
+    """Plan, kick generator 1 by --ddelta, integrate, and gate the fitted decay rate against alpha_max.
 
-    Without --tmax the horizon is max(MIN_HORIZON, 4 / |alpha_max|) s, four time constants of the
-    slowest mode, so the fit from tmax / 4 on sees that mode rather than the faster ones.  The plan runs
-    with allow_nonpositive, and the simulated control is the --links links plus the planned ones.
-    alpha_max >= 0 and a mismatch above MAX_MISMATCH are computation errors; on success the plan
-    document is written, its meta holding the run and the fit.
+    Each block is fitted as it is integrated and then dropped (streamed_decay_rate, simulate's fit), so
+    no process holds the trajectory.  Without --tmax the horizon is max(MIN_HORIZON, 4 / |alpha_max|) s,
+    four time constants of the slowest mode, so the fit from tmax / 4 on sees that mode rather than the
+    faster ones.  The plan runs with allow_nonpositive, and the simulated control is the --links links plus
+    the planned ones.  alpha_max >= 0 and a mismatch above MAX_MISMATCH are computation errors; on success
+    the plan document is written, its meta holding the run and the fit.
     """
     model, meta, preinstalled = _load(args)
     result = greedy_plan(model, args.budget, args.gain, allow_nonpositive=True, preinstalled=preinstalled)
@@ -404,14 +387,13 @@ def run_validate(args: argparse.Namespace) -> int:
     if alpha >= 0:
         raise ValueError(f"alpha_max = {alpha:.6e} >= 0, no decay to validate")
     tmax = args.tmax if args.tmax is not None else max(MIN_HORIZON, 4.0 / abs(alpha))
-    try:
-        horizon_steps(tmax, args.dt)  # check_args has checked a given --tmax
-    except InputError as exc:  # not the user's flag: the horizon the plan gives
-        raise ValueError(f"derived horizon {tmax:.6g} s: {exc}; --tmax sets the horizon") from None
     initial = MachineState(model.op.delta_s, np.full(model.n, model.op.omega_s))
     ctl = ControlConfig(preinstalled + result.links, args.gain)
-    traj = simulate(initial, model, ctl, DisturbanceSpec(target=0, d_delta=args.ddelta), t_max=tmax, dt=args.dt)
-    fitted = decay_rate(traj, model.op, t_start=tmax / 4.0)
+    try:  # of integrate's rules, only the horizon's can fail here, and check_args has checked a given --tmax
+        blocks = integrate(initial, model, ctl, DisturbanceSpec(target=0, d_delta=args.ddelta), tmax, args.dt)
+    except InputError as exc:  # not the user's flag: the horizon the plan gives
+        raise ValueError(f"derived horizon {tmax:.6g} s: {exc}; --tmax sets the horizon") from None
+    fitted = streamed_decay_rate(blocks, model.op, args.dt, t_start=tmax / 4.0)
     mismatch = abs(fitted - alpha) / abs(alpha)
     if mismatch > MAX_MISMATCH:
         raise ValueError(f"mismatch {mismatch:.2%} exceeds {MAX_MISMATCH:.0%}")

@@ -9,10 +9,11 @@ w = [cos delta, sin delta], and a constant 1, whose column of H holds the
 constant drive.  Integration is classical fixed-step RK4, bitwise
 deterministic for fixed inputs, in one loop: integrate yields the stacked
 rows a block at a time from one reused buffer, and simulate copies them
-into one Trajectory.  A caller that streams them (the CLI's writer and
-decay fit) keeps no array that grows with the rows: grid_times makes a
-block's times, and DecayFit folds a block's deviation norms into a few
-running sums.
+into one Trajectory.  DecayFit.feed passes the blocks on once it has
+folded their deviation norms, at their grid_times, into a few running sums.
+The CLI's simulate and validate stream integrate's blocks through it, and
+decay_rate a stored trajectory's rows, so no subcommand keeps an array that
+grows with the rows.
 """
 
 from __future__ import annotations
@@ -28,12 +29,13 @@ from gridlink.model import SystemModel
 from gridlink.reduction import OperatingPoint, ReducedNetwork
 
 Link = tuple[int, int]
+Blocks = Iterator[tuple[slice, np.ndarray]]  # integrate's (rows, block) pairs
 
-# Cap on the RK4 steps of one run.  Only the library's simulate stores the whole (steps + 1) x 2n array; the
-# CLI keeps no array that grows with the rows.
+# Cap on the RK4 steps of one run.  Only the library's simulate stores the whole (steps + 1) x 2n array; every
+# subcommand streams integrate's blocks through DecayFit.feed and keeps no array that grows with the rows.
 MAX_STEPS = 10**6
 # Trajectory rows per block: integrate checks its rows for a blow-up and yields them a block at a time, the
-# trajectory documents render a block per text block, and deviation_norms works a block at a time.
+# trajectory documents render a block per text block, and DecayFit.feed fits a block at a time.
 ROWS_PER_BLOCK = 1024
 
 
@@ -255,7 +257,7 @@ def integrate(
     disturbance: DisturbanceSpec | None,
     t_max: float,
     dt: float = 1e-3,
-) -> Iterator[tuple[slice, np.ndarray]]:
+) -> Blocks:
     """Integrate with classical RK4 at fixed step dt over [0, t_max], horizon_steps(t_max, dt) steps,
     and yield the rows a block at a time.
 
@@ -294,7 +296,7 @@ def integrate(
     stepped_p_m = model.op.p_m_const.copy()
     stepped_p_m[dist.target] += dist.d_pm
 
-    def blocks() -> Iterator[tuple[slice, np.ndarray]]:
+    def blocks() -> Blocks:
         z, rate = op.state, op.rate
         states = np.empty((ROWS_PER_BLOCK + 1, 2 * n))  # row j holds the state at time (rows.start + j - 1) dt
         states[1, :n] = initial.delta
@@ -364,25 +366,26 @@ def deviation_norms(traj: Trajectory, op: OperatingPoint) -> np.ndarray:
 
     Angles are measured relative to the last machine, which projects out the
     rigid rotation that the dynamics cannot damp.  Each row's norm depends on
-    that row alone, so they are computed ROWS_PER_BLOCK rows at a time and
-    the temporaries stay a block in size.
+    that row alone, so DecayFit.feed computes them a block at a time.
     """
-    norms = np.empty(traj.times.size)
-    for rows in row_blocks(traj.times.size):
-        d_delta = traj.delta[rows] - op.delta_s[None, :]
-        d_delta = d_delta - d_delta[:, [-1]]
-        d_omega = traj.omega[rows] - op.omega_s
-        norms[rows] = np.sqrt(np.sum(d_delta**2, axis=1) + np.sum(d_omega**2, axis=1))
-    return norms
+    d_delta = traj.delta - op.delta_s[None, :]
+    d_delta = d_delta - d_delta[:, [-1]]
+    d_omega = traj.omega - op.omega_s
+    return np.sqrt(np.sum(d_delta**2, axis=1) + np.sum(d_omega**2, axis=1))
 
 
 def decay_rate(traj: Trajectory, op: OperatingPoint, t_start: float) -> float:
-    """Least-squares slope of log of the deviation norm over [t_start, end], 1/s: the DecayFit of the
-    trajectory's deviation_norms, fed a row_blocks block at a time, as the CLI feeds it."""
-    norms = deviation_norms(traj, op)
+    """Least-squares slope of log of the deviation norm over [t_start, end], 1/s: streamed_decay_rate of the
+    trajectory's rows, stacked a row_blocks block at a time as integrate yields them."""
+    blocks = ((rows, np.hstack([traj.delta[rows], traj.omega[rows]])) for rows in row_blocks(traj.times.size))
+    return streamed_decay_rate(blocks, op, traj.dt, t_start)
+
+
+def streamed_decay_rate(blocks: Blocks, op: OperatingPoint, dt: float, t_start: float) -> float:
+    """DecayFit(t_start)'s slope over the rows of blocks, fed through DecayFit.feed and dropped once fed."""
     fit = DecayFit(t_start)
-    for rows in row_blocks(norms.size):
-        fit.add(traj.times[rows], norms[rows])
+    for _ in fit.feed(blocks, op, dt):
+        pass
     return fit.rate()
 
 
@@ -409,6 +412,18 @@ class DecayFit:
         self.t_start = t_start
         self.t_end = -math.inf  # the last time added
         self._runs: list[tuple[int, _Sums]] = []  # (blocks, sums) of each run of blocks, oldest first
+        self._overflow: FloatingPointError | None = None  # the first that feed kept for rate
+
+    def feed(self, blocks: Blocks, op: OperatingPoint, dt: float) -> Blocks:
+        """Yield each of blocks, of step dt, once its grid_times and its deviation_norms about op are added.  A
+        FloatingPointError from the norms (numpy's overflow) is kept for rate(), so a later blow-up wins."""
+        for rows, block in blocks:
+            view = Trajectory(grid_times(rows, dt), *np.hsplit(block, 2), dt)
+            try:
+                self.add(view.times, deviation_norms(view, op))
+            except FloatingPointError as exc:
+                self._overflow = self._overflow or exc
+            yield rows, block
 
     def add(self, times: np.ndarray, norms: np.ndarray) -> None:
         """Fold in the samples (times[i], norms[i]), which follow every sample added before."""
@@ -428,8 +443,10 @@ class DecayFit:
         self._runs.append((blocks, sums))
 
     def rate(self) -> float:
-        """The fitted slope; a ValueError if t_start is past the last time added or fewer than two samples
-        count."""
+        """The fitted slope; the FloatingPointError that feed kept, or a ValueError if t_start is past the last
+        time added or fewer than two samples count."""
+        if self._overflow is not None:
+            raise self._overflow
         if self.t_start > self.t_end:
             raise ValueError(f"t_start {self.t_start} beyond trajectory end {self.t_end}")
         if not self._runs:

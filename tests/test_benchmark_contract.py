@@ -67,6 +67,8 @@ def test_tracer_reports_only_the_known_absent_hooks(perfbench):
     assert absent == [
         "gridlink.linearization.jacobian_blocks",
         "gridlink.cli.jacobian_blocks",
+        "gridlink.cli.simulate",
+        "gridlink.cli.decay_rate",
         "gridlink.dynamics.mechanical_power",
         "gridlink.reports.trajectory_table",
         "gridlink.reports.trajectory_document",

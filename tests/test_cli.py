@@ -652,17 +652,30 @@ def test_simulate_fit_matches_alpha(tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["table", "structured"])
-def test_simulate_fit_is_the_library_decay_rate_bit_for_bit(tmp_path, ne39_model, fmt):
-    # the CLI adds each block's deviation norms to the fit as the block passes, as decay_rate adds them; the
-    # footer holds the repr of decay_rate on simulate's trajectory, with the fit from tmax / 4 on
-    out = tmp_path / "traj"
+def test_simulate_fit_is_the_library_decay_rate_bit_for_bit(tmp_path, toy4_model, ne39_model, fmt):
+    # simulate and validate add each block's deviation norms to the fit as the block passes, as decay_rate
+    # adds them, with the fit from tmax / 4 on: simulate's footer holds the repr of decay_rate on simulate's
+    # trajectory, and validate's header that of a run of the planned links at the default horizon and the
+    # repr of its mismatch with the plan's alpha_max
+    def line(key, value):
+        return f'"{key}": "{value!r}"' if fmt == "structured" else f"# {key}: {value!r}\n"
+
+    out = tmp_path / "doc"
     assert run(["simulate", "--case", case_path("newengland39"), "--out", out, "--tmax", 3.0,
                 "--perturb", "gen=1,ddelta=0.05", "--format", fmt]) == 0
     traj = simulate(equilibrium_state(ne39_model), ne39_model, ControlConfig((), -1.0),
                     DisturbanceSpec(target=0, d_delta=0.05), t_max=3.0)
-    fitted = repr(decay_rate(traj, ne39_model.op, 0.75))
-    line = f'"fitted_decay_rate": "{fitted}"' if fmt == "structured" else f"# fitted_decay_rate: {fitted}\n"
-    assert line in out.read_text(encoding="utf-8")
+    assert line("fitted_decay_rate", decay_rate(traj, ne39_model.op, 0.75)) in out.read_text(encoding="utf-8")
+    for case, model, budget in [("toy4", toy4_model, 1), ("newengland39", ne39_model, 3)]:
+        assert run(["validate", "--case", case_path(case), "--out", out, "--budget", budget, "--format", fmt]) == 0
+        plan = planner.greedy_plan(model, budget, -1.0, allow_nonpositive=True)
+        alpha, tmax = plan.final_alpha, max(cli.MIN_HORIZON, 4.0 / abs(plan.final_alpha))
+        traj = simulate(equilibrium_state(model), model, ControlConfig(plan.links, -1.0),
+                        DisturbanceSpec(target=0, d_delta=0.01), t_max=tmax)
+        fitted = decay_rate(traj, model.op, tmax / 4.0)
+        text = out.read_text(encoding="utf-8")
+        assert line("fitted_decay_rate", fitted) in text
+        assert line("mismatch", abs(fitted - alpha) / abs(alpha)) in text
 
 
 @pytest.mark.parametrize("fmt", ["table", "structured"])
@@ -942,9 +955,10 @@ def test_simulate_leaves_no_worker_process_and_no_failed_output(tmp_path, capsys
 @pytest.mark.parametrize("tmax, line", [(3.6, "overflow encountered in square"),
                                          (3.7, "state became non-finite at t = 3.636000 s")])
 def test_norm_overflow_is_reported_only_if_no_later_block_blows_up(tmp_path, capsys, forks, tmax, line):
-    # at gain +50 the state passes 1e154 before 3.6 s, where a deviation norm overflows, and is non-finite at
-    # 3.636 s, in the same (fourth) block: a run that ends first fails on the overflow, once the integration
-    # is done, a run that does not fails on the blow-up; either leaves one line, no output and no child
+    # at gain +50 the state passes 1e154 at 1.843 s, in the second block, where a deviation norm overflows,
+    # and is non-finite at 3.636 s, in the fourth: a run that ends first fails on the overflow, once the
+    # integration is done, a run that does not fails on the blow-up; either leaves one line, no output and
+    # no child
     case, links = _write_case(tmp_path)
     out = tmp_path / "traj.csv"
     with time_limit(60):
@@ -957,16 +971,24 @@ def test_norm_overflow_is_reported_only_if_no_later_block_blows_up(tmp_path, cap
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is read from /proc/self/status")
-@pytest.mark.parametrize("fmt", ["table", "structured"])
-def test_simulate_holds_no_trajectory_in_the_parent(fmt):
-    # in a fresh interpreter, after a 2 s run that loads and warms everything, a 40 s ne39 run raises the
+@pytest.mark.parametrize(
+    "argv, warm_tmax",
+    [
+        (["simulate", "--perturb", "gen=1,ddelta=0.05", "--format", "table"], 2),
+        (["simulate", "--perturb", "gen=1,ddelta=0.05", "--format", "structured"], 2),
+        (["validate", "--budget", "1"], 5),  # the shortest whole-second horizon whose fit passes the gate
+    ],
+    ids=["table", "structured", "validate"],
+)
+def test_simulate_holds_no_trajectory_in_the_parent(argv, warm_tmax):
+    # in a fresh interpreter, after a short run that loads and warms everything, a 40 s ne39 run raises the
     # peak resident size by less than half of its (steps + 1) x 2n floats, and a 160 s run by no more than
     # the 40 s run, give or take 512 KiB: the parent keeps a block of rows, its times and norms and the
-    # fit's partial sums, nothing that grows with the rows.  The forked writer writes to os.devnull, so the
-    # 160 s documents take no disk.  The peak is VmHWM, which starts afresh at exec: ru_maxrss would start at
-    # the peak of this (pytest's) process, which a fork hands on and exec keeps, and read no growth at all
-    argv = ["simulate", "--case", str(case_path("newengland39")), "--out", os.devnull,
-            "--perturb", "gen=1,ddelta=0.05", "--format", fmt]
+    # fit's partial sums, nothing that grows with the rows, whether it writes the trajectory (simulate) or
+    # only fits it (validate).  The forked writer writes to os.devnull, so the 160 s documents take no disk.
+    # The peak is VmHWM, which starts afresh at exec: ru_maxrss would start at the peak of this (pytest's)
+    # process, which a fork hands on and exec keeps, and read no growth at all
+    argv = [*argv, "--case", str(case_path("newengland39")), "--out", os.devnull]
 
     def growth_kib(tmax):
         code = f"""
@@ -976,7 +998,7 @@ def peak_kib():
     with open("/proc/self/status") as status:
         return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 
-assert cli.main({argv!r} + ["--tmax", "2"]) == 0
+assert cli.main({argv!r} + ["--tmax", "{warm_tmax}"]) == 0
 before = peak_kib()
 assert cli.main({argv!r} + ["--tmax", "{tmax}"]) == 0
 print(peak_kib() - before)
@@ -1155,10 +1177,20 @@ def test_failed_simulate_leaves_a_symlinked_output_in_place(tmp_path):
 
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
 def test_unwritable_simulate_output_is_input_error_before_integrating(tmp_path, monkeypatch, capsys, where):
-    def integrate(*args, **kwargs):
-        raise AssertionError("simulate integrated with an unwritable --out")
+    # integrate's own checks run when it is called; --out cannot be opened, so any block asked of it is asked
+    # for before --out is opened
+    real_integrate = cli.integrate
 
-    monkeypatch.setattr(cli, "simulate", integrate)
+    def integrate(*args, **kwargs):
+        blocks = real_integrate(*args, **kwargs)
+
+        def unopened():
+            pytest.fail("simulate asked for a block before opening --out")
+            yield from blocks
+
+        return unopened()
+
+    monkeypatch.setattr(cli, "integrate", integrate)
     out = tmp_path / "missing" / "traj.csv" if where == "missing-directory" else tmp_path
     assert run(["simulate", "--case", case_path("toy3"), "--out", out, "--tmax", 1.0]) == 2
     assert capsys.readouterr().err.startswith(f"gridlink: input error: cannot write output file {out}: ")
@@ -1361,6 +1393,9 @@ def test_validate_decay_default_horizon_covers_slowest_mode(tmp_path, capsys):
         # toy3 with every d = 1e-4: stable, alpha_max -0.002356, so the default horizon is 4 / |alpha_max|
         (["--case", "LIGHT", "--budget", "1"], 1,
          "derived horizon 1697.65 s: tmax / dt exceeds 1000000 steps; --tmax sets the horizon"),
+        # the kicked angle stays finite, so no block blows up, but its deviation norm overflows: the fit
+        # keeps that error and raises it once the integration is done, as simulate's does
+        (["--budget", "1", "--ddelta", "1e200"], 1, "overflow encountered in square"),
     ],
 )
 def test_validate_decay_failures_print_one_line(tmp_path, capsys, argv, code, line):

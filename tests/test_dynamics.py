@@ -29,6 +29,7 @@ from gridlink.dynamics import (
     link_laplacian,
     row_blocks,
     simulate,
+    streamed_decay_rate,
     swing_matrix,
     swing_rhs,
 )
@@ -740,7 +741,8 @@ def test_integrate_checks_its_arguments_before_the_first_block(toy3_model, t_max
 
 
 def test_deviation_norms_in_blocks_equal_whole_array_norms(ne39_model):
-    # each row's norm depends on that row alone, so computing them a block at a time changes no bit
+    # each row's norm depends on that row alone, so computing them a block at a time, as DecayFit.feed does,
+    # changes no bit
     model = ne39_model
     init = MachineState(model.op.delta_s + 0.05 * np.eye(model.n)[0], np.full(model.n, model.op.omega_s))
     traj = simulate(init, model, ControlConfig(), None, t_max=3 * ROWS_PER_BLOCK * 1e-3)
@@ -750,6 +752,26 @@ def test_deviation_norms_in_blocks_equal_whole_array_norms(ne39_model):
     d_omega = traj.omega - model.op.omega_s
     whole = np.sqrt(np.sum(d_delta**2, axis=1) + np.sum(d_omega**2, axis=1))
     assert np.array_equal(deviation_norms(traj, model.op), whole)
+    blocks = [deviation_norms(Trajectory(traj.times[r], traj.delta[r], traj.omega[r], traj.dt), model.op)
+              for r in row_blocks(whole.size)]
+    assert np.array_equal(np.concatenate(blocks), whole)
+
+
+def test_decay_fit_raises_a_kept_norm_overflow_from_rate_unless_a_later_block_blows_up(toy3_model):
+    # under numpy's raise, as the CLI runs: the kick on the last row of the first block overflows that row's
+    # deviation norm, and its power step makes the next row non-finite.  A run that ends with the first
+    # block passes it through feed and fails at rate(); a run that goes on fails on integrate's blow-up
+    model = toy3_model
+    kick = DisturbanceSpec(target=0, d_delta=1e200, d_pm=1e308, t_apply=(ROWS_PER_BLOCK - 1) * 1e-3)
+    with np.errstate(over="raise"):
+        fit = DecayFit(t_start=0.0)
+        blocks = integrate(equilibrium_state(model), model, ControlConfig(), kick, t_max=kick.t_apply)
+        assert [rows for rows, _ in fit.feed(blocks, model.op, 1e-3)] == [slice(0, ROWS_PER_BLOCK)]
+        with pytest.raises(FloatingPointError, match="^overflow encountered in square$"):
+            fit.rate()
+        blocks = integrate(equilibrium_state(model), model, ControlConfig(), kick, t_max=2 * kick.t_apply)
+        with pytest.raises(SimulationBlowUp, match=f"t = {ROWS_PER_BLOCK * 1e-3:.6f} s"):
+            streamed_decay_rate(blocks, model.op, 1e-3, t_start=0.0)
 
 
 # --- decay_rate -----------------------------------------------------------------
