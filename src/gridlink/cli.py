@@ -55,12 +55,19 @@ class WriterFailed(Exception):
     """The forked trajectory writer ended other than by an OSError (exit code 1)."""
 
 
+def _plain_number(kind: type[int] | type[float], text: str) -> int | float:
+    """kind(text), with the "_" digit separators that int() and float() accept refused as a ValueError."""
+    if "_" in text:
+        raise ValueError("a digit separator")
+    return kind(text)
+
+
 def number(kind: type[int] | type[float]) -> Callable[[str], int | float]:
     """The argparse type of an int or float flag: argparse's own check, with a bad value echoed through reprlib.repr."""
 
     def convert(text: str) -> int | float:
         try:
-            return kind(text)
+            return _plain_number(kind, text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {reprlib.repr(text)}") from None
 
@@ -74,10 +81,13 @@ PERTURB_KEYS = {"ddelta": "d_delta", "domega": "d_omega", "dpm": "d_pm", "at": "
 def parse_perturb(spec: str) -> DisturbanceSpec:
     """Parse '--perturb [pm-step] gen=I[,ddelta=X][,domega=Y][,dpm=Z][,at=T]' into one DisturbanceSpec.
 
-    The terms combine, an omitted one is zero, and the prefix 'pm-step' sets nothing.
+    The terms combine, an omitted one is zero, and the prefix 'pm-step', a word of its own, sets nothing.
     """
     fields: dict[str, float] = {}
-    for part in spec.strip().removeprefix("pm-step").split(","):
+    terms = spec.strip()
+    if terms.startswith("pm-step") and not terms[7:8].strip():  # the end of the spec or whitespace follows
+        terms = terms[7:]
+    for part in terms.split(","):
         part = part.strip()
         if not part:
             continue
@@ -91,7 +101,7 @@ def parse_perturb(spec: str) -> DisturbanceSpec:
         if key == "gen" and len(digits := value.strip().lstrip("+-").lstrip("0")) > 20 and digits.isdecimal():
             raise InputError(f"perturbation generator {reprlib.repr(value.strip())} out of range")
         try:
-            fields[key] = int(value) if key == "gen" else float(value)
+            fields[key] = _plain_number(int if key == "gen" else float, value)
         except ValueError as exc:
             problem = "an integer" if key == "gen" else "a number"
             raise InputError(f"perturbation term {reprlib.repr(part)}: not {problem}") from exc
@@ -234,8 +244,8 @@ def run_plan(args: argparse.Namespace) -> int:
 
 class _TrajectoryWriter(contextlib.AbstractContextManager):
     """Writes a trajectory document of count rows, dt apart, to out as its blocks are integrated:
-    write(out, blocks, count, dt, meta) is reports.write_table or write_document, over the (rows, block) pairs
-    that write_blocks is given.
+    write(out, blocks, dt, meta) is reports.write_table or write_document, over the (rows, block) pairs that
+    write_blocks is given.  count decides whether to fork and how many rows the child reads.
 
     With more than one block and os.fork, the first block forks a child that runs write into the inherited
     out, over blocks it reads from a pipe: the parent writes each block's bytes there as it comes and keeps
@@ -260,7 +270,7 @@ class _TrajectoryWriter(contextlib.AbstractContextManager):
     def write_blocks(self, blocks: Iterator[tuple[slice, np.ndarray]]) -> None:
         """Write the rows of blocks, which yields (rows, block) for consecutive slices of range(count)."""
         if self.count <= ROWS_PER_BLOCK or not hasattr(os, "fork"):
-            self.write(self.out, blocks, self.count, self.dt, self.meta)
+            self.write(self.out, blocks, self.dt, self.meta)
             return
         for _, block in blocks:
             if self.pid is None:
@@ -284,7 +294,7 @@ class _TrajectoryWriter(contextlib.AbstractContextManager):
         self.pipe = received
         status = self._CRASHED
         try:
-            self.write(self.out, self._received(width), self.count, self.dt, self.meta)
+            self.write(self.out, self._received(width), self.dt, self.meta)
             self.out.flush()
             status = 0
         except OSError as exc:

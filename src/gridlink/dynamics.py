@@ -34,8 +34,8 @@ Blocks = Iterator[tuple[slice, np.ndarray]]  # integrate's (rows, block) pairs
 # Cap on the RK4 steps of one run.  Only the library's simulate stores the whole (steps + 1) x 2n array; every
 # subcommand streams integrate's blocks through DecayFit.feed and keeps no array that grows with the rows.
 MAX_STEPS = 10**6
-# Trajectory rows per block: integrate checks its rows for a blow-up and yields them a block at a time, the
-# trajectory documents render a block per text block, and DecayFit.feed fits a block at a time.
+# Trajectory rows per block: integrate checks its rows for a blow-up and yields them a block at a time, both
+# trajectory documents render each block's rows as it comes, and DecayFit.feed fits a block at a time.
 ROWS_PER_BLOCK = 1024
 
 

@@ -10,12 +10,12 @@ inputs.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from typing import IO, Any
 
 import numpy as np
 
-from gridlink.dynamics import grid_times, row_blocks
+from gridlink.dynamics import grid_times
 from gridlink.linearization import SpectrumReport
 from gridlink.planner import PlanResult
 from gridlink.reduction import OperatingPoint, ReducedNetwork
@@ -112,14 +112,18 @@ _KEEP_INT, _KEEP_FRAC, _MARKS = _layout()
 def repr_rows(block: np.ndarray, sep: str) -> str:
     """The rows of the 2-D float64 block as text, each row sep.join(map(repr, row)) and a newline.
 
-    sep is ASCII, at most 7 characters, and the block has a column or more.  It is rendered _CHUNK values at a
-    time.
+    sep is ASCII, at most 7 characters, and the block has a column or more.
     """
+    return "".join(_repr_chunks(block, sep))
+
+
+def _repr_chunks(block: np.ndarray, sep: str) -> Iterator[str]:
+    """repr_rows(block, sep) in pieces of whole rows, _CHUNK values (or one row) each, rendered as asked for."""
     rows, cols = block.shape
     if len(sep.encode("ascii")) > _FIELD - _SEP_AT:
         raise ValueError(f"separator {sep!r} is longer than {_FIELD - _SEP_AT} characters")
     step = max(1, _CHUNK // cols)
-    return "".join(_render(block[start : start + step], sep) for start in range(0, rows, step))
+    return (_render(block[start : start + step], sep) for start in range(0, rows, step))
 
 
 def _render(block: np.ndarray, sep: str) -> str:
@@ -309,23 +313,24 @@ def reduction_document(net: ReducedNetwork, op: OperatingPoint, meta: dict[str, 
 
 # --- trajectory -------------------------------------------------------------
 #
-# write_table and write_document write a trajectory document of count rows, dt apart, up to its footer, which
-# is rendered once the decay fit is done.  They take the trajectory as it is integrated: blocks yields
-# (rows, block) for consecutive row slices of range(count), block[i] holding the stacked state [delta, omega]
-# at time (rows.start + i) dt, as dynamics.integrate yields them; a block is read only before the next one is
-# asked for, and its times are made for it by dynamics.grid_times.  The CLI's _TrajectoryWriter runs them, in
-# a forked process that reads the blocks from a pipe, or inline.
+# write_table and write_document write the rows [time, delta_1..delta_n, omega_1..omega_n] of a trajectory, dt
+# apart, under the same column names, up to the footer that is rendered once the decay fit is done.  blocks
+# yields (rows, block) for consecutive row slices from row 0, block[i] holding the stacked state [delta, omega]
+# at time (rows.start + i) dt, as dynamics.integrate yields them; each block is rendered, its times made by
+# dynamics.grid_times, before the next is asked for, and no row is kept.  The CLI's _TrajectoryWriter runs
+# them, in a forked process that reads the blocks from a pipe, or inline.
 
 
-def write_table(out: IO[str], blocks: Iterator[tuple[slice, np.ndarray]], count: int, dt: float,
-                meta: dict[str, Any]) -> None:
-    """Write the delimited table to out: the header and the column line, then each block's rows as it comes;
-    no array that grows with count is kept."""
+def _columns(width: int) -> list[str]:
+    n = width // 2
+    return ["time"] + [f"delta_{i + 1}" for i in range(n)] + [f"omega_{i + 1}" for i in range(n)]
+
+
+def write_table(out: IO[str], blocks: Iterator[tuple[slice, np.ndarray]], dt: float, meta: dict[str, Any]) -> None:
+    """Write the delimited table to out: the header and the column line, then each block's rows as it comes."""
     for rows, block in blocks:
         if not rows.start:
-            n = block.shape[1] // 2
-            columns = ["time"] + [f"delta_{i + 1}" for i in range(n)] + [f"omega_{i + 1}" for i in range(n)]
-            out.write("\n".join(header_lines(meta) + [",".join(columns)]) + "\n")
+            out.write("\n".join(header_lines(meta) + [",".join(_columns(block.shape[1]))]) + "\n")
         out.write(repr_rows(np.column_stack((grid_times(rows, dt), block)), ","))
 
 
@@ -338,39 +343,21 @@ def _json_members(doc: dict[str, Any]) -> str:
     return json.dumps(doc, indent=2)[2:-2]
 
 
-def write_document(out: IO[str], blocks: Iterator[tuple[slice, np.ndarray]], count: int, dt: float,
+def write_document(out: IO[str], blocks: Iterator[tuple[slice, np.ndarray]], dt: float,
                    meta: dict[str, Any]) -> None:
-    """Write the structured trajectory to out: meta, dt, times, delta and omega, up to the summary.
+    """Write the structured trajectory to out: meta, columns and the table's rows, up to the summary.
 
-    The layout is render_json's, except that each row of times, delta and
-    omega sits on one line.  The times are written first, made a block at a
-    time, then each block's delta rows as it comes; its omega rows are kept
-    until the last delta row is written, then rendered a block at a time, so
-    those are the only rows kept.  JSON writes a finite float as repr does,
-    and every row integrate yields is finite.
+    The layout is render_json's, except that each row sits on one line.  JSON writes a finite float as repr
+    does, and every row integrate yields is finite.  A block is reshaped a _repr_chunks piece at a time: copies
+    of its whole text would fragment the heap, and the writer's peak would creep up with the rows.
     """
-    out.write("{\n" + _json_members({"meta": meta, "dt": float(dt)}) + ",\n")
-    _write_array(out, "times", ((rows, grid_times(rows, dt)) for rows in row_blocks(count)))
-    omega = []  # each block's omega rows, copied: the next block may overwrite the block
-
-    def delta_rows() -> Iterator[tuple[slice, np.ndarray]]:
-        for rows, block in blocks:
-            n = block.shape[1] // 2
-            omega.append((rows, block[:, n:].copy()))
-            yield rows, block[:, :n]
-
-    _write_array(out, "delta", delta_rows())
-    _write_array(out, "omega", omega)
-
-
-def _write_array(out: IO[str], key: str, blocks: Iterable[tuple[slice, np.ndarray]]) -> None:
-    """Write the member key of write_document, a list of rows or of numbers, from its blocks in row order."""
-    out.write(f'  "{key}": [')
-    for rows, values in blocks:
-        opening, closing = ("", "") if values.ndim == 1 else ("[", "]")
-        lines = repr_rows(values.reshape(rows.stop - rows.start, -1), ", ")
-        prefix = ",\n    " if rows.start else "\n    "
-        out.write(prefix + opening + lines[:-1].replace("\n", closing + ",\n    " + opening) + closing)
+    opening = "\n    ["
+    for rows, block in blocks:
+        if not rows.start:
+            out.write("{\n" + _json_members({"meta": meta, "columns": _columns(block.shape[1])}) + ',\n  "rows": [')
+        for text in _repr_chunks(np.column_stack((grid_times(rows, dt), block)), ", "):
+            out.write(opening + text[:-1].replace("\n", "],\n    [") + "]")
+            opening = ",\n    ["
     out.write("\n  ],\n")
 
 

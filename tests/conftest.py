@@ -159,11 +159,15 @@ def one_short_line(err, *paths):
     return line
 
 
-# Independent oracles of the trajectory documents: one numpy scalar -> float -> repr per value.
+# Independent oracles of the trajectory documents: one numpy scalar -> float -> repr per value.  Both hold the
+# same rows, [time, delta_1..delta_n, omega_1..omega_n], under the same column names.
+def _columns(n):
+    return ["time"] + [f"delta_{i + 1}" for i in range(n)] + [f"omega_{i + 1}" for i in range(n)]
+
+
 def _per_value_table(traj, meta, footer):
-    n = traj.delta.shape[1]
     lines = header_lines(meta)
-    lines.append(",".join(["time"] + [f"delta_{i + 1}" for i in range(n)] + [f"omega_{i + 1}" for i in range(n)]))
+    lines.append(",".join(_columns(traj.delta.shape[1])))
     for k in range(traj.times.size):
         values = [repr(float(traj.times[k]))]
         values += [repr(float(v)) for v in traj.delta[k]]
@@ -176,15 +180,16 @@ def _per_value_table(traj, meta, footer):
 def _per_value_trajectory_document(traj, meta, footer):
     return {
         "meta": meta,
-        "dt": float(traj.dt),
-        "times": [float(v) for v in traj.times],
-        "delta": [[float(v) for v in row] for row in traj.delta],
-        "omega": [[float(v) for v in row] for row in traj.omega],
+        "columns": _columns(traj.delta.shape[1]),
+        "rows": [
+            [float(traj.times[k])] + [float(v) for v in traj.delta[k]] + [float(v) for v in traj.omega[k]]
+            for k in range(traj.times.size)
+        ],
         "summary": footer,
     }
 
 
 def _rows_on_one_line(text):
-    # a render_json document with each row of delta and omega on one line: the structured trajectory's layout
+    # a render_json document with each of its rows on one line: the structured trajectory's layout
     row = re.compile(r"\n    \[\n      ([^\]]*)\n    \]")
     return row.sub(lambda m: "\n    [" + m[1].replace(",\n      ", ", ") + "]", text)

@@ -265,10 +265,15 @@ def test_non_finite_number_is_input_error(tmp_path, capsys, subcommand, flag, va
         (["--perturb", f"gen=1,{'k' * 400}"], None, "malformed perturbation term 'kkkkkkkkkkkk...kkkkkkkkkkkkk'"),
         (["--perturb", f"gen=1,{'k' * 400}=1,{'k' * 400}=2"], None, "field 'kkkkkkkkkkkk...kkkkkkkkkkkkk' given"),
         (["--perturb", "gen=1,dp=0.1"], None, "fields ['dp'] not valid; the keys are gen, ddelta, domega, dpm, at"),
+        # pm-step is a word of its own, and no number takes the "_" digit separators int() and float() read
+        (["--perturb", "pm-stepgen=1,dpm=0.1"], None, "fields ['pm-stepgen'] not valid"),
+        (["--perturb", "gen=1_0,ddelta=0.1"], None, "term 'gen=1_0': not an integer"),
+        (["--perturb", "gen=1,ddelta=0_1"], None, "term 'ddelta=0_1': not a number"),
     ],
     ids=["gen-fraction", "gen-inf", "at-inf", "gen-nan", "ddelta-nan", "bool-link", "step-cap", "gen-twice",
          "gen-huge", "gen-beyond-int-digits", "gen-huge-negative", "link-huge", "link-long", "ddelta-long",
-         "ddelta-long-text", "key-long", "at-long", "term-long", "key-long-twice", "key-unknown"],
+         "ddelta-long-text", "key-long", "at-long", "term-long", "key-long-twice", "key-unknown", "pm-step-glued",
+         "gen-separator", "ddelta-separator"],
 )
 def test_malformed_simulate_input_is_input_error(tmp_path, capsys, extra, links_text, problem):
     argv = ["simulate", "--case", case_path("toy3"), "--out", tmp_path / "o", *extra]
@@ -632,7 +637,7 @@ def test_simulate_ends_at_last_grid_time_within_tmax(tmp_path, dt, tmax, samples
     code = run(["simulate", "--case", case_path("toy3"), "--out", out, "--dt", dt, "--tmax", tmax,
                 "--format", "structured"])
     assert code == 0
-    times = json.loads(out.read_text())["times"]
+    times = [row[0] for row in json.loads(out.read_text())["rows"]]
     assert len(times) == samples
     assert times[-1] <= tmax + 1e-9 * dt
 
@@ -733,9 +738,12 @@ LONG_INT, LONG_FLOAT = "1" + "0" * 5000, "x" + "0" * 5000
         ("analyze", "--gain", "float", "1,5", "'1,5'"),
         ("simulate", "--dt", "float", "1e-3s", "'1e-3s'"),
         ("simulate", "--tmax", "float", "abcdefghijklmnopqrstuvwxyz01", "'abcdefghijklmnopqrstuvwxyz01'"),
+        # int() and float() read "_" digit separators; no flag takes them
+        ("plan", "--budget", "int", "1_5", "'1_5'"),
+        ("simulate", "--tmax", "float", "2_0.5", "'2_0.5'"),
     ],
     ids=["budget-long", "workers-long", "gain-long", "dt-long", "tmax-long", "budget", "workers", "gain", "dt",
-         "tmax-28"],
+         "tmax-28", "budget-separator", "tmax-separator"],
 )
 def test_bad_flag_value_is_one_short_usage_error(tmp_path, capsys, subcommand, flag, kind, value, shown):
     with pytest.raises(SystemExit) as exc:
@@ -767,8 +775,9 @@ def test_simulate_structured_document(tmp_path):
                 "--perturb", "gen=2,ddelta=0.01,domega=0", "--format", "structured"])
     assert code == 0
     doc = json.loads(out.read_text())
-    assert len(doc["times"]) == 101
-    assert doc["delta"][0][1] - doc["delta"][0][0] == pytest.approx(0.01, abs=1e-12)
+    assert len(doc["rows"]) == 101
+    assert doc["columns"][1:3] == ["delta_1", "delta_2"]
+    assert doc["rows"][0][2] - doc["rows"][0][1] == pytest.approx(0.01, abs=1e-12)
 
 
 def test_simulate_blowup_exit_code(tmp_path, capsys):
@@ -920,7 +929,7 @@ def test_forked_writer_cut_off_inside_a_block_writes_no_partial_row(tmp_path, fo
         expected += reports.repr_rows(np.column_stack((times[:ROWS_PER_BLOCK], values[:ROWS_PER_BLOCK])), ",")
         assert text == expected
     else:
-        # the delta member stops after the first block's rows, each row whole
+        # the rows member stops after the first block's rows, each row whole
         assert text.endswith("]") and text.count("\n    [") == ROWS_PER_BLOCK
     (pid,) = forks
     assert_reaped(pid)
@@ -987,11 +996,16 @@ def test_simulate_holds_no_trajectory_in_the_parent(argv, warm_tmax):
     # fit's partial sums, nothing that grows with the rows, whether it writes the trajectory (simulate) or
     # only fits it (validate).  The forked writer writes to os.devnull, so the 160 s documents take no disk.
     # The peak is VmHWM, which starts afresh at exec: ru_maxrss would start at the peak of this (pytest's)
-    # process, which a fork hands on and exec keeps, and read no growth at all
+    # process, which a fork hands on and exec keeps, and read no growth at all.  Nor does the forked writer
+    # keep a row: its peak, the largest ru_maxrss of the children, is no higher for 160 s than for 40 s, give
+    # or take 512 KiB.  Only that difference counts, as a child's ru_maxrss starts at its parent's peak at the
+    # fork; validate forks no writer
     argv = [*argv, "--case", str(case_path("newengland39")), "--out", os.devnull]
 
-    def growth_kib(tmax):
+    def peaks_kib(tmax):
+        """The growth of the run's peak over the warm run's, and the largest peak of the forked writers."""
         code = f"""
+import resource
 from gridlink import cli
 
 def peak_kib():
@@ -1001,17 +1015,20 @@ def peak_kib():
 assert cli.main({argv!r} + ["--tmax", "{warm_tmax}"]) == 0
 before = peak_kib()
 assert cli.main({argv!r} + ["--tmax", "{tmax}"]) == 0
-print(peak_kib() - before)
+print(peak_kib() - before, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        return int(proc.stdout)
+        return tuple(map(int, proc.stdout.split()))
 
     trajectory_bytes = 40001 * 2 * 10 * 8
-    growth_40 = growth_kib(40)
+    growth_40, writer_40 = peaks_kib(40)
     assert growth_40 * 1024 < trajectory_bytes / 2
-    assert growth_kib(160) <= growth_40 + 512
+    growth_160, writer_160 = peaks_kib(160)
+    assert growth_160 <= growth_40 + 512
+    if argv[0] == "simulate":
+        assert writer_160 <= writer_40 + 512
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
@@ -1038,7 +1055,7 @@ def test_simulate_write_failure_is_input_error(monkeypatch, capsys, forks, write
 def test_crashed_writer_is_a_computation_error(tmp_path, monkeypatch, capsys, forks, fault, line):
     # a forked writer that fails other than by an OSError, after it has read its first block, is a failed
     # computation: one line naming the writer and its status, no output file, and the child reaped
-    def crashing(out, blocks, count, dt, meta):
+    def crashing(out, blocks, dt, meta):
         next(blocks)
         if fault == "kill":
             os.kill(os.getpid(), signal.SIGKILL)
@@ -1281,7 +1298,7 @@ def test_perturb_parsing_errors():
         ("pm-step gen=3,dpm=0.2,at=0.5", DisturbanceSpec(2, d_pm=0.2, t_apply=0.5)),
         ("pm-step gen=2,at=0.005", DisturbanceSpec(1, t_apply=0.005)),
         (" pm-step  gen = 2 , at = 0.005 ", DisturbanceSpec(1, t_apply=0.005)),
-        ("pm-stepgen=2,dpm=1e-3", DisturbanceSpec(1, d_pm=0.001)),
+        ("pm-step\tgen=2,dpm=1e-3", DisturbanceSpec(1, d_pm=0.001)),  # whitespace ends the prefix; glued, it is a key
         ("gen=+02,domega=-0,at=0", DisturbanceSpec(1, d_omega=-0.0)),
         # the terms combine: an angle kick and a power step on one generator, with or without the prefix
         ("gen=2,ddelta=0.05,dpm=0.1,at=0.5", DisturbanceSpec(1, 0.05, 0.0, 0.1, 0.5)),
@@ -1295,16 +1312,18 @@ def test_perturb_spec_builds_its_record(perturb, spec):
 
 
 def test_simulate_combined_perturbation_writes_simulates_rows(tmp_path, toy3_model):
-    # a spec of both kinds of term writes the rows of simulate() given its record, named by its nonzero dpm
-    out = tmp_path / "traj.json"
-    assert run(["simulate", "--case", case_path("toy3"), "--out", out, "--tmax", 3.0,
-                "--perturb", "gen=2,ddelta=0.05,dpm=0.1,at=0.5", "--format", "structured"]) == 0
+    # a spec of both kinds of term writes the rows of simulate() given its record, named by its nonzero dpm;
+    # the structured document holds the table's columns and rows
+    argv = ["simulate", "--case", case_path("toy3"), "--tmax", 3.0, "--perturb", "gen=2,ddelta=0.05,dpm=0.1,at=0.5"]
+    out, table = tmp_path / "traj.json", tmp_path / "traj.csv"
+    assert run([*argv, "--out", out, "--format", "structured"]) == 0
+    assert run([*argv, "--out", table]) == 0
     doc = json.loads(out.read_text())
     traj = simulate(equilibrium_state(toy3_model), toy3_model, ControlConfig((), -1.0),
                     DisturbanceSpec(1, 0.05, 0.0, 0.1, 0.5), t_max=3.0, dt=1e-3)
     assert doc["meta"]["disturbance"] == "mechanical-step"
-    assert np.array_equal(doc["times"], traj.times)
-    assert np.array_equal(doc["delta"], traj.delta) and np.array_equal(doc["omega"], traj.omega)
+    assert ",".join(doc["columns"]) in table.read_text().splitlines()
+    assert np.array(doc["rows"]).tobytes() == np.column_stack((traj.times, traj.delta, traj.omega)).tobytes()
 
 
 @pytest.mark.parametrize(

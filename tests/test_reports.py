@@ -90,7 +90,7 @@ def _per_value_reduction_document(net, op, meta):
 )
 def test_structured_document_matches_per_value_renderer(tmp_path, monkeypatch, builder, argv, oracle):
     # the CLI document for ne39, byte for byte, against the per-value builder on the same inputs; the CLI
-    # writes a trajectory document by write_document(out, blocks, count, dt, meta) and
+    # writes a trajectory document by write_document(out, blocks, dt, meta) and
     # document_footer(footer), here inline, so that the calls are seen in this process
     monkeypatch.delattr(os, "fork")
     names = ["write_document", "document_footer"] if builder == "trajectory_document" else [builder]
@@ -101,12 +101,12 @@ def test_structured_document_matches_per_value_renderer(tmp_path, monkeypatch, b
             if name != "write_document":
                 seen[name].append(args)
                 return real(*args, **kwargs)
-            out, blocks, count, dt, meta = args
+            out, blocks, dt, meta = args
             passed = []  # a copy of each block as it passes: the trajectory that was written
-            real(out, ((rows, passed.append(block.copy()) or block) for rows, block in blocks), count, dt, meta)
+            real(out, ((rows, passed.append(block.copy()) or block) for rows, block in blocks), dt, meta)
             states = np.vstack(passed)
             n = states.shape[1] // 2
-            seen[name].append((Trajectory(np.arange(count) * dt, states[:, :n], states[:, n:], dt), meta))
+            seen[name].append((Trajectory(np.arange(len(states)) * dt, states[:, :n], states[:, n:], dt), meta))
 
         monkeypatch.setattr(reports, name, spy)
     out = tmp_path / "doc.json"
@@ -121,9 +121,9 @@ def test_structured_document_matches_per_value_renderer(tmp_path, monkeypatch, b
 @pytest.mark.parametrize("rows", [1, ROWS_PER_BLOCK - 1, ROWS_PER_BLOCK, ROWS_PER_BLOCK + 1, 2 * ROWS_PER_BLOCK + 1])
 def test_trajectory_blocks_join_to_per_row_documents(monkeypatch, rows):
     # each writer reads a block before it asks for the next, which overwrites it with NaN, so a block read
-    # late shows; it asks for each block once, in order.  The table is written a block at a time, the
-    # structured document its times a block at a time, then the delta rows, then the omega rows it kept.  Each write holds at most ROWS_PER_BLOCK rows.  The footer is rendered apart, once the decay
-    # fit is done
+    # late shows; it asks for each block once, in order.  Both documents are written a block of rows at a
+    # time, each row with its time, and keep none: each write holds at most ROWS_PER_BLOCK rows.  The footer
+    # is rendered apart, once the decay fit is done
     values = np.random.default_rng(rows).standard_normal((rows, 4)) * 10.0 ** np.arange(-2, 2)
     times = np.arange(rows) * 1e-3
     meta, footer = {"tool": "gridlink", "links": 1}, {"fitted_decay_rate": "-0.5", "alpha_max": "-0.4"}
@@ -147,7 +147,7 @@ def test_trajectory_blocks_join_to_per_row_documents(monkeypatch, rows):
         ),
     ):
         writes, asked = [], []
-        write(SimpleNamespace(write=writes.append), blocks(), rows, 1e-3, meta)
+        write(SimpleNamespace(write=writes.append), blocks(), 1e-3, meta)
         assert asked == [block.stop for block in row_blocks(rows)]
         assert max(text.count("\n") for text in writes) <= ROWS_PER_BLOCK
         assert "".join(writes) + closing(footer) == expected
