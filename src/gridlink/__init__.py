@@ -28,12 +28,11 @@ from gridlink.case import (
 from gridlink.dynamics import (
     ControlConfig,
     DisturbanceSpec,
-    MachineState,
     SimulationBlowUp,
-    Trajectory,
     control_matrix,
     decay_rate,
     electrical_power,
+    equilibrium_state,
     integrate,
     link_laplacian,
     simulate,

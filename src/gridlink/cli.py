@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import reprlib
 import stat
 import sys
@@ -32,8 +33,8 @@ from gridlink.dynamics import (
     ControlConfig,
     DecayFit,
     DisturbanceSpec,
-    MachineState,
     SimulationBlowUp,
+    equilibrium_state,
     horizon_steps,
     integrate,
     row_blocks,
@@ -56,10 +57,15 @@ class WriterFailed(Exception):
 
 
 def _plain_number(kind: type[int] | type[float], text: str) -> int | float:
-    """kind(text), with the "_" digit separators that int() and float() accept refused as a ValueError."""
-    if "_" in text:
-        raise ValueError("a digit separator")
+    """kind(text) of a plain ASCII number: "_" separators, other scripts' digits or padding are a ValueError."""
+    if "_" in text or not text.isascii() or text != text.strip():
+        raise ValueError("not a plain number")
     return kind(text)
+
+
+# What argparse takes for a negative number, a value and not an option, in place of its -\d+ and -\d*\.\d+: any
+# float number(float) reads (-1e-3, -1., -inf), or other scripts' digits, which it refuses.  No flag looks like one.
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?\Z|-(inf|infinity|nan)\Z", re.IGNORECASE)
 
 
 def number(kind: type[int] | type[float]) -> Callable[[str], int | float]:
@@ -94,12 +100,12 @@ def parse_perturb(spec: str) -> DisturbanceSpec:
         if "=" not in part:
             raise InputError(f"malformed perturbation term {reprlib.repr(part)}; expected key=value")
         key, _, value = part.partition("=")
-        key = key.strip()
+        key, value = key.strip(), value.strip()  # whitespace may surround a term's key and value
         if key in fields:
             raise InputError(f"perturbation field {reprlib.repr(key)} given more than once")
         # No case has 10**20 generators, and int() refuses more than 4300 digits; the message abridges them.
-        if key == "gen" and len(digits := value.strip().lstrip("+-").lstrip("0")) > 20 and digits.isdecimal():
-            raise InputError(f"perturbation generator {reprlib.repr(value.strip())} out of range")
+        if key == "gen" and len(digits := value.lstrip("+-").lstrip("0")) > 20 and digits.isdecimal():
+            raise InputError(f"perturbation generator {reprlib.repr(value)} out of range")
         try:
             fields[key] = _plain_number(int if key == "gen" else float, value)
         except ValueError as exc:
@@ -352,7 +358,6 @@ def run_simulate(args: argparse.Namespace) -> int:
     # checked here, not left to integrate, so that the message names the 1-based --perturb generator
     if disturbance is not None and disturbance.target >= model.n:
         raise InputError(f"perturbation generator {disturbance.target + 1} out of range for {model.n} generators")
-    initial = MachineState(delta=model.op.delta_s, omega=np.full(model.n, model.op.omega_s))
     meta.update(
         {
             "gain": args.gain,
@@ -367,7 +372,7 @@ def run_simulate(args: argparse.Namespace) -> int:
         write, footer_text = reports.write_document, reports.document_footer
     else:
         write, footer_text = reports.write_table, reports.table_footer
-    blocks = integrate(initial, model, ctl, disturbance, t_max=args.tmax, dt=args.dt)
+    blocks = integrate(equilibrium_state(model), model, ctl, disturbance, t_max=args.tmax, dt=args.dt)
     count = horizon_steps(args.tmax, args.dt) + 1
     fit = DecayFit(t_start=args.tmax / 4.0)
     with _output(args) as out, _TrajectoryWriter(out, write, count, args.dt, meta) as writer:
@@ -397,10 +402,9 @@ def run_validate(args: argparse.Namespace) -> int:
     if alpha >= 0:
         raise ValueError(f"alpha_max = {alpha:.6e} >= 0, no decay to validate")
     tmax = args.tmax if args.tmax is not None else max(MIN_HORIZON, 4.0 / abs(alpha))
-    initial = MachineState(model.op.delta_s, np.full(model.n, model.op.omega_s))
     ctl = ControlConfig(preinstalled + result.links, args.gain)
     try:  # of integrate's rules, only the horizon's can fail here, and check_args has checked a given --tmax
-        blocks = integrate(initial, model, ctl, DisturbanceSpec(target=0, d_delta=args.ddelta), tmax, args.dt)
+        blocks = integrate(equilibrium_state(model), model, ctl, DisturbanceSpec(0, args.ddelta), tmax, args.dt)
     except InputError as exc:  # not the user's flag: the horizon the plan gives
         raise ValueError(f"derived horizon {tmax:.6g} s: {exc}; --tmax sets the horizon") from None
     fitted = streamed_decay_rate(blocks, model.op, args.dt, t_start=tmax / 4.0)
@@ -443,6 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, help_text in specs.items():
         p = sub.add_parser(name, help=help_text)
+        p._negative_number_matcher = _NEGATIVE_NUMBER  # so that --gain -1e-3 reads the number
         p.add_argument("--case", required=True, help="case document path")
         p.add_argument("--out", required=True, help="output document path")
         if name == "reduce":

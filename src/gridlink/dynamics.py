@@ -2,18 +2,18 @@
 
 Per machine: m * dw/dt = P_m(delta) - d*(w - w_s) - P_e(delta), with the
 communication-link control entering mechanical power as phase-difference
-feedback.  SwingOperator evaluates the whole right-hand side on the stacked
-state x = [delta, omega] as dx/dt = H z: one matrix-vector product with a
-vector z that holds x, the electrical power terms w * (W w) with
+feedback.  The one state type is the stacked array x = [delta, omega] of 2n
+floats, equilibrium_state(model) the operating point: swing_rhs returns its
+rate, integrate yields its rows a block at a time from one reused buffer,
+simulate copies them into one (steps + 1, 2n) array, and deviation_norms,
+decay_rate and DecayFit read such rows.  SwingOperator evaluates the
+right-hand side as dx/dt = H z: one matrix-vector product with a vector z
+that holds x, the electrical power terms w * (W w) with
 w = [cos delta, sin delta], and a constant 1, whose column of H holds the
 constant drive.  Integration is classical fixed-step RK4, bitwise
-deterministic for fixed inputs, in one loop: integrate yields the stacked
-rows a block at a time from one reused buffer, and simulate copies them
-into one Trajectory.  DecayFit.feed passes the blocks on once it has
-folded their deviation norms, at their grid_times, into a few running sums.
-The CLI's simulate and validate stream integrate's blocks through it, and
-decay_rate a stored trajectory's rows, so no subcommand keeps an array that
-grows with the rows.
+deterministic for fixed inputs.  DecayFit.feed passes the blocks on once it
+has folded their deviation norms, at their grid_times, into a few running
+sums, so no subcommand keeps an array that grows with the rows.
 """
 
 from __future__ import annotations
@@ -52,12 +52,6 @@ def normalize_link(link: Link) -> Link:
     if i == k:
         raise InputError(f"self-link {link}")
     return (i, k) if i < k else (k, i)
-
-
-@dataclass(frozen=True)
-class MachineState:
-    delta: np.ndarray  # rotor angles, rad
-    omega: np.ndarray  # rotor speeds, rad/s
 
 
 @dataclass(frozen=True)
@@ -101,14 +95,6 @@ class DisturbanceSpec:
         if not (self.t_apply >= 0 and index <= steps):
             raise InputError(f"disturbance time {self.t_apply:.9g} s outside the run, 0 to {steps * dt:.9g} s")
         return int(index)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    times: np.ndarray  # (T,), uniform spacing, times[0] = 0
-    delta: np.ndarray  # (T, n) rad
-    omega: np.ndarray  # (T, n) rad/s
-    dt: float
 
 
 def horizon_steps(t_max: float, dt: float) -> int:
@@ -187,13 +173,26 @@ def electrical_power(delta: np.ndarray, net: ReducedNetwork) -> np.ndarray:
     return (e * np.conj(net.y_g @ e)).real
 
 
+def equilibrium_state(model: SystemModel) -> np.ndarray:
+    """The operating point as a state: [model.op.delta_s, omega_s ... omega_s], a new array of 2n floats."""
+    return np.concatenate([model.op.delta_s, np.full(model.n, model.op.omega_s)])
+
+
+def _checked_state(x: np.ndarray, n: int) -> np.ndarray:
+    """A float copy of the stacked state x = [delta, omega]; InputError unless its shape is (2n,)."""
+    x = np.array(x, dtype=float)
+    if x.shape != (2 * n,):
+        raise InputError(f"state of shape {x.shape}, expected ({2 * n},): the stacked [delta, omega]")
+    return x
+
+
 class SwingOperator:
     """The controlled swing equations on the stacked state x = [delta, omega] (2n floats).
 
     dx/dt = H z on one vector z = [x, w * (W w), 1] with w = [cos delta, sin delta] and
       H = [G, -F, c - G x_ref],  G = swing_matrix(model, ctl),  F = [[0, 0], [I, I]],
       W = [[Re Y, -Im Y], [Im Y, Re Y]],  Y = diag(e_mag / m) y_g diag(e_mag),
-      x_ref = [model.op.delta_s, omega_s ... omega_s],  c = [0, p_m / m].
+      x_ref = equilibrium_state(model),  c = [0, p_m / m].
     The two halves of w * (W w) sum to electrical_power / m, so
     H z = G (x - x_ref) + c - [0, P_e / m]: the link control acts about the
     operating point.  The drive c, for the constant mechanical power p_m, is
@@ -210,10 +209,9 @@ class SwingOperator:
         self.h = h = np.zeros((2 * n, 4 * n + 1))
         h[:, : 2 * n] = g = swing_matrix(model, ctl)
         h[n:, 2 * n : 3 * n] = h[n:, 3 * n : 4 * n] = -np.eye(n)
-        x_ref = np.concatenate([model.op.delta_s, np.full(n, model.op.omega_s)])
         # An overflowing gain leaves a non-finite entry, which simulate reports as a blow-up.
         with np.errstate(over="ignore", invalid="ignore"):
-            self._g_x_ref = g @ x_ref
+            self._g_x_ref = g @ equilibrium_state(model)
         self.set_drive(model.op.p_m_const)
         y = (e_mag / m)[:, None] * model.net.y_g * e_mag[None, :]
         w_dot = np.block([[y.real, -y.imag], [y.imag, y.real]]).dot
@@ -239,30 +237,28 @@ class SwingOperator:
         self.h[:, -1] = np.concatenate([np.zeros(self.n), p_m / self.m]) - self._g_x_ref
 
 
-def swing_rhs(
-    state: MachineState, model: SystemModel, ctl: ControlConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """(d delta/dt, d omega/dt) of the controlled swing equations, by a SwingOperator entered as simulate
-    enters it for each k1: the stacked state copied into ``state``, then ``rate``."""
+def swing_rhs(x: np.ndarray, model: SystemModel, ctl: ControlConfig) -> np.ndarray:
+    """dx/dt (2n floats) of the controlled swing equations at the stacked state x = [delta, omega], by a
+    SwingOperator entered as integrate enters it for each k1: x copied into ``state``, then ``rate``."""
     op = SwingOperator(model, ctl)
-    np.copyto(op.state, np.concatenate([state.delta, state.omega]))
-    rate = op.rate(np.empty(2 * model.n))
-    return rate[: model.n], rate[model.n :]
+    np.copyto(op.state, _checked_state(x, model.n))
+    return op.rate(np.empty(2 * model.n))
 
 
 def integrate(
-    initial: MachineState,
+    x0: np.ndarray,
     model: SystemModel,
     ctl: ControlConfig,
     disturbance: DisturbanceSpec | None,
     t_max: float,
     dt: float = 1e-3,
 ) -> Blocks:
-    """Integrate with classical RK4 at fixed step dt over [0, t_max], horizon_steps(t_max, dt) steps,
-    and yield the rows a block at a time.
+    """Integrate from the stacked state x0 = [delta, omega] with classical RK4 at fixed step dt over
+    [0, t_max], horizon_steps(t_max, dt) steps, and yield the rows a block at a time.
 
-    The horizon, the target and the disturbance time are checked here, before
-    the first block is asked for.  The returned iterator then yields
+    The shape of x0, which must be (2n,), the horizon, the target and the
+    disturbance time are checked here, and x0 copied, before the first block
+    is asked for.  The returned iterator then yields
     (rows, block) for each slice of row_blocks(steps + 1): block[i] is the
     stacked state [delta, omega] at time (rows.start + i) dt, finite, and a
     view of one (ROWS_PER_BLOCK + 1, 2n) buffer that the next block
@@ -287,6 +283,7 @@ def integrate(
     block of further steps, and that block is not yielded.
     """
     n = model.n
+    x0 = _checked_state(x0, n)
     steps = horizon_steps(t_max, dt)
     dist = disturbance or DisturbanceSpec(target=0)  # no disturbance is a zero one
     if not 0 <= dist.target < n:
@@ -299,8 +296,7 @@ def integrate(
     def blocks() -> Blocks:
         z, rate = op.state, op.rate
         states = np.empty((ROWS_PER_BLOCK + 1, 2 * n))  # row j holds the state at time (rows.start + j - 1) dt
-        states[1, :n] = initial.delta
-        states[1, n:] = initial.omega
+        states[1] = x0
         ks, stage, total = np.empty((4, 2 * n)), np.empty(2 * n), np.empty(2 * n)
         (k1, k2, k3, k4), k2_k3 = ks, ks[1:3]
         # 0-d arrays: numpy converts a Python float operand on every call.
@@ -344,41 +340,40 @@ def integrate(
 
 
 def simulate(
-    initial: MachineState,
+    x0: np.ndarray,
     model: SystemModel,
     ctl: ControlConfig,
     disturbance: DisturbanceSpec | None,
     t_max: float,
     dt: float = 1e-3,
-) -> Trajectory:
-    """The trajectory of integrate(...), its blocks copied into one (steps + 1, 2n) array of which the
-    returned delta and omega are views; the same checks, rows and blow-up."""
-    blocks = integrate(initial, model, ctl, disturbance, t_max, dt)
-    times = grid_times(slice(0, horizon_steps(t_max, dt) + 1), dt)
-    states = np.empty((times.size, 2 * model.n))
-    for rows, block in blocks:
+) -> np.ndarray:
+    """The rows of integrate(...) copied into one (steps + 1, 2n) array, row k the stacked state at
+    grid time k dt (grid_times); the same checks, rows and blow-up."""
+    states = np.empty((horizon_steps(t_max, dt) + 1, 2 * model.n))
+    for rows, block in integrate(x0, model, ctl, disturbance, t_max, dt):
         states[rows] = block
-    return Trajectory(times=times, delta=states[:, : model.n], omega=states[:, model.n :], dt=dt)
+    return states
 
 
-def deviation_norms(traj: Trajectory, op: OperatingPoint) -> np.ndarray:
-    """Per-sample 2-norm of the state deviation with the uniform angle shift removed.
+def deviation_norms(states: np.ndarray, op: OperatingPoint) -> np.ndarray:
+    """Per-row 2-norm of the deviation of the stacked states (rows [delta, omega]) from op, with the
+    uniform angle shift removed.
 
     Angles are measured relative to the last machine, which projects out the
     rigid rotation that the dynamics cannot damp.  Each row's norm depends on
     that row alone, so DecayFit.feed computes them a block at a time.
     """
-    d_delta = traj.delta - op.delta_s[None, :]
+    n = op.delta_s.size
+    d_delta = states[:, :n] - op.delta_s
     d_delta = d_delta - d_delta[:, [-1]]
-    d_omega = traj.omega - op.omega_s
+    d_omega = states[:, n:] - op.omega_s
     return np.sqrt(np.sum(d_delta**2, axis=1) + np.sum(d_omega**2, axis=1))
 
 
-def decay_rate(traj: Trajectory, op: OperatingPoint, t_start: float) -> float:
-    """Least-squares slope of log of the deviation norm over [t_start, end], 1/s: streamed_decay_rate of the
-    trajectory's rows, stacked a row_blocks block at a time as integrate yields them."""
-    blocks = ((rows, np.hstack([traj.delta[rows], traj.omega[rows]])) for rows in row_blocks(traj.times.size))
-    return streamed_decay_rate(blocks, op, traj.dt, t_start)
+def decay_rate(states: np.ndarray, op: OperatingPoint, dt: float, t_start: float) -> float:
+    """Least-squares slope of log of the deviation norm over [t_start, end], 1/s, of the stacked states, row
+    k at time k dt: streamed_decay_rate of their rows, a row_blocks block at a time as integrate yields them."""
+    return streamed_decay_rate(((rows, states[rows]) for rows in row_blocks(len(states))), op, dt, t_start)
 
 
 def streamed_decay_rate(blocks: Blocks, op: OperatingPoint, dt: float, t_start: float) -> float:
@@ -418,9 +413,8 @@ class DecayFit:
         """Yield each of blocks, of step dt, once its grid_times and its deviation_norms about op are added.  A
         FloatingPointError from the norms (numpy's overflow) is kept for rate(), so a later blow-up wins."""
         for rows, block in blocks:
-            view = Trajectory(grid_times(rows, dt), *np.hsplit(block, 2), dt)
             try:
-                self.add(view.times, deviation_norms(view, op))
+                self.add(grid_times(rows, dt), deviation_norms(block, op))
             except FloatingPointError as exc:
                 self._overflow = self._overflow or exc
             yield rows, block

@@ -2,7 +2,6 @@ import json
 import os
 import re
 
-import numpy as np
 import pytest
 
 from gridlink.case import load_case, parse_case
@@ -109,12 +108,6 @@ def oscillator_model():
     return build_system(parse_case(TWO_MACHINE_OSCILLATOR))
 
 
-def equilibrium_state(model):
-    from gridlink.dynamics import MachineState
-
-    return MachineState(delta=model.op.delta_s.copy(), omega=np.full(model.n, model.op.omega_s))
-
-
 @pytest.fixture
 def forks(monkeypatch):
     """Record the pid of every process os.fork starts from this one."""
@@ -159,32 +152,30 @@ def one_short_line(err, *paths):
     return line
 
 
-# Independent oracles of the trajectory documents: one numpy scalar -> float -> repr per value.  Both hold the
-# same rows, [time, delta_1..delta_n, omega_1..omega_n], under the same column names.
+# Independent oracles of the trajectory documents of the stacked states (rows [delta, omega]) at times k dt:
+# one numpy scalar -> float -> repr per value.  Both hold the same rows, [time, delta_1..delta_n,
+# omega_1..omega_n], under the same column names.
 def _columns(n):
     return ["time"] + [f"delta_{i + 1}" for i in range(n)] + [f"omega_{i + 1}" for i in range(n)]
 
 
-def _per_value_table(traj, meta, footer):
+def _per_value_rows(states, dt):
+    return [[k * dt] + [float(v) for v in row] for k, row in enumerate(states)]
+
+
+def _per_value_table(states, dt, meta, footer):
     lines = header_lines(meta)
-    lines.append(",".join(_columns(traj.delta.shape[1])))
-    for k in range(traj.times.size):
-        values = [repr(float(traj.times[k]))]
-        values += [repr(float(v)) for v in traj.delta[k]]
-        values += [repr(float(v)) for v in traj.omega[k]]
-        lines.append(",".join(values))
+    lines.append(",".join(_columns(states.shape[1] // 2)))
+    lines += [",".join(map(repr, row)) for row in _per_value_rows(states, dt)]
     lines += header_lines(footer)
     return "\n".join(lines) + "\n"
 
 
-def _per_value_trajectory_document(traj, meta, footer):
+def _per_value_trajectory_document(states, dt, meta, footer):
     return {
         "meta": meta,
-        "columns": _columns(traj.delta.shape[1]),
-        "rows": [
-            [float(traj.times[k])] + [float(v) for v in traj.delta[k]] + [float(v) for v in traj.omega[k]]
-            for k in range(traj.times.size)
-        ],
+        "columns": _columns(states.shape[1] // 2),
+        "rows": _per_value_rows(states, dt),
         "summary": footer,
     }
 

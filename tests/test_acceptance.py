@@ -14,7 +14,7 @@ import pytest
 import gridlink.planner
 from gridlink.case import case_path
 from gridlink.cli import main
-from gridlink.dynamics import ControlConfig, MachineState, decay_rate, simulate, swing_rhs
+from gridlink.dynamics import ControlConfig, decay_rate, equilibrium_state, simulate, swing_rhs
 from gridlink.linearization import jacobian, spectral_abscissa
 from gridlink.model import SystemModel
 from gridlink.planner import exhaustive_plan, greedy_plan
@@ -44,11 +44,10 @@ def ne39_plan_doc(tmp_path_factory):
 
 def _fd_jacobian(model, ctl, h=1e-6):
     n = model.n
-    x0 = np.concatenate([model.op.delta_s, np.full(n, model.op.omega_s)])
+    x0 = equilibrium_state(model)
 
     def f(x):
-        dd, dw = swing_rhs(MachineState(x[:n], x[n:]), model, ctl)
-        return np.concatenate([dd, dw])
+        return swing_rhs(x, model, ctl)
 
     fd = np.zeros((2 * n, 2 * n))
     for col in range(2 * n):
@@ -133,9 +132,10 @@ def test_criterion_6_decay_rate_consistency(toy3_model):
         alpha = spectral_abscissa(model, ctl).alpha_max
         offset = np.zeros(model.n)
         offset[0] = 0.01  # infinity norm of the angle perturbation
-        init = MachineState(model.op.delta_s + offset, np.full(model.n, model.op.omega_s))
-        traj = simulate(init, model, ctl, None, t_max=5.0, dt=1e-3)
-        fitted = decay_rate(traj, model.op, t_start=1.0)
+        init = equilibrium_state(model)
+        init[: model.n] += offset
+        states = simulate(init, model, ctl, None, t_max=5.0, dt=1e-3)
+        fitted = decay_rate(states, model.op, dt=1e-3, t_start=1.0)
         assert fitted == pytest.approx(alpha, rel=0.15)
         assert time.perf_counter() - started < 10.0
 
@@ -143,11 +143,11 @@ def test_criterion_6_decay_rate_consistency(toy3_model):
 def test_criterion_7_integrator_order(oscillator_model):
     with criterion(7, "halving dt improves RK4 terminal error by 12x-20x"):
         model = oscillator_model
-        init = MachineState(model.op.delta_s + np.array([0.25, -0.25]), np.full(2, model.op.omega_s))
+        init = equilibrium_state(model)
+        init[:2] += np.array([0.25, -0.25])
 
         def terminal(dt):
-            traj = simulate(init, model, ControlConfig(), None, t_max=1.0, dt=dt)
-            return np.concatenate([traj.delta[-1], traj.omega[-1]])
+            return simulate(init, model, ControlConfig(), None, t_max=1.0, dt=dt)[-1]
 
         dt = 0.004
         reference = terminal(dt / 8.0)

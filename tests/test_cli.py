@@ -22,7 +22,6 @@ from conftest import (
     _per_value_table,
     _per_value_trajectory_document,
     _rows_on_one_line,
-    equilibrium_state,
     one_short_line,
     two_bus_feeder,
 )
@@ -33,8 +32,8 @@ from gridlink.dynamics import (
     ROWS_PER_BLOCK,
     ControlConfig,
     DisturbanceSpec,
-    Trajectory,
     decay_rate,
+    equilibrium_state,
     horizon_steps,
     link_laplacian,
     normalize_link,
@@ -269,11 +268,14 @@ def test_non_finite_number_is_input_error(tmp_path, capsys, subcommand, flag, va
         (["--perturb", "pm-stepgen=1,dpm=0.1"], None, "fields ['pm-stepgen'] not valid"),
         (["--perturb", "gen=1_0,ddelta=0.1"], None, "term 'gen=1_0': not an integer"),
         (["--perturb", "gen=1,ddelta=0_1"], None, "term 'ddelta=0_1': not a number"),
+        # nor other scripts' digits, which they read too
+        (["--perturb", "gen=\u0661,ddelta=0.1"], None, "term 'gen=\u0661': not an integer"),
+        (["--perturb", "gen=1,ddelta=0.\u0661"], None, "term 'ddelta=0.\u0661': not a number"),
     ],
     ids=["gen-fraction", "gen-inf", "at-inf", "gen-nan", "ddelta-nan", "bool-link", "step-cap", "gen-twice",
          "gen-huge", "gen-beyond-int-digits", "gen-huge-negative", "link-huge", "link-long", "ddelta-long",
          "ddelta-long-text", "key-long", "at-long", "term-long", "key-long-twice", "key-unknown", "pm-step-glued",
-         "gen-separator", "ddelta-separator"],
+         "gen-separator", "ddelta-separator", "gen-arabic-indic", "ddelta-arabic-indic"],
 )
 def test_malformed_simulate_input_is_input_error(tmp_path, capsys, extra, links_text, problem):
     argv = ["simulate", "--case", case_path("toy3"), "--out", tmp_path / "o", *extra]
@@ -668,16 +670,16 @@ def test_simulate_fit_is_the_library_decay_rate_bit_for_bit(tmp_path, toy4_model
     out = tmp_path / "doc"
     assert run(["simulate", "--case", case_path("newengland39"), "--out", out, "--tmax", 3.0,
                 "--perturb", "gen=1,ddelta=0.05", "--format", fmt]) == 0
-    traj = simulate(equilibrium_state(ne39_model), ne39_model, ControlConfig((), -1.0),
-                    DisturbanceSpec(target=0, d_delta=0.05), t_max=3.0)
-    assert line("fitted_decay_rate", decay_rate(traj, ne39_model.op, 0.75)) in out.read_text(encoding="utf-8")
+    states = simulate(equilibrium_state(ne39_model), ne39_model, ControlConfig((), -1.0),
+                      DisturbanceSpec(target=0, d_delta=0.05), t_max=3.0)
+    assert line("fitted_decay_rate", decay_rate(states, ne39_model.op, 1e-3, 0.75)) in out.read_text(encoding="utf-8")
     for case, model, budget in [("toy4", toy4_model, 1), ("newengland39", ne39_model, 3)]:
         assert run(["validate", "--case", case_path(case), "--out", out, "--budget", budget, "--format", fmt]) == 0
         plan = planner.greedy_plan(model, budget, -1.0, allow_nonpositive=True)
         alpha, tmax = plan.final_alpha, max(cli.MIN_HORIZON, 4.0 / abs(plan.final_alpha))
-        traj = simulate(equilibrium_state(model), model, ControlConfig(plan.links, -1.0),
-                        DisturbanceSpec(target=0, d_delta=0.01), t_max=tmax)
-        fitted = decay_rate(traj, model.op, tmax / 4.0)
+        states = simulate(equilibrium_state(model), model, ControlConfig(plan.links, -1.0),
+                          DisturbanceSpec(target=0, d_delta=0.01), t_max=tmax)
+        fitted = decay_rate(states, model.op, 1e-3, tmax / 4.0)
         text = out.read_text(encoding="utf-8")
         assert line("fitted_decay_rate", fitted) in text
         assert line("mismatch", abs(fitted - alpha) / abs(alpha)) in text
@@ -741,9 +743,15 @@ LONG_INT, LONG_FLOAT = "1" + "0" * 5000, "x" + "0" * 5000
         # int() and float() read "_" digit separators; no flag takes them
         ("plan", "--budget", "int", "1_5", "'1_5'"),
         ("simulate", "--tmax", "float", "2_0.5", "'2_0.5'"),
+        # nor other scripts' digits (Arabic-Indic two, fullwidth one), nor whitespace around the number
+        ("plan", "--budget", "int", "\u0662", "'\u0662'"),
+        ("plan", "--gain", "float", "-\uff11", "'-\uff11'"),
+        ("plan", "--workers", "int", " 2", "' 2'"),
+        ("simulate", "--dt", "float", "1e-3\n", "'1e-3\\n'"),
     ],
     ids=["budget-long", "workers-long", "gain-long", "dt-long", "tmax-long", "budget", "workers", "gain", "dt",
-         "tmax-28", "budget-separator", "tmax-separator"],
+         "tmax-28", "budget-separator", "tmax-separator", "budget-arabic-indic", "gain-fullwidth",
+         "workers-padded", "dt-padded"],
 )
 def test_bad_flag_value_is_one_short_usage_error(tmp_path, capsys, subcommand, flag, kind, value, shown):
     with pytest.raises(SystemExit) as exc:
@@ -752,6 +760,20 @@ def test_bad_flag_value_is_one_short_usage_error(tmp_path, capsys, subcommand, f
     line = capsys.readouterr().err.splitlines()[-1]
     assert line == f"gridlink {subcommand}: error: argument {flag}: invalid {kind} value: {shown}"
     assert len(line) <= 160
+
+
+@pytest.mark.parametrize(
+    "subcommand, case, flag, value, shown",
+    [("plan", "toy4", "--gain", "-1e-3", "-0.001"), ("plan", "toy4", "--gain", "-1.", "-1.0"),
+     ("plan", "toy4", "--gain", "-1E+2", "-100.0"), ("plan", "toy4", "--gain", "-.5", "-0.5"),
+     ("validate", "toy3", "--ddelta", "-1e-3", "-0.001")],
+)
+def test_negative_float_after_a_space_is_the_flag_value(tmp_path, subcommand, case, flag, value, shown):
+    # argparse's own pattern of a negative number reads neither an exponent nor a trailing point, and would
+    # take these for options: "argument --gain: expected one argument"
+    out = tmp_path / "doc.csv"
+    assert run([subcommand, "--case", case_path(case), "--out", out, "--budget", "1", flag, value]) == 0
+    assert f"# {flag[2:]}: {shown}\n" in out.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize(
@@ -862,14 +884,12 @@ def test_trajectory_writer_forked_and_inline_write_the_same_bytes(tmp_path, monk
     # writer, started only for more than one block where os.fork exists, reads each block from the pipe into
     # a real file, and writes the bytes the inline writer writes
     values = np.random.default_rng(rows).standard_normal((rows, 6)) * 10.0 ** np.arange(-3, 3)
-    times = np.arange(rows) * 1e-3
     meta, footer = {"tool": "gridlink", "links": 2}, {"fitted_decay_rate": "-0.5", "alpha_max": "-0.4"}
-    final = Trajectory(times=times, delta=values[:, :3], omega=values[:, 3:], dt=1e-3)
     write, closing = trajectory_writer(fmt)
     if fmt == "table":
-        expected = _per_value_table(final, meta, footer)
+        expected = _per_value_table(values, 1e-3, meta, footer)
     else:
-        expected = _rows_on_one_line(reports.render_json(_per_value_trajectory_document(final, meta, footer)))
+        expected = _rows_on_one_line(reports.render_json(_per_value_trajectory_document(values, 1e-3, meta, footer)))
 
     def written(forked):
         path = tmp_path / f"traj-{forked}"
@@ -1319,11 +1339,11 @@ def test_simulate_combined_perturbation_writes_simulates_rows(tmp_path, toy3_mod
     assert run([*argv, "--out", out, "--format", "structured"]) == 0
     assert run([*argv, "--out", table]) == 0
     doc = json.loads(out.read_text())
-    traj = simulate(equilibrium_state(toy3_model), toy3_model, ControlConfig((), -1.0),
-                    DisturbanceSpec(1, 0.05, 0.0, 0.1, 0.5), t_max=3.0, dt=1e-3)
+    states = simulate(equilibrium_state(toy3_model), toy3_model, ControlConfig((), -1.0),
+                      DisturbanceSpec(1, 0.05, 0.0, 0.1, 0.5), t_max=3.0, dt=1e-3)
     assert doc["meta"]["disturbance"] == "mechanical-step"
     assert ",".join(doc["columns"]) in table.read_text().splitlines()
-    assert np.array(doc["rows"]).tobytes() == np.column_stack((traj.times, traj.delta, traj.omega)).tobytes()
+    assert np.array(doc["rows"]).tobytes() == np.column_stack((np.arange(3001) * 1e-3, states)).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -7,22 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TWO_MACHINE_OSCILLATOR, equilibrium_state
-from gridlink.case import parse_case
+from conftest import TWO_MACHINE_OSCILLATOR
+from gridlink.case import InputError, parse_case
 from gridlink.dynamics import (
     MAX_STEPS,
     ROWS_PER_BLOCK,
     ControlConfig,
     DecayFit,
     DisturbanceSpec,
-    MachineState,
     SimulationBlowUp,
     SwingOperator,
-    Trajectory,
     control_matrix,
     decay_rate,
     deviation_norms,
     electrical_power,
+    equilibrium_state,
     grid_times,
     horizon_steps,
     integrate,
@@ -37,6 +36,14 @@ from gridlink.linearization import alpha_for_links, jacobian, spectral_abscissa
 from gridlink.model import build_system
 from gridlink.planner import candidate_links, greedy_plan
 from gridlink.reduction import OperatingPoint, ReducedNetwork, coupling_coefficients
+
+
+def _kicked(model, d_delta=0.0, d_omega=0.0):
+    """equilibrium_state(model) with d_delta added to its angles and d_omega to its speeds."""
+    x = equilibrium_state(model)
+    x[: model.n] += d_delta
+    x[model.n :] += d_omega
+    return x
 
 
 def _lossless_pair(c12=1.0):
@@ -110,11 +117,10 @@ def test_mechanical_power_zero_at_reference(toy3_model):
     # controlled swing equations equal the uncontrolled ones
     ref = toy3_model.op.delta_s + np.array([0.3, -0.2, 0.1])
     model = replace(toy3_model, op=replace(toy3_model.op, delta_s=ref))
-    state = MachineState(ref, model.op.omega_s + np.array([0.5, -1.0, 0.25]))
+    state = _kicked(model, d_omega=np.array([0.5, -1.0, 0.25]))
     free = swing_rhs(state, model, ControlConfig())
     ctl = ControlConfig([(0, 1), (1, 2), (0, 2)], -3.0)
-    for got, want in zip(swing_rhs(state, model, ctl), free):
-        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+    assert np.allclose(swing_rhs(state, model, ctl), free, rtol=0.0, atol=1e-12)
 
 
 def _per_link_mechanical_power(delta, op, ctl):
@@ -186,16 +192,14 @@ def test_rhs_zero_at_equilibrium_any_control(toy3_model, toy4_model, ne39_model)
         state = equilibrium_state(model)
         pairs = candidate_links(model.n)
         for links in ([], pairs[:1], pairs[:3], pairs):
-            ddelta, domega = swing_rhs(state, model, ControlConfig(links, -1.0))
+            ddelta, domega = np.split(swing_rhs(state, model, ControlConfig(links, -1.0)), 2)
             assert np.abs(ddelta).max() <= 1e-10
             assert np.abs(domega).max() <= 1e-10
 
 
 def test_rhs_isolated_damping_response(toy3_model):
     model = toy3_model
-    omega = np.full(model.n, model.op.omega_s)
-    omega[1] += 1.0
-    ddelta, domega = swing_rhs(MachineState(model.op.delta_s.copy(), omega), model, ControlConfig())
+    ddelta, domega = np.split(swing_rhs(_kicked(model, d_omega=np.eye(model.n)[1]), model, ControlConfig()), 2)
     assert ddelta[1] == pytest.approx(1.0, abs=1e-14)
     assert domega[1] == pytest.approx(-model.d[1] / model.m[1], rel=1e-12)
     assert ddelta[0] == 0.0 and ddelta[2] == 0.0
@@ -206,16 +210,11 @@ def test_rhs_matches_flow_derivative(toy3_model):
     model = toy3_model
     ctl = ControlConfig([(0, 2)], -1.0)
     rng = np.random.default_rng(11)
-    state = MachineState(
-        model.op.delta_s + rng.uniform(-0.2, 0.2, model.n),
-        model.op.omega_s + rng.uniform(-0.5, 0.5, model.n),
-    )
+    state = _kicked(model, rng.uniform(-0.2, 0.2, model.n), rng.uniform(-0.5, 0.5, model.n))
     h = 1e-5
-    traj = simulate(state, model, ctl, None, t_max=2 * h, dt=h)
-    mid = MachineState(traj.delta[1], traj.omega[1])
-    fd_delta = (traj.delta[2] - traj.delta[0]) / (2 * h)
-    fd_omega = (traj.omega[2] - traj.omega[0]) / (2 * h)
-    ddelta, domega = swing_rhs(mid, model, ctl)
+    states = simulate(state, model, ctl, None, t_max=2 * h, dt=h)
+    fd_delta, fd_omega = np.split((states[2] - states[0]) / (2 * h), 2)
+    ddelta, domega = np.split(swing_rhs(states[1], model, ctl), 2)
     assert np.abs(fd_delta - ddelta).max() <= 1e-6 * max(np.abs(ddelta).max(), 1.0)
     assert np.abs(fd_omega - domega).max() <= 1e-6 * max(np.abs(domega).max(), 1.0)
 
@@ -229,11 +228,11 @@ def test_rhs_translation_covariance(shift):
     from gridlink.model import SystemModel
 
     model = SystemModel(net=net, op=op, m=np.array([0.02, 0.03]), d=np.array([0.05, 0.02]))
-    state = MachineState(np.array([0.4, -0.2]), np.array([377.5, 376.8]))
+    state = np.array([0.4, -0.2, 377.5, 376.8])
     ctl = ControlConfig([(0, 1)], -1.0)
-    base = swing_rhs(state, model, ctl)
+    base = np.split(swing_rhs(state, model, ctl), 2)
     shifted_model = replace(model, op=replace(op, delta_s=op.delta_s + shift))
-    shifted = swing_rhs(MachineState(state.delta + shift, state.omega), shifted_model, ctl)
+    shifted = np.split(swing_rhs(state + [shift, shift, 0.0, 0.0], shifted_model, ctl), 2)
     assert np.allclose(base[0], shifted[0], atol=1e-12)
     assert np.allclose(base[1], shifted[1], atol=1e-9)
 
@@ -254,8 +253,8 @@ def test_uniform_angle_shift_leaves_rhs_unchanged(ne39_model, data):
     omega = op.omega_s + np.array(data.draw(st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=n, max_size=n)))
     ctl = ControlConfig(links, gain)
 
-    ddelta, domega = swing_rhs(MachineState(delta, omega), model, ctl)
-    shifted_ddelta, shifted_domega = swing_rhs(MachineState(delta + shift, omega), model, ctl)
+    ddelta, domega = np.split(swing_rhs(np.concatenate([delta, omega]), model, ctl), 2)
+    shifted_ddelta, shifted_domega = np.split(swing_rhs(np.concatenate([delta + shift, omega]), model, ctl), 2)
     net, omega_dev = model.net, np.abs(omega - op.omega_s)
     scale = (
         np.abs(op.p_m_const)
@@ -291,7 +290,7 @@ def test_swing_rhs_matches_two_array_oracle(ne39_model, data):
     delta = op.delta_s + rng.uniform(-math.pi, math.pi, n)
     omega = op.omega_s + rng.normal(scale=2.0, size=n)
 
-    ddelta, domega = swing_rhs(MachineState(delta, omega), model, ctl)
+    ddelta, domega = np.split(swing_rhs(np.concatenate([delta, omega]), model, ctl), 2)
     exp_ddelta, exp_domega = _two_array_rhs(delta, omega, model, ctl)
     net, omega_dev = model.net, np.abs(omega - op.omega_s)
     scale = (
@@ -312,7 +311,8 @@ def test_swing_operator_power_term_is_electrical_power(ne39_model, seed):
     delta = model.op.delta_s if seed is None else np.random.default_rng(seed).uniform(-math.pi, math.pi, n)
     op = SwingOperator(model, ControlConfig())
     op.set_drive(np.zeros(n))
-    op.state[:] = np.concatenate([delta, np.full(n, model.op.omega_s)])
+    op.state[:] = equilibrium_state(model)
+    op.state[:n] = delta
     rate = op.rate(np.empty(2 * n))
     expected = electrical_power(delta, model.net)
     assert np.all(rate[:n] == 0.0)
@@ -327,7 +327,7 @@ def test_swing_operator_finite_differences_match_jacobian(ne39_model):
     ctl = ControlConfig([(i - 1, k - 1) for i, k in NE39_PLAN_15], -1.0)
     j = jacobian(model, ctl)
     op = SwingOperator(model, ctl)
-    x0 = np.concatenate([model.op.delta_s, np.full(n, model.op.omega_s)])
+    x0 = equilibrium_state(model)
     h = 1e-5
     fd = np.empty_like(j)
     for col in range(2 * n):
@@ -345,11 +345,11 @@ def test_swing_operator_finite_differences_match_jacobian(ne39_model):
 
 
 def test_simulate_holds_equilibrium(toy3_model):
-    traj = simulate(equilibrium_state(toy3_model), toy3_model, ControlConfig(), None, t_max=2.0, dt=1e-3)
-    assert np.abs(traj.delta - toy3_model.op.delta_s).max() <= 1e-10
-    assert np.abs(traj.omega - toy3_model.op.omega_s).max() <= 1e-10
-    assert traj.times[0] == 0.0
-    assert np.allclose(np.diff(traj.times), traj.dt)
+    states = simulate(equilibrium_state(toy3_model), toy3_model, ControlConfig(), None, t_max=2.0, dt=1e-3)
+    delta, omega = np.split(states, 2, axis=1)
+    assert states.shape == (2001, 6)
+    assert np.abs(delta - toy3_model.op.delta_s).max() <= 1e-10
+    assert np.abs(omega - toy3_model.op.omega_s).max() <= 1e-10
 
 
 @pytest.mark.parametrize("link", [(-1, 0), (0, 3)])
@@ -360,21 +360,17 @@ def test_simulate_rejects_link_out_of_range(toy3_model, link):
 
 def test_simulate_stable_deviation_shrinks(toy3_model):
     model = toy3_model
-    init = MachineState(model.op.delta_s + np.array([0.01, -0.005, 0.0]), np.full(3, model.op.omega_s))
-    traj = simulate(init, model, ControlConfig(), None, t_max=5.0, dt=1e-3)
-    from gridlink.dynamics import deviation_norms
-
-    norms = deviation_norms(traj, model.op)
+    init = _kicked(model, np.array([0.01, -0.005, 0.0]))
+    norms = deviation_norms(simulate(init, model, ControlConfig(), None, t_max=5.0, dt=1e-3), model.op)
     assert norms[-1] < norms[0]
 
 
 def test_simulate_rk4_order(oscillator_model):
     model = oscillator_model
-    init = MachineState(model.op.delta_s + np.array([0.25, -0.25]), np.full(2, model.op.omega_s))
+    init = _kicked(model, np.array([0.25, -0.25]))
 
     def terminal(dt):
-        t = simulate(init, model, ControlConfig(), None, t_max=1.0, dt=dt)
-        return np.concatenate([t.delta[-1], t.omega[-1]])
+        return simulate(init, model, ControlConfig(), None, t_max=1.0, dt=dt)[-1]
 
     ref = terminal(0.0005)
     err_coarse = np.linalg.norm(terminal(0.004) - ref)
@@ -386,47 +382,46 @@ def test_simulate_energy_conservation(oscillator_model):
     # lossless undamped pair: kinetic + potential - dispatch work is invariant
     model = oscillator_model
     assert np.abs(model.net.d).max() <= 1e-9
-    init = MachineState(model.op.delta_s + np.array([0.25, -0.25]), np.full(2, model.op.omega_s))
-    traj = simulate(init, model, ControlConfig(), None, t_max=10.0, dt=1e-3)
+    init = _kicked(model, np.array([0.25, -0.25]))
+    delta, omega = np.split(simulate(init, model, ControlConfig(), None, t_max=10.0, dt=1e-3), 2, axis=1)
 
-    d_omega = traj.omega - model.op.omega_s
+    d_omega = omega - model.op.omega_s
     kinetic = 0.5 * (model.m * d_omega**2).sum(axis=1)
-    potential = -model.net.c[0, 1] * np.cos(traj.delta[:, 0] - traj.delta[:, 1])
-    potential -= traj.delta @ model.op.p_m_const
+    potential = -model.net.c[0, 1] * np.cos(delta[:, 0] - delta[:, 1])
+    potential -= delta @ model.op.p_m_const
     energy = kinetic + potential
     assert np.abs(energy - energy[0]).max() <= 1e-3 * abs(energy[0])
 
 
 def test_simulate_bitwise_deterministic(toy3_model):
     model = toy3_model
-    init = MachineState(model.op.delta_s + 0.01, np.full(3, model.op.omega_s))
+    init = _kicked(model, 0.01)
     ctl = ControlConfig([(0, 1)], -1.0)
     a = simulate(init, model, ctl, None, t_max=1.0, dt=1e-3)
     b = simulate(init, model, ctl, None, t_max=1.0, dt=1e-3)
-    assert np.array_equal(a.delta, b.delta)
-    assert np.array_equal(a.omega, b.omega)
+    assert np.array_equal(a, b)
 
 
 def test_simulate_state_offset_applied_at_time(toy3_model):
     model = toy3_model
     dist = DisturbanceSpec(target=1, d_delta=0.02, t_apply=0.5)
-    traj = simulate(equilibrium_state(model), model, ControlConfig(), dist, t_max=1.0, dt=1e-3)
+    delta = simulate(equilibrium_state(model), model, ControlConfig(), dist, t_max=1.0, dt=1e-3)[:, : model.n]
     k = int(round(0.5 / 1e-3))
-    assert np.abs(traj.delta[k - 1] - model.op.delta_s).max() <= 1e-12
-    assert traj.delta[k, 1] - model.op.delta_s[1] == pytest.approx(0.02, abs=1e-12)
+    assert np.abs(delta[k - 1] - model.op.delta_s).max() <= 1e-12
+    assert delta[k, 1] - model.op.delta_s[1] == pytest.approx(0.02, abs=1e-12)
 
 
 def test_simulate_mechanical_step_shifts_equilibrium(toy3_model):
     model = toy3_model
     dist = DisturbanceSpec(target=0, d_pm=0.05, t_apply=0.0)
-    traj = simulate(equilibrium_state(model), model, ControlConfig(), dist, t_max=8.0, dt=1e-3)
+    states = simulate(equilibrium_state(model), model, ControlConfig(), dist, t_max=8.0, dt=1e-3)
     # extra drive on machine 0 must advance its angle relative to the others
-    rel = (traj.delta[:, 0] - traj.delta[:, 2]) - (model.op.delta_s[0] - model.op.delta_s[2])
+    rel = (states[:, 0] - states[:, 2]) - (model.op.delta_s[0] - model.op.delta_s[2])
     assert rel[-1] > 1e-4
 
 
 def _swing_rhs_rk4(init, model, ctl, dist, dt, steps):
-    """(delta, omega) rows of RK4 driven by swing_rhs, the disturbance applied at its grid time.
+    """The (steps + 1, 2n) rows of RK4 driven by swing_rhs, the disturbance applied at its grid time.
 
     From that time on, swing_rhs is given a model whose constant mechanical power holds the step.
     """
@@ -434,27 +429,26 @@ def _swing_rhs_rk4(init, model, ctl, dist, dt, steps):
     step = np.zeros(model.n)
     step[dist.target] = dist.d_pm
     stepped = replace(model, op=replace(model.op, p_m_const=model.op.p_m_const + step))
-    d, w = init.delta.copy(), init.omega.copy()
-    delta, omega = np.empty((steps + 1, model.n)), np.empty((steps + 1, model.n))
+    x = init.copy()
+    states = np.empty((steps + 1, 2 * model.n))
     for k in range(steps + 1):
         if k == apply_index:
-            d[dist.target] += dist.d_delta
-            w[dist.target] += dist.d_omega
-        delta[k], omega[k] = d, w
+            x[dist.target] += dist.d_delta
+            x[model.n + dist.target] += dist.d_omega
+        states[k] = x
         if k == steps:
             break
         rhs_model = stepped if k >= apply_index else model
 
-        def f(x_d, x_w):
-            return swing_rhs(MachineState(x_d, x_w), rhs_model, ctl)
+        def f(x):
+            return swing_rhs(x, rhs_model, ctl)
 
-        k1d, k1w = f(d, w)
-        k2d, k2w = f(d + 0.5 * dt * k1d, w + 0.5 * dt * k1w)
-        k3d, k3w = f(d + 0.5 * dt * k2d, w + 0.5 * dt * k2w)
-        k4d, k4w = f(d + dt * k3d, w + dt * k3w)
-        d = d + (dt / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-        w = w + (dt / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-    return delta, omega
+        k1 = f(x)
+        k2 = f(x + 0.5 * dt * k1)
+        k3 = f(x + 0.5 * dt * k2)
+        k4 = f(x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return states
 
 
 def test_simulate_mechanical_step_is_swing_rhs_plus_step(toy3_model):
@@ -464,10 +458,9 @@ def test_simulate_mechanical_step_is_swing_rhs_plus_step(toy3_model):
     ctl = ControlConfig([(0, 2)], -1.5)
     dt, apply_index, steps = 2.0**-7, 10, 40
     dist = DisturbanceSpec(target=1, d_pm=0.05, t_apply=apply_index * dt)
-    init = MachineState(model.op.delta_s + np.array([0.01, 0.0, -0.01]), np.full(3, model.op.omega_s))
-    traj = simulate(init, model, ctl, dist, t_max=steps * dt, dt=dt)
-    delta, omega = _swing_rhs_rk4(init, model, ctl, dist, dt, steps)
-    assert np.array_equal(traj.delta, delta) and np.array_equal(traj.omega, omega)
+    init = _kicked(model, np.array([0.01, 0.0, -0.01]))
+    states = simulate(init, model, ctl, dist, t_max=steps * dt, dt=dt)
+    assert np.array_equal(states, _swing_rhs_rk4(init, model, ctl, dist, dt, steps))
 
 
 # 15-link ne39 plan, 1-based, as gridlink plan --budget 15 --gain -1 installs it
@@ -502,27 +495,26 @@ def test_simulate_ne39_is_swing_rhs_rk4_across_blocks(ne39_model, dist):
     model = ne39_model
     ctl = ControlConfig([(i - 1, k - 1) for i, k in NE39_PLAN_15], -1.0)
     init, dt, steps = equilibrium_state(model), 1e-3, 1500
-    traj = simulate(init, model, ctl, dist, t_max=steps * dt, dt=dt)
-    delta, omega = _swing_rhs_rk4(init, model, ctl, dist, dt, steps)
-    assert np.array_equal(traj.delta, delta) and np.array_equal(traj.omega, omega)
+    states = _swing_rhs_rk4(init, model, ctl, dist, dt, steps)
+    assert np.array_equal(simulate(init, model, ctl, dist, t_max=steps * dt, dt=dt), states)
     blocks = [(rows, block.copy()) for rows, block in integrate(init, model, ctl, dist, steps * dt, dt)]
     assert [rows for rows, _ in blocks] == [slice(0, ROWS_PER_BLOCK), slice(ROWS_PER_BLOCK, steps + 1)]
     for rows, block in blocks:
-        assert np.array_equal(block, np.hstack([delta[rows], omega[rows]]))
+        assert np.array_equal(block, states[rows])
 
 
 def test_simulate_matches_two_array_rk4_loop(ne39_model):
     model = ne39_model
     ctl = ControlConfig([(i - 1, k - 1) for i, k in NE39_PLAN_15], -1.0)
-    init = MachineState(model.op.delta_s.copy(), np.full(model.n, model.op.omega_s))
+    init = equilibrium_state(model)
     dist = DisturbanceSpec(target=0, d_delta=0.05)
     dt, steps = 1e-3, 2000
-    traj = simulate(init, model, ctl, dist, t_max=steps * dt, dt=dt)
+    got_delta, got_omega = np.split(simulate(init, model, ctl, dist, t_max=steps * dt, dt=dt), 2, axis=1)
 
     def f(x_d, x_w):
         return _two_array_rhs(x_d, x_w, model, ctl)
 
-    d, w = init.delta.copy(), init.omega.copy()
+    d, w = init[: model.n].copy(), init[model.n :].copy()
     d[0] += 0.05
     delta, omega = [d], [w]
     for _ in range(steps):
@@ -534,18 +526,29 @@ def test_simulate_matches_two_array_rk4_loop(ne39_model):
         w = w + (dt / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
         delta.append(d)
         omega.append(w)
-    assert np.abs(traj.delta - np.array(delta)).max() <= 1e-9
-    assert np.abs(traj.omega - np.array(omega)).max() <= 1e-9
+    assert np.abs(got_delta - np.array(delta)).max() <= 1e-9
+    assert np.abs(got_omega - np.array(omega)).max() <= 1e-9
 
 
 def test_simulate_trajectory_shapes_and_halves(toy3_model):
+    # row k is the stacked state [delta, omega] at k dt, row 0 the initial state
     model = toy3_model
-    init = MachineState(model.op.delta_s + np.array([0.01, 0.0, -0.01]), np.full(3, model.op.omega_s + 0.5))
-    traj = simulate(init, model, ControlConfig(), None, t_max=0.1, dt=1e-3)
-    assert traj.delta.shape == traj.omega.shape == (101, 3)
-    assert np.array_equal(traj.delta[0], init.delta) and np.array_equal(traj.omega[0], init.omega)
-    assert np.abs(traj.delta - model.op.delta_s).max() < 0.1
-    assert np.abs(traj.omega - model.op.omega_s).max() < 1.0
+    init = _kicked(model, np.array([0.01, 0.0, -0.01]), 0.5)
+    states = simulate(init, model, ControlConfig(), None, t_max=0.1, dt=1e-3)
+    assert states.shape == (101, 6)
+    assert np.array_equal(states[0], init)
+    assert np.abs(states[:, :3] - model.op.delta_s).max() < 0.1
+    assert np.abs(states[:, 3:] - model.op.omega_s).max() < 1.0
+
+
+@pytest.mark.parametrize("shape", [(3,), (7,), (6, 1), (1, 6), ()])
+@pytest.mark.parametrize("call", [swing_rhs, integrate, simulate])
+def test_state_of_another_shape_is_input_error(toy3_model, call, shape):
+    # the state is the stacked [delta, omega], 2n floats: half of it, one float more, a column or a scalar
+    # is refused when the call is made, before any block is asked for
+    args = (ControlConfig(),) if call is swing_rhs else (ControlConfig(), None, 0.01)
+    with pytest.raises(InputError, match=rf"^state of shape \({shape[0] if shape else ''}.*expected \(6,\)"):
+        call(np.zeros(shape), toy3_model, *args)
 
 
 def test_simulate_disturbance_after_horizon_never_applies(toy3_model):
@@ -565,9 +568,9 @@ def test_simulate_rejects_disturbance_time_outside_run(toy3_model, t_apply):
 
 def test_simulate_applies_disturbance_at_last_grid_time(toy3_model):
     dist = DisturbanceSpec(target=1, d_delta=0.02, t_apply=0.01)
-    traj = simulate(equilibrium_state(toy3_model), toy3_model, ControlConfig(), dist, t_max=0.0105, dt=1e-3)
-    assert np.abs(traj.delta[:-1] - toy3_model.op.delta_s).max() <= 1e-12
-    assert traj.delta[-1, 1] - toy3_model.op.delta_s[1] == pytest.approx(0.02)
+    states = simulate(equilibrium_state(toy3_model), toy3_model, ControlConfig(), dist, t_max=0.0105, dt=1e-3)
+    assert np.abs(states[:-1, :3] - toy3_model.op.delta_s).max() <= 1e-12
+    assert states[-1, 1] - toy3_model.op.delta_s[1] == pytest.approx(0.02)
 
 
 def test_horizon_steps_allows_exactly_max_steps():
@@ -596,16 +599,16 @@ def test_simulate_applies_every_term_of_one_disturbance(toy3_model):
              DisturbanceSpec(target=1, d_pm=0.05, t_apply=0.005)]
     init = equilibrium_state(toy3_model)
     traj, offset, step = (simulate(init, toy3_model, ControlConfig(), d, t_max=0.5) for d in [both] + parts)
-    assert traj.delta[5, 1] == offset.delta[5, 1] and traj.omega[5, 1] == offset.omega[5, 1]
-    assert not np.array_equal(traj.delta[6:], offset.delta[6:])
+    assert traj[5, 1] == offset[5, 1] and traj[5, 3 + 1] == offset[5, 3 + 1]
+    assert not np.array_equal(traj[6:, :3], offset[6:, :3])
     # the step's effect rides on the offset run to first order (1.3e-6 of 0.07 rad here)
-    assert np.abs(traj.delta - offset.delta - (step.delta - toy3_model.op.delta_s)).max() < 1e-5
+    assert np.abs(traj[:, :3] - offset[:, :3] - (step[:, :3] - toy3_model.op.delta_s)).max() < 1e-5
 
 
 def test_simulate_blowup_reports_time():
     model = build_system(parse_case(TWO_MACHINE_OSCILLATOR.replace('"h": 4.0', '"h": 0.5')))
     ctl = ControlConfig([(0, 1)], +50.0)  # destabilizing diagnostic gain
-    init = MachineState(model.op.delta_s + np.array([1e-3, 0.0]), np.full(2, model.op.omega_s))
+    init = _kicked(model, np.array([1e-3, 0.0]))
     with pytest.raises(SimulationBlowUp) as exc_info:
         simulate(init, model, ctl, None, t_max=20.0, dt=1e-3)
     assert 0.0 < exc_info.value.time <= 20.0
@@ -619,7 +622,7 @@ def test_simulate_blowup_time_matches_per_step_loop(gain, t_max, time):
     # one SwingOperator that stops there does: in the first block, in a later one, or in a last partial one
     model = build_system(parse_case(TWO_MACHINE_OSCILLATOR.replace('"h": 4.0', '"h": 0.5')))
     ctl = ControlConfig([(0, 1)], gain)
-    init = MachineState(model.op.delta_s + np.array([1e-3, 0.0]), np.full(2, model.op.omega_s))
+    init = _kicked(model, np.array([1e-3, 0.0]))
     with pytest.raises(SimulationBlowUp) as exc_info:
         simulate(init, model, ctl, None, t_max=t_max, dt=1e-3)
     with pytest.raises(SimulationBlowUp) as streamed:
@@ -628,7 +631,7 @@ def test_simulate_blowup_time_matches_per_step_loop(gain, t_max, time):
     assert streamed.value.time == exc_info.value.time
 
     op, dt = SwingOperator(model, ctl), 1e-3
-    x, rate = np.concatenate([init.delta, init.omega]), np.empty((4, 4))
+    x, rate = init, np.empty((4, 4))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(round(t_max / dt) + 1):
             if not np.isfinite(x).all():
@@ -669,20 +672,20 @@ def test_simulate_hands_on_each_checked_block(oscillator_model, t_max):
     # integrate yields each block once, in order, as row_blocks slices the run, from one reused buffer:
     # a yielded block is a view that the next block overwrites
     model = oscillator_model
-    init = MachineState(model.op.delta_s + np.array([0.25, -0.25]), np.full(2, model.op.omega_s))
-    traj = simulate(init, model, ControlConfig(), None, t_max=t_max)
-    rows = traj.times.size
+    init = _kicked(model, np.array([0.25, -0.25]))
+    states = simulate(init, model, ControlConfig(), None, t_max=t_max)
+    rows = len(states)
     seen = [(rows, block, block.copy()) for rows, block in integrate(init, model, ControlConfig(), None, t_max)]
     assert [block_rows for block_rows, _, _ in seen] == list(row_blocks(rows))
     assert len({block.base.__array_interface__["data"][0] for _, block, _ in seen}) == 1
     for block_rows, _, block in seen:
-        assert np.array_equal(block, np.hstack([traj.delta[block_rows], traj.omega[block_rows]]))
+        assert np.array_equal(block, states[block_rows])
 
 
 def test_simulate_hands_on_no_block_with_a_blowup():
     # the blow-up at 3.636 s lies in the fourth block: integrate yields the first three, finite, then raises
     model = build_system(parse_case(TWO_MACHINE_OSCILLATOR.replace('"h": 4.0', '"h": 0.5')))
-    init = MachineState(model.op.delta_s + np.array([1e-3, 0.0]), np.full(2, model.op.omega_s))
+    init = _kicked(model, np.array([1e-3, 0.0]))
     stops = []
     with pytest.raises(SimulationBlowUp) as exc_info:
         for rows, block in integrate(init, model, ControlConfig([(0, 1)], 50.0), None, t_max=3.7):
@@ -709,11 +712,10 @@ def test_integrate_blocks_join_to_simulate_bit_for_bit(ne39_model, steps, dist):
     model = ne39_model
     ctl = ControlConfig([(i - 1, k - 1) for i, k in NE39_PLAN_15], -1.0)
     init = equilibrium_state(model)
-    traj = simulate(init, model, ctl, dist, t_max=steps * 1e-3)
+    states = simulate(init, model, ctl, dist, t_max=steps * 1e-3)
     joined = np.vstack([block.copy() for _, block in integrate(init, model, ctl, dist, t_max=steps * 1e-3)])
     assert joined.shape == (steps + 1, 2 * model.n)
-    assert joined.tobytes() == np.hstack([traj.delta, traj.omega]).tobytes()
-    assert traj.times.tobytes() == (np.arange(steps + 1) * 1e-3).tobytes()
+    assert joined.tobytes() == states.tobytes()
 
 
 @pytest.mark.parametrize("dt", [1e-3, 2e-3, 0.1, 1 / 3])
@@ -744,16 +746,16 @@ def test_deviation_norms_in_blocks_equal_whole_array_norms(ne39_model):
     # each row's norm depends on that row alone, so computing them a block at a time, as DecayFit.feed does,
     # changes no bit
     model = ne39_model
-    init = MachineState(model.op.delta_s + 0.05 * np.eye(model.n)[0], np.full(model.n, model.op.omega_s))
-    traj = simulate(init, model, ControlConfig(), None, t_max=3 * ROWS_PER_BLOCK * 1e-3)
-    assert traj.times.size == 3 * ROWS_PER_BLOCK + 1
-    d_delta = traj.delta - model.op.delta_s[None, :]
+    init = _kicked(model, 0.05 * np.eye(model.n)[0])
+    states = simulate(init, model, ControlConfig(), None, t_max=3 * ROWS_PER_BLOCK * 1e-3)
+    assert len(states) == 3 * ROWS_PER_BLOCK + 1
+    delta, omega = np.split(states, 2, axis=1)
+    d_delta = delta - model.op.delta_s[None, :]
     d_delta = d_delta - d_delta[:, [-1]]
-    d_omega = traj.omega - model.op.omega_s
+    d_omega = omega - model.op.omega_s
     whole = np.sqrt(np.sum(d_delta**2, axis=1) + np.sum(d_omega**2, axis=1))
-    assert np.array_equal(deviation_norms(traj, model.op), whole)
-    blocks = [deviation_norms(Trajectory(traj.times[r], traj.delta[r], traj.omega[r], traj.dt), model.op)
-              for r in row_blocks(whole.size)]
+    assert np.array_equal(deviation_norms(states, model.op), whole)
+    blocks = [deviation_norms(states[r], model.op) for r in row_blocks(whole.size)]
     assert np.array_equal(np.concatenate(blocks), whole)
 
 
@@ -778,27 +780,29 @@ def test_decay_fit_raises_a_kept_norm_overflow_from_rate_unless_a_later_block_bl
 
 
 def _synthetic_trajectory(rate, freq, t_max=10.0, dt=1e-3, omega_s=377.0):
+    """Stacked states of two machines, rows 1e-3 s apart, whose first machine's deviation has the envelope
+    exp(rate t), oscillating at freq."""
     times = np.arange(int(round(t_max / dt)) + 1) * dt
     envelope = np.exp(rate * times)
     osc = np.cos(2 * math.pi * freq * times) if freq else 1.0
-    delta = np.zeros((times.size, 2))
-    delta[:, 0] = 0.01 * envelope * osc
-    omega = np.full((times.size, 2), omega_s)
-    omega[:, 0] += 0.01 * envelope * (osc if freq else 1.0)
-    return Trajectory(times=times, delta=delta, omega=omega, dt=dt)
+    states = np.zeros((times.size, 4))
+    states[:, 0] = 0.01 * envelope * osc
+    states[:, 2:] = omega_s
+    states[:, 2] += 0.01 * envelope * (osc if freq else 1.0)
+    return states
 
 
 def test_decay_rate_pure_exponential():
-    traj = _synthetic_trajectory(rate=-0.5, freq=0.0)
+    states = _synthetic_trajectory(rate=-0.5, freq=0.0)
     op = OperatingPoint(delta_s=np.zeros(2), omega_s=377.0, p_m_const=np.zeros(2))
-    assert decay_rate(traj, op, t_start=0.0) == pytest.approx(-0.5, abs=1e-6)
+    assert decay_rate(states, op, dt=1e-3, t_start=0.0) == pytest.approx(-0.5, abs=1e-6)
 
 
 def test_decay_rate_oscillatory_envelope():
     # fit window spans many periods; expect the envelope rate within 15%
-    traj = _synthetic_trajectory(rate=-0.3, freq=1.0)
+    states = _synthetic_trajectory(rate=-0.3, freq=1.0)
     op = OperatingPoint(delta_s=np.zeros(2), omega_s=377.0, p_m_const=np.zeros(2))
-    fitted = decay_rate(traj, op, t_start=0.0)
+    fitted = decay_rate(states, op, dt=1e-3, t_start=0.0)
     assert fitted == pytest.approx(-0.3, rel=0.15)
 
 
@@ -808,16 +812,16 @@ def test_decay_rate_cross_module(toy3_model):
     model = toy3_model
     ctl = ControlConfig([(0, 1)], -1.0)
     alpha = spectral_abscissa(model, ctl).alpha_max
-    init = MachineState(model.op.delta_s + np.array([0.01, 0.0, 0.0]), np.full(3, model.op.omega_s))
-    traj = simulate(init, model, ctl, None, t_max=5.0, dt=1e-3)
-    fitted = decay_rate(traj, model.op, t_start=1.0)
+    init = _kicked(model, np.array([0.01, 0.0, 0.0]))
+    states = simulate(init, model, ctl, None, t_max=5.0, dt=1e-3)
+    fitted = decay_rate(states, model.op, dt=1e-3, t_start=1.0)
     assert fitted == pytest.approx(alpha, rel=0.15)
 
 
 def test_decay_rate_underflow_error(toy3_model):
-    traj = simulate(equilibrium_state(toy3_model), toy3_model, ControlConfig(), None, t_max=1.0, dt=1e-3)
+    states = simulate(equilibrium_state(toy3_model), toy3_model, ControlConfig(), None, t_max=1.0, dt=1e-3)
     with pytest.raises(ValueError) as exc_info:
-        decay_rate(traj, toy3_model.op, t_start=0.0)
+        decay_rate(states, toy3_model.op, dt=1e-3, t_start=0.0)
     assert str(exc_info.value) == "deviation underflow: all norms in the fit window are below 1e-13"
 
 
@@ -833,10 +837,9 @@ def test_decay_rate_errors_keep_their_messages(toy3_model, t_max, t_start, messa
     # besides the underflow above, the reasons there is no rate to fit of a kicked run, each a ValueError
     # with its own message: a window that starts after the run, and a window of one row
     model = toy3_model
-    init = MachineState(model.op.delta_s + np.array([0.01, 0.0, 0.0]), np.full(3, model.op.omega_s))
-    traj = simulate(init, model, ControlConfig(), None, t_max=t_max)
+    states = simulate(_kicked(model, np.array([0.01, 0.0, 0.0])), model, ControlConfig(), None, t_max=t_max)
     with pytest.raises(ValueError) as exc_info:
-        decay_rate(traj, model.op, t_start=t_start)
+        decay_rate(states, model.op, dt=1e-3, t_start=t_start)
     assert str(exc_info.value) == message
 
 
@@ -854,15 +857,15 @@ def _fit_in_blocks(times, norms, t_start, size):
 
 
 def _decay_case(name, ne39_model):
-    """(trajectory, operating point, t_start) of a named run: a synthetic envelope, fitted from 0, or a kicked
-    ne39 run under the 15-link plan, fitted from t_max / 4 as the CLI fits it."""
+    """(stacked states 1e-3 s apart, operating point, t_start) of a named run: a synthetic envelope, fitted
+    from 0, or a kicked ne39 run under the 15-link plan, fitted from t_max / 4 as the CLI fits it."""
     if name.startswith("synthetic"):
-        traj = _synthetic_trajectory(rate=-0.5, freq=0.0) if name == "synthetic" else _synthetic_trajectory(-0.3, 1.0)
-        return traj, OperatingPoint(delta_s=np.zeros(2), omega_s=377.0, p_m_const=np.zeros(2)), 0.0
+        states = _synthetic_trajectory(-0.5, 0.0) if name == "synthetic" else _synthetic_trajectory(-0.3, 1.0)
+        return states, OperatingPoint(delta_s=np.zeros(2), omega_s=377.0, p_m_const=np.zeros(2)), 0.0
     t_max, kick = {"ne39-20s": (20.0, 0.05), "ne39-40s": (40.0, 0.05), "ne39-20s-large": (20.0, 0.3)}[name]
     model = ne39_model
     ctl = ControlConfig([(i - 1, k - 1) for i, k in NE39_PLAN_15], -1.0)
-    init = MachineState(model.op.delta_s + kick * np.eye(model.n)[0], np.full(model.n, model.op.omega_s))
+    init = _kicked(model, kick * np.eye(model.n)[0])
     return simulate(init, model, ctl, None, t_max=t_max), model.op, t_max / 4.0
 
 
@@ -870,11 +873,11 @@ def _decay_case(name, ne39_model):
 def test_streamed_decay_fit_is_the_least_squares_line_in_any_blocks(ne39_model, name):
     # the streamed fit is polyfit's slope to 1e-12 relative, whether its rows come one at a time, seven, a
     # row_blocks block or all at once (to 1e-13 among them); decay_rate feeds it row_blocks blocks
-    traj, op, t_start = _decay_case(name, ne39_model)
-    norms = deviation_norms(traj, op)
-    rates = {size: _fit_in_blocks(traj.times, norms, t_start, size) for size in (1, 7, ROWS_PER_BLOCK, norms.size)}
-    assert decay_rate(traj, op, t_start) == rates[ROWS_PER_BLOCK]
-    expected = _polyfit_rate(traj.times, norms, t_start)
+    states, op, t_start = _decay_case(name, ne39_model)
+    norms, times = deviation_norms(states, op), np.arange(len(states)) * 1e-3
+    rates = {size: _fit_in_blocks(times, norms, t_start, size) for size in (1, 7, ROWS_PER_BLOCK, norms.size)}
+    assert decay_rate(states, op, 1e-3, t_start) == rates[ROWS_PER_BLOCK]
+    expected = _polyfit_rate(times, norms, t_start)
     for rate in rates.values():
         assert rate == pytest.approx(expected, rel=1e-12, abs=0)
         assert rate == pytest.approx(rates[norms.size], rel=1e-13, abs=0)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridlink.case import parse_case
-from gridlink.dynamics import ControlConfig, MachineState, control_matrix, swing_rhs
+from gridlink.dynamics import ControlConfig, control_matrix, equilibrium_state, swing_rhs
 from gridlink import linearization
 from gridlink.linearization import (
     alpha_for_links,
@@ -94,13 +94,12 @@ def test_coupling_matrix_matches_finite_differences(ne39_model):
     ctl = ControlConfig()
     fd = np.zeros((n, n))
     for k in range(n):
-        dp = model.op.delta_s.copy()
-        dm = model.op.delta_s.copy()
-        dp[k] += h
-        dm[k] -= h
-        omega = np.full(n, model.op.omega_s)
-        _, dw_p = swing_rhs(MachineState(dp, omega), model, ctl)
-        _, dw_m = swing_rhs(MachineState(dm, omega), model, ctl)
+        xp = equilibrium_state(model)
+        xm = equilibrium_state(model)
+        xp[k] += h
+        xm[k] -= h
+        dw_p = swing_rhs(xp, model, ctl)[n:]
+        dw_m = swing_rhs(xm, model, ctl)[n:]
         fd[:, k] = (dw_p - dw_m) / (2 * h)
     assert np.abs(fd - t).max() <= 1e-6 * max(np.abs(t).max(), 1.0)
 
@@ -452,11 +451,10 @@ def test_full_jacobian_matches_rhs_finite_differences(toy3_model):
     ctl = ControlConfig([(0, 1)], -1.0)
     j = jacobian(model, ctl)
     n = model.n
-    x0 = np.concatenate([model.op.delta_s, np.full(n, model.op.omega_s)])
+    x0 = equilibrium_state(model)
 
     def f(x):
-        dd, dw = swing_rhs(MachineState(x[:n], x[n:]), model, ctl)
-        return np.concatenate([dd, dw])
+        return swing_rhs(x, model, ctl)
 
     h = 1e-6
     fd = np.zeros_like(j)

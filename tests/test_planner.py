@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from gridlink import planner
 from gridlink.case import case_path, parse_case
 from gridlink.dynamics import electrical_power, normalize_link
-from gridlink.linearization import alpha_for_links
+from gridlink.linearization import alpha_for_links, relative_angle_jacobian
 from gridlink.model import SystemModel, build_system
 from gridlink.planner import (
     TIE_TOL,
@@ -389,3 +390,56 @@ def test_exhaustive_guard(monkeypatch, toy4_model):
     monkeypatch.setattr(planner, "EXHAUSTIVE_GUARD", 5)
     with pytest.raises(PlannerGuardError):
         exhaustive_plan(toy4_model, budget=3, gain_h=-1.0)
+
+
+# --- what a plan can change: proportional damping ---------------------------------------------------------
+# With every d_i / m_i = c, the relative-angle Jacobian is [[0, P], [B, -c I]], P the (n - 1) x n map of the
+# speeds to the relative angle rates, so each eigenvalue mu of the relative coupling-plus-control block P B
+# gives the modes lambda^2 + c lambda - mu = 0, whose two roots sum to -c; the one mode left, all speeds
+# equal, decays at -c.  So no link set and no gain takes alpha_max below -c/2.  Where every mu is real and
+# below -c^2/4, both roots are complex with real part -c/2, and alpha_max is -c/2.  Rounding bound of both:
+# 16 eps ||J||_2, against at most 0.13 eps ||J||_2 seen over these draws.
+UNIFORM_C = [0.05, 0.1203, 0.3]
+
+
+def _uniform_damping_models(toy3_model, ne39_model):
+    """(name, model, c): ne39 with m = d / c for each c of UNIFORM_C, and toy3, whose d / m is uniform."""
+    c3 = toy3_model.d[0] / toy3_model.m[0]
+    assert np.allclose(toy3_model.d / toy3_model.m, c3, rtol=1e-15, atol=0)
+    return [(f"ne39-c{c}", replace(ne39_model, m=ne39_model.d / c), c) for c in UNIFORM_C] + [("toy3", toy3_model, c3)]
+
+
+def test_uniform_damping_ratio_bounds_alpha_by_half_of_it(toy3_model, ne39_model):
+    rng = np.random.default_rng(18)
+    for name, model, c in _uniform_damping_models(toy3_model, ne39_model):
+        n, pairs = model.n, candidate_links(model.n)
+        checked = 0
+        for _ in range(40):
+            links = [pairs[i] for i in rng.choice(len(pairs), rng.integers(0, len(pairs) + 1), replace=False)]
+            gain = -(10.0 ** rng.uniform(-2.0, 2.0))
+            j = relative_angle_jacobian(model, links, gain)
+            bound = 16 * np.finfo(float).eps * np.linalg.norm(j, 2)
+            alpha = alpha_for_links(model, links, gain)
+            assert alpha >= -c / 2 - bound, (name, links, gain)
+            mu = np.linalg.eigvals(j[: n - 1, n - 1 :] @ j[n - 1 :, : n - 1])
+            if np.all(mu.imag == 0) and mu.real.max() < -c * c / 4:  # every mode oscillates
+                assert abs(alpha + c / 2) <= bound, (name, links, gain)
+                checked += 1
+        # the equality is not vacuous: most draws meet its precondition (a complex mu breaks it now and then)
+        assert checked >= 30, name
+
+
+def test_greedy_installs_no_link_under_uniform_damping_ratio(toy3_model, ne39_model):
+    # alpha_max sits at its floor -c/2 without links, so no candidate gains more than TIE_TOL
+    for name, model, _ in _uniform_damping_models(toy3_model, ne39_model)[:3]:
+        result = greedy_plan(model, budget=15, gain_h=-1.0)
+        assert result.links == (), name
+        assert result.stop_reason.endswith("at iteration 1"), name
+
+
+def test_ne39_plan_starts_as_a_star_on_generator_1(ne39_model):
+    # generator 1's d / m is 0.0188, the others' 0.224-0.388: the first seven links all touch it
+    ratio = ne39_model.d / ne39_model.m
+    assert round(ratio[0], 4) == 0.0188 and 0.224 <= ratio[1:].min() and ratio[1:].max() <= 0.388
+    result = greedy_plan(ne39_model, budget=7, gain_h=-1.0)
+    assert len(result.links) == 7 and all(0 in link for link in result.links)

@@ -17,8 +17,7 @@ from gridlink.dynamics import (
     ROWS_PER_BLOCK,
     ControlConfig,
     DisturbanceSpec,
-    MachineState,
-    Trajectory,
+    equilibrium_state,
     integrate,
     row_blocks,
 )
@@ -26,28 +25,23 @@ from gridlink.planner import exhaustive_plan, greedy_plan
 from gridlink.reports import render_json
 
 
-def _blocks(traj):
-    """(rows, block) of traj's stacked [delta, omega] rows, as integrate yields them."""
-    states = np.hstack([traj.delta, traj.omega])
-    return ((rows, states[rows]) for rows in row_blocks(traj.times.size))
-
-
-def _written_inline(monkeypatch, traj, fmt, meta, footer):
-    """The document the CLI's writer writes for traj, its blocks handed over as integrate yields them, inline."""
+def _written_inline(monkeypatch, states, dt, fmt, meta, footer):
+    """The document the CLI's writer writes for the stacked states at times k dt, their blocks handed over as
+    integrate yields them, inline."""
     monkeypatch.delattr(os, "fork", raising=False)
     if fmt == "table":
         write, closing = reports.write_table, reports.table_footer
     else:
         write, closing = reports.write_document, reports.document_footer
     out = io.StringIO()
-    with cli._TrajectoryWriter(out, write, traj.times.size, traj.dt, meta) as writer:
-        writer.write_blocks(_blocks(traj))
+    with cli._TrajectoryWriter(out, write, len(states), dt, meta) as writer:
+        writer.write_blocks((rows, states[rows]) for rows in row_blocks(len(states)))
         writer.finish(closing(footer))
     return out.getvalue()
 
 
 def test_trajectory_table_matches_per_value_renderer(monkeypatch):
-    # delta and omega are views of one stacked array, as simulate returns them
+    # rows of stacked [delta, omega] states, as simulate returns them
     states = np.array(
         [
             [-0.0, 5e-324, 1e-300, 376.99111843077515, 377.0, 376.9911184307752],
@@ -55,10 +49,9 @@ def test_trajectory_table_matches_per_value_renderer(monkeypatch):
             [3.141592653589793, 2.0**-1074, -123456.789, 376.9911184307751, 5e-324, 0.0],
         ]
     )
-    traj = Trajectory(times=np.arange(3) * 1e-3, delta=states[:, :3], omega=states[:, 3:], dt=1e-3)
     meta, footer = {"tool": "gridlink", "links": 2}, {"fitted_decay_rate": "-0.5", "alpha_max": "-0.4"}
-    text = _written_inline(monkeypatch, traj, "table", meta, footer)
-    assert text == _per_value_table(traj, meta, footer)
+    text = _written_inline(monkeypatch, states, 1e-3, "table", meta, footer)
+    assert text == _per_value_table(states, 1e-3, meta, footer)
     assert "\n0.0,-0.0,5e-324,1e-300,376.99111843077515," in text
 
 
@@ -104,9 +97,7 @@ def test_structured_document_matches_per_value_renderer(tmp_path, monkeypatch, b
             out, blocks, dt, meta = args
             passed = []  # a copy of each block as it passes: the trajectory that was written
             real(out, ((rows, passed.append(block.copy()) or block) for rows, block in blocks), dt, meta)
-            states = np.vstack(passed)
-            n = states.shape[1] // 2
-            seen[name].append((Trajectory(np.arange(len(states)) * dt, states[:, :n], states[:, n:], dt), meta))
+            seen[name].append((np.vstack(passed), dt, meta))
 
         monkeypatch.setattr(reports, name, spy)
     out = tmp_path / "doc.json"
@@ -125,9 +116,7 @@ def test_trajectory_blocks_join_to_per_row_documents(monkeypatch, rows):
     # time, each row with its time, and keep none: each write holds at most ROWS_PER_BLOCK rows.  The footer
     # is rendered apart, once the decay fit is done
     values = np.random.default_rng(rows).standard_normal((rows, 4)) * 10.0 ** np.arange(-2, 2)
-    times = np.arange(rows) * 1e-3
     meta, footer = {"tool": "gridlink", "links": 1}, {"fitted_decay_rate": "-0.5", "alpha_max": "-0.4"}
-    final = Trajectory(times=times, delta=values[:, :2], omega=values[:, 2:], dt=1e-3)
 
     def blocks():
         buffer = np.empty((ROWS_PER_BLOCK, 4))
@@ -139,11 +128,11 @@ def test_trajectory_blocks_join_to_per_row_documents(monkeypatch, rows):
             buffer[:] = np.nan
 
     for write, closing, expected in (
-        (reports.write_table, reports.table_footer, _per_value_table(final, meta, footer)),
+        (reports.write_table, reports.table_footer, _per_value_table(values, 1e-3, meta, footer)),
         (
             reports.write_document,
             reports.document_footer,
-            _rows_on_one_line(render_json(_per_value_trajectory_document(final, meta, footer))),
+            _rows_on_one_line(render_json(_per_value_trajectory_document(values, 1e-3, meta, footer))),
         ),
     ):
         writes, asked = [], []
@@ -151,8 +140,9 @@ def test_trajectory_blocks_join_to_per_row_documents(monkeypatch, rows):
         assert asked == [block.stop for block in row_blocks(rows)]
         assert max(text.count("\n") for text in writes) <= ROWS_PER_BLOCK
         assert "".join(writes) + closing(footer) == expected
-    assert _written_inline(monkeypatch, final, "table", meta, footer) == _per_value_table(final, meta, footer)
-    assert _written_inline(monkeypatch, final, "structured", meta, footer) == expected
+    table = _per_value_table(values, 1e-3, meta, footer)
+    assert _written_inline(monkeypatch, values, 1e-3, "table", meta, footer) == table
+    assert _written_inline(monkeypatch, values, 1e-3, "structured", meta, footer) == expected
 
 
 def test_trajectory_table_is_written_one_block_at_a_time(tmp_path, monkeypatch, ne39_model):
@@ -160,8 +150,7 @@ def test_trajectory_table_is_written_one_block_at_a_time(tmp_path, monkeypatch, 
     # table, not the document, nor the trajectory
     monkeypatch.delattr(os, "fork")
     model = ne39_model
-    init = MachineState(model.op.delta_s.copy(), np.full(model.n, model.op.omega_s))
-    dist = DisturbanceSpec(target=0, d_delta=0.05)
+    init, dist = equilibrium_state(model), DisturbanceSpec(target=0, d_delta=0.05)
     times = np.arange(20001) * 1e-3
     out = tmp_path / "traj.csv"
     tracemalloc.start()
