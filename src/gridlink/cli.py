@@ -21,6 +21,7 @@ import stat
 import sys
 import warnings
 from collections.abc import Callable, Iterator
+from itertools import chain
 from pathlib import Path
 from typing import IO
 
@@ -42,7 +43,7 @@ from gridlink.dynamics import (
 )
 from gridlink.linearization import alpha_for_links, spectral_abscissa
 from gridlink.model import SystemModel, build_system
-from gridlink.planner import PlanResult, check_plan_args, fork_warning_ignored, greedy_plan
+from gridlink.planner import PlanResult, check_plan_args, fork, greedy_plan
 from gridlink.powerflow import PowerFlowError
 from gridlink.reduction import KronReductionError
 from gridlink import reports
@@ -253,20 +254,18 @@ class _TrajectoryWriter(contextlib.AbstractContextManager):
     write(out, blocks, dt, meta) is reports.write_table or write_document, over the (rows, block) pairs that
     write_blocks is given.  count decides whether to fork and how many rows the child reads.
 
-    With more than one block and os.fork, the first block forks a child that runs write into the inherited
-    out, over blocks it reads from a pipe: the parent writes each block's bytes there as it comes and keeps
-    none of them.  A child that reads the end of the pipe before a whole block ends with no partial row
-    written.  It ends by os._exit, which flushes no other stream, with the errno of a failed write as its
-    status, or _CRASHED if it failed otherwise (or the error has no errno).  Otherwise write runs here, over
-    the blocks as they come.
+    With more than one block, the first block starts a child by planner.fork that runs write into the
+    inherited out, over blocks it reads from a pipe: the parent writes each block's bytes there as it comes
+    and keeps none of them.  A child that reads the end of the pipe before a whole block ends with no partial
+    row written.  Its exit status is the errno of a failed write, or 255 if it failed otherwise.  Otherwise
+    write runs here, over the blocks as they come; so it does, with the same bytes and no message, where no
+    process can be started (no os.fork, or a process or open-file limit).
     """
-
-    _CRASHED = 255  # no errno is this large
 
     def __init__(self, out: IO[str], write: Callable[..., None], count: int, dt: float, meta: dict):
         self.out, self.write, self.count, self.dt, self.meta = out, write, count, dt, meta
         self.pid: int | None = None  # the forked writer, until it is reaped
-        self.pipe = -1  # the parent's end of the pipe; in the child, its end
+        self.pipe = -1  # the parent's end of the pipe
 
     def __exit__(self, *exc_info) -> None:
         if self.pid is not None:  # the run failed: the child reads the end of the pipe and exits
@@ -275,12 +274,13 @@ class _TrajectoryWriter(contextlib.AbstractContextManager):
 
     def write_blocks(self, blocks: Iterator[tuple[slice, np.ndarray]]) -> None:
         """Write the rows of blocks, which yields (rows, block) for consecutive slices of range(count)."""
-        if self.count <= ROWS_PER_BLOCK or not hasattr(os, "fork"):
+        if self.count <= ROWS_PER_BLOCK:
             self.write(self.out, blocks, self.dt, self.meta)
             return
-        for _, block in blocks:
-            if self.pid is None:
-                self._fork(block.shape[1])
+        for rows, block in blocks:
+            if self.pid is None and not self._fork(block.shape[1]):  # no process: this block on is written here
+                self.write(self.out, chain([(rows, block)], blocks), self.dt, self.meta)
+                return
             data = memoryview(block).cast("B")
             try:
                 while data:
@@ -288,37 +288,36 @@ class _TrajectoryWriter(contextlib.AbstractContextManager):
             except BrokenPipeError:
                 self._reap()  # the child failed first: raise its error, not this one
 
-    def _fork(self, width: int) -> None:
+    def _fork(self, width: int) -> bool:
         self.out.flush()
-        received, self.pipe = os.pipe()
-        with fork_warning_ignored():
-            self.pid = os.fork()
-        if self.pid:
-            os.close(received)
-            return
-        os.close(self.pipe)
-        self.pipe = received
-        status = self._CRASHED
         try:
-            self.write(self.out, self._received(width), self.dt, self.meta)
-            self.out.flush()
-            status = 0
-        except OSError as exc:
-            status = exc.errno or self._CRASHED
-        finally:
-            os._exit(status)
+            received, self.pipe = os.pipe()
+        except OSError:
+            return False
+        self.pid = fork(lambda: self._write_received(received, width))
+        os.close(received)
+        if self.pid is None:
+            os.close(self.pipe)
+        return self.pid is not None
 
-    def _received(self, width: int) -> Iterator[tuple[slice, np.ndarray]]:
+    def _write_received(self, received: int, width: int) -> int:
+        """The child: write the blocks read from the pipe; 0, or the errno of a failed write."""
+        os.close(self.pipe)
+        with open(received, "rb") as pipe:
+            try:
+                self.write(self.out, self._received(pipe, width), self.dt, self.meta)
+                self.out.flush()
+            except OSError as exc:
+                return exc.errno or 255
+        return 0
+
+    def _received(self, pipe: IO[bytes], width: int) -> Iterator[tuple[slice, np.ndarray]]:
         """The child's blocks: each read whole from the pipe into one reused buffer of width columns."""
         buffer = np.empty((ROWS_PER_BLOCK, width))
         for rows in row_blocks(self.count):
             block = buffer[: rows.stop - rows.start]
-            data = memoryview(block).cast("B")
-            while data:
-                got = os.readv(self.pipe, [data])
-                if not got:
-                    raise EOFError("the run ended before every row was final")
-                data = data[got:]
+            if pipe.readinto(block) < block.nbytes:
+                raise EOFError("the run ended before every row was final")
             yield rows, block
 
     def _reap(self) -> None:
@@ -329,7 +328,7 @@ class _TrajectoryWriter(contextlib.AbstractContextManager):
         code = os.waitstatus_to_exitcode(status)
         if code < 0:
             raise WriterFailed(f"trajectory writer killed by signal {-code}")
-        if code == self._CRASHED:
+        if code == 255:  # planner.fork's status for a child that raised
             raise WriterFailed(f"trajectory writer failed with exit status {code}")
         if code:
             raise OSError(code, os.strerror(code))

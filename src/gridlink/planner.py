@@ -5,8 +5,9 @@ remaining candidate link, installs the best one, and repeats until the budget
 is spent or no link helps.  An exhaustive planner over all budget-sized
 subsets serves as a small-instance oracle.  Both planners evaluate link sets
 only through ``sweep``, which forks min(workers, usable CPUs, link sets)
-worker processes for each sweep of a greedy plan, and runs serially when that
-is 1 or the platform has no os.fork.
+worker processes for each sweep of a greedy plan.  Where that is 1, or where
+``fork`` can start none (no os.fork, a process or open-file limit), the
+calling process evaluates them all, with the same result and no message.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import mmap
 import os
 import select
 import warnings
-from contextlib import contextmanager
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 
@@ -111,9 +112,12 @@ def _plan_args(budget: int, gain_h: float, n: int, preinstalled=(), workers=1) -
     return installed, remaining, budget
 
 
-@contextmanager
-def fork_warning_ignored():
-    """The fork rule: this process forks (sweep's workers, the CLI's trajectory writer) in here.
+def fork(child: Callable[[], int]) -> int | None:
+    """The fork rule: start a process (sweep's workers, the CLI's trajectory writer) that runs child().
+
+    The child ends by os._exit with the status child() returns, 255 if it raised, so it never returns into
+    the caller or flushes a stream it shares.  Returns its pid, or None, with no process started, where
+    os.fork is missing or raises OSError (a process or memory limit): the caller then does child's work.
 
     Python 3.12 on warns in the parent when it forks with threads running, as numpy's BLAS threads are once
     started.  Raised as an error, that warning comes after the child has started and loses its pid, so
@@ -124,41 +128,53 @@ def fork_warning_ignored():
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)
-        yield
+        try:
+            pid = os.fork()
+        except (AttributeError, OSError):  # a platform without os.fork, or a process or memory limit
+            return None
+    if pid:
+        return pid
+    try:
+        os._exit(child())
+    finally:  # child() raised, or returned no status
+        os._exit(255)
 
 
 def sweep(model: SystemModel, link_sets: list[list[Link]], gain_h: float, workers: int = 1) -> list[float]:
     """alpha_for_links of each link set, in input order, bitwise the same for every ``workers``.
 
     alpha_for_links is looked up here at each call.  With size = min(workers, usable CPUs, link sets) above 1
-    and os.fork, size forked children read the starts of contiguous chunks, at most CHUNKS_PER_WORKER per
-    child, from a pipe filled by one atomic write, and write the alphas into an anonymous shared mapping.  A
-    slot a child left unwritten (it raised or was killed) is evaluated here in input order, so an error is
-    the serial sweep's.  Otherwise the sweep is serial.
+    and a pipe to be had, up to size children started by ``fork`` read the starts of contiguous chunks, at
+    most CHUNKS_PER_WORKER per child, from that pipe, filled by one atomic write, and write the alphas into an
+    anonymous shared mapping.  A slot no child wrote (it raised or was killed, or none could be started) is
+    evaluated here in input order, so an error is the serial sweep's.  Otherwise the sweep is serial.
     """
     size = min(workers, usable_cpu_count(), len(link_sets))
-    if size <= 1 or not hasattr(os, "fork"):
+    if size > 1:
+        try:
+            received, sent = os.pipe()
+        except OSError:  # no descriptor to spare
+            size = 1
+    if size <= 1:
         return [alpha_for_links(model, links, gain_h) for links in link_sets]
     alphas = np.frombuffer(mmap.mmap(-1, len(link_sets) * 8))
     alphas.fill(math.nan)
     # fewer, larger chunks where their starts would not fit in one atomic write
     chunk = math.ceil(len(link_sets) / min(CHUNKS_PER_WORKER * size, select.PIPE_BUF // 8))
-    received, sent = os.pipe()
     with open(sent, "wb", buffering=0) as pipe:  # closed before the fork, so each child reads to EOF
         pipe.write(b"".join(start.to_bytes(8, "little") for start in range(0, len(link_sets), chunk)))
+
+    def work() -> int:
+        while message := os.read(received, 8):
+            start = int.from_bytes(message, "little")
+            for i in range(start, min(start + chunk, len(link_sets))):
+                alphas[i] = alpha_for_links(model, link_sets[i], gain_h)
+        return 0
+
     pids = []
     try:
-        with fork_warning_ignored():
-            for _ in range(size):
-                if not (pid := os.fork()):
-                    try:
-                        while message := os.read(received, 8):
-                            start = int.from_bytes(message, "little")
-                            for i in range(start, min(start + chunk, len(link_sets))):
-                                alphas[i] = alpha_for_links(model, link_sets[i], gain_h)
-                    finally:
-                        os._exit(0)
-                pids.append(pid)
+        while len(pids) < size and (pid := fork(work)) is not None:
+            pids.append(pid)
     finally:
         os.close(received)
         for pid in pids:

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -139,6 +140,26 @@ def sweep_forks(monkeypatch, forks):
 
     monkeypatch.setattr(planner, "sweep", sweep)
     return counts
+
+
+# Each way a process cannot be had, as (the os function, the error it raises, its errno): os.fork at a process
+# limit or out of memory, and os.pipe at the open-file limit.  They are patched, not reached: a real limit would
+# stop the test's own processes too.
+NO_PROCESS = {
+    "fork-EAGAIN": ("fork", BlockingIOError, errno.EAGAIN),
+    "fork-ENOMEM": ("fork", OSError, errno.ENOMEM),
+    "pipe-EMFILE": ("pipe", OSError, errno.EMFILE),
+}
+
+
+def refuse(monkeypatch, fault):
+    """Make the os function that NO_PROCESS[fault] names raise its error at every call."""
+    name, error, code = NO_PROCESS[fault]
+
+    def refused(*args):
+        raise error(code, os.strerror(code))
+
+    monkeypatch.setattr(os, name, refused)
 
 
 def one_short_line(err, *paths):

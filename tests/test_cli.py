@@ -19,10 +19,12 @@ from hypothesis import strategies as st
 
 import gridlink
 from conftest import (
+    NO_PROCESS,
     _per_value_table,
     _per_value_trajectory_document,
     _rows_on_one_line,
     one_short_line,
+    refuse,
     two_bus_feeder,
 )
 from gridlink import cli, planner, reports
@@ -41,6 +43,7 @@ from gridlink.dynamics import (
     simulate,
 )
 from gridlink.linearization import alpha_for_links
+from test_dynamics import NE39_PLAN_15
 
 SINGLE_MACHINE = """{
   "base_mva": 100.0, "f0": 60.0,
@@ -928,7 +931,7 @@ def test_trajectory_writer_reaps_its_child_when_the_run_fails(tmp_path, forks):
 
 @pytest.mark.parametrize("fmt", ["table", "structured"])
 def test_forked_writer_cut_off_inside_a_block_writes_no_partial_row(tmp_path, forks, fmt):
-    # the pipe ends half way through the second block: the child exits by _CRASHED, having written the
+    # the pipe ends half way through the second block: the child exits with status 255, having written the
     # first block's rows whole (its file is line buffered, so they are on disk) and none of the second's
     values = np.random.default_rng(7).standard_normal((3 * ROWS_PER_BLOCK, 4))
     times = np.arange(len(values)) * 1e-3
@@ -1261,6 +1264,67 @@ def test_simulate_pm_step_forked_and_inline_bytes_agree(tmp_path, monkeypatch, f
     assert simulate_bytes(True) == simulate_bytes(False)
     (pid,) = forks
     assert_reaped(pid)
+
+
+@pytest.fixture(scope="module")
+def without_fork(tmp_path_factory):
+    """The output bytes of gridlink argv (all but --out) run with os.fork deleted, each argv run once."""
+    outputs = {}
+
+    def output(argv):
+        key = tuple(map(str, argv))
+        if key not in outputs:
+            out = tmp_path_factory.mktemp("without_fork") / "out"
+            with pytest.MonkeyPatch.context() as patch:
+                patch.delattr(os, "fork")
+                assert run([*key, "--out", out]) == 0
+            outputs[key] = out.read_bytes()
+        return outputs[key]
+
+    return output
+
+
+@pytest.fixture(scope="module")
+def ne39_plan_15_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("links") / "ne39_plan_15.json"
+    path.write_text(json.dumps({"links": NE39_PLAN_15}))
+    return path
+
+
+@pytest.mark.parametrize("fault", NO_PROCESS)
+@pytest.mark.parametrize("fmt", ["table", "structured"])
+@pytest.mark.parametrize("case", ["toy3", "newengland39"])
+def test_simulate_with_no_process_to_be_had_writes_inline(tmp_path, monkeypatch, capsys, without_fork,
+                                                          ne39_plan_15_file, fault, fmt, case):
+    # a writer that cannot be started, by a process limit or the open-file limit, leaves its rows to the
+    # calling process: exit 0, no message, and the bytes of a run on a platform without os.fork
+    argv = ["simulate", "--case", case_path(case), "--format", fmt]
+    if case == "toy3":
+        argv += ["--tmax", 3.0]
+    else:
+        argv += ["--tmax", 20.0, "--links", ne39_plan_15_file, "--perturb", "gen=1,ddelta=0.05"]
+    expected = without_fork(argv)
+    refuse(monkeypatch, fault)
+    out = tmp_path / "traj"
+    with time_limit(120):
+        assert run([*argv, "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_bytes() == expected
+
+
+@pytest.mark.parametrize("fault", NO_PROCESS)
+def test_pooled_plan_with_no_process_to_be_had_is_the_serial_plan(tmp_path, monkeypatch, capsys, without_fork,
+                                                                  fault):
+    # sweep workers that cannot be started leave every candidate to the calling process: exit 0, no message,
+    # and the bytes of the serial plan, as on a platform without os.fork
+    monkeypatch.setattr(planner, "usable_cpu_count", lambda: 2)
+    argv = ["plan", "--case", case_path("newengland39"), "--budget", 15, "--workers", 2]
+    expected = without_fork(argv)
+    refuse(monkeypatch, fault)
+    out = tmp_path / "plan.csv"
+    assert run([*argv, "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_bytes() == expected
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")

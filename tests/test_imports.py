@@ -94,3 +94,34 @@ def test_undeclared_imports_are_found():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_imports_only_declared_dependencies(path):
     assert undeclared_imports(path.read_text(encoding="utf-8")) == []
+
+
+def fork_callers(source: str) -> list[str]:
+    """The dotted name of the function around each call of os.fork in source, "" at module level."""
+    callers = []
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{name}.{child.name}".lstrip("."))
+                continue
+            func = child.func if isinstance(child, ast.Call) else None
+            if isinstance(func, ast.Attribute) and func.attr == "fork" and ast.unparse(func.value) == "os":
+                callers.append(name)
+            visit(child, name)
+
+    visit(ast.parse(source), "")
+    return callers
+
+
+def test_fork_callers_are_found():
+    source = ("import os\nos.fork()\ndef f():\n    return os.fork() or os.getpid()\n"
+              "class K:\n    def g(self):\n        def h():\n            os.fork()\n        fork()\n")
+    assert fork_callers(source) == ["", "f", "K.g.h"]
+
+
+def test_one_function_starts_a_process():
+    # planner.fork is the one function under src/gridlink that calls os.fork, so the fork rule (the warning
+    # guard, the exit by os._exit, the fallback where no process can be started) has one home
+    callers = [f"{path.stem}.{name}" for path in PACKAGE for name in fork_callers(path.read_text(encoding="utf-8"))]
+    assert callers == ["planner.fork"]

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -25,6 +26,7 @@ from gridlink.planner import (
 )
 from gridlink.reduction import OperatingPoint, ReducedNetwork, coupling_coefficients
 from gridlink.reports import plan_document
+from conftest import NO_PROCESS, refuse
 from test_acceptance import _random_35_generator_model
 from test_linearization import independent_alpha
 
@@ -176,6 +178,55 @@ def test_killed_worker_costs_time_not_the_plan(monkeypatch, forks, ne39_model):
     for pid in forks:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
+
+
+def test_sweep_whose_second_fork_fails_is_the_serial_sweep(monkeypatch, forks, ne39_model):
+    # the first worker starts and the second meets a process limit: the one worker takes the chunks and the
+    # parent evaluates any it left, so the alphas are the serial sweep's, and the worker is reaped
+    candidates = [[link] for link in candidate_links(ne39_model.n)]
+    serial = planner.sweep(ne39_model, candidates, -1.0)
+    recorded_fork = os.fork
+
+    def second_fork_fails():
+        if forks:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return recorded_fork()
+
+    monkeypatch.setattr(planner, "usable_cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    pooled = planner.sweep(ne39_model, candidates, -1.0, workers=2)
+    assert np.array(pooled).tobytes() == np.array(serial).tobytes()
+    (pid,) = forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "child, status",
+    [(lambda: 0, 0), (lambda: 7, 7), (lambda: 1 / 0, 255), (lambda: sys.exit(3), 255), (lambda: None, 255)],
+    ids=["returns 0", "returns 7", "raises", "exits", "returns no status"],
+)
+def test_forked_child_ends_with_its_status(child, status):
+    # the child ends by os._exit with what child() returns, or 255; it never comes back into the caller,
+    # where it would run the rest of this test, and pytest, a second time
+    parent = os.getpid()
+    pid = planner.fork(child)
+    if os.getpid() != parent:
+        os._exit(99)
+    _, wait_status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(wait_status) == status
+
+
+@pytest.mark.parametrize("fault", ["no os.fork", *(f for f in NO_PROCESS if f.startswith("fork"))])
+def test_fork_with_no_process_to_be_had_returns_none(monkeypatch, fault):
+    # no process is started and child() does not run: the caller does its work
+    if fault == "no os.fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        refuse(monkeypatch, fault)
+    ran = []
+    assert planner.fork(lambda: ran.append(os.getpid()) or 0) is None
+    assert ran == []
 
 
 def test_worker_error_reaches_caller(monkeypatch, forks, ne39_model):
